@@ -155,32 +155,6 @@ def test_engine_hotpath_smoke():
     assert record["speedup_calendar_over_heapq"] >= 1.2
 
 
-# -- engine self-profiling (--profile) --------------------------------------
-
-
-def run_profile(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> str:
-    """Re-run the schedule on the ProfiledEngine and format its report.
-
-    Imported lazily so the plain benchmark keeps iterating exactly the
-    production ENGINE_KINDS (the import registers the "profiled" kind).
-    """
-    from repro.telemetry.profiler import ProfiledEngine
-
-    delays = make_delays(total_events)
-    engine = ProfiledEngine()
-    n = len(delays)
-    per_chain = n // chains
-    chain_objs = []
-    for c in range(chains):
-        start = c * per_chain
-        stop = n if c == chains - 1 else start + per_chain
-        chain_objs.append(_Chain(engine, delays, start, stop))
-    for chain in chain_objs:
-        chain.step()
-    engine.run()
-    return engine.format_report()
-
-
 # -- script mode ------------------------------------------------------------
 
 
@@ -193,15 +167,7 @@ def main(argv=None) -> int:
         "--check", action="store_true",
         help="exit non-zero unless the calendar queue is >= 2x the heapq path",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the schedule under the self-profiling engine and print "
-             "its per-owner callback/dispatch report instead",
-    )
     args = parser.parse_args(argv)
-    if args.profile:
-        print(run_profile(args.events, args.chains))
-        return 0
     record = run_benchmark(args.events, args.chains)
     text = json.dumps(record, indent=2)
     print(text)

@@ -27,7 +27,6 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,12 @@ class Cache(Component):
         config: CacheConfig,
         downstream: Component,
         control=None,
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, config.name, clock)
         self.config = config
         self.downstream = downstream
         self.control = control
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -242,10 +239,6 @@ class Cache(Component):
     def _write_back(self, set_index: int, victim: _Line) -> None:
         line_addr = self._compose(set_index, victim.tag)
         entry = self.writebacks.push(line_addr, victim.ds_id, self.now)
-        self.tracer.emit(
-            self.now, self.name, "writeback",
-            f"addr={line_addr:#x} owner={victim.ds_id}",
-        )
         # Drain immediately; the memory controller queue is the real
         # contention point downstream.
         self.writebacks.pop()

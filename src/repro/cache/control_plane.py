@@ -20,7 +20,6 @@ from typing import Optional
 from repro.core.control_plane import ControlPlane
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.stats import WindowedRate
-from repro.sim.trace import NULL_TRACER, Tracer
 
 BASIS_POINTS = 10_000
 
@@ -45,7 +44,6 @@ class LlcControlPlane(ControlPlane):
         max_entries: int = 256,
         max_triggers: int = 64,
         window_ps: int = PS_PER_MS,
-        tracer: Tracer = NULL_TRACER,
     ):
         self.num_ways = num_ways
         self.full_mask = (1 << num_ways) - 1
@@ -54,7 +52,7 @@ class LlcControlPlane(ControlPlane):
         super().__init__(
             engine, name,
             max_entries=max_entries, max_triggers=max_triggers,
-            window_ps=window_ps, tracer=tracer,
+            window_ps=window_ps,
         )
         self._cache = None
         self._window_hits: dict[int, WindowedRate] = {}

@@ -27,7 +27,6 @@ from repro.core.programming import (
 from repro.core.tables import DsidTable, TableError, TableSchema, make_table
 from repro.core.triggers import TriggerOp, TriggerRule
 from repro.sim.engine import Engine, PS_PER_MS
-from repro.sim.trace import NULL_TRACER, Tracer
 
 # Interrupt callbacks receive (control_plane, ds_id, rule).
 InterruptCallback = Callable[["ControlPlane", int, TriggerRule], None]
@@ -174,12 +173,10 @@ class ControlPlane:
         max_entries: int = 256,
         max_triggers: int = 64,
         window_ps: int = PS_PER_MS,
-        tracer: Tracer = NULL_TRACER,
     ):
         self.engine = engine
         self.name = name
         self.window_ps = int(window_ps)
-        self.tracer = tracer
         self.parameters = make_table(f"{name}.parameters", list(self.PARAMETER_COLUMNS), max_entries)
         self.statistics = make_table(f"{name}.statistics", list(self.STATISTICS_COLUMNS), max_entries)
         self.triggers = TriggerBank(self.statistics.schema, max_triggers)
@@ -202,13 +199,11 @@ class ControlPlane:
         """Allocate parameter and statistics rows for a new DS-id."""
         self.parameters.allocate(ds_id, **parameter_overrides)
         self.statistics.allocate(ds_id)
-        self.tracer.emit(self.engine.now, self.name, "ldom_allocated", f"dsid={ds_id}")
 
     def free_ldom(self, ds_id: int) -> None:
         self.parameters.free(ds_id)
         self.statistics.free(ds_id)
         self.triggers.remove_ldom(ds_id)
-        self.tracer.emit(self.engine.now, self.name, "ldom_freed", f"dsid={ds_id}")
 
     @property
     def ds_ids(self) -> list[int]:
@@ -240,12 +235,6 @@ class ControlPlane:
 
     def _raise_interrupt(self, ds_id: int, rule: TriggerRule, observed: int) -> None:
         self.interrupts_raised += 1
-        self.tracer.emit(
-            self.engine.now,
-            self.name,
-            "trigger_interrupt",
-            f"dsid={ds_id} {rule.stat_column}={observed} {rule.op.symbol} {rule.threshold}",
-        )
         if self._interrupt_callback is not None:
             self._interrupt_callback(self, ds_id, rule)
 
@@ -272,10 +261,6 @@ class ControlPlane:
         if table == TABLE_PARAMETER:
             column = self.parameters.schema.column_at(offset)
             self.parameters.write_cell(ds_id, offset, value)
-            self.tracer.emit(
-                self.engine.now, self.name, "parameter_write",
-                f"dsid={ds_id} {column}={value}",
-            )
             self.on_parameter_write(ds_id, column, value)
         elif table == TABLE_STATISTICS:
             # Statistics are hardware-maintained; firmware writes clear them.

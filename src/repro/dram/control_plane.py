@@ -19,7 +19,6 @@ from typing import Optional
 from repro.core.address import AddressMapping, AddressTranslationError
 from repro.core.control_plane import ControlPlane
 from repro.sim.engine import Engine, PS_PER_MS
-from repro.sim.trace import NULL_TRACER, Tracer
 
 LATENCY_SCALE = 100  # avg_qlat is stored in hundredths of a memory cycle
 
@@ -48,12 +47,11 @@ class MemoryControlPlane(ControlPlane):
         max_entries: int = 256,
         max_triggers: int = 64,
         window_ps: int = PS_PER_MS,
-        tracer: Tracer = NULL_TRACER,
     ):
         super().__init__(
             engine, name,
             max_entries=max_entries, max_triggers=max_triggers,
-            window_ps=window_ps, tracer=tracer,
+            window_ps=window_ps,
         )
         self._controller = None
         self._window_bytes: dict[int, int] = {}

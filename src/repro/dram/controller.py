@@ -34,7 +34,6 @@ from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
 from repro.sim.stats import LatencyRecorder
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class MemoryController(Component):
@@ -52,7 +51,6 @@ class MemoryController(Component):
         enable_refresh: bool = False,
         translate_addresses: bool = True,
         name: str = "memctrl",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name, clock)
@@ -60,7 +58,6 @@ class MemoryController(Component):
         self.geometry = geometry or DramGeometry()
         self.control = control
         self.translate_addresses = translate_addresses
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -118,7 +115,6 @@ class MemoryController(Component):
             if bank.ready_at_ps < blocked_until:
                 bank.ready_at_ps = blocked_until
         self.refreshes_performed += 1
-        self.tracer.emit(self.now, self.name, "refresh", f"until={blocked_until}")
         self.engine.post(self.timing.t_refi * cycle_ps, self._refresh)
         self.engine.post_at(blocked_until, self._pump)
 
@@ -140,10 +136,6 @@ class MemoryController(Component):
         self.scheduler.enqueue(request)
         if packet.span is not None:
             packet.span.hop(f"{self.name}.enqueue", self.now)
-        self.tracer.emit(
-            self.now, self.name, "enqueue",
-            f"dsid={ds_id} bank={bank_index} row={row} prio={priority}",
-        )
         self._pump()
 
     # -- arbitration / issue --------------------------------------------------
@@ -209,11 +201,6 @@ class MemoryController(Component):
             self._qdelay_hist.record(delay_cycles)
         if request.packet.span is not None:
             request.packet.span.hop(f"{self.name}.issue", issue_ps)
-        self.tracer.emit(
-            issue_ps, self.name, "issue",
-            f"dsid={request.ds_id} bank={request.bank_index} "
-            f"qdelay={delay_cycles:.1f}cyc",
-        )
         self._inflight += 1
         self.engine.post_at(done_ps, lambda: self._complete(request, delay_cycles, done_ps))
 

@@ -25,7 +25,6 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class MultiChannelMemory(Component):
@@ -41,7 +40,6 @@ class MultiChannelMemory(Component):
         control=None,
         interleave_bytes: int = 1024,
         name: str = "mcmem",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
         **controller_kwargs,
     ):
@@ -53,13 +51,12 @@ class MultiChannelMemory(Component):
         self.channels = channels
         self.interleave_bytes = interleave_bytes
         self.control = control
-        self.tracer = tracer
         self.controllers = [
             MemoryController(
                 engine, clock,
                 timing=timing, geometry=geometry, control=control,
                 translate_addresses=False,
-                name=f"{name}.ch{i}", tracer=tracer,
+                name=f"{name}.ch{i}",
                 telemetry=telemetry,
                 **controller_kwargs,
             )
@@ -77,9 +74,6 @@ class MultiChannelMemory(Component):
             dram_addr = packet.addr
         channel = self.channel_of(dram_addr)
         packet.addr = dram_addr
-        self.tracer.emit(
-            self.now, self.name, "route", f"dsid={ds_id} channel={channel}"
-        )
         self.controllers[channel].handle_request(packet, on_response)
 
     # -- aggregate introspection ---------------------------------------------

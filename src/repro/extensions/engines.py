@@ -20,7 +20,6 @@ from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class EngineControlPlane(ControlPlane):
@@ -68,7 +67,6 @@ class _SelectiveEngine(Component):
         latency_cycles: int,
         cycle_ps: int = 500,
         name: str = "engine",
-        tracer: Tracer = NULL_TRACER,
     ):
         super().__init__(engine, name)
         if latency_cycles < 0:
@@ -76,7 +74,6 @@ class _SelectiveEngine(Component):
         self.downstream = downstream
         self.control = control
         self.latency_ps = latency_cycles * cycle_ps
-        self.tracer = tracer
         self.transformed = 0
         self.passed_through = 0
 
@@ -89,10 +86,6 @@ class _SelectiveEngine(Component):
         self.transformed += 1
         transformed = self._transform(packet)
         self.control.record(ds_id, packet.size, transformed.size)
-        self.tracer.emit(
-            self.now, self.name, "transform",
-            f"dsid={ds_id} {packet.size}B -> {transformed.size}B",
-        )
         # The engine pays its latency, then forwards; the response path
         # pays it again (decompress / decrypt on the way back).
         self.post(

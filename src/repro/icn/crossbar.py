@@ -22,7 +22,6 @@ from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class CrossbarControlPlane(ControlPlane):
@@ -64,7 +63,6 @@ class Crossbar(Component):
         flit_bytes: int = 16,
         control: Optional[CrossbarControlPlane] = None,
         name: str = "xbar",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name)
@@ -75,7 +73,6 @@ class Crossbar(Component):
         self.bytes_per_ps = bytes_per_ps
         self.flit_bytes = flit_bytes
         self.control = control
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -157,8 +154,5 @@ class Crossbar(Component):
         self.forwarded += 1
         if packet.span is not None:
             packet.span.hop(f"{self.name}.forward", self.now)
-        self.tracer.emit(
-            self.now, self.name, "forward", f"dsid={packet.effective_ds_id}"
-        )
         self.downstream.handle_request(packet, on_response)
         self._pump()

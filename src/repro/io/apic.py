@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 InterruptHandler = Callable[[InterruptPacket], None]
 
@@ -34,11 +33,9 @@ class Apic(Component):
         self,
         engine: Engine,
         name: str = "apic",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name)
-        self.tracer = tracer
         # route_tables[ds_id][vector] -> core_id
         self._route_tables: dict[int, dict[int, int]] = {}
         self._core_handlers: dict[int, InterruptHandler] = {}
@@ -85,16 +82,8 @@ class Apic(Component):
         core_id = self.route_of(packet.ds_id, packet.vector)
         if core_id is None:
             self.dropped += 1
-            self.tracer.emit(
-                self.now, self.name, "interrupt_dropped",
-                f"dsid={packet.ds_id} vector={packet.vector}",
-            )
             return
         handler = self._core_handlers[core_id]
-        self.tracer.emit(
-            self.now, self.name, "interrupt_routed",
-            f"dsid={packet.ds_id} vector={packet.vector} core={core_id}",
-        )
         self.post(DELIVERY_LATENCY_PS, lambda: self._deliver(handler, packet))
 
     def _deliver(self, handler: InterruptHandler, packet: InterruptPacket) -> None:

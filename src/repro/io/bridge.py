@@ -16,7 +16,6 @@ from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import IoPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 ALL_DEVICES_MASK = (1 << 62) - 1
 
@@ -60,13 +59,11 @@ class IoBridge(Component):
         control: Optional[IoBridgeControlPlane] = None,
         forward_latency_ps: int = 1_000,
         name: str = "iobridge",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name)
         self.control = control
         self.forward_latency_ps = forward_latency_ps
-        self.tracer = tracer
         self._devices: dict[str, tuple[int, Component]] = {}
         self.forwarded_pio = 0
         self.telemetry = (
@@ -97,10 +94,6 @@ class IoBridge(Component):
             allowed = bool(self.control.devmask(packet.ds_id) & (1 << index))
             self.control.record_pio(packet.ds_id, denied=not allowed)
             if not allowed:
-                self.tracer.emit(
-                    self.now, self.name, "pio_denied",
-                    f"dsid={packet.ds_id} device={packet.device}",
-                )
                 raise IoAccessError(
                     f"DS-id {packet.ds_id} denied access to {packet.device}"
                 )

@@ -27,7 +27,6 @@ from repro.io.dma import DmaEngine
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine, PS_PER_S
 from repro.sim.packet import IoOp, IoPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class IdeControlPlane(ControlPlane):
@@ -104,7 +103,6 @@ class IdeController(Component):
         chunk_bytes: int = 64 * 1024,
         pio_latency_ps: int = 2_000,
         name: str = "ide0",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name)
@@ -121,7 +119,6 @@ class IdeController(Component):
         self.total_bandwidth_bytes_per_s = total_bandwidth_bytes_per_s
         self.chunk_bytes = chunk_bytes
         self.pio_latency_ps = pio_latency_ps
-        self.tracer = tracer
         self.dma = DmaEngine(engine, f"{name}.dma", memory, apic=apic, chunk_bytes=chunk_bytes)
         self._queues: dict[int, deque[_Transfer]] = {}
         self._deficit: dict[int, float] = {}
@@ -231,10 +228,6 @@ class IdeController(Component):
             queue = self._queues[transfer.ds_id]
             queue.popleft()
             self.completed_transfers += 1
-            self.tracer.emit(
-                self.now, self.name, "transfer_done",
-                f"dsid={transfer.ds_id} bytes={transfer.total_bytes}",
-            )
             transfer.on_response(transfer.packet)
         self._busy = False
         self._pump()

@@ -25,7 +25,6 @@ from repro.core.tagging import TagRegister
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket, MemOp, MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class DmaEngine(Component):
@@ -39,14 +38,12 @@ class DmaEngine(Component):
         apic=None,
         interrupt_vector: int = 14,
         chunk_bytes: int = 4096,
-        tracer: Tracer = NULL_TRACER,
     ):
         super().__init__(engine, name)
         self.memory = memory
         self.apic = apic
         self.interrupt_vector = interrupt_vector
         self.chunk_bytes = chunk_bytes
-        self.tracer = tracer
         self.tag = TagRegister(f"{name}.dma")
         self.transfers_completed = 0
         self.bytes_transferred = 0
@@ -56,9 +53,6 @@ class DmaEngine(Component):
     def program(self, descriptor_write_ds_id: int) -> None:
         """Latch the DS-id carried by the driver's descriptor write."""
         self.tag.write(descriptor_write_ds_id)
-        self.tracer.emit(
-            self.now, self.name, "dma_programmed", f"dsid={descriptor_write_ds_id}"
-        )
 
     # -- steps 2 and 3: tagged transfer + tagged completion interrupt ---------
 
@@ -116,9 +110,6 @@ class DmaEngine(Component):
     ) -> None:
         self.transfers_completed += 1
         self.bytes_transferred += nbytes
-        self.tracer.emit(
-            self.now, self.name, "dma_complete", f"dsid={tag} bytes={nbytes}"
-        )
         if raise_interrupt and self.apic is not None:
             self.apic.raise_interrupt(
                 InterruptPacket(

@@ -23,7 +23,6 @@ from repro.core.tagging import TagRegister
 from repro.io.dma import DmaEngine
 from repro.sim.component import Component
 from repro.sim.engine import Engine, PS_PER_S
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class NicControlPlane(ControlPlane):
@@ -71,13 +70,11 @@ class MultiQueueNic(Component):
         wire_bandwidth_bytes_per_s: int = 10 * 1024 * 1024 * 1024 // 8,  # 10 GbE
         interrupt_vector: int = 11,
         name: str = "nic0",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name)
         self.control = control
         self.wire_bandwidth_bytes_per_s = wire_bandwidth_bytes_per_s
-        self.tracer = tracer
         self.dma = DmaEngine(
             engine, f"{name}.dma", memory, apic=apic, interrupt_vector=interrupt_vector
         )
@@ -122,7 +119,6 @@ class MultiQueueNic(Component):
             self.rx_dropped += 1
             if self.control is not None:
                 self.control.record_traffic(0, "rx_dropped", 1)
-            self.tracer.emit(self.now, self.name, "rx_dropped", f"mac={dest_mac}")
             return False
         vnic.rx_frames += 1
         if self.control is not None:

@@ -37,7 +37,6 @@ from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
 from repro.prm.sysfs import SysfsError, SysfsTree
 from repro.sim.engine import Engine, PS_PER_US
-from repro.sim.trace import NULL_TRACER, Tracer
 
 # Columns whose sysfs/pardtrigger values are expressed in percent but
 # stored scaled (miss_rate is kept in basis points in the hardware).
@@ -87,13 +86,11 @@ class Firmware:
         engine: Engine,
         inventory: HardwareInventory,
         reaction_latency_ps: int = 20 * PS_PER_US,
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         self.engine = engine
         self.inventory = inventory
         self.reaction_latency_ps = reaction_latency_ps
-        self.tracer = tracer
         self.io_space = PrmIoSpace()
         self.sysfs = SysfsTree()
         self.ldoms: dict[str, LDom] = {}
@@ -268,10 +265,6 @@ class Firmware:
                 self.inventory.apic.set_route(ds_id, vector, core_ids[0])
         self.ldoms[name] = ldom
         self._ldoms_by_dsid[ds_id] = ldom
-        self.tracer.emit(
-            self.engine.now, "firmware", "ldom_created",
-            f"{name} dsid={ds_id} cores={core_ids} mem={memory_bytes:#x}",
-        )
         return ldom
 
     def _program_defaults(
@@ -326,7 +319,6 @@ class Firmware:
         ldom.launch()
         for core_id, workload in workloads.items():
             self._core(core_id).assign(workload)
-        self.tracer.emit(self.engine.now, "firmware", "ldom_launched", name)
         return ldom
 
     def destroy_ldom(self, name: str) -> None:
@@ -459,10 +451,6 @@ class Firmware:
     def _run_script(self, script: ActionScript, context: dict) -> None:
         if self._scripts_run is not None:
             self._scripts_run.add()
-        self.tracer.emit(
-            self.engine.now, "firmware", "action_script",
-            f"cpa={context['cpa']} dsid={context['ds_id']}",
-        )
         script(self, context)
 
     # -- the shell (echo / cat / ls / pardtrigger) --------------------------------

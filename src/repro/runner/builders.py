@@ -17,7 +17,6 @@ from repro.system.experiments import (
     ColocationSetup,
     run_colocation_point,
     run_fig7,
-    run_fig8,
     run_fig9,
     run_fig10,
     run_fig11,
@@ -52,20 +51,6 @@ def build_fig7(point, telemetry):
         phase_ms=params.get("phase_ms", 1.0),
         sample_ms=params.get("sample_ms", 0.25),
         telemetry=telemetry,
-    )
-
-
-@register_builder("fig8")
-def build_fig8(point, telemetry):
-    """The whole Fig. 8 grid as one job (run serially inside the worker)."""
-    params = point.params
-    return run_fig8(
-        loads_rps=params.get("loads_rps"),
-        modes=tuple(params.get("modes", ("solo", "shared", "trigger"))),
-        setup=_setup_from(params),
-        measure_ms=params.get("measure_ms", 2.5),
-        telemetry=telemetry,
-        jobs=1,
     )
 
 

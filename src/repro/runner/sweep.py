@@ -47,7 +47,6 @@ class TelemetryConfig:
     span_sample: int = 100
     span_capacity: int = 10_000
     snapshot_period_ms: float = 1.0
-    profile_engine: bool = False
 
     @classmethod
     def from_hub(cls, hub: Telemetry) -> "TelemetryConfig":
@@ -55,7 +54,6 @@ class TelemetryConfig:
             span_sample=hub.spans.sample_every,
             span_capacity=hub.spans.capacity,
             snapshot_period_ms=hub.snapshot_period_ms,
-            profile_engine=hub.profile_engine,
         )
 
     def build(self) -> Telemetry:
@@ -63,7 +61,6 @@ class TelemetryConfig:
             span_sample=self.span_sample,
             span_capacity=self.span_capacity,
             snapshot_period_ms=self.snapshot_period_ms,
-            profile_engine=self.profile_engine,
         )
 
 

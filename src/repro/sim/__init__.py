@@ -9,7 +9,6 @@ reproduction is built on:
 - :mod:`repro.sim.packet` -- tagged intra-computer-network (ICN) packets
 - :mod:`repro.sim.stats` -- counters, windowed rates and latency recorders
 - :mod:`repro.sim.rng` -- deterministic random streams
-- :mod:`repro.sim.trace` -- optional event tracing
 """
 
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS, DRAM_CLOCK_PS

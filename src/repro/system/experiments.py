@@ -20,7 +20,7 @@ for the scale mapping to the paper's axes):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.dram.controller import MemoryController
@@ -70,7 +70,6 @@ class ColocationSetup:
     seed: int = 42
 
     def config(self) -> ServerConfig:
-        from dataclasses import replace
         scaled = TABLE2.scaled(self.scale)
         return replace(scaled, control_window_ps=int(self.control_window_ms * PS_PER_MS))
 
@@ -96,9 +95,12 @@ class ColocationResult:
 
 def _build_colocated_server(
     setup: ColocationSetup, mode: str, rps: float, telemetry=None,
-    seed: Optional[int] = None,
+    seed: Optional[int] = None, stream_delay_cycles: int = 0,
 ) -> tuple[PardServer, MemcachedServer, int]:
-    """Create the server, LDoms and workloads for one Fig. 8/9 run."""
+    """Create the server, LDoms and workloads for one Fig. 8/9 run.
+
+    The STREAM LDoms start after ``stream_delay_cycles`` CPU cycles.
+    """
     if mode not in ("solo", "shared", "trigger"):
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
@@ -148,6 +150,7 @@ def _build_colocated_server(
                 array_bytes=setup.stream_array_bytes,
                 mlp=setup.stream_mlp,
                 compute_cycles_per_batch=setup.stream_compute_cycles,
+                start_delay_cycles=stream_delay_cycles,
             )
             firmware.launch_ldom(f"stream{i}", {i: stream})
     return server, memcached, mc_ldom.ds_id
@@ -281,53 +284,17 @@ def run_fig9(
     miss rate crosses the threshold and the firmware repartitions.
     """
     setup = setup or ColocationSetup()
-    config = setup.config()
     if telemetry is not None:
         telemetry.begin_run(f"fig9@{rps:g}rps")
-    server = PardServer(config, telemetry=telemetry)
+    server, _memcached, ds_id = _build_colocated_server(
+        replace(setup, warmup_ms=0.0), "trigger", rps, telemetry=telemetry,
+        stream_delay_cycles=int(
+            stream_delay_ms * PS_PER_MS / setup.config().cpu_period_ps
+        ),
+    )
     firmware = server.firmware
-    mc_ldom = firmware.create_ldom(
-        "memcached", (0,), setup.ldom_memory_bytes, priority=setup.mc_priority
-    )
-    memcached = MemcachedServer(
-        server.engine, rps=rps,
-        working_set_bytes=setup.mc_working_set_bytes,
-        loads_per_request=setup.mc_loads_per_request,
-        mlp=setup.mc_mlp,
-        compute_cycles_per_batch=setup.mc_compute_cycles,
-        zipf_alpha=setup.mc_zipf_alpha,
-        warmup_ps=0,
-        rng=DeterministicRng(setup.seed, "fig9").child("memcached"),
-        telemetry=telemetry,
-        ds_id=mc_ldom.ds_id,
-    )
-    firmware.register_script(
-        "/cpa0_ldom1_t0.sh",
-        partition_llc_action(num_ways=config.llc_ways, share=setup.partition_share),
-    )
-    firmware.sh(
-        f"pardtrigger /dev/cpa0 -ldom={mc_ldom.ds_id} -action=0 "
-        f"-stats=miss_rate -cond=gt,{setup.trigger_threshold_pct}"
-    )
-    firmware.sh(
-        f"echo /cpa0_ldom1_t0.sh > /sys/cpa/cpa0/ldoms/ldom{mc_ldom.ds_id}/triggers/0"
-    )
-    server.start()
-    firmware.launch_ldom("memcached", {0: memcached})
-    delay_cycles = int(stream_delay_ms * PS_PER_MS / config.cpu_period_ps)
-    for i in range(1, config.num_cores):
-        firmware.create_ldom(f"stream{i}", (i,), setup.ldom_memory_bytes)
-        firmware.launch_ldom(
-            f"stream{i}",
-            {i: Stream(
-                array_bytes=setup.stream_array_bytes,
-                mlp=setup.stream_mlp,
-                compute_cycles_per_batch=setup.stream_compute_cycles,
-                start_delay_cycles=delay_cycles,
-            )},
-        )
     timeline = MissRateTimeline(stream_start_ms=stream_delay_ms)
-    mc_path = f"/sys/cpa/cpa0/ldoms/ldom{mc_ldom.ds_id}"
+    mc_path = f"/sys/cpa/cpa0/ldoms/ldom{ds_id}"
     steps = int(total_ms / sample_ms)
     for _ in range(steps):
         server.run_ms(sample_ms)

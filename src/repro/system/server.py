@@ -27,8 +27,7 @@ from repro.io.disk import IdeControlPlane, IdeController
 from repro.io.nic import MultiQueueNic, NicControlPlane
 from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
-from repro.sim.engine import Engine, make_engine
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.engine import Engine
 from repro.system.config import ServerConfig, TABLE2
 
 
@@ -39,18 +38,10 @@ class PardServer:
         self,
         config: ServerConfig = TABLE2,
         engine: Optional[Engine] = None,
-        tracer: Tracer = NULL_TRACER,
-        engine_kind: str = "calendar",
         telemetry=None,
     ):
         self.config = config
-        if engine is None and telemetry is not None and telemetry.profile_engine:
-            # Importing the profiler registers the "profiled" engine kind.
-            from repro.telemetry.profiler import ProfiledEngine  # noqa: F401
-
-            engine_kind = "profiled"
-        self.engine = engine or make_engine(engine_kind)
-        self.tracer = tracer
+        self.engine = engine or Engine()
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -72,7 +63,6 @@ class PardServer:
             max_entries=config.max_table_entries,
             max_triggers=config.max_triggers,
             window_ps=config.control_window_ps,
-            tracer=tracer,
         )
         self.llc_control = LlcControlPlane(
             engine, num_ways=config.llc_ways, **plane_kwargs
@@ -87,13 +77,13 @@ class PardServer:
             self.memory_controller = MemoryController(
                 engine, self.dram_clock,
                 timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, tracer=tracer, telemetry=telemetry,
+                control=self.memory_control, telemetry=telemetry,
             )
         else:
             self.memory_controller = MultiChannelMemory(
                 engine, self.dram_clock, channels=config.memory_channels,
                 timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, tracer=tracer, telemetry=telemetry,
+                control=self.memory_control, telemetry=telemetry,
             )
         llc_config = CacheConfig(
             name="llc",
@@ -104,14 +94,14 @@ class PardServer:
         )
         self.llc = Cache(
             engine, self.cpu_clock, llc_config, self.memory_controller,
-            control=self.llc_control, tracer=tracer, telemetry=telemetry,
+            control=self.llc_control, telemetry=telemetry,
         )
         # Optional explicit crossbar hop between the private L1s and the
         # shared LLC (the T1-style fabric of Fig. 1).
         if config.icn_crossbar:
             self.crossbar = Crossbar(
                 engine, self.llc,
-                traversal_ps=config.crossbar_traversal_ps, tracer=tracer,
+                traversal_ps=config.crossbar_traversal_ps,
                 telemetry=telemetry,
             )
             l1_downstream = self.crossbar
@@ -120,21 +110,21 @@ class PardServer:
             l1_downstream = self.llc
 
         # I/O.
-        self.apic = Apic(engine, tracer=tracer, telemetry=telemetry)
+        self.apic = Apic(engine, telemetry=telemetry)
         self.ide = IdeController(
             engine, control=self.ide_control, memory=self.memory_controller,
             apic=self.apic,
             total_bandwidth_bytes_per_s=config.disk_bandwidth_bytes_per_s,
-            chunk_bytes=config.disk_chunk_bytes, tracer=tracer,
+            chunk_bytes=config.disk_chunk_bytes,
             telemetry=telemetry,
         )
         self.nic = MultiQueueNic(
             engine, memory=self.memory_controller, apic=self.apic,
-            control=NicControlPlane(engine, **plane_kwargs), tracer=tracer,
+            control=NicControlPlane(engine, **plane_kwargs),
             telemetry=telemetry,
         )
         self.bridge = IoBridge(
-            engine, control=self.bridge_control, tracer=tracer, telemetry=telemetry
+            engine, control=self.bridge_control, telemetry=telemetry
         )
         self.bridge.attach_device("ide0", self.ide)
 
@@ -149,7 +139,7 @@ class PardServer:
                 hit_latency_cycles=config.l1_hit_cycles,
             )
             l1 = Cache(
-                engine, self.cpu_clock, l1_config, l1_downstream, tracer=tracer,
+                engine, self.cpu_clock, l1_config, l1_downstream,
                 telemetry=telemetry,
             )
             core = CpuCore(
@@ -177,7 +167,6 @@ class PardServer:
         self.firmware = Firmware(
             engine, inventory,
             reaction_latency_ps=config.firmware_reaction_ps,
-            tracer=tracer,
             telemetry=telemetry,
         )
 

@@ -1,5 +1,5 @@
-"""repro.telemetry: metrics registry, packet-lifecycle spans, exporters,
-and engine self-profiling for the simulated PARD machine.
+"""repro.telemetry: metrics registry, packet-lifecycle spans and
+exporters for the simulated PARD machine.
 
 See DESIGN.md ("Observability") for the instrument naming scheme,
 sampling rules, and the overhead budget this layer is held to.
@@ -23,7 +23,6 @@ from .exporters import (
     write_jsonl,
 )
 from .hub import Telemetry, effective
-from .profiler import ProfiledEngine
 
 __all__ = [
     "Counter",
@@ -34,7 +33,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "ProfiledEngine",
     "chrome_trace_events",
     "merge_registry_dumps",
     "metrics_rows",

@@ -40,13 +40,11 @@ class Telemetry:
         span_sample: int = DEFAULT_SPAN_SAMPLE,
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
         snapshot_period_ms: float = 1.0,
-        profile_engine: bool = False,
     ):
         self.enabled = enabled
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(sample_every=span_sample, capacity=span_capacity)
         self.snapshot_period_ms = snapshot_period_ms
-        self.profile_engine = profile_engine
         self.snapshots: list[dict] = []
         self.run_label = ""
         self._span_id_base = 0  # next free packet id for merged worker spans

@@ -83,8 +83,7 @@ class SpanRecorder:
     """Starts spans on a deterministic 1-in-N sample and stores finished ones.
 
     Storage is bounded (ring semantics: oldest finished spans are evicted
-    first) with an explicit ``dropped`` count, matching the Tracer's
-    contract.
+    first) with an explicit ``dropped`` count.
     """
 
     __slots__ = ("sample_every", "capacity", "finished", "dropped", "_seen", "_started")

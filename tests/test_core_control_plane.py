@@ -7,7 +7,6 @@ from repro.core.programming import TABLE_PARAMETER, TABLE_STATISTICS, TABLE_TRIG
 from repro.core.tables import TableError, TableSchema
 from repro.core.triggers import TriggerOp
 from repro.sim.engine import Engine, PS_PER_MS
-from repro.sim.trace import Tracer
 
 
 class FakeCachePlane(ControlPlane):
@@ -131,15 +130,6 @@ class TestWindowsAndInterrupts:
         plane.triggers.install(7, "miss_rate", TriggerOp.EQ, 0)
         fired = plane.roll_window()
         assert len(fired) == 1  # observed default 0 == 0
-
-    def test_tracer_records_interrupt(self):
-        tracer = Tracer()
-        plane = FakeCachePlane(Engine(), tracer=tracer)
-        plane.allocate_ldom(2)
-        plane.triggers.install(2, "miss_rate", TriggerOp.GT, 10)
-        plane.pending_miss_rate[2] = 100
-        plane.roll_window()
-        assert len(tracer.filter(event="trigger_interrupt")) == 1
 
 
 class TestTriggerBank:

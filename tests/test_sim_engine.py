@@ -23,6 +23,12 @@ def engine(request):
 
 
 def test_make_engine_kinds():
+    # Importing the rest of the package registers no extra kinds.
+    import repro.runner  # noqa: F401
+    import repro.system.server  # noqa: F401
+    import repro.telemetry  # noqa: F401
+
+    assert sorted(ENGINE_KINDS) == ["calendar", "heapq"]
     assert isinstance(make_engine("calendar"), Engine)
     assert isinstance(make_engine("heapq"), HeapqEngine)
     with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-"""Unit tests for deterministic RNG streams and the tracer."""
+"""Unit tests for deterministic RNG streams."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class TestDeterministicRng:
@@ -68,72 +67,3 @@ class TestDeterministicRng:
         rng = DeterministicRng(1)
         values = {rng.randint(0, 3) for _ in range(200)}
         assert values == {0, 1, 2, 3}
-
-
-class TestTracer:
-    def test_collects_records(self):
-        tracer = Tracer()
-        tracer.emit(10, "llc", "hit", "dsid=1")
-        tracer.emit(20, "mem", "enqueue")
-        assert len(tracer) == 2
-        assert tracer.records[0].source == "llc"
-
-    def test_filter_by_source_and_event(self):
-        tracer = Tracer()
-        tracer.emit(1, "llc", "hit")
-        tracer.emit(2, "llc", "miss")
-        tracer.emit(3, "mem", "hit")
-        assert len(tracer.filter(source="llc")) == 2
-        assert len(tracer.filter(event="hit")) == 2
-        assert len(tracer.filter(source="llc", event="hit")) == 1
-
-    def test_filter_with_predicate(self):
-        tracer = Tracer()
-        tracer.emit(1, "a", "x")
-        tracer.emit(100, "a", "x")
-        late = tracer.filter(predicate=lambda r: r.time_ps > 50)
-        assert len(late) == 1
-
-    def test_capacity_limit(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit(i, "s", "e")
-        assert len(tracer) == 2
-
-    def test_capacity_keeps_most_recent_and_counts_drops(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit(i, "s", "e")
-        # Ring semantics: the newest records survive, evictions counted.
-        assert [r.time_ps for r in tracer.records] == [3, 4]
-        assert tracer.dropped == 3
-
-    def test_unbounded_tracer_never_drops(self):
-        tracer = Tracer()
-        for i in range(10):
-            tracer.emit(i, "s", "e")
-        assert tracer.dropped == 0
-
-    def test_clear_resets_dropped(self):
-        tracer = Tracer(capacity=1)
-        tracer.emit(1, "s", "e")
-        tracer.emit(2, "s", "e")
-        assert tracer.dropped == 1
-        tracer.clear()
-        assert tracer.dropped == 0
-        assert len(tracer) == 0
-
-    def test_disabled_tracer_drops(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1, "s", "e")
-        assert len(tracer) == 0
-
-    def test_null_tracer_drops_even_if_enabled_flag_toggled(self):
-        NULL_TRACER.emit(1, "s", "e")
-        assert len(NULL_TRACER) == 0
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(1, "s", "e")
-        tracer.clear()
-        assert len(tracer) == 0
