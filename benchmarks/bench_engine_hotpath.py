@@ -19,6 +19,17 @@ Run under pytest for the CI smoke mode (a smaller schedule and a softer
 ratio bound, to tolerate noisy shared runners)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_hotpath.py
+
+The same pytest run also guards the real simulator's hot path without
+timing anything: it counts the Python calls (function and builtin calls,
+as ``sys.setprofile`` reports them) per dispatched event on a tiny Fig. 8
+trigger-mode point and fails above :data:`CALLS_PER_EVENT_BUDGET`. The
+count is deterministic for a given CPython minor version, so the guard
+runs only on CPython 3.11, the version the budget was measured on.
+``--calls-per-event`` prints the count (and, with ``--check``, enforces
+the budget)::
+
+    PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --calls-per-event --check
 """
 
 from __future__ import annotations
@@ -28,6 +39,9 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
+
+import pytest
 
 from repro.sim.engine import ENGINE_KINDS, Engine, make_engine
 from repro.sim.rng import DeterministicRng
@@ -142,6 +156,81 @@ def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict
     }
 
 
+# -- Python calls per dispatched event on the real simulator ---------------
+
+# A tiny Fig. 8 trigger-mode point: memcached beside three STREAM LDoms,
+# 0.05 ms warm-up (the trigger fires at its window) + 0.05 ms measured.
+CALLS_POINT = dict(mode="trigger", rps=444_000, span_ms=0.05, seed=1)
+# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (28.91;
+# 74.05 before the memory-hierarchy hot-path rewrite), plus 10%.
+CALLS_PER_EVENT_BUDGET = 31.8
+CALLS_PYTHON = (3, 11)
+
+
+@contextmanager
+def _engines_run():
+    """Collect every engine whose ``run`` is called inside the block."""
+    engines: dict[int, Engine] = {}
+    original = Engine.__dict__["run"]
+
+    def run(engine, until_ps=None):
+        engines[id(engine)] = engine
+        return original(engine, until_ps)
+
+    Engine.run = run
+    try:
+        yield engines
+    finally:
+        Engine.run = original
+
+
+def calls_per_event(point: dict = CALLS_POINT) -> dict:
+    """Run ``point`` under ``sys.setprofile``; count calls per event.
+
+    Counts every ``call`` and ``c_call`` profile event of the whole
+    point, set-up included, divided by the events its engine executed.
+    The point runs once unprofiled first, so imports and first-use
+    caches stay out of the count.
+    """
+    from repro.system.experiments import ColocationSetup, run_colocation_point
+
+    setup = ColocationSetup(
+        warmup_ms=point["span_ms"], control_window_ms=point["span_ms"]
+    )
+
+    def run_point():
+        return run_colocation_point(
+            point["mode"], point["rps"], setup=setup,
+            measure_ms=point["span_ms"], seed=point["seed"],
+        )
+
+    run_point()
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    with _engines_run() as engines:
+        sys.setprofile(profile)
+        try:
+            result = run_point()
+        finally:
+            sys.setprofile(None)
+    events = sum(engine.executed_total for engine in engines.values())
+    return {
+        "benchmark": "calls_per_event",
+        "point": point,
+        "python": platform.python_version(),
+        "calls": calls,
+        "events": events,
+        "calls_per_event": round(calls / events, 2),
+        "budget": CALLS_PER_EVENT_BUDGET,
+        "trigger_fired": result.trigger_fired,
+    }
+
+
 # -- pytest smoke mode (used by CI) ---------------------------------------
 
 
@@ -155,6 +244,22 @@ def test_engine_hotpath_smoke():
     assert record["speedup_calendar_over_heapq"] >= 1.2
 
 
+def test_calls_per_event_within_budget():
+    if (
+        sys.implementation.name != "cpython"
+        or sys.version_info[:2] != CALLS_PYTHON
+    ):
+        pytest.skip("the call budget was measured on CPython 3.11")
+    record = calls_per_event()
+    print()
+    print(json.dumps(record, indent=2))
+    assert record["trigger_fired"], "the tiny point must exercise the trigger path"
+    assert record["calls_per_event"] <= CALLS_PER_EVENT_BUDGET, (
+        f"{record['calls_per_event']} Python calls per event, budget "
+        f"{CALLS_PER_EVENT_BUDGET}: a hot-path change added calls"
+    )
+
+
 # -- script mode ------------------------------------------------------------
 
 
@@ -165,9 +270,21 @@ def main(argv=None) -> int:
     parser.add_argument("--json-file", default=None)
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless the calendar queue is >= 2x the heapq path",
+        help="exit non-zero unless the calendar queue is >= 2x the heapq path "
+        "(with --calls-per-event: unless the count is within its budget)",
+    )
+    parser.add_argument(
+        "--calls-per-event", action="store_true",
+        help="count Python calls per dispatched event on a tiny fig8 point",
     )
     args = parser.parse_args(argv)
+    if args.calls_per_event:
+        record = calls_per_event()
+        print(json.dumps(record, indent=2))
+        if args.check and record["calls_per_event"] > CALLS_PER_EVENT_BUDGET:
+            print("FAIL: Python calls per event above the budget", file=sys.stderr)
+            return 1
+        return 0
     record = run_benchmark(args.events, args.chains)
     text = json.dumps(record, indent=2)
     print(text)

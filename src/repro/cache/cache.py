@@ -18,7 +18,8 @@ DS-id, not the requester's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 from repro.cache.mshr import MshrFile, MshrFullError
 from repro.cache.replacement import WayMaskedPlru
@@ -27,6 +28,8 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
+
+_READ = MemOp.READ
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,46 @@ class _Line:
 
 
 class _Set:
-    __slots__ = ("lines", "plru")
+    """One set: its lines, its PLRU tree and two summaries of the lines.
+
+    ``index`` maps ``(tag, owner DS-id)`` -- packed into the int
+    ``tag << 16 | ds_id`` (DS-ids are 16-bit tags) -- to the way of every
+    *valid* line, so a lookup is one dict probe instead of a scan of
+    ``lines``. The cache updates it wherever a line becomes valid or
+    invalid: on fill (including the overwrite of a reserved way), on
+    eviction and in :meth:`Cache.flush_dsid`. A key is never valid in two
+    ways at once: a fill starts only in :meth:`Cache._lookup`, an event
+    of its own, so it cannot run while another fill of the same key is
+    being installed.
+
+    ``free`` has bit ``w`` set while way ``w`` is unused since the cache
+    was built or last flushed (invalid with tag 0), so victim selection
+    takes the lowest free way of the requester's mask without a scan.
+    """
+
+    __slots__ = ("lines", "plru", "index", "free")
 
     def __init__(self, ways: int):
         self.lines = [_Line() for _ in range(ways)]
         self.plru = WayMaskedPlru(ways)
+        self.index: dict[int, int] = {}
+        self.free = (1 << ways) - 1
+
+
+def _drop_response(_packet) -> None:
+    """Writebacks are posted: nothing waits for their completion."""
 
 
 class Cache(Component):
-    """A write-allocate, writeback, set-associative cache."""
+    """A write-allocate, writeback, set-associative cache.
+
+    The per-access methods read ``engine._now`` and the geometry
+    precomputed here instead of going through properties, and pass
+    ``functools.partial`` callbacks instead of a closure per request;
+    see DESIGN.md "Memory-hierarchy hot path". Calls into other layers
+    (``downstream``, ``engine``, ``control``) stay attribute lookups on
+    the instance.
+    """
 
     def __init__(
         self,
@@ -98,6 +132,10 @@ class Cache(Component):
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
+        self._line_size = config.line_size
+        self._num_sets = config.num_sets
+        self._full_mask = (1 << config.ways) - 1
+        self._hit_latency_ps = config.hit_latency_cycles * clock.period_ps
         self._sets: dict[int, _Set] = {}
         self._reserved_slots: dict[tuple[int, int], int] = {}
         self.mshrs = MshrFile(config.mshr_entries)
@@ -119,8 +157,8 @@ class Cache(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """Accept a tagged cache access; respond after the modeled latency."""
-        self.post_cycles(
-            self.config.hit_latency_cycles, lambda: self._lookup(packet, on_response)
+        self.clock.post_cycles(
+            self.config.hit_latency_cycles, partial(self._lookup, packet, on_response)
         )
 
     def access(self, packet: MemoryPacket, on_response: ResponseCallback) -> Optional[int]:
@@ -132,102 +170,116 @@ class Cache(Component):
         queue is purely a simulator optimization -- the modeled latency is
         identical to :meth:`handle_request`.
         """
-        line_addr = packet.line_addr(self.config.line_size)
-        set_index, tag = self._decompose(line_addr)
-        cache_set = self._set(set_index)
-        way = self._find(cache_set, tag, packet.ds_id)
-        if way is None:
+        block = packet.addr // self._line_size
+        set_index = block % self._num_sets
+        sets = self._sets
+        if set_index in sets:
+            cache_set = sets[set_index]
+        else:
+            cache_set = sets[set_index] = _Set(self.config.ways)
+        key = (block // self._num_sets) << 16 | packet.ds_id
+        if key not in cache_set.index:
             self.handle_request(packet, on_response)
             return None
+        way = cache_set.index[key]
         cache_set.plru.touch(way)
-        if packet.is_write:
+        if packet.op is not _READ:
             cache_set.lines[way].dirty = True
         self.total_hits += 1
         if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=True)
-        latency_ps = self.config.hit_latency_cycles * self.clock.period_ps
+            self.control.record_access(packet.ds_id, True)
+        latency_ps = self._hit_latency_ps
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.hit", self.now + latency_ps)
+            packet.span.hop(f"{self.name}.hit", self.engine._now + latency_ps)
         return latency_ps
 
     def _lookup(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        line_addr = packet.line_addr(self.config.line_size)
-        set_index, tag = self._decompose(line_addr)
-        cache_set = self._set(set_index)
-        way = self._find(cache_set, tag, packet.ds_id)
-        if way is not None:
-            self._on_hit(cache_set, way, packet, on_response)
+        """The event-driven access, one hit latency after it arrived."""
+        block = packet.addr // self._line_size
+        set_index = block % self._num_sets
+        tag = block // self._num_sets
+        sets = self._sets
+        if set_index in sets:
+            cache_set = sets[set_index]
         else:
-            self._on_miss(cache_set, set_index, tag, line_addr, packet, on_response)
-
-    def _on_hit(self, cache_set: _Set, way: int, packet: MemoryPacket, on_response) -> None:
-        cache_set.plru.touch(way)
-        if packet.is_write:
-            cache_set.lines[way].dirty = True
-        self.total_hits += 1
-        if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=True)
-        if packet.span is not None:
-            packet.span.hop(f"{self.name}.hit", self.now)
-        on_response(packet)
-
-    def _on_miss(
-        self, cache_set: _Set, set_index: int, tag: int, line_addr: int, packet, on_response
-    ) -> None:
+            cache_set = sets[set_index] = _Set(self.config.ways)
+        ds_id = packet.ds_id
+        key = tag << 16 | ds_id
+        control = self.control
+        if key in cache_set.index:
+            way = cache_set.index[key]
+            cache_set.plru.touch(way)
+            if packet.op is not _READ:
+                cache_set.lines[way].dirty = True
+            self.total_hits += 1
+            if control is not None:
+                control.record_access(ds_id, True)
+            if packet.span is not None:
+                packet.span.hop(f"{self.name}.hit", self.engine._now)
+            on_response(packet)
+            return
         self.total_misses += 1
-        if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=False)
+        if control is not None:
+            control.record_access(ds_id, False)
+        now = self.engine._now
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.miss", self.now)
+            packet.span.hop(f"{self.name}.miss", now)
+        line_addr = block * self._line_size
         try:
             _entry, is_primary = self.mshrs.allocate(
-                line_addr,
-                packet.ds_id,
-                self.now,
-                is_write=packet.is_write,
-                on_fill=lambda: on_response(packet),
+                line_addr, ds_id, now, packet.op is not _READ,
+                partial(on_response, packet),
             )
         except MshrFullError:
             # Structural stall: retry the lookup after a short back-off.
-            self.post_cycles(
-                self.config.retry_cycles, lambda: self._lookup(packet, on_response)
+            # Nothing was reserved, so the retry starts from scratch.
+            self.clock.post_cycles(
+                self.config.retry_cycles, partial(self._lookup, packet, on_response)
             )
             return
         if not is_primary:
             return  # merged into an in-flight fill
-        self._evict_victim(cache_set, set_index, line_addr, packet.ds_id)
+        self._evict_victim(cache_set, set_index, line_addr, ds_id)
         fill = MemoryPacket(
-            ds_id=packet.ds_id,
+            ds_id=ds_id,
             addr=line_addr,
-            size=self.config.line_size,
-            op=MemOp.READ,
-            birth_ps=self.now,
+            size=self._line_size,
+            op=_READ,
+            birth_ps=now,
             # The fill inherits the missing request's span, so the trail
             # continues downstream (LLC, crossbar, DRAM).
             span=packet.span,
         )
-        fill_done = lambda _resp=None: self._on_fill(set_index, tag, line_addr, packet.ds_id)
+        fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
         sync_latency = self.downstream.access(fill, fill_done)
         if sync_latency is not None:
-            self.post(sync_latency, fill_done)
+            self.engine.post(sync_latency, fill_done)
 
     def _evict_victim(self, cache_set: _Set, set_index: int, line_addr: int, ds_id: int) -> None:
         """Select and evict the victim for an incoming fill.
 
         The victim way is chosen under the requester's way mask (from the
-        control plane's parameter table); the slot is reserved (tag -1) so
+        control plane's parameter table): the lowest never-used way if the
+        mask has one, else the PLRU victim. The slot is reserved (tag -1) so
         concurrent misses to the same set pick different ways. The
         reservation key is the MSHR key ``(line_addr, ds_id)``, which is
         unique because only primary misses reach this point.
         """
-        mask = self._waymask(ds_id)
-        way = self._find_invalid(cache_set, mask)
-        if way is None:
+        control = self.control
+        mask = self._full_mask
+        if control is not None:
+            mask &= control.waymask(ds_id)
+        free = cache_set.free & mask
+        if free:
+            way = (free & -free).bit_length() - 1  # the lowest free way
+        else:
             way = cache_set.plru.victim(mask)
+        cache_set.free &= ~(1 << way)
         victim = cache_set.lines[way]
         if victim.valid:
-            if self.control is not None:
-                self.control.record_eviction(victim.ds_id)
+            del cache_set.index[victim.tag << 16 | victim.ds_id]
+            if control is not None:
+                control.record_eviction(victim.ds_id)
             if victim.dirty:
                 self._write_back(set_index, victim)
             victim.valid = False
@@ -237,80 +289,62 @@ class Cache(Component):
         self._reserved_slots[(line_addr, ds_id)] = way
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
-        line_addr = self._compose(set_index, victim.tag)
-        entry = self.writebacks.push(line_addr, victim.ds_id, self.now)
+        line_addr = (victim.tag * self._num_sets + set_index) * self._line_size
+        now = self.engine._now
+        entry = self.writebacks.push(line_addr, victim.ds_id, now)
         # Drain immediately; the memory controller queue is the real
         # contention point downstream.
         self.writebacks.pop()
         packet = MemoryPacket(
             ds_id=entry.owner_ds_id,
             addr=entry.line_addr,
-            size=self.config.line_size,
+            size=self._line_size,
             op=MemOp.WRITEBACK,
             owner_ds_id=entry.owner_ds_id,
-            birth_ps=self.now,
+            birth_ps=now,
         )
-        self.downstream.handle_request(packet, lambda _resp: None)
+        self.downstream.handle_request(packet, _drop_response)
 
-    def _on_fill(self, set_index: int, tag: int, line_addr: int, ds_id: int) -> None:
-        """Install the returned line and wake the MSHR waiters."""
-        cache_set = self._set(set_index)
-        way = self._reserved_slots.pop((line_addr, ds_id), None)
-        if way is None:  # defensive: no reservation recorded; pick now
-            mask = self._waymask(ds_id)
-            way = self._find_invalid(cache_set, mask)
-            if way is None:
-                way = cache_set.plru.victim(mask)
+    def _on_fill(
+        self, set_index: int, tag: int, line_addr: int, ds_id: int, _response=None
+    ) -> None:
+        """Wake the MSHR waiters, then install the returned line.
+
+        The waiters run as the MSHR retires, before the install: a waiter
+        that touches the line again synchronously misses in
+        :meth:`access` and looks it up one hit latency later.
+        """
+        try:
+            way = self._reserved_slots.pop((line_addr, ds_id))
+        except KeyError:
+            # Unreachable: this callback is built only in _lookup, right
+            # after _evict_victim reserved this key, and the key is the
+            # MSHR key, so no second fill of it exists until this one has
+            # popped its reservation and retired its MSHR below.
+            raise RuntimeError(
+                f"{self.name}: fill of line {line_addr:#x} for DS-id {ds_id} "
+                "has no reserved way"
+            ) from None
         entry = self.mshrs.complete(line_addr, ds_id)
+        cache_set = self._sets[set_index]
         line = cache_set.lines[way]
+        control = self.control
         if line.valid:
             # A concurrent fill landed in our reserved way (possible when a
             # narrow way mask forces PLRU onto a reserved slot); evict it.
-            if self.control is not None:
-                self.control.record_eviction(line.ds_id)
+            del cache_set.index[line.tag << 16 | line.ds_id]
+            if control is not None:
+                control.record_eviction(line.ds_id)
             if line.dirty:
                 self._write_back(set_index, line)
         line.tag = tag
         line.ds_id = ds_id
         line.valid = True
         line.dirty = entry.is_write
+        cache_set.index[tag << 16 | ds_id] = way
         cache_set.plru.touch(way)
-        if self.control is not None:
-            self.control.record_fill(ds_id)
-
-    # -- geometry helpers ---------------------------------------------------
-
-    def _decompose(self, line_addr: int) -> tuple[int, int]:
-        block = line_addr // self.config.line_size
-        return block % self.config.num_sets, block // self.config.num_sets
-
-    def _compose(self, set_index: int, tag: int) -> int:
-        return (tag * self.config.num_sets + set_index) * self.config.line_size
-
-    def _set(self, set_index: int) -> _Set:
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
-            cache_set = _Set(self.config.ways)
-            self._sets[set_index] = cache_set
-        return cache_set
-
-    def _find(self, cache_set: _Set, tag: int, ds_id: int) -> Optional[int]:
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.tag == tag and line.ds_id == ds_id:
-                return way
-        return None
-
-    def _find_invalid(self, cache_set: _Set, mask: int) -> Optional[int]:
-        for way, line in enumerate(cache_set.lines):
-            if not line.valid and line.tag == 0 and mask & (1 << way):
-                return way
-        return None
-
-    def _waymask(self, ds_id: int) -> int:
-        full = (1 << self.config.ways) - 1
-        if self.control is None:
-            return full
-        return self.control.waymask(ds_id) & full
+        if control is not None:
+            control.record_fill(ds_id)
 
     # -- management operations ---------------------------------------------
 
@@ -324,10 +358,12 @@ class Cache(Component):
         """
         flushed = 0
         for set_index, cache_set in self._sets.items():
-            for line in cache_set.lines:
+            for way, line in enumerate(cache_set.lines):
                 if line.valid and line.ds_id == ds_id:
                     if line.dirty:
                         self._write_back(set_index, line)
+                    del cache_set.index[line.tag << 16 | ds_id]
+                    cache_set.free |= 1 << way
                     line.valid = False
                     line.tag = 0
                     line.dirty = False

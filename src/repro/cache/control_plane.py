@@ -54,6 +54,7 @@ class LlcControlPlane(ControlPlane):
             max_entries=max_entries, max_triggers=max_triggers,
             window_ps=window_ps,
         )
+        self._parameter_rows = self.parameters.row_view
         self._cache = None
         self._window_hits: dict[int, WindowedRate] = {}
         self._window_misses: dict[int, WindowedRate] = {}
@@ -74,22 +75,26 @@ class LlcControlPlane(ControlPlane):
 
     def waymask(self, ds_id: int) -> int:
         """The way-partition mask for a DS-id; untracked DS-ids share all ways."""
-        return self.parameters.get_default(ds_id, "waymask", self.full_mask)
+        rows = self._parameter_rows
+        if ds_id in rows:
+            return rows[ds_id]["waymask"]
+        return self.full_mask
 
     # -- accounting (hardware side, off the critical path) ----------------------
 
     def record_access(self, ds_id: int, hit: bool) -> None:
-        if hit:
-            self._window(self._window_hits, ds_id).add(1)
+        table = self._window_hits if hit else self._window_misses
+        if ds_id in table:
+            table[ds_id].current += 1
         else:
-            self._window(self._window_misses, ds_id).add(1)
+            self._window(table, ds_id).add(1)
 
     def record_fill(self, ds_id: int) -> None:
         self._occupancy[ds_id] = self._occupancy.get(ds_id, 0) + 1
 
     def record_eviction(self, owner_ds_id: int) -> None:
         count = self._occupancy.get(owner_ds_id, 0)
-        self._occupancy[owner_ds_id] = max(0, count - 1)
+        self._occupancy[owner_ds_id] = count - 1 if count > 0 else 0
 
     def occupancy_bytes(self, ds_id: int) -> int:
         return self._occupancy.get(ds_id, 0) * self._line_size

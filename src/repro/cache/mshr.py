@@ -18,7 +18,7 @@ class MshrFullError(RuntimeError):
     """All MSHRs are busy; the cache must stall the request."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     line_addr: int
     ds_id: int
@@ -67,21 +67,22 @@ class MshrFile:
         caller must issue the downstream fill request).
         """
         key = (line_addr, ds_id)
-        entry = self._entries.get(key)
-        if entry is not None:
+        entries = self._entries
+        if key in entries:
+            entry = entries[key]
             self.secondary_misses += 1
             entry.is_write = entry.is_write or is_write
             if on_fill is not None:
                 entry.waiters.append(on_fill)
             return entry, False
-        if self.is_full:
+        if len(entries) >= self.num_entries:
             raise MshrFullError(
                 f"all {self.num_entries} MSHRs busy at line {line_addr:#x}"
             )
-        entry = MshrEntry(line_addr, ds_id, now_ps, is_write=is_write)
-        if on_fill is not None:
-            entry.waiters.append(on_fill)
-        self._entries[key] = entry
+        entry = MshrEntry(
+            line_addr, ds_id, now_ps, is_write, [] if on_fill is None else [on_fill]
+        )
+        entries[key] = entry
         self.primary_misses += 1
         return entry, True
 

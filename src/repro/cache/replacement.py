@@ -10,6 +10,8 @@ drifts toward the new partition as allocations happen).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class ReplacementError(RuntimeError):
     """Raised when no way is eligible for replacement (empty mask)."""
@@ -20,33 +22,68 @@ def mask_ways(mask: int, num_ways: int) -> list[int]:
     return [w for w in range(num_ways) if mask & (1 << w)]
 
 
+@lru_cache(maxsize=None)
+def _plru_tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per-way-count lookup tables, built once and shared by every tree.
+
+    ``keep[way]`` and ``point[way]`` turn a touch into one expression,
+    ``state & keep[way] | point[way]``: ``keep`` clears the bits of the
+    nodes on the way's root path and ``point`` sets those that must now
+    point right (away from a left child). ``leaves[node]`` is the mask of
+    the ways under tree node ``node``.
+    """
+    keep, point = [], []
+    for way in range(num_ways):
+        path = point_bits = 0
+        node = num_ways + way
+        while node > 1:
+            parent = node >> 1
+            path |= 1 << parent
+            if not node & 1:
+                point_bits |= 1 << parent
+            node = parent
+        keep.append(~path)
+        point.append(point_bits)
+    leaves = [0] * (2 * num_ways)
+    for way in range(num_ways):
+        node = num_ways + way
+        while node:
+            leaves[node] |= 1 << way
+            node >>= 1
+    return tuple(keep), tuple(point), tuple(leaves)
+
+
 class WayMaskedPlru:
     """A binary tree PLRU over a power-of-two number of ways.
 
-    Tree nodes live in a heap-style array: node 1 is the root, node ``n``
+    Tree nodes are numbered heap-style: node 1 is the root, node ``n``
     has children ``2n`` and ``2n+1``; nodes ``num_ways .. 2*num_ways-1``
-    are the leaves (ways). A node bit of 0 means the left subtree is
-    colder (next victim direction); touching a way flips the bits on its
-    path to point away from it.
+    are the leaves (ways). Bit ``n`` of :attr:`state` belongs to internal
+    node ``n``: 0 means the left subtree is colder (next victim
+    direction); touching a way flips the bits on its path to point away
+    from it.
     """
+
+    __slots__ = ("num_ways", "full_mask", "state", "_keep", "_point", "_leaves")
 
     def __init__(self, num_ways: int):
         if num_ways < 1 or num_ways & (num_ways - 1):
             raise ValueError(f"num_ways must be a power of two, got {num_ways}")
         self.num_ways = num_ways
-        # bits[n] for internal nodes 1..num_ways-1; index 0 unused.
-        self.bits = [0] * num_ways
         self.full_mask = (1 << num_ways) - 1
+        self.state = 0
+        self._keep, self._point, self._leaves = _plru_tables(num_ways)
+
+    @property
+    def bits(self) -> list[int]:
+        """Per-node bits, indexed by node (index 0 unused), for inspection."""
+        return [0] + [(self.state >> node) & 1 for node in range(1, self.num_ways)]
 
     def touch(self, way: int) -> None:
         """Record an access to ``way``, making it most recently used."""
-        self._check_way(way)
-        node = self.num_ways + way
-        while node > 1:
-            parent = node >> 1
-            # Point the parent's bit at the *other* child.
-            self.bits[parent] = 0 if node & 1 else 1
-            node = parent
+        if not 0 <= way < self.num_ways:
+            raise ValueError(f"way {way} out of range for {self.num_ways} ways")
+        self.state = self.state & self._keep[way] | self._point[way]
 
     def victim(self, mask: int | None = None) -> int:
         """Choose the victim way, restricted to ``mask`` (default: all)."""
@@ -55,27 +92,12 @@ class WayMaskedPlru:
         mask &= self.full_mask
         if mask == 0:
             raise ReplacementError("way mask selects no ways")
+        state, leaves, num_ways = self.state, self._leaves, self.num_ways
         node = 1
-        while node < self.num_ways:
-            preferred = 2 * node + self.bits[node]
-            other = 2 * node + (1 - self.bits[node])
-            if self._subtree_has_allowed(preferred, mask):
-                node = preferred
-            else:
-                node = other
-        return node - self.num_ways
-
-    def _subtree_has_allowed(self, node: int, mask: int) -> bool:
-        """True if any leaf under ``node`` is enabled in ``mask``."""
-        # The subtree rooted at ``node`` covers a contiguous leaf range.
-        first, count = node, 1
-        while first < self.num_ways:
-            first *= 2
-            count *= 2
-        first -= self.num_ways
-        subtree_mask = ((1 << count) - 1) << first
-        return bool(mask & subtree_mask)
-
-    def _check_way(self, way: int) -> None:
-        if not 0 <= way < self.num_ways:
-            raise ValueError(f"way {way} out of range for {self.num_ways} ways")
+        while node < num_ways:
+            # Follow the node's bit unless that subtree has no allowed way.
+            child = 2 * node + (state >> node & 1)
+            if not leaves[child] & mask:
+                child ^= 1
+            node = child
+        return node - num_ways

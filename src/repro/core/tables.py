@@ -17,7 +17,8 @@ percent) and latencies in hundredths of a cycle.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class TableError(KeyError):
@@ -84,6 +85,11 @@ class DsidTable:
         self.schema = schema
         self.max_entries = max_entries
         self._rows: dict[int, dict[str, int]] = {}
+        self._column_names = frozenset(schema.column_names)
+        # A live, read-only view of the rows for hardware-side policy
+        # reads on the per-access path, where a method call per read is
+        # measurable. Rows must not be mutated through it.
+        self.row_view: Mapping[int, dict[str, int]] = MappingProxyType(self._rows)
 
     # -- row management -------------------------------------------------
 
@@ -125,7 +131,7 @@ class DsidTable:
 
     def get(self, ds_id: int, column: str) -> int:
         row = self._row(ds_id)
-        if column not in self.schema:
+        if column not in self._column_names:
             raise TableError(f"{self.name}: unknown column {column!r}")
         return row[column]
 
@@ -135,13 +141,16 @@ class DsidTable:
         Hardware reads with an unallocated DS-id fall back to default
         behaviour rather than faulting.
         """
-        if ds_id not in self._rows:
+        row = self._rows.get(ds_id)
+        if row is None:
             return default
-        return self.get(ds_id, column)
+        if column not in self._column_names:
+            raise TableError(f"{self.name}: unknown column {column!r}")
+        return row[column]
 
     def set(self, ds_id: int, column: str, value: int) -> None:
         row = self._row(ds_id)
-        if column not in self.schema:
+        if column not in self._column_names:
             raise TableError(f"{self.name}: unknown column {column!r}")
         row[column] = int(value)
 

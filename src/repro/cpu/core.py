@@ -45,6 +45,8 @@ from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
 
+_READ, _WRITE = MemOp.READ, MemOp.WRITE
+
 
 class CoreState(Enum):
     IDLE = "idle"
@@ -135,7 +137,7 @@ class CpuCore(Component):
                 if acc_ps > 0:
                     # Materialize the remaining accumulated time so DONE is
                     # observed at the correct simulated instant.
-                    self.post(acc_ps, self._finish)
+                    self.engine.post(acc_ps, self._finish)
                 else:
                     self.state = CoreState.DONE
                 return
@@ -144,7 +146,7 @@ class CpuCore(Component):
                 acc_ps += op[1] * self.clock.period_ps
                 if acc_ps >= self.flush_threshold_ps:
                     self.busy_ps += acc_ps
-                    self.post(acc_ps, self._step)
+                    self.engine.post(acc_ps, self._step)
                     return
             elif kind == "load" or kind == "store":
                 done = self._issue_memory(op[1], kind == "store", acc_ps)
@@ -172,15 +174,23 @@ class CpuCore(Component):
                 raise ValueError(f"unknown core op {kind!r}")
 
     # -- memory ops --------------------------------------------------------------
+    # Both issue paths build the packet inline, tagged with the core's
+    # DS-id at construction: they run once per memory access.
 
     def _issue_memory(self, addr: int, is_store: bool, acc_ps: int) -> Optional[int]:
         """Issue one access; returns updated acc on a sync hit, else None."""
-        packet = self._make_packet(addr, is_store)
+        now = self.engine._now
+        packet = MemoryPacket(
+            ds_id=self.tag.ds_id, birth_ps=now, addr=addr,
+            op=_WRITE if is_store else _READ,
+        )
+        if self.telemetry is not None:
+            self._start_span(packet)
         self.memory_accesses += 1
         latency = self.memory.access(packet, self._resume)
         if latency is not None:
             if packet.span is not None:
-                self._finish_span(packet, self.now + latency)
+                self._finish_span(packet, now + latency)
             return acc_ps + latency
         self._begin_wait(acc_ps, outstanding=1)
         return None
@@ -189,15 +199,19 @@ class CpuCore(Component):
         """Issue independent accesses together (MLP); wait for the slowest."""
         max_sync = 0
         pending = 0
+        ds_id = self.tag.ds_id
+        now = self.engine._now
         for addr in addrs:
-            packet = self._make_packet(addr, False)
+            packet = MemoryPacket(ds_id=ds_id, birth_ps=now, addr=addr, op=_READ)
+            if self.telemetry is not None:
+                self._start_span(packet)
             self.memory_accesses += 1
             latency = self.memory.access(packet, self._resume_batch)
             if latency is None:
                 pending += 1
             else:
                 if packet.span is not None:
-                    self._finish_span(packet, self.now + latency)
+                    self._finish_span(packet, now + latency)
                 if latency > max_sync:
                     max_sync = latency
         if pending == 0:
@@ -205,20 +219,11 @@ class CpuCore(Component):
         self._begin_wait(acc_ps, outstanding=pending)
         return None
 
-    def _make_packet(self, addr: int, is_store: bool) -> MemoryPacket:
-        packet = self.tag.tag(
-            MemoryPacket(
-                addr=addr,
-                op=MemOp.WRITE if is_store else MemOp.READ,
-                birth_ps=self.now,
-            )
-        )
-        if self.telemetry is not None:
-            span = self.telemetry.spans.maybe_start(packet.ds_id, packet.packet_id)
-            if span is not None:
-                span.hop(f"{self.name}.issue", self.now)
-                packet.span = span
-        return packet
+    def _start_span(self, packet: MemoryPacket) -> None:
+        span = self.telemetry.spans.maybe_start(packet.ds_id, packet.packet_id)
+        if span is not None:
+            span.hop(f"{self.name}.issue", self.engine._now)
+            packet.span = span
 
     def _finish_span(self, packet, at_ps: int) -> None:
         span = packet.span

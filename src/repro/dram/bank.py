@@ -44,12 +44,10 @@ class BankState:
         regular row first (when the buffer is present), turning a
         conflict into a closed-bank access.
         """
-        state = self.row_state(row)
-        if state == "hit":
+        # row_state(), inlined: this runs once per issued request.
+        if row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row):
             return timing.row_hit_latency
-        if state == "closed":
-            return timing.row_closed_latency
-        if high_priority and self.hp_row_buffer:
+        if self.open_row is None or (high_priority and self.hp_row_buffer):
             return timing.row_closed_latency
         return timing.row_conflict_latency
 
@@ -66,12 +64,11 @@ class BankState:
 
         Returns the (possibly tRAS-extended) completion time.
         """
-        state = self.row_state(row)
-        if state != "hit":
+        if not (row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row)):
             if high_priority and self.hp_row_buffer:
                 self.hp_open_row = row
             else:
-                if state == "conflict":
+                if self.open_row is not None:  # a row conflict
                     # Respect tRAS: the old row must have been active long
                     # enough before we precharge it.
                     min_precharge = self.activated_at_ps + timing.t_ras * cycle_ps

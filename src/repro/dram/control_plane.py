@@ -53,10 +53,10 @@ class MemoryControlPlane(ControlPlane):
             max_entries=max_entries, max_triggers=max_triggers,
             window_ps=window_ps,
         )
+        self._parameter_rows = self.parameters.row_view
         self._controller = None
-        self._window_bytes: dict[int, int] = {}
-        self._window_delay_sum: dict[int, float] = {}
-        self._window_delay_count: dict[int, int] = {}
+        # DS-id -> [bytes, queueing-delay sum, requests] of this window.
+        self._window_service: dict[int, list] = {}
 
     def bind_controller(self, controller) -> None:
         self._controller = controller
@@ -65,13 +65,19 @@ class MemoryControlPlane(ControlPlane):
 
     def translate(self, ds_id: int, ldom_addr: int) -> int:
         """LDom-physical -> DRAM address; identity for unmapped DS-ids."""
-        if not self.parameters.has(ds_id):
+        rows = self._parameter_rows
+        if ds_id not in rows:
             return ldom_addr
-        size = self.parameters.get(ds_id, "addr_size")
+        row = rows[ds_id]
+        size = row["addr_size"]
         if size == 0:
             return ldom_addr
-        mapping = AddressMapping(self.parameters.get(ds_id, "addr_base"), size)
-        return mapping.translate(ldom_addr)
+        base = row["addr_base"]
+        if base >= 0 and 0 <= ldom_addr < size:
+            return base + ldom_addr
+        # Out of range (or a malformed window): AddressMapping raises the
+        # same error a full translation would.
+        return AddressMapping(base, size).translate(ldom_addr)
 
     def mapping(self, ds_id: int) -> Optional[AddressMapping]:
         if not self.parameters.has(ds_id):
@@ -82,29 +88,32 @@ class MemoryControlPlane(ControlPlane):
         return AddressMapping(self.parameters.get(ds_id, "addr_base"), size)
 
     def priority(self, ds_id: int) -> int:
-        return self.parameters.get_default(ds_id, "priority", 0)
+        rows = self._parameter_rows
+        return rows[ds_id]["priority"] if ds_id in rows else 0
 
     def rowbuf_enabled(self, ds_id: int) -> bool:
-        return bool(self.parameters.get_default(ds_id, "rowbuf", 1))
+        rows = self._parameter_rows
+        return bool(rows[ds_id]["rowbuf"]) if ds_id in rows else True
 
     # -- accounting (hardware side) ---------------------------------------------
 
     def record_service(
         self, ds_id: int, size_bytes: int, queue_delay_cycles: float, total_cycles: float
     ) -> None:
-        self._window_bytes[ds_id] = self._window_bytes.get(ds_id, 0) + size_bytes
-        self._window_delay_sum[ds_id] = (
-            self._window_delay_sum.get(ds_id, 0.0) + queue_delay_cycles
-        )
-        self._window_delay_count[ds_id] = self._window_delay_count.get(ds_id, 0) + 1
+        window = self._window_service
+        if ds_id in window:
+            totals = window[ds_id]
+            totals[0] += size_bytes
+            totals[1] += queue_delay_cycles
+            totals[2] += 1
+        else:
+            window[ds_id] = [size_bytes, 0.0 + queue_delay_cycles, 1]
 
     # -- window publication ---------------------------------------------------------
 
     def on_window(self) -> None:
         for ds_id in self.statistics.ds_ids:
-            served = self._window_delay_count.pop(ds_id, 0)
-            delay_sum = self._window_delay_sum.pop(ds_id, 0.0)
-            bandwidth = self._window_bytes.pop(ds_id, 0)
+            bandwidth, delay_sum, served = self._window_service.pop(ds_id, (0, 0.0, 0))
             self.statistics.set(ds_id, "bandwidth", bandwidth)
             if served:
                 avg = int(delay_sum / served * LATENCY_SCALE)

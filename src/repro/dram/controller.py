@@ -6,13 +6,14 @@ Request flow, mirroring the paper's numbered steps:
    the DS-id's address mapping, scheduling priority and row-buffer policy.
 2. The LDom-physical address is translated to a DRAM address.
 3. The request enters the priority queue selected by its DS-id.
-4. The arbiter issues requests high-priority-first, FR-FCFS within a
-   priority, subject to bank timing and data-bus availability.
+4. The arbiter issues requests high-priority-first and, within a
+   priority, in strict FIFO order (only a queue's head may dispatch),
+   subject to bank timing and data-bus availability.
 5. The control plane updates its statistics table (bandwidth, average
    queueing delay, service count) and evaluates triggers at window ticks.
 
 Without a control plane the controller is the Fig. 11 baseline: one
-FR-FCFS queue, no address translation, no priority.
+FIFO queue, no address translation, no priority.
 
 The timing model is command-accurate at the granularity of whole
 accesses: per-bank row state decides hit/closed/conflict latency
@@ -24,6 +25,7 @@ experiment depends on it); see :meth:`MemoryController._refresh`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.dram.bank import BankState
@@ -32,12 +34,20 @@ from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
-from repro.sim.packet import MemoryPacket
+from repro.sim.packet import MemOp, MemoryPacket
 from repro.sim.stats import LatencyRecorder
+
+_WRITEBACK = MemOp.WRITEBACK
 
 
 class MemoryController(Component):
-    """A single-channel DDR3 memory controller."""
+    """A single-channel DDR3 memory controller.
+
+    The per-request methods follow the same rules as the caches (see
+    DESIGN.md "Memory-hierarchy hot path"): ``engine._now`` instead of
+    the ``now`` property, ``functools.partial`` callbacks, and calls into
+    the control plane and engine through instance attributes.
+    """
 
     def __init__(
         self,
@@ -76,17 +86,20 @@ class MemoryController(Component):
                 f"dram.{name}.qdelay_cycles", start=1.0, growth=2.0, count=16
             )
         if control is None:
-            # Fig. 11 baseline: a single queue, plain FR-FCFS.
+            # Fig. 11 baseline: a single FIFO queue.
             priority_levels = 1
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
         self.scheduler = PriorityFrFcfsScheduler(priority_levels)
+        # The arbiter's scan order: highest priority first.
+        self._queues_by_rank = self.scheduler.queues[::-1]
         self.banks = [
             BankState(i, hp_row_buffer=hp_row_buffer)
             for i in range(self.geometry.total_banks)
         ]
         self.bus_free_at_ps = 0
         self._wakeup_handle = None
+        self._wakeup_at_ps: Optional[int] = None  # the handle's time
         self._inflight = 0
         # Queueing delay per priority level, in memory cycles (Fig. 11).
         self.queue_delay = [
@@ -121,21 +134,30 @@ class MemoryController(Component):
     # -- request entry ------------------------------------------------------
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        ds_id = packet.effective_ds_id
-        dram_addr = self._translate(ds_id, packet.addr)
+        # The accounting DS-id: a writeback is charged to the block's owner.
+        ds_id = packet.ds_id
+        if packet.op is _WRITEBACK and packet.owner_ds_id is not None:
+            ds_id = packet.owner_ds_id
+        control = self.control
+        dram_addr = packet.addr
+        if control is not None and self.translate_addresses:
+            dram_addr = control.translate(ds_id, dram_addr)
         bank_index, row, _column = decompose_address(dram_addr, self.geometry)
-        priority = self._priority(ds_id)
-        request = PendingRequest(
-            packet=packet,
-            bank_index=bank_index,
-            row=row,
-            priority=priority,
-            enqueued_at_ps=self.now,
-            on_response=on_response,
+        if control is None:
+            priority = 0
+        else:
+            priority = control.priority(ds_id)
+            top = self.scheduler.priority_levels - 1
+            if priority < 0:
+                priority = 0
+            elif priority > top:
+                priority = top
+        now = self.engine._now
+        self.scheduler.enqueue(
+            PendingRequest(packet, bank_index, row, priority, now, on_response, ds_id)
         )
-        self.scheduler.enqueue(request)
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.enqueue", self.now)
+            packet.span.hop(f"{self.name}.enqueue", now)
         self._pump()
 
     # -- arbitration / issue --------------------------------------------------
@@ -159,94 +181,92 @@ class MemoryController(Component):
         are identical); the control plane redistributes *waiting*, which
         is what Fig. 11 measures.
         """
+        now = self.engine._now
         while True:
-            head = None
-            for priority in range(self.scheduler.priority_levels - 1, -1, -1):
-                head = self.scheduler.head(priority)
-                if head is not None:
+            for queue in self._queues_by_rank:
+                if queue:
                     break
-            if head is None:
+            else:
                 return
-            bank = self.banks[head.bank_index]
-            if bank.ready_at_ps > self.now:
+            head = queue[0]
+            ready_ps = self.banks[head.bank_index].ready_at_ps
+            if ready_ps > now:
                 # Strict priority: the preferred head owns the dispatch
-                # port even while its bank is busy.
-                self._arm_wakeup(bank.ready_at_ps)
+                # port even while its bank is busy. Wake up when the bank
+                # frees, unless a pass is armed no later than that.
+                armed = self._wakeup_at_ps
+                if armed is None or ready_ps < armed:
+                    self._arm_wakeup(ready_ps)
                 return
-            self.scheduler.pop_head(head.priority)
-            self._issue(head)
+            queue.popleft()
+            self._issue(head, now)
 
-    def _issue(self, request: PendingRequest) -> None:
+    def _issue(self, request: PendingRequest, issue_ps: int) -> None:
         bank = self.banks[request.bank_index]
-        high_priority = self._is_high_priority(request)
-        latency_cycles = bank.access_latency_cycles(
-            request.row, self.timing, high_priority
+        priority = request.priority
+        # High priority may use the extra row buffer, if its DS-id's
+        # rowbuf parameter allows.
+        high_priority = (
+            self.hp_row_buffer
+            and priority != 0
+            and (self.control is None or bool(self.control.rowbuf_enabled(request.ds_id)))
         )
+        timing = self.timing
+        latency_cycles = bank.access_latency_cycles(request.row, timing, high_priority)
         cycle_ps = self.clock.period_ps
-        issue_ps = self.now
-        pre_data_ps = (latency_cycles - self.timing.t_burst) * cycle_ps
-        burst_ps = self.timing.t_burst * cycle_ps
+        burst_ps = timing.t_burst * cycle_ps
         # The shared data bus serializes bursts; row preparation overlaps
         # with other banks' transfers.
-        data_start_ps = max(issue_ps + pre_data_ps, self.bus_free_at_ps)
-        done_ps = data_start_ps + burst_ps
+        data_start_ps = issue_ps + (latency_cycles - timing.t_burst) * cycle_ps
+        if data_start_ps < self.bus_free_at_ps:
+            data_start_ps = self.bus_free_at_ps
         done_ps = bank.record_access(
-            request.row, issue_ps, done_ps, self.timing, cycle_ps, high_priority
+            request.row, issue_ps, data_start_ps + burst_ps, timing, cycle_ps,
+            high_priority,
         )
         self.bus_free_at_ps = data_start_ps + burst_ps
         request.issued_at_ps = issue_ps
         delay_cycles = (issue_ps - request.enqueued_at_ps) / cycle_ps
-        self.queue_delay[request.priority].record(delay_cycles)
+        self.queue_delay[priority].record(delay_cycles)
         if self._qdelay_hist is not None:
             self._qdelay_hist.record(delay_cycles)
         if request.packet.span is not None:
             request.packet.span.hop(f"{self.name}.issue", issue_ps)
         self._inflight += 1
-        self.engine.post_at(done_ps, lambda: self._complete(request, delay_cycles, done_ps))
+        self.engine.post_at(
+            done_ps, partial(self._complete, request, delay_cycles, done_ps)
+        )
 
     def _complete(self, request: PendingRequest, delay_cycles: float, done_ps: int) -> None:
         self._inflight -= 1
+        packet = request.packet
         self.served_requests += 1
-        self.served_bytes += request.packet.size
-        if request.packet.span is not None:
-            request.packet.span.hop(f"{self.name}.complete", done_ps)
+        self.served_bytes += packet.size
+        if packet.span is not None:
+            packet.span.hop(f"{self.name}.complete", done_ps)
         if self.control is not None:
             total_cycles = (done_ps - request.enqueued_at_ps) / self.clock.period_ps
             self.control.record_service(
-                request.ds_id, request.packet.size, delay_cycles, total_cycles
+                request.ds_id, packet.size, delay_cycles, total_cycles
             )
-        request.on_response(request.packet)
+        request.on_response(packet)
         self._pump()
 
     def _arm_wakeup(self, wake_at_ps: int) -> None:
-        """Schedule the next arbitration pass (deduplicated)."""
-        if wake_at_ps <= self.now:
-            return
-        if self._wakeup_handle is not None and not self._wakeup_handle.cancelled:
-            if self._wakeup_handle.time_ps <= wake_at_ps:
-                return
+        """Schedule an arbitration pass at ``wake_at_ps``, replacing one
+        armed for later.
+
+        :meth:`_pump` arms only when no pass is armed at or before
+        ``wake_at_ps``, and that includes the last armed pass after it
+        has run, whose time is then in the past: once the first wakeup
+        fires, no other is armed. Nothing depends on it, because every
+        bank-busy wait also ends with the :meth:`_complete` event that
+        frees the bank (or the ``_pump`` a refresh posts).
+        """
+        if self._wakeup_handle is not None:
             self._wakeup_handle.cancel()
         self._wakeup_handle = self.engine.schedule_at(wake_at_ps, self._pump)
-
-    # -- control-plane consultation ------------------------------------------------
-
-    def _translate(self, ds_id: int, addr: int) -> int:
-        if self.control is None or not self.translate_addresses:
-            return addr
-        return self.control.translate(ds_id, addr)
-
-    def _priority(self, ds_id: int) -> int:
-        if self.control is None:
-            return 0
-        priority = self.control.priority(ds_id)
-        return max(0, min(priority, self.scheduler.priority_levels - 1))
-
-    def _is_high_priority(self, request: PendingRequest) -> bool:
-        if not self.hp_row_buffer or request.priority == 0:
-            return False
-        if self.control is None:
-            return True
-        return bool(self.control.rowbuf_enabled(request.ds_id))
+        self._wakeup_at_ps = wake_at_ps
 
     # -- introspection ------------------------------------------------------------
 

@@ -1,56 +1,78 @@
-"""Memory request scheduling: priority queues + FR-FCFS.
+"""Memory request queues: priority classes, plus an FR-FCFS reference policy.
 
 PARD's memory control plane adds *priority queueing* in front of the
-DRAM scheduler (Fig. 5): requests are steered into per-priority queues by
-their DS-id's priority parameter, and the arbiter picks from the highest
-non-empty priority first, applying FR-FCFS (first-ready = row-buffer hit
-first, then oldest first [Rixner et al., ISCA'00]) within the chosen
-queue. With a single priority level this degrades to plain FR-FCFS,
-which is the baseline ("w/o control plane") configuration of Fig. 11.
+DRAM scheduler (Fig. 5): requests are steered into per-priority queues
+by their DS-id's priority parameter. The controller's arbiter
+(:meth:`~repro.dram.controller.MemoryController._pump`) serves the
+highest non-empty queue first and, within a queue, strictly in FIFO
+order: only the head may dispatch. With a single priority level this is
+the baseline ("w/o control plane") configuration of Fig. 11.
+
+:meth:`PriorityFrFcfsScheduler.select` is the alternative FR-FCFS
+policy (first-ready = row-buffer hit first, then oldest first [Rixner
+et al., ISCA'00]) within the chosen queue. The controller does not use
+it; only its unit tests do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 from typing import Callable, Optional
 
 from repro.dram.bank import BankState
 from repro.sim.packet import MemoryPacket
 
 
-@dataclass
 class PendingRequest:
-    """A queued memory request with its decoded DRAM coordinates."""
+    """A queued memory request with its decoded DRAM coordinates.
 
-    packet: MemoryPacket
-    bank_index: int
-    row: int
-    priority: int
-    enqueued_at_ps: int
-    on_response: Callable[[MemoryPacket], None]
-    issued_at_ps: Optional[int] = field(default=None)
+    ``ds_id`` is the DS-id used for policy and accounting (the owner's,
+    for a writeback); it is derived from the packet when not given.
+    """
 
-    @property
-    def ds_id(self) -> int:
-        return self.packet.effective_ds_id
+    __slots__ = (
+        "packet", "bank_index", "row", "priority", "enqueued_at_ps",
+        "on_response", "issued_at_ps", "ds_id",
+    )
+
+    def __init__(
+        self,
+        packet: MemoryPacket,
+        bank_index: int,
+        row: int,
+        priority: int,
+        enqueued_at_ps: int,
+        on_response: Callable[[MemoryPacket], None],
+        ds_id: Optional[int] = None,
+    ):
+        self.packet = packet
+        self.bank_index = bank_index
+        self.row = row
+        self.priority = priority
+        self.enqueued_at_ps = enqueued_at_ps
+        self.on_response = on_response
+        self.issued_at_ps: Optional[int] = None
+        self.ds_id = packet.effective_ds_id if ds_id is None else ds_id
 
 
 class PriorityFrFcfsScheduler:
-    """Bounded set of priority queues with FR-FCFS selection."""
+    """One FIFO queue per priority level (index = priority)."""
 
     def __init__(self, priority_levels: int = 2):
         if priority_levels <= 0:
             raise ValueError("priority_levels must be positive")
         self.priority_levels = priority_levels
-        self._queues: list[list[PendingRequest]] = [[] for _ in range(priority_levels)]
+        self.queues: list[deque[PendingRequest]] = [
+            deque() for _ in range(priority_levels)
+        ]
         self.total_enqueued = 0
 
     @property
     def occupancy(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return sum(len(q) for q in self.queues)
 
     def queue_depth(self, priority: int) -> int:
-        return len(self._queues[priority])
+        return len(self.queues[priority])
 
     def enqueue(self, request: PendingRequest) -> None:
         if not 0 <= request.priority < self.priority_levels:
@@ -58,24 +80,8 @@ class PriorityFrFcfsScheduler:
                 f"priority {request.priority} out of range "
                 f"[0, {self.priority_levels})"
             )
-        self._queues[request.priority].append(request)
+        self.queues[request.priority].append(request)
         self.total_enqueued += 1
-
-    def requeue(self, request: PendingRequest) -> None:
-        """Return a selected-but-not-issued request to its queue.
-
-        FR-FCFS ordering is by enqueue timestamp, so the position in the
-        backing list does not matter.
-        """
-        self._queues[request.priority].append(request)
-
-    def head(self, priority: int) -> Optional[PendingRequest]:
-        """The oldest request of one priority class (FIFO head), if any."""
-        queue = self._queues[priority]
-        return queue[0] if queue else None
-
-    def pop_head(self, priority: int) -> PendingRequest:
-        return self._queues[priority].pop(0)
 
     def select(self, banks: list[BankState], now_ps: int) -> Optional[PendingRequest]:
         """Pick (and remove) the next request to issue, or None.
@@ -84,7 +90,7 @@ class PriorityFrFcfsScheduler:
         to requests whose bank can accept a command now.
         """
         for priority in range(self.priority_levels - 1, -1, -1):
-            queue = self._queues[priority]
+            queue = self.queues[priority]
             if not queue:
                 continue
             chosen = self._fr_fcfs(queue, banks, now_ps)
@@ -93,20 +99,9 @@ class PriorityFrFcfsScheduler:
                 return chosen
         return None
 
-    def next_bank_ready_ps(self, banks: list[BankState], now_ps: int) -> Optional[int]:
-        """Earliest future time any queued request's bank becomes ready."""
-        earliest: Optional[int] = None
-        for queue in self._queues:
-            for request in queue:
-                ready = banks[request.bank_index].ready_at_ps
-                candidate = max(ready, now_ps)
-                if earliest is None or candidate < earliest:
-                    earliest = candidate
-        return earliest
-
     @staticmethod
     def _fr_fcfs(
-        queue: list[PendingRequest], banks: list[BankState], now_ps: int
+        queue: deque[PendingRequest], banks: list[BankState], now_ps: int
     ) -> Optional[PendingRequest]:
         first_ready: Optional[PendingRequest] = None
         oldest: Optional[PendingRequest] = None

@@ -10,6 +10,7 @@ its clock domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.sim.clock import DRAM_CLOCK_PS
 
@@ -17,6 +18,10 @@ from repro.sim.clock import DRAM_CLOCK_PS
 @dataclass(frozen=True)
 class DramTiming:
     """DDR3 timing constraints in memory cycles.
+
+    The derived latencies are cached on first read (the dataclass is
+    frozen, so they cannot go stale): the controller reads one per
+    issued request.
 
     Table 2 gives nanosecond values at tCK = 1.25 ns:
     tRCD = tCL = tRP = 13.75 ns = 11 cycles, tRAS = 35 ns = 28 cycles,
@@ -39,17 +44,17 @@ class DramTiming:
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
 
-    @property
+    @cached_property
     def row_hit_latency(self) -> int:
         """Issue-to-last-data for a row-buffer hit, in cycles."""
         return self.t_cl + self.t_burst
 
-    @property
+    @cached_property
     def row_closed_latency(self) -> int:
         """Issue-to-last-data when the bank is precharged (row empty)."""
         return self.t_rcd + self.t_cl + self.t_burst
 
-    @property
+    @cached_property
     def row_conflict_latency(self) -> int:
         """Issue-to-last-data when another row is open (precharge first)."""
         return self.t_rp + self.t_rcd + self.t_cl + self.t_burst
@@ -71,11 +76,11 @@ class DramGeometry:
         if self.row_bytes & (self.row_bytes - 1):
             raise ValueError("row_bytes must be a power of two")
 
-    @property
+    @cached_property
     def total_banks(self) -> int:
         return self.channels * self.ranks * self.banks_per_rank
 
-    @property
+    @cached_property
     def rows_per_bank(self) -> int:
         return self.capacity_bytes // (self.total_banks * self.row_bytes)
 

@@ -60,5 +60,8 @@ class ClockDomain:
         """Uncancellable :meth:`schedule_cycles`: edge-aligned work from
         every component in this domain lands in the same engine bucket and
         is dispatched in one queue operation."""
-        target = self.next_edge_ps() + self.cycles_to_ps(cycles)
-        self.engine.post_at(target, callback)
+        # next_edge_ps() + cycles_to_ps(cycles), inlined: this is on every
+        # cache access that misses the synchronous hit path.
+        period = self.period_ps
+        now = self.engine._now
+        self.engine.post_at(now + -now % period + int(cycles) * period, callback)

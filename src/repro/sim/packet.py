@@ -12,7 +12,7 @@ mechanism 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -64,13 +64,18 @@ class Packet:
 
     ds_id: int = DEFAULT_DSID
     birth_ps: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    # Drawn from the global counter by __post_init__ unless given, so it
+    # is an int after construction. (Drawing it there instead of in a
+    # default_factory saves one Python call per packet.)
+    packet_id: Optional[int] = None
     # Optional telemetry span (repro.telemetry.Span). None for the vast
     # majority of packets; only a sampled fraction carries one, and every
     # hop site guards with a single `is not None` check.
     span: Optional[object] = None
 
     def __post_init__(self) -> None:
+        if self.packet_id is None:
+            self.packet_id = next(_packet_ids)
         if not 0 <= self.ds_id <= MAX_DSID:
             raise ValueError(f"DS-id {self.ds_id} outside 16-bit tag space")
 

@@ -152,6 +152,32 @@ class TestMshrBehaviour:
         assert len(done) == 3
         assert len(memory.requests) == 3
 
+    def test_mshr_full_retry_reserves_no_way(self):
+        """A stalled miss backs off without reserving a way; only a
+        primary miss that got an MSHR holds a reservation."""
+        engine, cache, memory = make_cache(ways=4, mem_lat=50_000)
+        cache.mshrs.num_entries = 1
+        set_stride = cache.config.num_sets * cache.config.line_size
+        done = []
+        for i in range(2):  # two lines of set 0
+            pkt = MemoryPacket(ds_id=1, addr=i * set_stride)
+            cache.handle_request(pkt, lambda p: done.append(p.addr))
+        engine.run(until_ps=20_000)  # both looked up; the second retries
+        assert cache.mshrs.occupancy == 1
+        assert list(cache._reserved_slots) == [(0, 1)]
+        assert len(memory.requests) == 1
+        engine.run()
+        assert sorted(done) == [0, set_stride]
+        assert cache._reserved_slots == {}
+        assert cache.occupancy_blocks(1) == 2
+
+    def test_fill_without_reservation_is_an_error(self):
+        """Every fill callback follows a reservation of its MSHR key; a
+        fill that finds none is a model bug, not a case to paper over."""
+        engine, cache, memory = make_cache()
+        with pytest.raises(RuntimeError, match="no reserved way"):
+            cache._on_fill(0, 0, 0x40, 1)
+
 
 class TestOccupancyAccounting:
     def make_llc(self):

@@ -104,23 +104,3 @@ class TestFrFcfs:
         chosen = sched.select(banks, now_ps=100)
         assert chosen.packet.ds_id == 2
 
-
-class TestNextBankReady:
-    def test_empty_queue_returns_none(self):
-        sched = PriorityFrFcfsScheduler(1)
-        assert sched.next_bank_ready_ps(make_banks(), 0) is None
-
-    def test_earliest_ready_time(self):
-        sched = PriorityFrFcfsScheduler(1)
-        banks = make_banks()
-        banks[0].ready_at_ps = 500
-        banks[1].ready_at_ps = 300
-        sched.enqueue(make_request(bank=0))
-        sched.enqueue(make_request(bank=1))
-        assert sched.next_bank_ready_ps(banks, now_ps=0) == 300
-
-    def test_ready_now_clamps_to_now(self):
-        sched = PriorityFrFcfsScheduler(1)
-        banks = make_banks()
-        sched.enqueue(make_request(bank=0))
-        assert sched.next_bank_ready_ps(banks, now_ps=700) == 700
