@@ -11,13 +11,17 @@ either way.
 """
 
 import os
-from dataclasses import asdict
 
 from conftest import banner
 
 from repro.analysis.tables import format_table
 from repro.runner import SweepPoint, run_sweep
-from repro.system.experiments import ColocationSetup, measure_saturation_rate
+from repro.system.experiments import (
+    ColocationSetup,
+    measure_saturation_rate,
+    run_fig9,
+    run_fig11_controller_point,
+)
 
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
 
@@ -27,17 +31,16 @@ def ablate_partition_share():
     shares = (0.25, 0.5)
     points = [
         SweepPoint(
-            index=i,
-            builder="fig9",
-            params={
+            run_fig9,
+            {
                 "rps": 300_000,
-                "setup": asdict(ColocationSetup(partition_share=share, warmup_ms=1.0)),
+                "setup": ColocationSetup(partition_share=share, warmup_ms=1.0),
                 "total_ms": 4.0,
                 "sample_ms": 0.5,
             },
             label=f"share={share}",
         )
-        for i, share in enumerate(shares)
+        for share in shares
     ]
     sweep = run_sweep(points, jobs=JOBS)
     sweep.raise_on_failure()
@@ -54,19 +57,18 @@ def ablate_hp_row_buffer():
     flags = (False, True)
     points = [
         SweepPoint(
-            index=i,
-            builder="fig11_controller",
-            params={
+            run_fig11_controller_point,
+            {
                 "with_control_plane": True,
                 "rate_req_per_cycle": rate,
                 "num_requests": 4000,
+                "seed": 7,
                 "row_hit_fraction": 0.5,
                 "hp_row_buffer": hp_row_buffer,
             },
-            seed=7,
             label=f"hp_row_buffer={hp_row_buffer}",
         )
-        for i, hp_row_buffer in enumerate(flags)
+        for hp_row_buffer in flags
     ]
     sweep = run_sweep(points, jobs=JOBS)
     sweep.raise_on_failure()
@@ -81,19 +83,18 @@ def ablate_window_length():
     windows = (0.5, 1.0, 2.0)
     points = [
         SweepPoint(
-            index=i,
-            builder="fig9",
-            params={
+            run_fig9,
+            {
                 "rps": 300_000,
-                "setup": asdict(
-                    ColocationSetup(warmup_ms=1.0, control_window_ms=window_ms)
+                "setup": ColocationSetup(
+                    warmup_ms=1.0, control_window_ms=window_ms
                 ),
                 "total_ms": 6.0,
                 "sample_ms": 0.5,
             },
             label=f"window={window_ms}ms",
         )
-        for i, window_ms in enumerate(windows)
+        for window_ms in windows
     ]
     sweep = run_sweep(points, jobs=JOBS)
     sweep.raise_on_failure()

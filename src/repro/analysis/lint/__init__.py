@@ -4,8 +4,8 @@ A from-scratch, stdlib-only static-analysis framework enforcing the
 invariants the reproduction's guarantees rest on: no wall-clock or
 process-global randomness in simulated code (DET), event scheduling
 only through the engine (EVT), telemetry that observes without
-perturbing (TEL), picklable pure sweep builders (RUN) and exception
-hygiene (EXC).
+perturbing (TEL) and exception hygiene (EXC). That a sweep point's
+function is picklable is checked at run time, by ``SweepPoint``.
 
 Entry points: ``python -m repro.analysis``, the ``repro-lint`` console
 script, ``repro lint`` and the :func:`repro.analysis.lint.gate.lint_gate`

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="simulation-safety linter: determinism, event-model, "
-                    "telemetry and sweep-runner invariants",
+                    "telemetry and exception-hygiene invariants",
     )
     parser.add_argument("paths", nargs="*",
                         help="files/directories to lint (default: src/repro "

@@ -130,7 +130,6 @@ _ALL_RULE_IDS = (
     "DET001", "DET002", "DET003", "DET004",
     "EVT001", "EVT002", "EVT003",
     "TEL001", "TEL002",
-    "RUN001", "RUN002",
     "EXC001",
 )
 
@@ -154,7 +153,7 @@ PROFILES: dict[str, Profile] = {
     # exception-hygiene rules still hold.
     "tests": Profile(
         name="tests",
-        rules=("DET003", "EVT001", "EVT002", "EVT003", "RUN001", "EXC001"),
+        rules=("DET003", "EVT001", "EVT002", "EVT003", "EXC001"),
         exemptions={},
     ),
 }

@@ -1,13 +1,12 @@
 """The initial rule pack. Importing this package registers every rule.
 
 Modules group rules by hazard family: determinism (DET), event-model
-(EVT), telemetry (TEL), sweep-runner (RUN) and exception hygiene (EXC).
+(EVT), telemetry (TEL) and exception hygiene (EXC).
 """
 
 from repro.analysis.lint.rules import (  # noqa: F401
     determinism,
     event_model,
     exceptions,
-    runner,
     telemetry,
 )

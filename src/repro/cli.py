@@ -40,10 +40,10 @@ from repro.hwcost.fpga import (
     tag_array_blockram_overhead,
     trigger_table_cost,
 )
-from repro.runner import SweepPoint, default_jobs, run_sweep
+from repro.runner import default_jobs, run_sweep
+from repro.runner.builders import all_points
 from repro.system.config import TABLE2
 from repro.system.experiments import (
-    fig8_sweep_points,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -261,23 +261,10 @@ def cmd_all(args) -> int:
 
     telemetry = _telemetry_from(args)
 
-    points = [SweepPoint(index=0, builder="fig7",
-                         params={"phase_ms": 1.0}, label="fig7")]
-    fig8_points = fig8_sweep_points(measure_ms=2.0, first_index=1)
-    points += fig8_points
-    base = 1 + len(fig8_points)
-    points.append(SweepPoint(index=base, builder="fig9",
-                             params={"rps": 300_000, "total_ms": 5.0},
-                             label="fig9"))
-    points.append(SweepPoint(index=base + 1, builder="fig10",
-                             params={"phase_ms": 160.0}, label="fig10"))
-    points.append(SweepPoint(index=base + 2, builder="fig11",
-                             params={"inject_rate": 0.75, "num_requests": 6000},
-                             seed=7, label="fig11"))
     sweep = run_sweep(
-        points, jobs=_jobs_from(args), telemetry=telemetry, progress=True
+        all_points(), jobs=_jobs_from(args), telemetry=telemetry, progress=True
     )
-    by_index = {pr.index: pr for pr in sweep.points}
+    fig7, *fig8, fig9, fig10, fig11 = sweep.points
     statuses: list[tuple[str, bool, str]] = []
 
     def banner(name: str) -> None:
@@ -318,11 +305,11 @@ def cmd_all(args) -> int:
             statuses.append((name, False, f"{type(exc).__name__}: {exc}"))
 
     run_local("table2", lambda: cmd_table2(args))
-    figure("fig7", [by_index[0]], lambda v: _print_fig7(v[0]))
-    figure("fig8", [by_index[p.index] for p in fig8_points], _print_fig8)
-    figure("fig9", [by_index[base]], lambda v: _print_fig9(v[0]))
-    figure("fig10", [by_index[base + 1]], lambda v: _print_fig10(v[0]))
-    figure("fig11", [by_index[base + 2]], lambda v: _print_fig11(v[0]))
+    figure("fig7", [fig7], lambda v: _print_fig7(v[0]))
+    figure("fig8", fig8, _print_fig8)
+    figure("fig9", [fig9], lambda v: _print_fig9(v[0]))
+    figure("fig10", [fig10], lambda v: _print_fig10(v[0]))
+    figure("fig11", [fig11], lambda v: _print_fig11(v[0]))
     run_local("fig12", lambda: cmd_fig12(args))
     _export_telemetry(telemetry, args)
 

@@ -1,13 +1,13 @@
 """repro.runner: parallel sweep execution for experiment grids.
 
-Expresses a grid as independent :class:`SweepPoint` jobs (picklable
-spec: builder name + params + explicit seed), fans them out over a
-process pool, and merges results -- values, metric registries, spans,
-snapshots -- deterministically by point index, so ``--jobs N`` output is
-byte-identical to serial. See DESIGN.md ("Parallel sweep execution").
+Expresses a grid as independent :class:`SweepPoint` jobs (a module-level
+function plus its keyword arguments), fans them out over a process pool,
+and merges results -- values, metric registries, spans, snapshots --
+deterministically by point index, so ``--jobs N`` output is
+byte-identical to serial. The paper's grids are built in
+:mod:`repro.runner.builders`. See DESIGN.md ("Parallel sweep execution").
 """
 
-from .registry import builder_names, register_builder, resolve_builder
 from .sweep import (
     PointResult,
     SweepError,
@@ -24,9 +24,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "TelemetryConfig",
-    "builder_names",
     "default_jobs",
-    "register_builder",
-    "resolve_builder",
     "run_sweep",
 ]

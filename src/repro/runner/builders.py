@@ -1,19 +1,19 @@
-"""Stock sweep-point builders: one per experiment driver.
+"""The paper's experiment grids as data: lists of :class:`SweepPoint`.
 
-Each builder reconstructs an experiment from a :class:`SweepPoint`'s
-picklable params -- dataclass setups travel as ``asdict`` dicts -- runs
-it with a worker-local telemetry hub, and returns a picklable value
-(result dataclasses of plain floats/lists, or plain dicts). Builders
-must never consult global state: everything a point needs is in its
-spec, which is what makes results identical at any ``--jobs`` value.
+Each point names a driver from :mod:`repro.system.experiments` and the
+keyword arguments of one run; :func:`repro.runner.run_sweep` executes
+the list. Setups travel as :class:`ColocationSetup` objects and the
+workload seed is one of the kwargs, so a point's result depends on
+nothing but its spec, at any ``--jobs`` value.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.runner.registry import register_builder
+from repro.runner.sweep import SweepPoint
 from repro.system.experiments import (
+    FIG8_DEFAULT_LOADS,
     ColocationSetup,
     run_colocation_point,
     run_fig7,
@@ -24,86 +24,69 @@ from repro.system.experiments import (
 )
 
 
-def _setup_from(params: dict) -> Optional[ColocationSetup]:
-    raw = params.get("setup")
-    return ColocationSetup(**raw) if raw is not None else None
+def fig8_points(
+    loads_rps: Optional[list[float]] = None,
+    modes: tuple[str, ...] = ("solo", "shared", "trigger"),
+    setup: Optional[ColocationSetup] = None,
+    measure_ms: float = 2.5,
+) -> list[SweepPoint]:
+    """The Fig. 8 mode x load grid, one point per (mode, load)."""
+    setup = setup or ColocationSetup()
+    return [
+        SweepPoint(
+            run_colocation_point,
+            {"mode": mode, "rps": rps, "setup": setup,
+             "measure_ms": measure_ms, "seed": setup.seed},
+            label=f"{mode}@{rps:g}rps",
+        )
+        for mode in modes
+        for rps in loads_rps or FIG8_DEFAULT_LOADS
+    ]
 
 
-@register_builder("colocation_point")
-def build_colocation_point(point, telemetry):
-    """One (mode, load) point of the Fig. 8 grid."""
-    params = point.params
-    return run_colocation_point(
-        params["mode"],
-        params["rps"],
-        setup=_setup_from(params),
-        measure_ms=params.get("measure_ms", 2.5),
-        telemetry=telemetry,
-        seed=point.seed,
-    )
+def fig11_points(
+    rate_req_per_cycle: float,
+    num_requests: int,
+    seed: int,
+    row_hit_fraction: float,
+    hp_row_buffer: bool,
+) -> list[SweepPoint]:
+    """Fig. 11's baseline controller and PARD controller at one rate."""
+    common = {
+        "rate_req_per_cycle": rate_req_per_cycle,
+        "num_requests": num_requests,
+        "seed": seed,
+        "row_hit_fraction": row_hit_fraction,
+    }
+    return [
+        SweepPoint(
+            run_fig11_controller_point,
+            {**common, "with_control_plane": False, "hp_row_buffer": False},
+            label="fig11-baseline",
+        ),
+        SweepPoint(
+            run_fig11_controller_point,
+            {**common, "with_control_plane": True,
+             "hp_row_buffer": hp_row_buffer},
+            label="fig11-pard",
+        ),
+    ]
 
 
-@register_builder("fig7")
-def build_fig7(point, telemetry):
-    params = point.params
-    return run_fig7(
-        setup=_setup_from(params),
-        phase_ms=params.get("phase_ms", 1.0),
-        sample_ms=params.get("sample_ms", 0.25),
-        telemetry=telemetry,
-    )
+def all_points() -> list[SweepPoint]:
+    """The ``repro all`` grid: fig7, the Fig. 8 grid, fig9, fig10, fig11.
 
-
-@register_builder("fig9")
-def build_fig9(point, telemetry):
-    params = point.params
-    return run_fig9(
-        rps=params.get("rps", 300_000),
-        setup=_setup_from(params),
-        stream_delay_ms=params.get("stream_delay_ms", 1.0),
-        total_ms=params.get("total_ms", 5.0),
-        sample_ms=params.get("sample_ms", 0.25),
-        telemetry=telemetry,
-    )
-
-
-@register_builder("fig10")
-def build_fig10(point, telemetry):
-    params = point.params
-    return run_fig10(
-        setup=_setup_from(params),
-        phase_ms=params.get("phase_ms", 200.0),
-        sample_ms=params.get("sample_ms", 20.0),
-        block_bytes=params.get("block_bytes", 4 << 20),
-        telemetry=telemetry,
-    )
-
-
-@register_builder("fig11")
-def build_fig11(point, telemetry):
-    """The whole Fig. 11 comparison as one job (serial inside the worker)."""
-    params = point.params
-    return run_fig11(
-        inject_rate=params.get("inject_rate", 0.75),
-        num_requests=params.get("num_requests", 6000),
-        seed=point.seed or params.get("seed", 7),
-        row_hit_fraction=params.get("row_hit_fraction", 0.5),
-        hp_row_buffer=params.get("hp_row_buffer", False),
-        telemetry=telemetry,
-        jobs=1,
-    )
-
-
-@register_builder("fig11_controller")
-def build_fig11_controller(point, telemetry):
-    """One Fig. 11 controller configuration at a precomputed inject rate."""
-    params = point.params
-    return run_fig11_controller_point(
-        with_control_plane=params["with_control_plane"],
-        rate_req_per_cycle=params["rate_req_per_cycle"],
-        num_requests=params["num_requests"],
-        seed=point.seed,
-        row_hit_fraction=params["row_hit_fraction"],
-        hp_row_buffer=params["hp_row_buffer"],
-        telemetry=telemetry,
-    )
+    Fig. 11 is one point that runs its controller pair serially inside
+    the worker.
+    """
+    return [
+        SweepPoint(run_fig7, {"phase_ms": 1.0}, label="fig7"),
+        *fig8_points(measure_ms=2.0),
+        SweepPoint(run_fig9, {"rps": 300_000, "total_ms": 5.0}, label="fig9"),
+        SweepPoint(run_fig10, {"phase_ms": 160.0}, label="fig10"),
+        SweepPoint(
+            run_fig11,
+            {"inject_rate": 0.75, "num_requests": 6000, "seed": 7, "jobs": 1},
+            label="fig11",
+        ),
+    ]

@@ -14,17 +14,16 @@ That makes a sweep embarrassingly parallel, provided two contracts hold:
    parent hub in index order too (see ``Telemetry.merge_payload``).
 
 2. **Robustness.** A point that raises is captured with its traceback;
-   a worker crash or a chunk timeout marks the affected points failed;
-   surviving points still merge. Failed (non-timed-out) points are
-   retried once *in the parent process* before being reported, so one
-   bad seed cannot lose a 20-minute sweep. Timed-out points are not
-   retried in the parent -- a hang would stall the whole sweep with no
-   way to preempt it.
+   a worker crash marks the affected points failed; surviving points
+   still merge. Failed points are retried once *in the parent process*
+   before being reported, so one bad seed cannot lose a 20-minute sweep.
 
-Points travel as picklable specs (:class:`SweepPoint`: builder name +
-params + seed), resolved in the worker via :mod:`repro.runner.registry`.
-Scheduling is chunked: points are split into contiguous chunks (default
-~4 chunks per worker) so pool IPC amortizes over many short points.
+A point is a module-level function plus its keyword arguments
+(:class:`SweepPoint`); pickle sends the function by reference, so a
+point travels to a worker without a name registry. A point's index is
+its position in the list. Scheduling is chunked: points are split into
+contiguous chunks (~4 chunks per worker) so pool IPC amortizes over many
+short points.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.runner.registry import resolve_builder
 from repro.telemetry import Telemetry
 
 
@@ -66,22 +64,31 @@ class TelemetryConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One independent job of an experiment grid (picklable spec).
+    """One independent job of an experiment grid: ``fn(**kwargs)``.
 
-    ``seed`` is the point's *explicit* workload seed: every RNG the
-    point's builder creates must derive from it (or from other spec
-    fields), never from global or run-order state, so the point produces
-    the same result serially, in any worker, and in any order.
+    ``fn`` must be a module-level function, because pickle sends it to
+    a worker by reference; a lambda or a nested ``def`` is rejected here,
+    so a bad point fails at construction for every ``jobs`` value.
+    Everything the result depends on -- the workload seed included --
+    is in ``kwargs``, never in global or run-order state, so the point
+    produces the same result serially, in any worker, and in any order.
+    The runner passes ``telemetry=`` on top of ``kwargs``.
     """
 
-    index: int
-    builder: str
-    params: dict
-    seed: int = 0
+    fn: Callable[..., Any]
+    kwargs: dict
     label: str = ""
 
-    def display_label(self) -> str:
-        return self.label or f"{self.builder}[{self.index}]"
+    def __post_init__(self) -> None:
+        module = sys.modules.get(getattr(self.fn, "__module__", None))
+        qualname = getattr(self.fn, "__qualname__", repr(self.fn))
+        if getattr(module, qualname, None) is not self.fn:
+            raise TypeError(
+                f"SweepPoint fn must be a module-level function, got {qualname!r}"
+            )
+
+    def display_label(self, index: int) -> str:
+        return self.label or f"{self.fn.__name__}[{index}]"
 
 
 @dataclass
@@ -95,7 +102,6 @@ class PointResult:
     error: Optional[str] = None  # traceback / reason text when not ok
     attempts: int = 1
     retried: bool = False
-    timed_out: bool = False
     duration_s: float = 0.0
     telemetry: Optional[dict] = None  # worker hub payload (ok points only)
 
@@ -143,7 +149,7 @@ class SweepResult:
 
 
 def _execute_point(
-    point: SweepPoint, tconf: Optional[TelemetryConfig]
+    index: int, point: SweepPoint, tconf: Optional[TelemetryConfig]
 ) -> PointResult:
     """Run one point with a fresh telemetry hub; never raises."""
     from repro.sim.packet import reset_packet_ids
@@ -153,15 +159,14 @@ def _execute_point(
     # pooled execution merge to identical bytes.
     reset_packet_ids()
     started = time.perf_counter()
-    label = point.display_label()
+    label = point.display_label(index)
     try:
-        builder = resolve_builder(point.builder)
         telemetry = tconf.build() if tconf is not None else None
         if telemetry is not None:
             telemetry.begin_run(label)
-        value = builder(point, telemetry)
+        value = point.fn(**point.kwargs, telemetry=telemetry)
         return PointResult(
-            index=point.index,
+            index=index,
             label=label,
             ok=True,
             value=value,
@@ -172,7 +177,7 @@ def _execute_point(
         # KeyboardInterrupt in a worker should surface as a failed point,
         # not tear down the pool protocol mid-message.
         return PointResult(
-            index=point.index,
+            index=index,
             label=label,
             ok=False,
             error=traceback.format_exc(),
@@ -181,9 +186,9 @@ def _execute_point(
 
 
 def _execute_chunk(
-    chunk: Sequence[SweepPoint], tconf: Optional[TelemetryConfig]
+    chunk: Sequence[tuple[int, SweepPoint]], tconf: Optional[TelemetryConfig]
 ) -> list[PointResult]:
-    return [_execute_point(point, tconf) for point in chunk]
+    return [_execute_point(index, point, tconf) for index, point in chunk]
 
 
 # -- the runner --------------------------------------------------------------
@@ -193,42 +198,25 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _validate_points(points: Sequence[SweepPoint]) -> list[SweepPoint]:
-    ordered = sorted(points, key=lambda p: p.index)
-    seen: set[int] = set()
-    for p in ordered:
-        if p.index in seen:
-            raise ValueError(f"duplicate sweep point index {p.index}")
-        seen.add(p.index)
-    return ordered
-
-
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
-    chunk_size: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
     progress: bool = False,
-    on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> SweepResult:
     """Execute ``points`` and return results merged by point index.
 
     ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` is the exact
-    serial fallback (no pool, no pickling of results). ``timeout_s`` is
-    a per-point budget; a chunk gets ``timeout_s * len(chunk)`` and its
-    uncollected points are marked timed out when it expires. ``retries``
-    failed (non-timed-out) points are re-run in the parent process.
-    ``on_result`` is invoked once per point in collection order (chunk
-    submission order -- deterministic, not completion order).
+    serial fallback (no pool, no pickling of results). A failed point is
+    run once more in the parent process. ``progress`` prints one line
+    per point to stderr, in collection order (index order).
     """
-    ordered = _validate_points(points)
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if not ordered:
+    indexed = list(enumerate(points))
+    if not indexed:
         return SweepResult(points=[], jobs=jobs)
 
     hub = telemetry if (telemetry is not None and telemetry.enabled) else None
@@ -237,63 +225,48 @@ def run_sweep(
 
     def note(pr: PointResult) -> None:
         if progress:
-            state = "ok" if pr.ok else ("timeout" if pr.timed_out else "FAILED")
             print(
-                f"[sweep] point #{pr.index} {pr.label}: {state} "
-                f"({pr.duration_s:.1f}s)",
+                f"[sweep] point #{pr.index} {pr.label}: "
+                f"{'ok' if pr.ok else 'FAILED'} ({pr.duration_s:.1f}s)",
                 file=sys.stderr,
             )
-        if on_result is not None:
-            on_result(pr)
 
-    results: dict[int, PointResult] = {}
     if jobs == 1:
-        for point in ordered:
-            pr = _execute_point(point, tconf)
-            results[point.index] = pr
-            note(pr)
+        collected = (_execute_point(i, p, tconf) for i, p in indexed)
     else:
-        for pr in _pool_pass(ordered, jobs, tconf, chunk_size, timeout_s):
-            results[pr.index] = pr
-            note(pr)
+        collected = _pool_pass(indexed, jobs, tconf)
+    results: list[PointResult] = []
+    for pr in collected:
+        results.append(pr)
+        note(pr)
 
-    # In-parent retry of failed points (never timed-out ones: a hang
-    # would stall the sweep with no way to preempt the parent).
-    by_index = {p.index: p for p in ordered}
-    for index in sorted(results):
-        pr = results[index]
-        budget = retries
-        while not pr.ok and not pr.timed_out and budget > 0:
-            budget -= 1
-            prior = pr
-            pr = _execute_point(by_index[index], tconf)
-            pr.retried = True
-            pr.attempts = prior.attempts + 1
-            if not pr.ok:
-                pr.error = (
-                    f"{pr.error}\n(earlier attempt failed with)\n{prior.error}"
+    for index, pr in enumerate(results):
+        if not pr.ok:
+            retry = _execute_point(index, points[index], tconf)
+            retry.retried = True
+            retry.attempts = pr.attempts + 1
+            if not retry.ok:
+                retry.error = (
+                    f"{retry.error}\n(earlier attempt failed with)\n{pr.error}"
                 )
-            results[index] = pr
-            note(pr)
+            results[index] = retry
+            note(retry)
 
-    merged = [results[p.index] for p in ordered]
     if hub is not None:
         # Index order, never completion order: the merged artifact must
         # be byte-identical for every jobs value.
-        for pr in merged:
+        for pr in results:
             if pr.ok and pr.telemetry is not None:
                 hub.merge_payload(pr.telemetry)
     return SweepResult(
-        points=merged, jobs=jobs, elapsed_s=time.perf_counter() - started
+        points=results, jobs=jobs, elapsed_s=time.perf_counter() - started
     )
 
 
 def _pool_pass(
-    ordered: list[SweepPoint],
+    indexed: list[tuple[int, SweepPoint]],
     jobs: int,
     tconf: Optional[TelemetryConfig],
-    chunk_size: Optional[int],
-    timeout_s: Optional[float],
 ):
     """Fan chunks out over a process pool; yield one result per point.
 
@@ -302,13 +275,11 @@ def _pool_pass(
     the caller's retry pass re-runs them in the parent.
     """
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(ordered) // (jobs * 4)))
+    chunk_size = max(1, -(-len(indexed) // (jobs * 4)))
     chunks = [
-        ordered[i:i + chunk_size] for i in range(0, len(ordered), chunk_size)
+        indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)
     ]
     executor = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
     clean = True
@@ -317,34 +288,17 @@ def _pool_pass(
             executor.submit(_execute_chunk, chunk, tconf) for chunk in chunks
         ]
         for chunk, future in zip(chunks, futures):
-            budget = None if timeout_s is None else timeout_s * len(chunk)
             try:
-                for pr in future.result(timeout=budget):
-                    yield pr
-            except FuturesTimeoutError:
-                future.cancel()
-                clean = False
-                for point in chunk:
-                    yield PointResult(
-                        index=point.index,
-                        label=point.display_label(),
-                        ok=False,
-                        timed_out=True,
-                        error=(
-                            f"timed out after {budget:.1f}s "
-                            f"({timeout_s:.1f}s/point x {len(chunk)} points)"
-                        ),
-                    )
+                yield from future.result()
             except BrokenProcessPool as exc:
                 clean = False
-                for point in chunk:
+                for index, point in chunk:
                     yield PointResult(
-                        index=point.index,
-                        label=point.display_label(),
+                        index=index,
+                        label=point.display_label(index),
                         ok=False,
                         error=f"worker process died: {exc!r}",
                     )
     finally:
-        # After a timeout/crash don't block on stragglers; the leaked
-        # worker exits when its current point finishes.
+        # After a crash don't block on stragglers.
         executor.shutdown(wait=clean, cancel_futures=True)

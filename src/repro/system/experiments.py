@@ -198,39 +198,6 @@ def run_colocation_point(
     )
 
 
-def fig8_sweep_points(
-    loads_rps: Optional[list[float]] = None,
-    modes: tuple[str, ...] = ("solo", "shared", "trigger"),
-    setup: Optional[ColocationSetup] = None,
-    measure_ms: float = 2.5,
-    first_index: int = 0,
-) -> list:
-    """The Fig. 8 mode x load grid as picklable sweep points."""
-    from dataclasses import asdict
-
-    from repro.runner.sweep import SweepPoint
-
-    setup = setup or ColocationSetup()
-    loads = loads_rps or FIG8_DEFAULT_LOADS
-    points = []
-    for i, (mode, rps) in enumerate(
-        (m, r) for m in modes for r in loads
-    ):
-        points.append(SweepPoint(
-            index=first_index + i,
-            builder="colocation_point",
-            params={
-                "mode": mode,
-                "rps": rps,
-                "setup": asdict(setup),
-                "measure_ms": measure_ms,
-            },
-            seed=setup.seed,
-            label=f"{mode}@{rps:g}rps",
-        ))
-    return points
-
-
 def run_fig8(
     loads_rps: Optional[list[float]] = None,
     modes: tuple[str, ...] = ("solo", "shared", "trigger"),
@@ -248,9 +215,10 @@ def run_fig8(
     processes -- the returned list (and any merged telemetry) is
     byte-identical either way, in grid order.
     """
+    from repro.runner.builders import fig8_points
     from repro.runner.sweep import run_sweep
 
-    points = fig8_sweep_points(
+    points = fig8_points(
         loads_rps=loads_rps, modes=modes, setup=setup, measure_ms=measure_ms
     )
     sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
@@ -631,32 +599,17 @@ def run_fig11(
     """
     if not 0 < inject_rate < 1:
         raise ValueError("inject_rate must be a fraction of peak bandwidth")
-    from repro.runner.sweep import SweepPoint, run_sweep
+    from repro.runner.builders import fig11_points
+    from repro.runner.sweep import run_sweep
 
     saturation = measure_saturation_rate(
         num_requests=min(num_requests, 4000), seed=seed,
         row_hit_fraction=row_hit_fraction,
     )
-    rate = inject_rate * saturation
-    common = {
-        "rate_req_per_cycle": rate,
-        "num_requests": num_requests,
-        "row_hit_fraction": row_hit_fraction,
-    }
-    points = [
-        SweepPoint(
-            index=0, builder="fig11_controller",
-            params={**common, "with_control_plane": False,
-                    "hp_row_buffer": False},
-            seed=seed, label="fig11-baseline",
-        ),
-        SweepPoint(
-            index=1, builder="fig11_controller",
-            params={**common, "with_control_plane": True,
-                    "hp_row_buffer": hp_row_buffer},
-            seed=seed, label="fig11-pard",
-        ),
-    ]
+    points = fig11_points(
+        inject_rate * saturation, num_requests, seed, row_hit_fraction,
+        hp_row_buffer,
+    )
     sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
     sweep.raise_on_failure()
     baseline, pard = sweep.values()

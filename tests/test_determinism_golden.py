@@ -23,7 +23,7 @@ import pytest
 
 from repro.sim.engine import ENGINE_KINDS
 from repro.sim.rng import DeterministicRng
-from repro.system.experiments import fig8_sweep_points
+from repro.runner.builders import all_points, fig8_points
 from tests.test_golden_digests import (
     FIG8_FULL_GRID,
     FIG8_SOLO_PAIR,
@@ -92,11 +92,27 @@ def test_parallel_sweep_matches_serial_full_grid():
 
 
 def test_fig8_sweep_points_specs_are_stable():
-    """Point specs carry everything: indexes dense, seeds explicit."""
-    points = fig8_sweep_points(
+    """Point specs carry everything: the setup itself and an explicit seed."""
+    points = fig8_points(
         loads_rps=[150_000, 250_000], modes=("solo", "shared"), setup=TINY,
-        measure_ms=0.5, first_index=10,
+        measure_ms=0.5,
     )
-    assert [p.index for p in points] == [10, 11, 12, 13]
-    assert all(p.seed == TINY.seed for p in points)
-    assert points[0].params["setup"]["scale"] == 32
+    assert [p.label for p in points] == [
+        "solo@150000rps", "solo@250000rps",
+        "shared@150000rps", "shared@250000rps",
+    ]
+    assert all(p.kwargs["seed"] == TINY.seed for p in points)
+    assert all(p.kwargs["setup"] is TINY for p in points)
+
+
+def test_repro_all_grid_labels_and_fig11_spec():
+    """`repro all` runs fig7, the 12-point fig8 grid, fig9, fig10, fig11."""
+    points = all_points()
+    assert [p.label for p in points] == [
+        "fig7",
+        *(f"{mode}@{rps}rps" for mode in ("solo", "shared", "trigger")
+          for rps in (222000, 333000, 444000, 500000)),
+        "fig9", "fig10", "fig11",
+    ]
+    fig11 = points[-1].kwargs
+    assert (fig11["jobs"], fig11["seed"]) == (1, 7)

@@ -1,86 +1,79 @@
 """The sweep runner: deterministic merge, failure handling, retries.
 
-The test builders below are registered at module import time; worker
-processes inherit them through fork, so the pool paths exercise the
-same registry the stock builders use. The colocation tests double as
-the regression suite for the point-seed contract: a point's result
-depends only on its spec (builder + params + seed), never on what ran
-before it in the process.
+The point functions below are module-level, so pool workers receive
+them by reference exactly as they receive the experiment drivers. The
+colocation and fig11 tests double as the regression suite for the
+point-seed contract: a point's result depends only on its spec
+(function + kwargs, the seed among them), never on what ran before it
+in the process.
 """
 
 import multiprocessing
 import pickle
-import time
+import re
 
 import pytest
 
-from repro.runner import (
-    SweepError,
-    SweepPoint,
-    SweepResult,
-    register_builder,
-    run_sweep,
+from repro.runner import SweepError, SweepPoint, SweepResult, run_sweep
+from repro.system.experiments import (
+    ColocationSetup,
+    run_colocation_point,
+    run_fig11,
 )
-from repro.system.experiments import ColocationSetup, run_colocation_point
 from repro.telemetry import Telemetry
 
 
-@register_builder("test_square")
-def _build_square(point, telemetry):
+def _square(x, seed=0, telemetry=None):
     if telemetry is not None:
         telemetry.registry.counter("test.points").add(1)
-        telemetry.registry.gauge("test.last_index").set(point.index)
+        telemetry.registry.gauge("test.last_index").set(x)
         telemetry.registry.histogram(
             "test.x", start=1.0, growth=2.0, count=8
-        ).record(point.params["x"])
-        span = telemetry.spans.maybe_start(
-            ds_id=0, packet_id=point.index, kind="test"
-        )
+        ).record(x)
+        span = telemetry.spans.maybe_start(ds_id=0, packet_id=x, kind="test")
         if span is not None:
             span.hop("begin", 0)
-            span.hop("end", 10 * (point.index + 1))
+            span.hop("end", 10 * (x + 1))
             telemetry.spans.finish(span)
-        telemetry.snapshot(t_ps=1_000 * point.index)
-    return point.params["x"] ** 2 + point.seed
+        telemetry.snapshot(t_ps=1_000 * x)
+    return x ** 2 + seed
 
 
-@register_builder("test_fail_odd")
-def _build_fail_odd(point, telemetry):
-    if point.index % 2 == 1:
-        raise ValueError(f"boom at point {point.index}")
-    return point.index
+def _fail_odd(i, telemetry=None):
+    if i % 2 == 1:
+        raise ValueError(f"boom at point {i}")
+    return i
 
 
-@register_builder("test_fail_in_worker")
-def _build_fail_in_worker(point, telemetry):
+def _fail_in_worker(telemetry=None):
     # Fails only inside a pool worker; a parent-process retry succeeds.
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("worker-only failure")
     return "parent-ok"
 
 
-@register_builder("test_sleep")
-def _build_sleep(point, telemetry):
-    time.sleep(point.params["s"])
-    return "slept"
-
-
 def square_points(n, seed=0):
-    return [
-        SweepPoint(index=i, builder="test_square", params={"x": i}, seed=seed)
-        for i in range(n)
-    ]
+    return [SweepPoint(_square, {"x": i, "seed": seed}) for i in range(n)]
 
 
 def test_sweep_point_pickle_round_trip():
     point = SweepPoint(
-        index=3, builder="test_square", params={"x": 3, "nested": {"a": [1]}},
-        seed=11, label="x=3",
+        _square, {"x": 3, "nested": {"a": [1]}}, label="x=3",
     )
     clone = pickle.loads(pickle.dumps(point))
     assert clone == point
-    assert clone.display_label() == "x=3"
-    assert SweepPoint(0, "test_square", {}).display_label() == "test_square[0]"
+    assert clone.fn is _square
+    assert clone.display_label(0) == "x=3"
+    assert SweepPoint(_square, {}).display_label(4) == "_square[4]"
+
+
+def test_sweep_point_rejects_lambda_and_nested_def():
+    def nested(telemetry=None):
+        return 1
+
+    for fn in (lambda telemetry=None: 1, nested):
+        with pytest.raises(TypeError, match="module-level function"):
+            SweepPoint(fn, {})
 
 
 def test_serial_and_parallel_agree():
@@ -89,19 +82,18 @@ def test_serial_and_parallel_agree():
     assert serial.ok and pooled.ok
     assert serial.values() == pooled.values() == [i ** 2 + 5 for i in range(9)]
     assert [p.index for p in pooled.points] == list(range(9))
+    assert [p.label for p in pooled.points] == [f"_square[{i}]" for i in range(9)]
 
 
-def test_collection_order_is_index_order():
-    seen = []
-    run_sweep(square_points(8), jobs=2, on_result=lambda pr: seen.append(pr.index))
-    assert seen == list(range(8))
+def test_collection_order_is_index_order(capsys):
+    run_sweep(square_points(8), jobs=2, progress=True)
+    seen = re.findall(r"\[sweep\] point #(\d+) ", capsys.readouterr().err)
+    assert [int(i) for i in seen] == list(range(8))
 
 
 def test_failures_are_captured_and_survivors_merge():
-    points = [
-        SweepPoint(index=i, builder="test_fail_odd", params={}) for i in range(5)
-    ]
-    sweep = run_sweep(points, jobs=2, retries=0)
+    points = [SweepPoint(_fail_odd, {"i": i}) for i in range(5)]
+    sweep = run_sweep(points, jobs=2)
     assert not sweep.ok
     assert sweep.values() == [0, 2, 4]
     failed = sweep.failed
@@ -109,7 +101,7 @@ def test_failures_are_captured_and_survivors_merge():
     for pr in failed:
         assert "ValueError: boom at point" in pr.error
         assert "Traceback" in pr.error
-        assert not pr.retried and pr.attempts == 1
+        assert pr.retried and pr.attempts == 2
     with pytest.raises(SweepError) as exc_info:
         sweep.raise_on_failure()
     assert "2/5 sweep points failed" in str(exc_info.value)
@@ -117,10 +109,7 @@ def test_failures_are_captured_and_survivors_merge():
 
 
 def test_failed_point_retried_once_in_parent():
-    points = [
-        SweepPoint(index=i, builder="test_fail_in_worker", params={})
-        for i in range(2)
-    ]
+    points = [SweepPoint(_fail_in_worker, {}) for _ in range(2)]
     sweep = run_sweep(points, jobs=2)
     assert sweep.ok
     for pr in sweep.points:
@@ -129,40 +118,18 @@ def test_failed_point_retried_once_in_parent():
 
 
 def test_retry_failure_reports_both_attempts():
-    points = [SweepPoint(index=0, builder="test_fail_odd", params={}),
-              SweepPoint(index=1, builder="test_fail_odd", params={})]
-    sweep = run_sweep(points, jobs=1, retries=1)
+    points = [SweepPoint(_fail_odd, {"i": i}) for i in range(2)]
+    sweep = run_sweep(points, jobs=1)
     pr = sweep.points[1]
     assert not pr.ok and pr.retried and pr.attempts == 2
     assert "(earlier attempt failed with)" in pr.error
 
 
-def test_timeout_marks_point_and_skips_retry():
-    points = [SweepPoint(index=0, builder="test_sleep", params={"s": 2.0})]
-    started = time.perf_counter()
-    sweep = run_sweep(points, jobs=2, chunk_size=1, timeout_s=0.3)
-    assert time.perf_counter() - started < 1.5  # did not wait out the sleep
-    pr = sweep.points[0]
-    assert not pr.ok and pr.timed_out
-    assert not pr.retried and pr.attempts == 1
-    assert "timed out" in pr.error
-
-
 def test_point_validation():
-    dup = [SweepPoint(0, "test_square", {"x": 1}),
-           SweepPoint(0, "test_square", {"x": 2})]
-    with pytest.raises(ValueError, match="duplicate sweep point index"):
-        run_sweep(dup, jobs=1)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_sweep(square_points(2), jobs=0)
     empty = run_sweep([], jobs=4)
     assert isinstance(empty, SweepResult) and empty.points == []
-
-
-def test_unknown_builder_fails_the_point_not_the_sweep():
-    sweep = run_sweep([SweepPoint(0, "no_such_builder", {})], jobs=1, retries=0)
-    assert not sweep.ok
-    assert "no_such_builder" in sweep.points[0].error
 
 
 def test_telemetry_merge_identical_serial_and_parallel():
@@ -219,3 +186,14 @@ def test_colocation_point_honours_explicit_seed():
     base = _tiny_point()
     reseeded = _tiny_point(seed=TINY.seed + 1)
     assert repr(base) != repr(reseeded)
+
+
+def test_fig11_point_honours_seed_zero():
+    """An explicit seed 0 reaches the driver; it is not replaced by 7."""
+    points = [
+        SweepPoint(run_fig11, {"num_requests": 600, "seed": seed, "jobs": 1})
+        for seed in (0, 7)
+    ]
+    zero, seven = run_sweep(points, jobs=2).raise_on_failure().values()
+    assert repr(zero) == repr(run_fig11(num_requests=600, seed=0))
+    assert repr(zero) != repr(seven)
