@@ -98,8 +98,6 @@ class MemoryController(Component):
             for i in range(self.geometry.total_banks)
         ]
         self.bus_free_at_ps = 0
-        self._wakeup_handle = None
-        self._wakeup_at_ps: Optional[int] = None  # the handle's time
         self._inflight = 0
         # Queueing delay per priority level, in memory cycles (Fig. 11).
         self.queue_delay = [
@@ -189,14 +187,12 @@ class MemoryController(Component):
             else:
                 return
             head = queue[0]
-            ready_ps = self.banks[head.bank_index].ready_at_ps
-            if ready_ps > now:
+            if self.banks[head.bank_index].ready_at_ps > now:
                 # Strict priority: the preferred head owns the dispatch
-                # port even while its bank is busy. Wake up when the bank
-                # frees, unless a pass is armed no later than that.
-                armed = self._wakeup_at_ps
-                if armed is None or ready_ps < armed:
-                    self._arm_wakeup(ready_ps)
+                # port even while its bank is busy. No wakeup is needed:
+                # a bank's ready time is the done time of its last
+                # access, whose _complete runs _pump then, and a refresh
+                # posts its own _pump.
                 return
             queue.popleft()
             self._issue(head, now)
@@ -251,22 +247,6 @@ class MemoryController(Component):
             )
         request.on_response(packet)
         self._pump()
-
-    def _arm_wakeup(self, wake_at_ps: int) -> None:
-        """Schedule an arbitration pass at ``wake_at_ps``, replacing one
-        armed for later.
-
-        :meth:`_pump` arms only when no pass is armed at or before
-        ``wake_at_ps``, and that includes the last armed pass after it
-        has run, whose time is then in the past: once the first wakeup
-        fires, no other is armed. Nothing depends on it, because every
-        bank-busy wait also ends with the :meth:`_complete` event that
-        frees the bank (or the ``_pump`` a refresh posts).
-        """
-        if self._wakeup_handle is not None:
-            self._wakeup_handle.cancel()
-        self._wakeup_handle = self.engine.schedule_at(wake_at_ps, self._pump)
-        self._wakeup_at_ps = wake_at_ps
 
     # -- introspection ------------------------------------------------------------
 

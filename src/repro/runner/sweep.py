@@ -282,7 +282,6 @@ def _pool_pass(
         indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)
     ]
     executor = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
-    clean = True
     try:
         futures = [
             executor.submit(_execute_chunk, chunk, tconf) for chunk in chunks
@@ -291,7 +290,6 @@ def _pool_pass(
             try:
                 yield from future.result()
             except BrokenProcessPool as exc:
-                clean = False
                 for index, point in chunk:
                     yield PointResult(
                         index=index,
@@ -300,5 +298,4 @@ def _pool_pass(
                         error=f"worker process died: {exc!r}",
                     )
     finally:
-        # After a crash don't block on stragglers.
-        executor.shutdown(wait=clean, cancel_futures=True)
+        executor.shutdown(cancel_futures=True)

@@ -21,9 +21,9 @@ Two guarantees the whole experimental methodology rests on:
 
 import pytest
 
+from repro.runner.builders import all_points, fig8_points
 from repro.sim.engine import ENGINE_KINDS
 from repro.sim.rng import DeterministicRng
-from repro.runner.builders import all_points, fig8_points
 from tests.test_golden_digests import (
     FIG8_FULL_GRID,
     FIG8_SOLO_PAIR,

@@ -9,6 +9,7 @@ in the process.
 """
 
 import multiprocessing
+import os
 import pickle
 import re
 
@@ -50,6 +51,13 @@ def _fail_in_worker(telemetry=None):
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("worker-only failure")
     return "parent-ok"
+
+
+def _crash_in_worker(i, telemetry=None):
+    # Kills its pool worker outright; the parent-process retry succeeds.
+    if i == 1 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return i
 
 
 def square_points(n, seed=0):
@@ -115,6 +123,13 @@ def test_failed_point_retried_once_in_parent():
     for pr in sweep.points:
         assert pr.value == "parent-ok"
         assert pr.retried and pr.attempts == 2
+
+
+def test_worker_crash_fails_its_points_and_the_parent_retries_them():
+    points = [SweepPoint(_crash_in_worker, {"i": i}) for i in range(4)]
+    sweep = run_sweep(points, jobs=2)
+    assert sweep.ok and sweep.values() == [0, 1, 2, 3]
+    assert sweep.points[1].retried and sweep.points[1].attempts == 2
 
 
 def test_retry_failure_reports_both_attempts():
