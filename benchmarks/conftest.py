@@ -15,24 +15,9 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 
 def full_resolution() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _lint_gate_preflight():
-    """Opt-in pre-flight: refuse to burn benchmark time on a tree with
-    ERROR-severity lint findings. Same gate as ``repro all --lint-gate``;
-    enable with ``REPRO_LINT_GATE=1``."""
-    if os.environ.get("REPRO_LINT_GATE", "") == "1":
-        from repro.analysis.lint.gate import lint_gate
-
-        if not lint_gate():
-            pytest.exit("lint gate: ERROR-severity findings", returncode=2)
-    yield
 
 
 def banner(title: str) -> None:

@@ -1,8 +1,8 @@
 """Analysis tooling: result reporting helpers and the static linter.
 
 Two halves share this package: the series/table helpers experiments and
-benchmarks print with, and :mod:`repro.analysis.lint`, the AST-based
-simulation-safety linter (run it as ``python -m repro.analysis``).
+benchmarks print with, and :mod:`repro.analysis.lint`, the four-rule
+AST linter for simulation safety (run it as ``python -m repro.analysis``).
 """
 
 from repro.analysis.series import ascii_sparkline, downsample, share_of_total

@@ -233,13 +233,6 @@ def cmd_fig12(_args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Forward to the simulation-safety linter's own CLI."""
-    from repro.analysis.lint.cli import main as lint_main
-
-    return lint_main(args.lint_args)
-
-
 def cmd_all(args) -> int:
     """Every table and figure; simulation points fan out over ``--jobs``.
 
@@ -248,17 +241,7 @@ def cmd_all(args) -> int:
     whole evaluation parallelizes across cores. Every figure runs even
     when another fails; a per-figure pass/fail summary is printed at the
     end and only then does a failure turn into a nonzero exit.
-
-    ``--lint-gate`` is a cheap pre-flight for long sweeps: refuse to
-    start if the tree has ERROR-severity lint findings (wall-clock,
-    global randomness, raw event queues) that would poison every point.
     """
-    if getattr(args, "lint_gate", False):
-        from repro.analysis.lint.gate import lint_gate
-
-        if not lint_gate():
-            return 2
-
     telemetry = _telemetry_from(args)
 
     sweep = run_sweep(
@@ -282,7 +265,9 @@ def cmd_all(args) -> int:
         try:
             fn()
             statuses.append((name, True, ""))
-        except Exception as exc:  # intentionally broad: `all` keeps going
+        # simlint: disable=EXC001 -- same keep-going contract as figure(),
+        # for the in-process table/figure renderers
+        except Exception as exc:
             report_failure(name, exc)
             statuses.append((name, False, f"{type(exc).__name__}: {exc}"))
 
@@ -300,7 +285,10 @@ def cmd_all(args) -> int:
         try:
             render([pr.value for pr in point_results])
             statuses.append((name, True, ""))
-        except Exception as exc:  # intentionally broad: `all` keeps going
+        # simlint: disable=EXC001 -- `repro all` keeps going past a failing
+        # figure by design; the handler reports the figure name + full
+        # traceback and the summary exits nonzero at the end
+        except Exception as exc:
             report_failure(name, exc)
             statuses.append((name, False, f"{type(exc).__name__}: {exc}"))
 
@@ -370,30 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_arg(everything)
     _add_telemetry_args(everything)
-    everything.add_argument(
-        "--lint-gate", action="store_true",
-        help="refuse to run if the tree has ERROR-severity lint findings",
-    )
     everything.set_defaults(fn=cmd_all)
-
-    lint = sub.add_parser(
-        "lint",
-        help="simulation-safety linter (same as python -m repro.analysis)",
-    )
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER, metavar="...",
-                      help="arguments forwarded to repro-lint")
-    lint.set_defaults(fn=cmd_lint)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "lint":
-        # Forwarded verbatim: argparse.REMAINDER drops leading options
-        # (bpo-17050), so the linter gets its own argv untouched.
-        from repro.analysis.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

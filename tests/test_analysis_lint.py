@@ -1,71 +1,110 @@
-"""The simulation-safety linter: rules, suppressions, baseline, reporters.
-
-The per-rule fixtures are not hand-copied snippets: every rule's
-docstring carries a ``Bad::``/``Good::`` pair and the tests here lint
-exactly what the docstring shows, so documentation and enforcement
-cannot drift apart.
-"""
+"""The simulation-safety linter: its four rules, exemptions, suppressions
+and the repo-wide report."""
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    Baseline,
-    LintTarget,
-    Severity,
-    all_rules,
-    check_tree,
-    get_profile,
-    lint_source,
-    rule_examples,
-    run_lint,
-)
-from repro.analysis.lint.reporters import render_json, render_text
+from repro.analysis.lint import DEFAULT_PATHS, RULES, lint_paths, lint_source, report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-RULES = all_rules()
-RULE_IDS = [rule.id for rule in RULES]
+# rule id (pytest id) -> (snippet that must trip the rule, fixed version)
+EXAMPLES = {
+    "DET001": (
+        "import time\n"
+        "\n"
+        "def service_latency(started_ps):\n"
+        "    return time.time() - started_ps\n",
+        "def service_latency(engine, started_ps):\n"
+        "    return engine.now - started_ps\n",
+    ),
+    "DET002": (
+        "import random\n"
+        "\n"
+        "def jitter_ps():\n"
+        "    return random.randint(0, 100)\n",
+        "def jitter_ps(rng):\n"
+        "    # rng is a DeterministicRng child stream, e.g. root.child(\"jitter\")\n"
+        "    return rng.randint(0, 100)\n",
+    ),
+    "EVT003": (
+        "import heapq\n"
+        "\n"
+        "class PrivateQueue:\n"
+        "    def push(self, when_ps, callback):\n"
+        "        heapq.heappush(self.events, (when_ps, callback))\n",
+        "class EngineQueue:\n"
+        "    def push(self, delay_ps, callback):\n"
+        "        self.engine.post(delay_ps, callback)\n",
+    ),
+    "EXC001": (
+        "def run_figure(fn):\n"
+        "    try:\n"
+        "        return fn()\n"
+        "    except:\n"
+        "        return None\n",
+        "def run_figure(fn):\n"
+        "    try:\n"
+        "        return fn()\n"
+        "    except (ValueError, KeyError) as exc:\n"
+        "        report_failure(exc)\n"
+        "        return None\n",
+    ),
+}
+
+EXTRA_BAD = {
+    "EVT003-from-import": ("EVT003", "from heapq import heappush\n"),
+    "EXC001-broad": ("EXC001",
+                     "try:\n    frob()\nexcept Exception:\n    pass\n"),
+    "EXC001-base": ("EXC001",
+                    "try:\n    frob()\nexcept BaseException:\n    log()\n"),
+}
+
+# An exemption fragment -> a real file it exempts.
+EXEMPT_FILES = {
+    "repro/runner/": "src/repro/runner/sweep.py",
+    "repro/sim/rng.py": "src/repro/sim/rng.py",
+    "repro/sim/engine.py": "src/repro/sim/engine.py",
+    "tests/": "tests/test_engine.py",
+    "benchmarks/": "benchmarks/bench_engine.py",
+}
+
+# rule -> a module under src/repro that must fail the command line
+BAD_MODULES = {
+    "DET001": "import time\n\ndef sample():\n    return time.time()\n",
+    "EVT003": "import heapq\n",
+}
 
 
 def rule_hits(findings, rule_id):
     return [f for f in findings if f.rule == rule_id]
 
 
-# -- the rule pack: every docstring example, executed both ways --------------
+# -- the rules ---------------------------------------------------------------
 
 
 def test_rule_pack_is_complete():
-    assert RULE_IDS == sorted(RULE_IDS)
-    families = {rid[:3] for rid in RULE_IDS}
-    assert families == {"DET", "EVT", "TEL", "EXC"}
-    assert len(RULE_IDS) == 10
+    assert sorted(RULES) == sorted(EXAMPLES) == ["DET001", "DET002", "EVT003", "EXC001"]
 
 
-@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
-def test_bad_example_trips_the_rule(rule):
-    examples = rule_examples(rule)
-    assert "bad" in examples, f"{rule.id} docstring is missing a Bad:: block"
-    findings = lint_source(examples["bad"], profile="sim")
-    assert rule_hits(findings, rule.id), (
-        f"{rule.id} did not fire on its own bad example:\n{examples['bad']}"
-    )
+@pytest.mark.parametrize(
+    "rule, source",
+    [(rule, bad) for rule, (bad, _good) in EXAMPLES.items()] + list(EXTRA_BAD.values()),
+    ids=list(EXAMPLES) + list(EXTRA_BAD),
+)
+def test_bad_example_trips_the_rule(rule, source):
+    assert rule_hits(lint_source(source), rule), source
 
 
-@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+@pytest.mark.parametrize("rule", EXAMPLES)
 def test_good_example_is_clean(rule):
-    examples = rule_examples(rule)
-    assert "good" in examples, f"{rule.id} docstring is missing a Good:: block"
-    findings = lint_source(examples["good"], profile="sim")
-    assert not rule_hits(findings, rule.id), (
-        f"{rule.id} fired on its own good example:\n{examples['good']}"
-    )
+    good = EXAMPLES[rule][1]
+    assert not rule_hits(lint_source(good), rule), good
 
 
 def test_broad_except_with_reraise_is_clean():
@@ -86,6 +125,27 @@ def test_import_aliases_are_resolved():
         "    return pc()\n"
     )
     assert rule_hits(findings, "DET001")
+
+
+def test_unparsable_file_is_a_finding():
+    [finding] = lint_source("def broken(:\n")
+    assert finding.rule == "PARSE" and not finding.suppressed
+
+
+# -- exemptions --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule, fragment",
+    [(rule, fragment) for rule, (_check, exempt) in RULES.items()
+     for fragment in exempt],
+)
+def test_rule_is_silent_under_its_exempt_path(rule, fragment):
+    bad = EXAMPLES[rule][0]
+    exempt_path = EXEMPT_FILES[fragment]
+    assert fragment in exempt_path
+    assert not rule_hits(lint_source(bad, exempt_path), rule)
+    assert rule_hits(lint_source(bad, "src/repro/cpu/core.py"), rule)
 
 
 # -- suppressions ------------------------------------------------------------
@@ -132,173 +192,57 @@ def test_bare_disable_suppresses_all_rules():
     assert all(f.suppressed for f in rule_hits(findings, "DET001"))
 
 
-# -- baseline round-trip -----------------------------------------------------
+# -- the repo holds its own bar ----------------------------------------------
 
 
-BAD_MODULE = (
-    "import time\n"
-    "\n"
-    "def sample():\n"
-    "    return time.time()\n"
-)
+@pytest.fixture(scope="module")
+def repo_reports():
+    """The repo-wide report, linted twice (the only two full runs here)."""
+    runs = [lint_paths(DEFAULT_PATHS, root=REPO_ROOT) for _ in range(2)]
+    return runs[0][1], [report(*run) for run in runs]
 
 
-def test_baseline_round_trip(tmp_path):
-    src = tmp_path / "pkg"
-    src.mkdir()
-    (src / "mod.py").write_text(BAD_MODULE)
-    targets = [LintTarget("pkg", "sim")]
-
-    first = run_lint(targets, root=tmp_path)
-    assert len(first.active) == 1
-
-    baseline = Baseline.from_findings(first.findings)
-    baseline_file = tmp_path / "lint-baseline.json"
-    assert baseline.dump(baseline_file) == 1
-
-    second = run_lint(targets, root=tmp_path,
-                      baseline=Baseline.load(baseline_file))
-    assert not second.active
-    assert len(second.baselined) == 1
-
-    # A *new* finding in the same file is not grandfathered.
-    (src / "mod.py").write_text(BAD_MODULE + "\ndef again():\n"
-                                "    return time.perf_counter()\n")
-    third = run_lint(targets, root=tmp_path,
-                     baseline=Baseline.load(baseline_file))
-    assert len(third.active) == 1
-    assert third.active[0].scope == "again"
+def test_repo_is_lint_clean(repo_reports):
+    findings, (text, _) = repo_reports
+    assert not [f for f in findings if not f.suppressed], "\n" + text
+    assert sum(f.suppressed for f in findings) == 3, "\n" + text
 
 
-def test_baseline_notes_survive_regeneration(tmp_path):
-    src = tmp_path / "pkg"
-    src.mkdir()
-    (src / "mod.py").write_text(BAD_MODULE)
-    result = run_lint([LintTarget("pkg", "sim")], root=tmp_path)
-    baseline = Baseline.from_findings(result.findings)
-    key = next(iter(baseline.entries))
-    baseline.notes[key] = "tracking: example"
-    regenerated = Baseline.from_findings(result.findings, previous=baseline)
-    assert regenerated.notes[key] == "tracking: example"
+def test_repo_lint_output_is_deterministic(repo_reports):
+    first, second = repo_reports[1]
+    assert first == second
 
 
-# -- reporters ---------------------------------------------------------------
-
-
-def _repo_result():
-    baseline = Baseline.load_or_empty(REPO_ROOT / "lint-baseline.json")
-    targets = [
-        LintTarget("src/repro", "sim"),
-        LintTarget("tests", "tests"),
-        LintTarget("benchmarks", "tests"),
-    ]
-    return run_lint(targets, root=REPO_ROOT, baseline=baseline)
-
-
-def test_repo_lint_output_is_deterministic():
-    first = _repo_result()
-    second = _repo_result()
-    assert render_text(first, verbose=True) == render_text(second, verbose=True)
-    assert json.dumps(render_json(first, strict=True), sort_keys=True) == \
-        json.dumps(render_json(second, strict=True), sort_keys=True)
-
-
-def test_json_report_schema():
-    report = render_json(_repo_result(), strict=True)
-    assert report["version"] == 1
-    assert set(report) == {
-        "version", "profiles", "strict", "rules", "findings",
-        "baselined", "suppressed", "summary", "failed",
-    }
-    assert report["profiles"] == ["sim", "tests"]
-    for row in report["rules"]:
-        assert set(row) == {"id", "severity", "title"}
-        assert row["severity"] in ("info", "warning", "error")
-    for finding in report["findings"] + report["baselined"] + report["suppressed"]:
-        assert set(finding) == {
-            "rule", "severity", "path", "line", "col", "scope", "message",
-        }
-        assert isinstance(finding["line"], int) and finding["line"] >= 1
-    summary = report["summary"]
-    assert set(summary) == {
-        "files", "active", "errors", "warnings", "baselined", "suppressed",
-    }
-    # Findings arrive sorted by location.
-    locations = [(f["path"], f["line"], f["col"]) for f in report["findings"]]
-    assert locations == sorted(locations)
-
-
-# -- the repo holds its own bar (self-check) ---------------------------------
-
-
-def test_repo_is_lint_clean_strict():
-    result = _repo_result()
-    assert not result.active, "\n" + render_text(result)
-
-
-def test_linter_own_source_is_clean_under_sim_profile():
-    result = run_lint([LintTarget("src/repro/analysis", "sim")],
-                      root=REPO_ROOT)
-    assert not result.active, "\n" + render_text(result)
-
-
-def test_tests_and_benchmarks_use_looser_profile():
-    loose = get_profile("tests")
-    strict = get_profile("sim")
-    assert set(loose.rules) < set(strict.rules)
-    # Wall-clock measurement is legitimate in benchmarks.
-    assert "DET001" not in loose.rules
-    # Event-model structure still holds everywhere.
-    assert "EVT003" in loose.rules
-
-
-def test_gate_is_clear_on_this_tree():
-    assert check_tree(REPO_ROOT) == []
-
-
-# -- severity / failure policy ----------------------------------------------
-
-
-def test_strict_fails_on_warnings_default_does_not(tmp_path):
-    src = tmp_path / "pkg"
-    src.mkdir()
-    (src / "mod.py").write_text(
-        "try:\n"
-        "    frob()\n"
-        "except Exception:\n"
-        "    pass\n"
-    )
-    result = run_lint([LintTarget("pkg", "sim")], root=tmp_path)
-    assert result.active[0].severity == Severity.WARNING
-    assert result.failed(strict=True)
-    assert not result.failed(strict=False)
-
-
-# -- CLI end-to-end ----------------------------------------------------------
+# -- command line ------------------------------------------------------------
 
 
 def _run_cli(args, cwd):
-    env_src = str(REPO_ROOT / "src")
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *args],
         capture_output=True, text=True, cwd=cwd,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
 
 
 @pytest.mark.slow
-def test_cli_strict_clean_and_byte_identical():
-    first = _run_cli(["--strict"], REPO_ROOT)
-    second = _run_cli(["--strict"], REPO_ROOT)
+def test_cli_clean_and_byte_identical():
+    first = _run_cli([], REPO_ROOT)
+    second = _run_cli([], REPO_ROOT)
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
 
 
-@pytest.mark.slow
-def test_cli_fails_on_injected_bad_fixture(tmp_path):
+@pytest.mark.parametrize("rule", BAD_MODULES)
+def test_cli_fails_on_injected_bad_fixture(tmp_path, rule):
     src = tmp_path / "src" / "repro"
     src.mkdir(parents=True)
-    (src / "mod.py").write_text(BAD_MODULE)
+    (src / "mod.py").write_text(BAD_MODULES[rule])
+    proc = _run_cli([], tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "src/repro/mod.py" in proc.stdout and f"  {rule}  " in proc.stdout
+
+
+def test_cli_rejects_a_missing_path(tmp_path):
     proc = _run_cli(["--strict"], tmp_path)
-    assert proc.returncode == 1
-    assert "DET001" in proc.stdout
+    assert proc.returncode == 2
+    assert "--strict" in proc.stderr

@@ -10,6 +10,10 @@ The fig8 grids and the full-system colocation are pinned where the
 determinism suite already computes them (``test_determinism_golden``),
 so they are not run twice.
 
+Nor may a digest depend on hash order: a few entries are recomputed in
+fresh interpreters under two ``PYTHONHASHSEED`` values, which change
+the hash of every string and so the iteration order of sets of them.
+
 A digest may change only with a behaviour change that is named in
 CHANGES.md. Regenerate every entry, fast and slow, with:
 
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +51,7 @@ from repro.workloads.memcached import MemcachedServer
 from repro.workloads.stream import Stream
 
 GOLDEN_PATH = Path(__file__).with_name("golden") / "digests.json"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 TINY = ColocationSetup(
     scale=32, mc_working_set_bytes=56 << 10, mc_loads_per_request=60,
@@ -172,6 +179,37 @@ def test_fig11_digest():
 @pytest.mark.slow
 def test_fig7_digest():
     assert digest(fig7()) == pinned("fig7")
+
+
+def digests_under_hash_seed(seed: str, names) -> dict[str, str]:
+    """Recompute pinned entries in a fresh interpreter with ``seed`` as
+    its ``PYTHONHASHSEED``."""
+    code = (
+        "import json, sys\n"
+        "from tests.test_golden_digests import PRODUCERS\n"
+        "print(json.dumps({n: PRODUCERS[n]() for n in sys.argv[1:]}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *names],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONHASHSEED": seed,
+             "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_digests_ignore_hash_seed(seed):
+    names = ("fig10", "fig11")
+    assert digests_under_hash_seed(seed, names) == {n: pinned(n) for n in names}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_slow_digests_ignore_hash_seed(seed):
+    names = ("fig9", "fig8_solo_pair")
+    assert digests_under_hash_seed(seed, names) == {n: pinned(n) for n in names}
 
 
 def main(argv: list[str]) -> int:
