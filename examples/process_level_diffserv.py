@@ -51,17 +51,16 @@ def main() -> None:
         )
 
     server.start()
-    monitor.start()
     firmware.launch_ldom("host", {0: scheduler})
-    server.run_ms(5.0)
+    monitor.run(5 * PS_PER_MS)
 
     print("Two processes, one core, per-process DS-ids:\n")
     print(f"  context switches: {scheduler.context_switches}")
     for name, series in monitor.probes.items():
         print(f"  {name:22s} latest = {series.latest() or 0:7d} bytes "
               f"({len(series.values)} samples by the PRM monitor)")
-    interactive_occ = server.llc_control.occupancy_bytes(host.ds_id)
-    batch_occ = server.llc_control.occupancy_bytes(shadow.ds_id)
+    interactive_occ = monitor.probes["interactive.capacity"].latest()
+    batch_occ = monitor.probes["batch.capacity"].latest()
     print(f"\n  LLC split: interactive {interactive_occ // 1024} KB vs "
           f"batch {batch_occ // 1024} KB")
     print(

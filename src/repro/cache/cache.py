@@ -342,6 +342,9 @@ class Cache(Component):
         line.valid = True
         line.dirty = entry.is_write
         cache_set.index[tag << 16 | ds_id] = way
+        # A flush_dsid while the fill was in flight may have marked the
+        # reserved way free again.
+        cache_set.free &= ~(1 << way)
         cache_set.plru.touch(way)
         if control is not None:
             control.record_fill(ds_id)

@@ -3,8 +3,9 @@
 Parameter table:  ``waymask`` -- way-partitioning mask bits per DS-id
                   (e.g. ``0xFF00`` = the leftmost 8 of 16 ways).
 Statistics table: ``miss_rate`` (basis points, windowed), ``capacity``
-                  (bytes currently owned, from the tag array's owner
-                  DS-ids), plus cumulative ``hit_cnt`` / ``miss_cnt``.
+                  (bytes currently owned, updated live on every fill
+                  and eviction), plus cumulative ``hit_cnt`` /
+                  ``miss_cnt``.
 Trigger table:    e.g. the paper's running rule
                   ``LLC.MissRate > 30% => increase way allocation``.
 
@@ -55,10 +56,10 @@ class LlcControlPlane(ControlPlane):
             window_ps=window_ps,
         )
         self._parameter_rows = self.parameters.row_view
+        self._statistics_rows = self.statistics.row_view
         self._cache = None
         self._window_hits: dict[int, WindowedRate] = {}
         self._window_misses: dict[int, WindowedRate] = {}
-        self._occupancy: dict[int, int] = {}
         self._line_size = 64
 
     def bind_cache(self, cache) -> None:
@@ -90,19 +91,24 @@ class LlcControlPlane(ControlPlane):
             self._window(table, ds_id).add(1)
 
     def record_fill(self, ds_id: int) -> None:
-        self._occupancy[ds_id] = self._occupancy.get(ds_id, 0) + 1
+        rows = self._statistics_rows
+        if ds_id in rows:
+            rows[ds_id]["capacity"] += self._line_size
 
     def record_eviction(self, owner_ds_id: int) -> None:
-        count = self._occupancy.get(owner_ds_id, 0)
-        self._occupancy[owner_ds_id] = count - 1 if count > 0 else 0
+        rows = self._statistics_rows
+        if owner_ds_id in rows:
+            row = rows[owner_ds_id]
+            if row["capacity"] > 0:
+                row["capacity"] -= self._line_size
 
     def occupancy_bytes(self, ds_id: int) -> int:
-        return self._occupancy.get(ds_id, 0) * self._line_size
+        return self.statistics.get_default(ds_id, "capacity", 0)
 
     # -- window publication -------------------------------------------------------
 
     def on_window(self) -> None:
-        """Publish windowed miss rate and current capacity per DS-id."""
+        """Publish the windowed miss rate per DS-id."""
         for ds_id in self.statistics.ds_ids:
             hits = self._window(self._window_hits, ds_id).roll()
             misses = self._window(self._window_misses, ds_id).roll()
@@ -115,7 +121,6 @@ class LlcControlPlane(ControlPlane):
             # LDom is momentarily idle.
             self.statistics.add(ds_id, "hit_cnt", hits)
             self.statistics.add(ds_id, "miss_cnt", misses)
-            self.statistics.set(ds_id, "capacity", self.occupancy_bytes(ds_id))
 
     def last_window_miss_rate(self, ds_id: int) -> Optional[float]:
         """Miss rate of the last published window as a fraction, or None."""

@@ -86,9 +86,10 @@ class DsidTable:
         self.max_entries = max_entries
         self._rows: dict[int, dict[str, int]] = {}
         self._column_names = frozenset(schema.column_names)
-        # A live, read-only view of the rows for hardware-side policy
-        # reads on the per-access path, where a method call per read is
-        # measurable. Rows must not be mutated through it.
+        # A live view of the rows for hardware-side code on the
+        # per-access path, where a method call per cell is measurable:
+        # policy reads, and in-place updates of live statistics counters
+        # (the LLC's ``capacity``). Nothing else mutates rows through it.
         self.row_view: Mapping[int, dict[str, int]] = MappingProxyType(self._rows)
 
     # -- row management -------------------------------------------------

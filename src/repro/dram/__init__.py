@@ -3,8 +3,7 @@
 - :mod:`repro.dram.timing` -- DDR3-1600 timing/geometry (Table 2)
 - :mod:`repro.dram.bank` -- bank state, including the paper's extra
   high-priority row buffer (§4.2)
-- :mod:`repro.dram.scheduler` -- per-priority FIFO queues (and an
-  FR-FCFS ``select`` the controller does not use)
+- :mod:`repro.dram.scheduler` -- per-priority FIFO queues
 - :mod:`repro.dram.controller` -- the memory controller component
 - :mod:`repro.dram.control_plane` -- the memory control plane (address
   mapping, scheduling priority, bandwidth/latency statistics, triggers)

@@ -120,16 +120,6 @@ class MemoryControlPlane(ControlPlane):
                 self.statistics.set(ds_id, "avg_qlat", avg)
             self.statistics.add(ds_id, "serv_cnt", served)
 
-    def last_window_bandwidth_bytes(self, ds_id: int) -> int:
-        if not self.statistics.has(ds_id):
-            return 0
-        return self.statistics.get(ds_id, "bandwidth")
-
-    def last_window_avg_qlat_cycles(self, ds_id: int) -> float:
-        if not self.statistics.has(ds_id):
-            return 0.0
-        return self.statistics.get(ds_id, "avg_qlat") / LATENCY_SCALE
-
     # -- validation hooks --------------------------------------------------------
 
     def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:

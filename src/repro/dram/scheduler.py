@@ -1,4 +1,4 @@
-"""Memory request queues: priority classes, plus an FR-FCFS reference policy.
+"""Memory request queues: one FIFO per priority class.
 
 PARD's memory control plane adds *priority queueing* in front of the
 DRAM scheduler (Fig. 5): requests are steered into per-priority queues
@@ -7,11 +7,6 @@ by their DS-id's priority parameter. The controller's arbiter
 highest non-empty queue first and, within a queue, strictly in FIFO
 order: only the head may dispatch. With a single priority level this is
 the baseline ("w/o control plane") configuration of Fig. 11.
-
-:meth:`PriorityFrFcfsScheduler.select` is the alternative FR-FCFS
-policy (first-ready = row-buffer hit first, then oldest first [Rixner
-et al., ISCA'00]) within the chosen queue. The controller does not use
-it; only its unit tests do.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.dram.bank import BankState
 from repro.sim.packet import MemoryPacket
 
 
@@ -82,36 +76,3 @@ class PriorityFrFcfsScheduler:
             )
         self.queues[request.priority].append(request)
         self.total_enqueued += 1
-
-    def select(self, banks: list[BankState], now_ps: int) -> Optional[PendingRequest]:
-        """Pick (and remove) the next request to issue, or None.
-
-        Highest priority queue first; within a queue, FR-FCFS restricted
-        to requests whose bank can accept a command now.
-        """
-        for priority in range(self.priority_levels - 1, -1, -1):
-            queue = self.queues[priority]
-            if not queue:
-                continue
-            chosen = self._fr_fcfs(queue, banks, now_ps)
-            if chosen is not None:
-                queue.remove(chosen)
-                return chosen
-        return None
-
-    @staticmethod
-    def _fr_fcfs(
-        queue: deque[PendingRequest], banks: list[BankState], now_ps: int
-    ) -> Optional[PendingRequest]:
-        first_ready: Optional[PendingRequest] = None
-        oldest: Optional[PendingRequest] = None
-        for request in queue:
-            bank = banks[request.bank_index]
-            if bank.ready_at_ps > now_ps:
-                continue  # the bank cannot take a command yet
-            if bank.row_state(request.row) == "hit":
-                if first_ready is None or request.enqueued_at_ps < first_ready.enqueued_at_ps:
-                    first_ready = request
-            if oldest is None or request.enqueued_at_ps < oldest.enqueued_at_ps:
-                oldest = request
-        return first_ready if first_ready is not None else oldest

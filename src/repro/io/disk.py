@@ -73,11 +73,6 @@ class IdeControlPlane(ControlPlane):
             self.statistics.add(ds_id, "bytes_total", window_bytes)
             self.statistics.add(ds_id, "io_cnt", self._window_ios.pop(ds_id, 0))
 
-    def last_window_bandwidth_bytes(self, ds_id: int) -> int:
-        if not self.statistics.has(ds_id):
-            return 0
-        return self.statistics.get(ds_id, "bandwidth")
-
 
 @dataclass
 class _Transfer:

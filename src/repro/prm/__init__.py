@@ -8,6 +8,8 @@ a 64 KB I/O window) and every tag register, and runs a firmware that
   (``/sys/cpa/cpaN/ldoms/ldomK/{parameters,statistics,triggers}``),
 - provides a tiny shell (``echo``, ``cat``, ``pardtrigger``) and a file
   API so handler scripts can be written against file primitives only,
+- samples statistics files into time series (:class:`StatisticsMonitor`,
+  the §7.1.1 tool the figure drivers read through),
 - manages LDom lifecycles (create / launch / stop / destroy), and
 - dispatches control-plane trigger interrupts to installed
   "trigger => action" handler scripts (§3 mechanism 4).

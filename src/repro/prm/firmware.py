@@ -35,7 +35,7 @@ from repro.core.programming import (
 from repro.core.triggers import TriggerOp, TriggerRule
 from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
-from repro.prm.sysfs import SysfsError, SysfsTree
+from repro.prm.sysfs import SysfsTree
 from repro.sim.engine import Engine, PS_PER_US
 
 # Columns whose sysfs/pardtrigger values are expressed in percent but
@@ -113,55 +113,14 @@ class Firmware:
         for control_plane in inventory.control_planes:
             self._attach(control_plane)
         if self.telemetry is not None:
-            self._mount_telemetry()
+            self._register_prm_metrics()
 
-    # -- /sys/telemetry (live registry mirror) -------------------------------
-
-    def _mount_telemetry(self) -> None:
-        """Mount the metrics registry read-only under ``/sys/telemetry``.
-
-        Every instrument appears as a file whose path is its dotted name
-        with dots as directories (``llc.ds1.misses`` ->
-        ``/sys/telemetry/llc/ds1/misses``); reads render the live value.
-        The registry's hooks keep the subtree in sync as instruments come
-        and go, so PRM scripts see exactly what operators export.
-        """
+    def _register_prm_metrics(self) -> None:
+        """Register the PRM's own instruments (``prm.*``)."""
         registry = self.telemetry.registry
-        self.sysfs.mkdir("/sys/telemetry")
-        self.sysfs.add_file(
-            "/sys/telemetry/export",
-            read_handler=self.telemetry.prometheus_text,
-        )
         self._triggers_fired = registry.counter("prm.triggers_fired")
         self._scripts_run = registry.counter("prm.scripts_run")
         registry.gauge_fn("prm.ldoms", lambda: len(self.ldoms))
-        registry.on_register(self._telemetry_add_file)
-        registry.on_remove(self._telemetry_remove_file)
-
-    @staticmethod
-    def _telemetry_path(name: str) -> str:
-        return "/sys/telemetry/" + name.replace(".", "/")
-
-    def _telemetry_add_file(self, instrument) -> None:
-        path = self._telemetry_path(instrument.name)
-        # Tolerate replays and leaf/directory collisions: the registry is
-        # shared across servers in some experiments, the mirror is per-PRM.
-        if self.sysfs.exists(path):
-            return
-        try:
-            self.sysfs.add_file(path, read_handler=instrument.render)
-        except SysfsError:
-            pass
-
-    def _telemetry_remove_file(self, instrument) -> None:
-        path = self._telemetry_path(instrument.name)
-        if self.sysfs.exists(path) and not self.sysfs.is_dir(path):
-            self.sysfs.remove(path)
-        # Prune directories the removal emptied (but keep the mount root).
-        parent = path.rsplit("/", 1)[0]
-        while parent != "/sys/telemetry" and not self.sysfs.listdir(parent):
-            self.sysfs.remove(parent)
-            parent = parent.rsplit("/", 1)[0]
 
     # -- CPA attachment and sysfs construction -------------------------------
 

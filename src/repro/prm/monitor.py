@@ -5,13 +5,20 @@ on the firmware to periodically read data from the two control planes."
 This is that tool: it samples chosen device-file-tree paths on a fixed
 period (each sample is a real ``cat``, i.e. a CPA register-protocol
 read) and accumulates per-probe time series that experiments and
-operators can inspect or export.
+operators can inspect or export. The figure drivers read every plotted
+statistic through it.
+
+:meth:`StatisticsMonitor.run` advances the machine itself, one period
+at a time, and samples between engine runs rather than from a posted
+event: a sample at time ``t`` then sees every event stamped ``t``,
+including a control-plane window that closes at ``t``, whatever order
+the two were posted in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.prm.sysfs import SysfsError
 from repro.sim.engine import PS_PER_MS
@@ -49,13 +56,12 @@ class StatisticsMonitor:
         self.period_ps = period_ps
         self.probes: dict[str, ProbeSeries] = {}
         self.read_errors = 0
-        self._running = False
 
     def add_probe(self, name: str, path: str) -> ProbeSeries:
         """Watch one statistics file (must exist and be readable)."""
         if name in self.probes:
             raise ValueError(f"probe {name!r} already exists")
-        self.firmware.cat(path)  # validates the path now, not at tick time
+        self.firmware.cat(path)  # validates the path now, not at sample time
         series = ProbeSeries(name, path)
         self.probes[name] = series
         return series
@@ -67,14 +73,17 @@ class StatisticsMonitor:
             )
         del self.probes[name]
 
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.engine.post(self.period_ps, self._tick)
+    def run(self, duration_ps: int) -> None:
+        """Advance the machine by ``duration_ps``, sampling every period.
 
-    def stop(self) -> None:
-        self._running = False
+        Runs the engine one period at a time and samples after each
+        full period; a remainder shorter than a period runs unsampled.
+        """
+        end_ps = self.engine.now + int(duration_ps)
+        while self.engine.now + self.period_ps <= end_ps:
+            self.engine.run_for(self.period_ps)
+            self.sample_now()
+        self.engine.run(until_ps=end_ps)
 
     def sample_now(self) -> None:
         """Take one immediate sample of every probe."""
@@ -83,18 +92,12 @@ class StatisticsMonitor:
             try:
                 value = _parse_number(self.firmware.cat(series.path))
             except (SysfsError, ValueError):
-                # The LDom may have been destroyed between ticks; the
+                # The LDom may have been destroyed between samples; the
                 # real tool would see ENOENT the same way.
                 self.read_errors += 1
                 continue
             series.times_ps.append(now)
             series.values.append(value)
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.sample_now()
-        self.engine.post(self.period_ps, self._tick)
 
     def report(self) -> str:
         """A plain-text summary of the latest value of every probe."""

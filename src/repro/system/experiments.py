@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.cache.control_plane import BASIS_POINTS
 from repro.dram.controller import MemoryController
 from repro.dram.control_plane import MemoryControlPlane
+from repro.prm.monitor import StatisticsMonitor
 from repro.prm.rules import partition_llc_action
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine, PS_PER_MS
@@ -261,19 +263,18 @@ def run_fig9(
         ),
     )
     firmware = server.firmware
-    timeline = MissRateTimeline(stream_start_ms=stream_delay_ms)
     mc_path = f"/sys/cpa/cpa0/ldoms/ldom{ds_id}"
-    steps = int(total_ms / sample_ms)
-    for _ in range(steps):
-        server.run_ms(sample_ms)
-        now_ms = server.engine.now / PS_PER_MS
-        miss_rate = int(firmware.cat(f"{mc_path}/statistics/miss_rate")) / 10_000
-        timeline.times_ms.append(now_ms)
-        timeline.miss_rates.append(miss_rate)
-        if timeline.trigger_time_ms is None and firmware.trigger_log:
-            timeline.trigger_time_ms = firmware.trigger_log[0][0] / PS_PER_MS
-    timeline.final_waymask = int(firmware.cat(f"{mc_path}/parameters/waymask"))
-    return timeline
+    monitor = StatisticsMonitor(firmware, period_ps=int(sample_ms * PS_PER_MS))
+    miss_rate = monitor.add_probe("miss_rate", f"{mc_path}/statistics/miss_rate")
+    monitor.run(int(total_ms * PS_PER_MS))
+    trigger_log = firmware.trigger_log
+    return MissRateTimeline(
+        times_ms=[t / PS_PER_MS for t in miss_rate.times_ps],
+        miss_rates=[v / BASIS_POINTS for v in miss_rate.values],
+        trigger_time_ms=trigger_log[0][0] / PS_PER_MS if trigger_log else None,
+        stream_start_ms=stream_delay_ms,
+        final_waymask=int(firmware.cat(f"{mc_path}/parameters/waymask")),
+    )
 
 
 @dataclass
@@ -313,35 +314,24 @@ def run_fig7(
         ("ldom_lbm", 1, Sequence([boot(), lbm(scale=workload_scale)])),
         ("ldom_flush", 2, Sequence([boot(), CacheFlush(flush_bytes=(8 << 20) // setup.scale)])),
     ]
-    timeline = VirtualizationTimeline()
-    for name, _core, _w in plan:
-        timeline.llc_occupancy_bytes[name] = []
-        timeline.memory_bandwidth_bytes[name] = []
+    events = []
     server.start()
+    monitor = StatisticsMonitor(firmware, period_ps=int(sample_ms * PS_PER_MS))
+    phase_ps = max(int(phase_ms * PS_PER_MS), monitor.period_ps)
     ldoms = {}
-    launched = 0
-
-    def sample() -> None:
-        timeline.times_ms.append(server.engine.now / PS_PER_MS)
-        for name, _core, _w in plan:
-            if name in ldoms:
-                ds_id = ldoms[name].ds_id
-                occupancy = server.llc_control.occupancy_bytes(ds_id)
-                bandwidth = server.memory_control.last_window_bandwidth_bytes(ds_id)
-            else:
-                occupancy, bandwidth = 0, 0
-            timeline.llc_occupancy_bytes[name].append(occupancy)
-            timeline.memory_bandwidth_bytes[name].append(bandwidth)
-
-    total_phases = len(plan) + 2  # one phase per launch + two steady phases
-    steps_per_phase = max(1, int(phase_ms / sample_ms))
-    for phase in range(total_phases):
+    for phase in range(len(plan) + 2):  # one phase per launch + two steady phases
         if phase < len(plan):
             name, core, workload = plan[phase]
-            ldoms[name] = firmware.create_ldom(name, (core,), setup.ldom_memory_bytes)
+            ldom = ldoms[name] = firmware.create_ldom(
+                name, (core,), setup.ldom_memory_bytes
+            )
+            for cpa, column in (("cpa0", "capacity"), ("cpa1", "bandwidth")):
+                monitor.add_probe(
+                    f"{name}.{column}",
+                    f"/sys/cpa/{cpa}/ldoms/ldom{ldom.ds_id}/statistics/{column}",
+                )
             firmware.launch_ldom(name, {core: workload})
-            launched += 1
-            timeline.events.append((server.engine.now / PS_PER_MS, f"launch {name}"))
+            events.append((server.engine.now / PS_PER_MS, f"launch {name}"))
         elif phase == len(plan) + 1:
             # The paper's manual rebalancing: half the LLC to LDom1.
             half = config.llc_ways // 2
@@ -356,13 +346,24 @@ def run_fig7(
                     f"echo {low_mask:#x} > /sys/cpa/cpa0/ldoms/"
                     f"ldom{ldoms[other].ds_id}/parameters/waymask"
                 )
-            timeline.events.append(
-                (server.engine.now / PS_PER_MS, "echo waymask repartition")
-            )
-        for _ in range(steps_per_phase):
-            server.run_ms(sample_ms)
-            sample()
-    return timeline
+            events.append((server.engine.now / PS_PER_MS, "echo waymask repartition"))
+        monitor.run(phase_ps)
+
+    times_ps = monitor.probes[f"{plan[0][0]}.capacity"].times_ps
+
+    def padded(probe: str) -> list[int]:
+        """A probe's series, zero for the samples before its LDom existed."""
+        values = monitor.probes[probe].values
+        return [0] * (len(times_ps) - len(values)) + values
+
+    return VirtualizationTimeline(
+        times_ms=[t / PS_PER_MS for t in times_ps],
+        llc_occupancy_bytes={name: padded(f"{name}.capacity") for name, _, _ in plan},
+        memory_bandwidth_bytes={
+            name: padded(f"{name}.bandwidth") for name, _, _ in plan
+        },
+        events=events,
+    )
 
 
 @dataclass
@@ -402,38 +403,38 @@ def run_fig10(
         firmware.launch_ldom(
             name, {index: DiskCopy(block_bytes=block_bytes, count=0)}
         )
-    timeline = DiskIsolationTimeline()
+    monitor = StatisticsMonitor(firmware, period_ps=int(sample_ms * PS_PER_MS))
     for name in names:
-        timeline.bandwidth_share[name] = []
-
-    previous_totals = {name: 0 for name in names}
-
-    def sample_phase(duration_ms: float) -> None:
-        steps = max(1, int(duration_ms / sample_ms))
-        for _ in range(steps):
-            server.run_ms(sample_ms)
-            timeline.times_ms.append(server.engine.now / PS_PER_MS)
-            deltas = {}
-            for name in names:
-                total = server.ide_control.statistics.get_default(
-                    ldoms[name].ds_id, "bytes_total", 0
-                )
-                deltas[name] = total - previous_totals[name]
-                previous_totals[name] = total
-            interval_total = sum(deltas.values()) or 1
-            for name in names:
-                timeline.bandwidth_share[name].append(deltas[name] / interval_total)
-
-    sample_phase(phase_ms)
+        monitor.add_probe(
+            name,
+            f"/sys/cpa/cpa2/ldoms/ldom{ldoms[name].ds_id}/statistics/bytes_total",
+        )
+    phase_ps = max(int(phase_ms * PS_PER_MS), monitor.period_ps)
+    monitor.run(phase_ps)
     firmware.sh(
         f"echo 80 > /sys/cpa/cpa2/ldoms/ldom{ldoms['ldom_a'].ds_id}/parameters/bandwidth"
     )
     firmware.sh(
         f"echo 20 > /sys/cpa/cpa2/ldoms/ldom{ldoms['ldom_b'].ds_id}/parameters/bandwidth"
     )
-    timeline.quota_change_ms = server.engine.now / PS_PER_MS
-    sample_phase(phase_ms)
-    return timeline
+    quota_change_ms = server.engine.now / PS_PER_MS
+    monitor.run(phase_ps)
+
+    # Bytes written in each sample interval, from the cumulative counter.
+    deltas = {}
+    for name in names:
+        totals = monitor.probes[name].values
+        deltas[name] = [now - before for before, now in zip([0] + totals, totals)]
+    shares = {name: [] for name in names}
+    for interval in zip(*deltas.values()):
+        interval_total = sum(interval) or 1
+        for name, delta in zip(names, interval):
+            shares[name].append(delta / interval_total)
+    return DiskIsolationTimeline(
+        times_ms=[t / PS_PER_MS for t in monitor.probes[names[0]].times_ps],
+        bandwidth_share=shares,
+        quota_change_ms=quota_change_ms,
+    )
 
 
 @dataclass

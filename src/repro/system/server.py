@@ -191,6 +191,3 @@ class PardServer:
         CPU-utilization metric: busy cores / total cores)."""
         busy = sum(1 for core in self.cores if core.is_busy)
         return busy / len(self.cores)
-
-    def llc_occupancy_bytes(self, ds_id: int) -> int:
-        return self.llc_control.occupancy_bytes(ds_id)

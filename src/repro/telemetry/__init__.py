@@ -17,7 +17,6 @@ from .spans import Span, SpanRecorder
 from .exporters import (
     chrome_trace_events,
     metrics_rows,
-    prometheus_text,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -36,7 +35,6 @@ __all__ = [
     "chrome_trace_events",
     "merge_registry_dumps",
     "metrics_rows",
-    "prometheus_text",
     "read_jsonl",
     "write_chrome_trace",
     "write_jsonl",

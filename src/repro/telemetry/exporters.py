@@ -1,6 +1,6 @@
-"""Exporters: JSONL time-series, Chrome trace-event spans, Prometheus text.
+"""Exporters: JSONL time-series and Chrome trace-event spans.
 
-Three machine-readable views of the same telemetry:
+Two machine-readable views of the same telemetry:
 
 * :func:`write_jsonl` / :func:`read_jsonl` -- generic newline-delimited
   JSON helpers, shared by metric snapshots and PRM probe-series export.
@@ -8,18 +8,13 @@ Three machine-readable views of the same telemetry:
   spans as Chrome trace-event "complete" (``ph: "X"``) records that load
   in Perfetto / ``chrome://tracing``. One process row per DS-id, one
   slice per hop segment, timestamps converted ps -> microseconds.
-* :func:`prometheus_text` -- the registry rendered in the Prometheus
-  exposition format (dots become underscores, histograms emit cumulative
-  ``_bucket{le="..."}`` series).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import IO, Iterable, Union
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span
 
 PathOrFile = Union[str, IO[str]]
@@ -142,38 +137,3 @@ def write_chrome_trace(spans: Iterable[Span], dest: PathOrFile) -> int:
     else:
         json.dump(doc, dest)
     return len(events)
-
-
-# -- Prometheus exposition format ------------------------------------------
-
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _prom_value(v: float) -> str:
-    if v == math.inf:
-        return "+Inf"
-    if v == -math.inf:
-        return "-Inf"
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus text exposition format."""
-    lines: list[str] = []
-    for inst in registry:
-        pname = _prom_name(inst.name)
-        if isinstance(inst, Counter):
-            lines.append(f"# TYPE {pname} counter")
-            lines.append(f"{pname} {inst.value()}")
-        elif isinstance(inst, Histogram):
-            lines.append(f"# TYPE {pname} histogram")
-            for le, cumulative in inst.buckets():
-                le_str = "+Inf" if le == math.inf else _prom_value(le)
-                lines.append(f'{pname}_bucket{{le="{le_str}"}} {cumulative}')
-            lines.append(f"{pname}_sum {_prom_value(inst.total)}")
-            lines.append(f"{pname}_count {inst.count}")
-        elif isinstance(inst, Gauge):
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_prom_value(inst.value())}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exporters import (
-    metrics_rows,
-    prometheus_text,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .exporters import metrics_rows, write_chrome_trace, write_jsonl
 from .registry import MetricsRegistry
 from .spans import SpanRecorder
 
@@ -127,9 +122,6 @@ class Telemetry:
     def export_chrome_trace(self, path: str) -> int:
         """Write finished spans as a Chrome trace; returns the event count."""
         return write_chrome_trace(self.spans.finished, path)
-
-    def prometheus_text(self) -> str:
-        return prometheus_text(self.registry)
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

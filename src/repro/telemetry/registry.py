@@ -5,13 +5,14 @@ this module generalizes that idea to the whole simulated machine. Every
 component registers typed instruments -- :class:`Counter`, :class:`Gauge`
 (direct or callback-backed) and :class:`Histogram` with fixed log-spaced
 buckets -- under hierarchical dotted names such as ``llc.ds1.misses`` or
-``dram.qdelay_cycles``. The registry is the single source the exporters
-(JSONL, Prometheus text) and the firmware's ``/sys/telemetry`` subtree
-read from, so operators, scripts and the PRM all observe the same values.
+``dram.qdelay_cycles``. The registry is what the JSONL snapshots and the
+sweep runner's merged dumps read. It is not mounted in the PRM's device
+file tree: PRM scripts read statistics through the CPA files under
+``/sys/cpa``, whose per-DS-id cells the firmware also registers here as
+callback gauges (``llc.ds1.misses``).
 
 Registration is get-or-create: asking twice for the same name returns the
-same instrument (a type mismatch raises). Hooks fire on registration and
-removal so the firmware can mirror the registry into sysfs live.
+same instrument (a type mismatch raises).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Instrument:
         raise NotImplementedError
 
     def render(self) -> str:
-        """Single-line text form (used by the sysfs read handlers)."""
+        """Single-line text form (used by ``repr``)."""
         return str(self.value())
 
     def __repr__(self) -> str:
@@ -201,8 +202,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Instrument] = {}
-        self._register_hooks: list[Callable[[Instrument], None]] = []
-        self._remove_hooks: list[Callable[[Instrument], None]] = []
 
     # -- registration -------------------------------------------------------
 
@@ -217,8 +216,6 @@ class MetricsRegistry:
             return instrument
         instrument = factory()
         self._instruments[name] = instrument
-        for hook in self._register_hooks:
-            hook(instrument)
         return instrument
 
     def counter(self, name: str) -> Counter:
@@ -246,23 +243,7 @@ class MetricsRegistry:
 
     def remove(self, name: str) -> bool:
         """Remove an instrument (e.g. when its LDom is destroyed)."""
-        instrument = self._instruments.pop(name, None)
-        if instrument is None:
-            return False
-        for hook in self._remove_hooks:
-            hook(instrument)
-        return True
-
-    # -- hooks (used by the firmware's /sys/telemetry mirror) ---------------
-
-    def on_register(self, hook: Callable[[Instrument], None]) -> None:
-        """Call ``hook`` for every existing and future instrument."""
-        self._register_hooks.append(hook)
-        for instrument in list(self._instruments.values()):
-            hook(instrument)
-
-    def on_remove(self, hook: Callable[[Instrument], None]) -> None:
-        self._remove_hooks.append(hook)
+        return self._instruments.pop(name, None) is not None
 
     # -- queries ------------------------------------------------------------
 

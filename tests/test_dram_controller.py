@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.address import AddressTranslationError
-from repro.dram.control_plane import MemoryControlPlane
+from repro.dram.control_plane import LATENCY_SCALE, MemoryControlPlane
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
@@ -190,7 +190,6 @@ class TestMemoryControlPlaneStats:
         control.roll_window()
         assert control.statistics.get(1, "bandwidth") == 4 * 64
         assert control.statistics.get(1, "serv_cnt") == 4
-        assert control.last_window_bandwidth_bytes(1) == 256
         # Next window with no traffic: bandwidth drops to zero.
         control.roll_window()
         assert control.statistics.get(1, "bandwidth") == 0
@@ -202,4 +201,4 @@ class TestMemoryControlPlaneStats:
         control.record_service(1, 64, queue_delay_cycles=2.7, total_cycles=20)
         control.roll_window()
         assert control.statistics.get(1, "avg_qlat") == 270
-        assert control.last_window_avg_qlat_cycles(1) == pytest.approx(2.7)
+        assert control.statistics.get(1, "avg_qlat") / LATENCY_SCALE == pytest.approx(2.7)

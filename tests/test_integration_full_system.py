@@ -52,10 +52,10 @@ class TestTaggedMemoryPath:
         )
         fw.launch_ldom("victim", {0: victim_workload})
         server.run_ms(1.0)
-        occupancy_before = server.llc_occupancy_bytes(victim.ds_id)
+        occupancy_before = server.llc_control.occupancy_bytes(victim.ds_id)
         fw.launch_ldom("flusher", {1: CacheFlush(flush_bytes=1 << 20)})
         server.run_ms(1.0)
-        occupancy_after = server.llc_occupancy_bytes(victim.ds_id)
+        occupancy_after = server.llc_control.occupancy_bytes(victim.ds_id)
         assert occupancy_after < occupancy_before
 
     def test_waymask_echo_protects_occupancy(self):
@@ -72,10 +72,10 @@ class TestTaggedMemoryPath:
         )
         fw.launch_ldom("victim", {0: victim_workload})
         server.run_ms(1.0)
-        occupancy_before = server.llc_occupancy_bytes(victim.ds_id)
+        occupancy_before = server.llc_control.occupancy_bytes(victim.ds_id)
         fw.launch_ldom("flusher", {1: CacheFlush(flush_bytes=1 << 20)})
         server.run_ms(1.0)
-        occupancy_after = server.llc_occupancy_bytes(victim.ds_id)
+        occupancy_after = server.llc_control.occupancy_bytes(victim.ds_id)
         assert occupancy_after >= occupancy_before * 0.9
 
 

@@ -46,8 +46,8 @@ class TestIdeController:
         write_blocks(engine, ide, 2, 4 << 20, count=50)
         engine.run(until_ps=PS_PER_S // 2)
         plane.roll_window()
-        bw1 = plane.last_window_bandwidth_bytes(1)
-        bw2 = plane.last_window_bandwidth_bytes(2)
+        bw1 = plane.statistics.get(1, "bandwidth")
+        bw2 = plane.statistics.get(2, "bandwidth")
         assert bw1 > 0 and bw2 > 0
         assert bw1 / bw2 == pytest.approx(1.0, rel=0.15)
 
@@ -60,8 +60,8 @@ class TestIdeController:
         write_blocks(engine, ide, 2, 4 << 20, count=100)
         engine.run(until_ps=PS_PER_S // 2)
         plane.roll_window()
-        bw1 = plane.last_window_bandwidth_bytes(1)
-        bw2 = plane.last_window_bandwidth_bytes(2)
+        bw1 = plane.statistics.get(1, "bandwidth")
+        bw2 = plane.statistics.get(2, "bandwidth")
         assert bw1 / bw2 == pytest.approx(4.0, rel=0.25)
 
     def test_explicit_quota_vs_default_share(self):

@@ -19,6 +19,16 @@ def make_monitored_server():
     return server, fw, ldom, monitor
 
 
+def test_capacity_is_live_between_windows():
+    """``capacity`` counts the bytes owned now, not at the last window."""
+    server, fw, ldom, _monitor = make_monitored_server()
+    server.run_ms(0.5)  # half way through the first 1 ms window
+    blocks = server.llc.occupancy_blocks(ldom.ds_id)
+    assert blocks > 0
+    path = f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
+    assert int(fw.cat(path)) == blocks * 64
+
+
 @pytest.mark.slow
 class TestStatisticsMonitor:
     def test_probe_validates_path_up_front(self):
@@ -31,9 +41,9 @@ class TestStatisticsMonitor:
         series = monitor.add_probe(
             "missrate", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/miss_rate"
         )
-        monitor.start()
-        server.run_ms(4.5)
-        assert len(series.values) == 4  # ticks at 1,2,3,4 ms
+        monitor.run(int(4.5 * PS_PER_MS))
+        assert len(series.values) == 4  # samples at 1,2,3,4 ms
+        assert server.engine.now == int(4.5 * PS_PER_MS)
         assert series.times_ps == [PS_PER_MS * i for i in (1, 2, 3, 4)]
 
     def test_values_track_hardware(self):
@@ -41,32 +51,19 @@ class TestStatisticsMonitor:
         series = monitor.add_probe(
             "capacity", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
         )
-        monitor.start()
-        server.run_ms(3.5)
+        monitor.run(int(3.5 * PS_PER_MS))
         assert series.latest() > 0
         assert series.latest() == server.llc_control.occupancy_bytes(ldom.ds_id)
-
-    def test_stop_halts_sampling(self):
-        server, fw, ldom, monitor = make_monitored_server()
-        series = monitor.add_probe(
-            "missrate", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/miss_rate"
-        )
-        monitor.start()
-        server.run_ms(2.5)
-        monitor.stop()
-        server.run_ms(3.0)
-        assert len(series.values) == 2
 
     def test_destroyed_ldom_counts_read_errors(self):
         server, fw, ldom, monitor = make_monitored_server()
         monitor.add_probe(
             "missrate", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/miss_rate"
         )
-        monitor.start()
-        server.run_ms(1.5)
+        monitor.run(int(1.5 * PS_PER_MS))
         ldom.stop()
         fw.destroy_ldom("a")
-        server.run_ms(2.0)
+        monitor.run(int(2.0 * PS_PER_MS))
         assert monitor.read_errors >= 1
 
     def test_duplicate_probe_rejected(self):
@@ -81,8 +78,7 @@ class TestStatisticsMonitor:
         series = monitor.add_probe(
             "capacity", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
         )
-        monitor.start()
-        server.run_ms(2.5)
+        monitor.run(int(2.5 * PS_PER_MS))
         report = monitor.report()
         assert "capacity" in report and "2 samples" in report
         rows = series.as_rows()
@@ -107,8 +103,7 @@ class TestStatisticsMonitor:
         server, fw, ldom, monitor = make_monitored_server()
         fw.sysfs.add_file("/log/frac", read_handler=lambda: "2.75")
         series = monitor.add_probe("frac", "/log/frac")
-        monitor.start()
-        server.run_ms(1.5)
+        monitor.run(int(1.5 * PS_PER_MS))
         assert series.values == [2.75]
         assert series.latest() == 2.75
 
@@ -118,8 +113,7 @@ class TestStatisticsMonitor:
         server, fw, ldom, monitor = make_monitored_server()
         path = f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
         series = monitor.add_probe("capacity", path)
-        monitor.start()
-        server.run_ms(2.5)
+        monitor.run(int(2.5 * PS_PER_MS))
         out = str(tmp_path / "probes.jsonl")
         assert monitor.export_jsonl(out) == len(series.values) == 2
         rows = read_jsonl(out)

@@ -10,7 +10,7 @@ the original loop implementation.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tests.helpers import FakeMemory
 from repro.cache.cache import Cache, CacheConfig
@@ -178,6 +178,15 @@ def assert_index_matches_scan(cache):
 @given(
     st.lists(INDEX_OP, min_size=1, max_size=80),
     st.tuples(WAYMASK, WAYMASK, WAYMASK),
+)
+# A flush while a fill is in flight into the flushed line's way: the
+# fill must clear the way's free bit again.
+@example(
+    ops=[
+        ("req", 1, 0, False), ("run", 500), ("req", 1, 2, False),
+        ("run", 500), ("run", 10000), ("flush", 1),
+    ],
+    masks=(0b0001, 0b0001, 0b0001),
 )
 def test_set_index_agrees_with_linear_scan(ops, masks):
     engine = Engine()

@@ -1,5 +1,7 @@
 """Property-based invariants of the DRAM substrate."""
 
+from functools import partial
+
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.control_plane import MemoryControlPlane
@@ -77,6 +79,56 @@ def test_fifo_order_within_priority_class(requests):
     # are appended at issue time, so their count is monotone; instead we
     # check the scheduler is empty and nothing was dropped.
     assert controller.scheduler.occupancy == 0
+
+
+ARRIVAL = st.tuples(
+    st.integers(min_value=1, max_value=2),   # ds_id (1 low, 2 high)
+    st.integers(min_value=0, max_value=40),  # arrival gap (cycles)
+    st.integers(min_value=0, max_value=3),   # row
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(ARRIVAL, min_size=1, max_size=60))
+def test_arbiter_dispatches_in_pifo_order(arrivals):
+    """Strict priority is a PIFO with rank (-priority, arrival order), as
+    in Programmable Packet Scheduling: on a single bank, every dispatch
+    takes the lowest-rank request waiting at that moment."""
+    engine = Engine()
+    clock = ClockDomain(engine, DRAM_CLOCK_PS)
+    control = MemoryControlPlane(engine)
+    control.allocate_ldom(1, priority=0)
+    control.allocate_ldom(2, priority=1)
+    geometry = DramGeometry(ranks=1, banks_per_rank=1)
+    controller = MemoryController(
+        engine, clock, geometry=geometry, control=control,
+        hp_row_buffer=False, enable_refresh=False,
+    )
+    waiting = {}  # packet id -> PIFO rank
+    dispatched = []
+    issue = controller._issue
+
+    def dispatch(request, issue_ps):
+        rank = waiting.pop(request.packet.packet_id)
+        assert all(rank < other for other in waiting.values())
+        dispatched.append(rank)
+        issue(request, issue_ps)
+
+    controller._issue = dispatch
+
+    def arrive(order, packet):
+        rank = (-control.priority(packet.ds_id), order)
+        waiting[packet.packet_id] = rank
+        controller.handle_request(packet, lambda _p: None)
+
+    time_ps = 0
+    for order, (ds_id, gap, row) in enumerate(arrivals):
+        time_ps += gap * DRAM_CLOCK_PS
+        packet = MemoryPacket(ds_id=ds_id, addr=row * geometry.row_bytes)
+        engine.post_at(time_ps, partial(arrive, order, packet))
+    engine.run()
+    assert not waiting
+    assert len(dispatched) == len(arrivals)
 
 
 @settings(max_examples=50, deadline=None)

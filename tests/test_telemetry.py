@@ -1,10 +1,9 @@
 """Tests for the unified telemetry layer.
 
-Covers the metrics registry (typed instruments, get-or-create, hooks),
+Covers the metrics registry (typed instruments, get-or-create),
 histogram bucket boundaries, span lifecycle under deterministic sampling,
-exporter round-trips (JSONL, Chrome trace, Prometheus text), the
-disabled-telemetry no-op paths, and the firmware's ``/sys/telemetry``
-mirror on a live machine.
+exporter round-trips (JSONL, Chrome trace), the disabled-telemetry no-op
+paths, and the firmware's per-LDom gauges on a live machine.
 """
 
 import io
@@ -26,7 +25,6 @@ from repro.telemetry import (
     chrome_trace_events,
     effective,
     metrics_rows,
-    prometheus_text,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -85,17 +83,11 @@ class TestRegistry:
         assert g.value() == 2
         assert len(reg) == 1
 
-    def test_hooks_replay_and_fire_on_remove(self):
+    def test_remove_reports_whether_present(self):
         reg = MetricsRegistry()
         reg.counter("before")
-        registered, removed = [], []
-        reg.on_register(lambda inst: registered.append(inst.name))
-        reg.on_remove(lambda inst: removed.append(inst.name))
-        assert registered == ["before"]  # existing instruments replayed
-        reg.counter("after")
-        assert registered == ["before", "after"]
         assert reg.remove("before")
-        assert removed == ["before"]
+        assert reg.get("before") is None
         assert not reg.remove("before")  # already gone
 
     def test_find_respects_hierarchy(self):
@@ -262,21 +254,6 @@ class TestExporters:
         assert len(doc["traceEvents"]) == n
         assert doc["displayTimeUnit"] == "ns"
 
-    def test_prometheus_text_all_kinds(self):
-        reg = MetricsRegistry()
-        reg.counter("prm.triggers-fired").add(2)
-        reg.gauge("llc.ds1.miss_rate").set(0.25)
-        h = reg.histogram("dram.qdelay", start=1.0, growth=2.0, count=2)
-        h.record(1.5)
-        text = prometheus_text(reg)
-        assert "# TYPE prm_triggers_fired counter" in text
-        assert "prm_triggers_fired 2" in text
-        assert "llc_ds1_miss_rate 0.25" in text
-        assert 'dram_qdelay_bucket{le="1.0"} 0' in text
-        assert 'dram_qdelay_bucket{le="2.0"} 1' in text
-        assert 'dram_qdelay_bucket{le="+Inf"} 1' in text
-        assert "dram_qdelay_count 1" in text
-
 
 class TestDisabledTelemetry:
     def test_effective_normalizes_disabled_to_none(self):
@@ -293,7 +270,6 @@ class TestDisabledTelemetry:
         assert server.cores[0].telemetry is None
         assert server.firmware.telemetry is None
         assert len(disabled.registry) == 0
-        assert not server.firmware.sysfs.exists("/sys/telemetry")
 
     def test_disabled_hub_records_nothing_during_a_run(self):
         disabled = Telemetry(enabled=False)
@@ -363,15 +339,6 @@ class TestLiveMachine:
         # Callback gauges read live component counters at snapshot time.
         assert hub.snapshots[-1]["metrics"]["cache.llc.misses"] > 0
 
-    def test_sysfs_mirror_serves_live_values(self, telemetered_server):
-        server, hub, ldom = telemetered_server
-        fw = server.firmware
-        listing = fw.ls("/sys/telemetry")
-        assert "export" in listing and "llc" in listing
-        misses = float(fw.cat(f"/sys/telemetry/llc/ds{ldom.ds_id}/misses"))
-        assert misses >= 0
-        assert "# TYPE" in fw.cat("/sys/telemetry/export")
-
     def test_ldom_metrics_removed_on_destroy(self, telemetered_server):
         server, hub, ldom = telemetered_server
         prefix = f"llc.ds{ldom.ds_id}"
@@ -379,4 +346,6 @@ class TestLiveMachine:
         server.firmware.destroy_ldom("ld0")
         assert not hub.registry.find(prefix)
         with pytest.raises(SysfsError):
-            server.firmware.cat(f"/sys/telemetry/llc/ds{ldom.ds_id}/misses")
+            server.firmware.cat(
+                f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/miss_cnt"
+            )
