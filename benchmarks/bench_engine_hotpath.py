@@ -23,11 +23,12 @@ ratio bound, to tolerate noisy shared runners)::
 The same pytest run also guards the real simulator's hot path without
 timing anything: it counts the Python calls (function and builtin calls,
 as ``sys.setprofile`` reports them) per dispatched event on a tiny Fig. 8
-trigger-mode point and fails above :data:`CALLS_PER_EVENT_BUDGET`. The
-count is deterministic for a given CPython minor version, so the guard
-runs only on CPython 3.11, the version the budget was measured on.
-``--calls-per-event`` prints the count (and, with ``--check``, enforces
-the budget)::
+trigger-mode point and on a small Fig. 11 controller run, and fails
+above :data:`CALLS_PER_EVENT_BUDGET` or :data:`FIG11_CALLS_PER_EVENT_BUDGET`.
+The counts are deterministic for a given CPython minor version, so the
+guard runs only on CPython 3.11, the version the budgets were measured
+on. ``--calls-per-event`` prints both counts (and, with ``--check``,
+enforces the budgets)::
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --calls-per-event --check
 """
@@ -161,9 +162,16 @@ def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict
 # A tiny Fig. 8 trigger-mode point: memcached beside three STREAM LDoms,
 # 0.05 ms warm-up (the trigger fires at its window) + 0.05 ms measured.
 CALLS_POINT = dict(mode="trigger", rps=444_000, span_ms=0.05, seed=1)
-# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (28.91;
-# 74.05 before the memory-hierarchy hot-path rewrite), plus 10%.
-CALLS_PER_EVENT_BUDGET = 31.8
+# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (23.31;
+# 74.05 before the memory-hierarchy hot-path rewrite, 28.58 before the
+# one-frame-per-hop pass), plus 10%.
+CALLS_PER_EVENT_BUDGET = 25.6
+# A small Fig. 11 run: the injector straight into both controller
+# configurations, no cores or caches.
+FIG11_CALLS_POINT = dict(inject_rate=0.75, num_requests=600, seed=1, jobs=1)
+# Calls per event on FIG11_CALLS_POINT, measured on CPython 3.11.7
+# (20.64; 29.29 before the one-frame-per-hop pass), plus 10%.
+FIG11_CALLS_PER_EVENT_BUDGET = 22.7
 CALLS_PYTHON = (3, 11)
 
 
@@ -184,26 +192,14 @@ def _engines_run():
         Engine.run = original
 
 
-def calls_per_event(point: dict = CALLS_POINT) -> dict:
-    """Run ``point`` under ``sys.setprofile``; count calls per event.
+def _count_calls(run_point) -> tuple[int, int, object]:
+    """Run ``run_point()`` under ``sys.setprofile``.
 
-    Counts every ``call`` and ``c_call`` profile event of the whole
-    point, set-up included, divided by the events its engine executed.
-    The point runs once unprofiled first, so imports and first-use
-    caches stay out of the count.
+    Returns ``(calls, events, result)``: every ``call`` and ``c_call``
+    profile event of the whole run, set-up included, and the events its
+    engines executed. The point runs once unprofiled first, so imports
+    and first-use caches stay out of the count.
     """
-    from repro.system.experiments import ColocationSetup, run_colocation_point
-
-    setup = ColocationSetup(
-        warmup_ms=point["span_ms"], control_window_ms=point["span_ms"]
-    )
-
-    def run_point():
-        return run_colocation_point(
-            point["mode"], point["rps"], setup=setup,
-            measure_ms=point["span_ms"], seed=point["seed"],
-        )
-
     run_point()
     calls = 0
 
@@ -219,6 +215,24 @@ def calls_per_event(point: dict = CALLS_POINT) -> dict:
         finally:
             sys.setprofile(None)
     events = sum(engine.executed_total for engine in engines.values())
+    return calls, events, result
+
+
+def calls_per_event(point: dict = CALLS_POINT) -> dict:
+    """Python calls per dispatched event on the Fig. 8 ``point``."""
+    from repro.system.experiments import ColocationSetup, run_colocation_point
+
+    setup = ColocationSetup(
+        warmup_ms=point["span_ms"], control_window_ms=point["span_ms"]
+    )
+
+    def run_point():
+        return run_colocation_point(
+            point["mode"], point["rps"], setup=setup,
+            measure_ms=point["span_ms"], seed=point["seed"],
+        )
+
+    calls, events, result = _count_calls(run_point)
     return {
         "benchmark": "calls_per_event",
         "point": point,
@@ -229,6 +243,29 @@ def calls_per_event(point: dict = CALLS_POINT) -> dict:
         "budget": CALLS_PER_EVENT_BUDGET,
         "trigger_fired": result.trigger_fired,
     }
+
+
+def fig11_calls_per_event(point: dict = FIG11_CALLS_POINT) -> dict:
+    """Python calls per dispatched event on the Fig. 11 ``point``."""
+    from repro.system.experiments import run_fig11
+
+    calls, events, _result = _count_calls(lambda: run_fig11(**point))
+    return {
+        "benchmark": "fig11_calls_per_event",
+        "point": point,
+        "python": platform.python_version(),
+        "calls": calls,
+        "events": events,
+        "calls_per_event": round(calls / events, 2),
+        "budget": FIG11_CALLS_PER_EVENT_BUDGET,
+    }
+
+
+def _on_budget_python() -> bool:
+    return (
+        sys.implementation.name == "cpython"
+        and sys.version_info[:2] == CALLS_PYTHON
+    )
 
 
 # -- pytest smoke mode (used by CI) ---------------------------------------
@@ -245,10 +282,7 @@ def test_engine_hotpath_smoke():
 
 
 def test_calls_per_event_within_budget():
-    if (
-        sys.implementation.name != "cpython"
-        or sys.version_info[:2] != CALLS_PYTHON
-    ):
+    if not _on_budget_python():
         pytest.skip("the call budget was measured on CPython 3.11")
     record = calls_per_event()
     print()
@@ -257,6 +291,18 @@ def test_calls_per_event_within_budget():
     assert record["calls_per_event"] <= CALLS_PER_EVENT_BUDGET, (
         f"{record['calls_per_event']} Python calls per event, budget "
         f"{CALLS_PER_EVENT_BUDGET}: a hot-path change added calls"
+    )
+
+
+def test_fig11_calls_per_event_within_budget():
+    if not _on_budget_python():
+        pytest.skip("the call budget was measured on CPython 3.11")
+    record = fig11_calls_per_event()
+    print()
+    print(json.dumps(record, indent=2))
+    assert record["calls_per_event"] <= FIG11_CALLS_PER_EVENT_BUDGET, (
+        f"{record['calls_per_event']} Python calls per event on Fig. 11, budget "
+        f"{FIG11_CALLS_PER_EVENT_BUDGET}: a controller-path change added calls"
     )
 
 
@@ -275,13 +321,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calls-per-event", action="store_true",
-        help="count Python calls per dispatched event on a tiny fig8 point",
+        help="count Python calls per dispatched event on a tiny fig8 point "
+        "and a small fig11 run",
     )
     args = parser.parse_args(argv)
     if args.calls_per_event:
-        record = calls_per_event()
-        print(json.dumps(record, indent=2))
-        if args.check and record["calls_per_event"] > CALLS_PER_EVENT_BUDGET:
+        failed = False
+        for record in (calls_per_event(), fig11_calls_per_event()):
+            print(json.dumps(record, indent=2))
+            failed |= record["calls_per_event"] > record["budget"]
+        if args.check and failed:
             print("FAIL: Python calls per event above the budget", file=sys.stderr)
             return 1
         return 0

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Optional
 
 from repro.cache.mshr import MshrFile, MshrFullError
-from repro.cache.replacement import WayMaskedPlru
+from repro.cache.replacement import WayMaskedPlru, plru_tables
 from repro.cache.writeback import WritebackBuffer
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
@@ -111,9 +111,12 @@ class Cache(Component):
     The per-access methods read ``engine._now`` and the geometry
     precomputed here instead of going through properties, and pass
     ``functools.partial`` callbacks instead of a closure per request;
-    see DESIGN.md "Memory-hierarchy hot path". Calls into other layers
-    (``downstream``, ``engine``, ``control``) stay attribute lookups on
-    the instance.
+    see DESIGN.md "Memory-hierarchy hot path". They apply PLRU touches
+    with the shared ``keep``/``point`` tables (``plru_tables``) rather
+    than :meth:`WayMaskedPlru.touch`: every way they touch comes from
+    the set's own index, free mask or ``victim()``, so it is in range by
+    construction. Calls into other layers (``downstream``, ``engine``,
+    ``control``) stay attribute lookups on the instance.
     """
 
     def __init__(
@@ -135,7 +138,9 @@ class Cache(Component):
         self._line_size = config.line_size
         self._num_sets = config.num_sets
         self._full_mask = (1 << config.ways) - 1
+        self._period_ps = clock.period_ps
         self._hit_latency_ps = config.hit_latency_cycles * clock.period_ps
+        self._plru_keep, self._plru_point, _leaves = plru_tables(config.ways)
         self._sets: dict[int, _Set] = {}
         self._reserved_slots: dict[tuple[int, int], int] = {}
         self.mshrs = MshrFile(config.mshr_entries)
@@ -179,10 +184,17 @@ class Cache(Component):
             cache_set = sets[set_index] = _Set(self.config.ways)
         key = (block // self._num_sets) << 16 | packet.ds_id
         if key not in cache_set.index:
-            self.handle_request(packet, on_response)
+            # handle_request and ClockDomain.post_cycles, inlined: look up
+            # one hit latency after the next clock edge.
+            now = self.engine._now
+            self.engine.post_at(
+                now + -now % self._period_ps + self._hit_latency_ps,
+                partial(self._lookup, packet, on_response),
+            )
             return None
         way = cache_set.index[key]
-        cache_set.plru.touch(way)
+        plru = cache_set.plru
+        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
         if packet.op is not _READ:
             cache_set.lines[way].dirty = True
         self.total_hits += 1
@@ -208,7 +220,8 @@ class Cache(Component):
         control = self.control
         if key in cache_set.index:
             way = cache_set.index[key]
-            cache_set.plru.touch(way)
+            plru = cache_set.plru
+            plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
             if packet.op is not _READ:
                 cache_set.lines[way].dirty = True
             self.total_hits += 1
@@ -285,7 +298,8 @@ class Cache(Component):
             victim.valid = False
         # Reserve the slot for this fill.
         victim.tag = -1
-        cache_set.plru.touch(way)
+        plru = cache_set.plru
+        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
         self._reserved_slots[(line_addr, ds_id)] = way
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
@@ -345,7 +359,8 @@ class Cache(Component):
         # A flush_dsid while the fill was in flight may have marked the
         # reserved way free again.
         cache_set.free &= ~(1 << way)
-        cache_set.plru.touch(way)
+        plru = cache_set.plru
+        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
         if control is not None:
             control.record_fill(ds_id)
 

@@ -10,7 +10,6 @@ instead of issuing a duplicate memory request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
@@ -18,13 +17,24 @@ class MshrFullError(RuntimeError):
     """All MSHRs are busy; the cache must stall the request."""
 
 
-@dataclass(slots=True)
 class MshrEntry:
-    line_addr: int
-    ds_id: int
-    issued_at_ps: int
-    is_write: bool = False
-    waiters: list[Callable[[], None]] = field(default_factory=list)
+    """One outstanding fill and the callbacks waiting on it."""
+
+    __slots__ = ("line_addr", "ds_id", "issued_at_ps", "is_write", "waiters")
+
+    def __init__(
+        self,
+        line_addr: int,
+        ds_id: int,
+        issued_at_ps: int,
+        is_write: bool = False,
+        waiters: Optional[list[Callable[[], None]]] = None,
+    ):
+        self.line_addr = line_addr
+        self.ds_id = ds_id
+        self.issued_at_ps = issued_at_ps
+        self.is_write = is_write
+        self.waiters = [] if waiters is None else waiters
 
     @property
     def key(self) -> tuple[int, int]:

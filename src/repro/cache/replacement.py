@@ -23,8 +23,10 @@ def mask_ways(mask: int, num_ways: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _plru_tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Per-way-count lookup tables, built once and shared by every tree.
+def plru_tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per-way-count lookup tables, built once and shared by every tree
+    (and by :class:`~repro.cache.cache.Cache`, which applies touches
+    itself on its per-access path).
 
     ``keep[way]`` and ``point[way]`` turn a touch into one expression,
     ``state & keep[way] | point[way]``: ``keep`` clears the bits of the
@@ -72,7 +74,7 @@ class WayMaskedPlru:
         self.num_ways = num_ways
         self.full_mask = (1 << num_ways) - 1
         self.state = 0
-        self._keep, self._point, self._leaves = _plru_tables(num_ways)
+        self._keep, self._point, self._leaves = plru_tables(num_ways)
 
     @property
     def bits(self) -> list[int]:

@@ -252,8 +252,10 @@ class CpuCore(Component):
         if _packet is not None and _packet.span is not None:
             self._finish_span(_packet, self.now)
         self._outstanding -= 1
-        if self._outstanding == 0:
-            self._resume()
+        # The last response of the batch resumes the core (_resume, inlined).
+        if self._outstanding == 0 and self.state is CoreState.WAITING_MEM:
+            self.state = CoreState.RUNNING
+            self._step()
 
     # -- I/O ops --------------------------------------------------------------------
 

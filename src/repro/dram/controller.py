@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.dram.bank import BankState
 from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
-from repro.dram.timing import DramGeometry, DramTiming, decompose_address
+from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
@@ -45,8 +45,9 @@ class MemoryController(Component):
 
     The per-request methods follow the same rules as the caches (see
     DESIGN.md "Memory-hierarchy hot path"): ``engine._now`` instead of
-    the ``now`` property, ``functools.partial`` callbacks, and calls into
-    the control plane and engine through instance attributes.
+    the ``now`` property, geometry and cycle time precomputed here,
+    ``functools.partial`` callbacks, and calls into the control plane
+    and engine through instance attributes.
     """
 
     def __init__(
@@ -91,8 +92,15 @@ class MemoryController(Component):
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
         self.scheduler = PriorityFrFcfsScheduler(priority_levels)
+        self._queues = self.scheduler.queues
+        self._top_priority = priority_levels - 1
         # The arbiter's scan order: highest priority first.
-        self._queues_by_rank = self.scheduler.queues[::-1]
+        self._queues_by_rank = self._queues[::-1]
+        # decompose_address's geometry and the cycle time, read per request.
+        self._row_bytes = self.geometry.row_bytes
+        self._total_banks = self.geometry.total_banks
+        self._cycle_ps = clock.period_ps
+        self._burst_ps = self.timing.t_burst * clock.period_ps
         self.banks = [
             BankState(i, hp_row_buffer=hp_row_buffer)
             for i in range(self.geometry.total_banks)
@@ -140,19 +148,27 @@ class MemoryController(Component):
         dram_addr = packet.addr
         if control is not None and self.translate_addresses:
             dram_addr = control.translate(ds_id, dram_addr)
-        bank_index, row, _column = decompose_address(dram_addr, self.geometry)
+        # repro.dram.timing.decompose_address, inlined.
+        if dram_addr < 0:
+            raise ValueError(f"negative DRAM address {dram_addr}")
+        row_number = dram_addr // self._row_bytes
+        total_banks = self._total_banks
         if control is None:
             priority = 0
         else:
             priority = control.priority(ds_id)
-            top = self.scheduler.priority_levels - 1
+            top = self._top_priority
             if priority < 0:
                 priority = 0
             elif priority > top:
                 priority = top
         now = self.engine._now
-        self.scheduler.enqueue(
-            PendingRequest(packet, bank_index, row, priority, now, on_response, ds_id)
+        # The priority is clamped, so the queue exists: append directly.
+        self._queues[priority].append(
+            PendingRequest(
+                packet, row_number % total_banks, row_number // total_banks,
+                priority, now, on_response, ds_id,
+            )
         )
         if packet.span is not None:
             packet.span.hop(f"{self.name}.enqueue", now)
@@ -209,11 +225,11 @@ class MemoryController(Component):
         )
         timing = self.timing
         latency_cycles = bank.access_latency_cycles(request.row, timing, high_priority)
-        cycle_ps = self.clock.period_ps
-        burst_ps = timing.t_burst * cycle_ps
+        cycle_ps = self._cycle_ps
+        burst_ps = self._burst_ps
         # The shared data bus serializes bursts; row preparation overlaps
         # with other banks' transfers.
-        data_start_ps = issue_ps + (latency_cycles - timing.t_burst) * cycle_ps
+        data_start_ps = issue_ps + latency_cycles * cycle_ps - burst_ps
         if data_start_ps < self.bus_free_at_ps:
             data_start_ps = self.bus_free_at_ps
         done_ps = bank.record_access(
@@ -241,7 +257,7 @@ class MemoryController(Component):
         if packet.span is not None:
             packet.span.hop(f"{self.name}.complete", done_ps)
         if self.control is not None:
-            total_cycles = (done_ps - request.enqueued_at_ps) / self.clock.period_ps
+            total_cycles = (done_ps - request.enqueued_at_ps) / self._cycle_ps
             self.control.record_service(
                 request.ds_id, packet.size, delay_cycles, total_cycles
             )

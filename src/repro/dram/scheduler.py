@@ -59,7 +59,6 @@ class PriorityFrFcfsScheduler:
         self.queues: list[deque[PendingRequest]] = [
             deque() for _ in range(priority_levels)
         ]
-        self.total_enqueued = 0
 
     @property
     def occupancy(self) -> int:
@@ -75,4 +74,3 @@ class PriorityFrFcfsScheduler:
                 f"[0, {self.priority_levels})"
             )
         self.queues[request.priority].append(request)
-        self.total_enqueued += 1

@@ -64,9 +64,8 @@ class Packet:
 
     ds_id: int = DEFAULT_DSID
     birth_ps: int = 0
-    # Drawn from the global counter by __post_init__ unless given, so it
-    # is an int after construction. (Drawing it there instead of in a
-    # default_factory saves one Python call per packet.)
+    # Drawn from the global counter by __post_init__ (MemoryPacket: by its
+    # __init__) unless given, so it is an int after construction.
     packet_id: Optional[int] = None
     # Optional telemetry span (repro.telemetry.Span). None for the vast
     # majority of packets; only a sampled fraction carries one, and every
@@ -80,7 +79,7 @@ class Packet:
             raise ValueError(f"DS-id {self.ds_id} outside 16-bit tag space")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MemoryPacket(Packet):
     """A cache/memory access request.
 
@@ -89,12 +88,38 @@ class MemoryPacket(Packet):
     addresses (PARD §4.2). ``owner_ds_id`` is only meaningful for
     writebacks, where the evicted block's owner -- not the requester that
     caused the eviction -- must be charged (PARD §4.1).
+
+    The constructor is written out rather than generated: it is the
+    generated one with :meth:`Packet.__post_init__` folded in, which
+    saves a call on every memory access.
     """
 
     addr: int = 0
     size: int = 64
     op: MemOp = MemOp.READ
     owner_ds_id: Optional[int] = None
+
+    def __init__(
+        self,
+        ds_id: int = DEFAULT_DSID,
+        birth_ps: int = 0,
+        packet_id: Optional[int] = None,
+        span: Optional[object] = None,
+        addr: int = 0,
+        size: int = 64,
+        op: MemOp = MemOp.READ,
+        owner_ds_id: Optional[int] = None,
+    ) -> None:
+        self.ds_id = ds_id
+        self.birth_ps = birth_ps
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.span = span
+        self.addr = addr
+        self.size = size
+        self.op = op
+        self.owner_ds_id = owner_ds_id
+        if not 0 <= ds_id <= MAX_DSID:
+            raise ValueError(f"DS-id {ds_id} outside 16-bit tag space")
 
     @property
     def is_write(self) -> bool:

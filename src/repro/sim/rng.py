@@ -29,6 +29,8 @@ class DeterministicRng:
         self.seed = int(seed)
         self.name = name
         self._random = random.Random(self.seed)
+        # Uniform float in [0, 1): the stream's own method, one frame.
+        self.random = self._random.random
 
     def child(self, name: str) -> "DeterministicRng":
         """A new independent stream keyed by this stream's seed and ``name``."""
@@ -40,8 +42,22 @@ class DeterministicRng:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in [low, high] inclusive.
+
+        Draws exactly what ``random.Random.randint`` draws (its
+        ``_randbelow`` rejection loop on ``getrandbits``), without the
+        three stdlib frames in between; ``tests/test_sim_rng_trace.py``
+        pins the two streams together.
+        """
+        n = high - low + 1
+        if n <= 0:
+            return self._random.randint(low, high)  # raises ValueError
+        getrandbits = self._random.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
 
     def choice(self, items):
         return self._random.choice(items)
@@ -50,7 +66,9 @@ class DeterministicRng:
         """Exponential variate; used for Poisson inter-arrival times."""
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
-        return self._random.expovariate(1.0 / mean)
+        # random.Random.expovariate(1.0 / mean), inlined: the same draw
+        # and the same float operations, so the same value.
+        return -math.log(1.0 - self.random()) / (1.0 / mean)
 
     def zipf_index(self, n: int, alpha: float = 0.99) -> int:
         """A Zipf-distributed index in [0, n), via inverse-CDF on the
@@ -72,6 +90,3 @@ class DeterministicRng:
 
     def shuffle(self, items: list) -> None:
         self._random.shuffle(items)
-
-    def random(self) -> float:
-        return self._random.random()

@@ -10,6 +10,7 @@ completed window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 
@@ -177,8 +178,7 @@ class LatencyRecorder:
             return result
         result = []
         for point in points:
-            covered = _count_le(ordered, point)
-            result.append((float(point), covered / n))
+            result.append((float(point), bisect_right(ordered, point) / n))
         return result
 
     def reset(self) -> None:
@@ -191,14 +191,3 @@ class LatencyRecorder:
     def __repr__(self) -> str:
         return f"LatencyRecorder({self.name}: n={self.count}, mean={self.mean:.2f})"
 
-
-def _count_le(ordered: list[float], point: float) -> int:
-    """Count of values <= point in an ascending list (binary search)."""
-    low, high = 0, len(ordered)
-    while low < high:
-        mid = (low + high) // 2
-        if ordered[mid] <= point:
-            low = mid + 1
-        else:
-            high = mid
-    return low

@@ -21,6 +21,7 @@ for the scale mapping to the paper's axes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from repro.cache.control_plane import BASIS_POINTS
@@ -464,6 +465,14 @@ class QueueingResult:
         )
 
 
+def _ignore_response(_packet) -> None:
+    """The Fig. 11 injector's response callback: nothing waits on it."""
+
+
+def _finish_injected_span(spans, packet) -> None:
+    spans.finish(packet.span)
+
+
 def _drive_controller(
     with_control_plane: bool,
     rate_req_per_cycle: Optional[float],
@@ -497,35 +506,35 @@ def _drive_controller(
     rng = DeterministicRng(seed, "fig11")
     addr_rng = rng.child("addr")
     arrival_rng = rng.child("arrival")
-    geometry = controller.geometry
-    hot_rows = [addr_rng.randint(0, 255) for _ in range(geometry.total_banks)]
+    total_banks = controller.geometry.total_banks
+    row_bytes = controller.geometry.row_bytes
+    hot_rows = [addr_rng.randint(0, 255) for _ in range(total_banks)]
+    if rate_req_per_cycle is not None:
+        mean_gap_ps = DRAM_CLOCK_PS / rate_req_per_cycle
+    finish_span = partial(_finish_injected_span, spans)
     time_ps = 0
     for i in range(num_requests):
-        bank = addr_rng.randint(0, geometry.total_banks - 1)
+        bank = addr_rng.randint(0, total_banks - 1)
         if addr_rng.random() < row_hit_fraction:
             row = hot_rows[bank]
         else:
             row = addr_rng.randint(0, 4095)
-        addr = (row * geometry.total_banks + bank) * geometry.row_bytes
+        addr = (row * total_banks + bank) * row_bytes
         ds_id = 2 if i % 2 else 1  # half high (2), half low (1)
         packet = MemoryPacket(ds_id=ds_id, addr=addr, birth_ps=time_ps)
+        done = _ignore_response
         if spans is not None:
             span = spans.maybe_start(ds_id, packet.packet_id)
             if span is not None:
                 span.hop("inject", time_ps)
                 packet.span = span
-        if packet.span is not None:
-            done = lambda _r, s=packet.span: spans.finish(s)
-        else:
-            done = lambda _r: None
+                done = finish_span
         if rate_req_per_cycle is None:
             controller.handle_request(packet, done)
         else:
-            mean_gap_ps = DRAM_CLOCK_PS / rate_req_per_cycle
             time_ps += max(1, int(arrival_rng.exponential(mean_gap_ps)))
             engine.post_at(
-                time_ps,
-                lambda p=packet, cb=done: controller.handle_request(p, cb),
+                time_ps, partial(controller.handle_request, packet, done)
             )
     engine.run()
     return controller

@@ -1,7 +1,9 @@
 """Unit tests for deterministic RNG streams."""
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import DeterministicRng
 
@@ -67,3 +69,70 @@ class TestDeterministicRng:
         rng = DeterministicRng(1)
         values = {rng.randint(0, 3) for _ in range(200)}
         assert values == {0, 1, 2, 3}
+
+
+# Range widths around every power of two up to 2**40: the rejection loop
+# in randint draws k = width.bit_length() bits, so 2**k - 1, 2**k and
+# 2**k + 1 cover the no-reject, exact and worst (≈50%) reject cases.
+WIDTHS = sorted({1, 2**40} | {
+    2**k + d for k in range(1, 41) for d in (-1, 0, 1)
+})
+_DRAWS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("randint"),
+            st.integers(min_value=-(2**40), max_value=2**40),
+            st.sampled_from(WIDTHS),
+        ),
+        st.tuples(
+            st.just("exponential"), st.floats(min_value=1e-3, max_value=1e9)
+        ),
+        st.tuples(st.just("random")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_same_stream(seed: int, draws) -> None:
+    ours, stdlib = DeterministicRng(seed), random.Random(seed)
+    for draw in draws:
+        if draw[0] == "randint":
+            _, low, width = draw
+            high = low + width - 1
+            assert ours.randint(low, high) == stdlib.randint(low, high)
+        elif draw[0] == "exponential":
+            mean = draw[1]
+            assert ours.exponential(mean) == stdlib.expovariate(1.0 / mean)
+        else:
+            assert ours.random() == stdlib.random()
+    assert ours._random.getstate() == stdlib.getstate()
+
+
+class TestStdlibStream:
+    """DeterministicRng's draws are the stdlib's, value for value.
+
+    Every pinned digest depends on these streams, so a CPython change to
+    ``randint``/``expovariate`` that the inlined draws do not follow
+    fails here rather than silently moving every figure.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), _DRAWS)
+    def test_interleaved_draws_match_stdlib(self, seed, draws):
+        _assert_same_stream(seed, draws)
+
+    def test_every_width_matches_stdlib(self):
+        for width in WIDTHS:
+            _assert_same_stream(width, [("randint", 3, width)] * 20 + [("random",)])
+
+    def test_randint_rejects_empty_range_like_stdlib(self):
+        with pytest.raises(ValueError):
+            DeterministicRng().randint(5, 4)
+        with pytest.raises(ValueError):
+            random.Random(42).randint(5, 4)
+
+    def test_exponential_rejects_zero_and_negative_mean(self):
+        for mean in (0, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                DeterministicRng().exponential(mean)
