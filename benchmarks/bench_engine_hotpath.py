@@ -162,10 +162,11 @@ def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict
 # A tiny Fig. 8 trigger-mode point: memcached beside three STREAM LDoms,
 # 0.05 ms warm-up (the trigger fires at its window) + 0.05 ms measured.
 CALLS_POINT = dict(mode="trigger", rps=444_000, span_ms=0.05, seed=1)
-# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (23.31;
+# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (18.81;
 # 74.05 before the memory-hierarchy hot-path rewrite, 28.58 before the
-# one-frame-per-hop pass), plus 10%.
-CALLS_PER_EVENT_BUDGET = 25.6
+# one-frame-per-hop pass, 23.31 before the one-frame-per-miss pass),
+# plus 10%.
+CALLS_PER_EVENT_BUDGET = 20.7
 # A small Fig. 11 run: the injector straight into both controller
 # configurations, no cores or caches.
 FIG11_CALLS_POINT = dict(inject_rate=0.75, num_requests=600, seed=1, jobs=1)

@@ -2,16 +2,18 @@
 
 - :mod:`repro.cache.replacement` -- tree pseudo-LRU with way-mask support
   (the "Way Partitioning Enabled Pseudo-LRU" of PARD Fig. 4)
-- :mod:`repro.cache.mshr` -- miss status holding registers
+- :mod:`repro.cache.mshr` -- miss status holding registers; an entry
+  also holds the way its fill reserved
 - :mod:`repro.cache.writeback` -- the writeback buffer (owner-DS-id tagged)
 - :mod:`repro.cache.cache` -- the cache model itself (used for both the
-  private L1s and the shared LLC)
+  private L1s and the shared LLC); a miss runs MSHR merge/allocate and
+  victim choice in one frame
 - :mod:`repro.cache.control_plane` -- the LLC control plane
 """
 
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
-from repro.cache.mshr import MshrFile, MshrFullError
+from repro.cache.mshr import MshrFile
 from repro.cache.replacement import WayMaskedPlru
 from repro.cache.writeback import WritebackBuffer
 
@@ -20,7 +22,6 @@ __all__ = [
     "CacheConfig",
     "LlcControlPlane",
     "MshrFile",
-    "MshrFullError",
     "WayMaskedPlru",
     "WritebackBuffer",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from repro.cache.mshr import MshrFile, MshrFullError
+from repro.cache.mshr import MshrEntry, MshrFile
 from repro.cache.replacement import WayMaskedPlru, plru_tables
 from repro.cache.writeback import WritebackBuffer
 from repro.sim.clock import ClockDomain
@@ -117,6 +117,9 @@ class Cache(Component):
     the set's own index, free mask or ``victim()``, so it is in range by
     construction. Calls into other layers (``downstream``, ``engine``,
     ``control``) stay attribute lookups on the instance.
+
+    A miss is one frame from lookup to downstream fill; the MSHR entry
+    carries the reserved way to :meth:`_on_fill`.
     """
 
     def __init__(
@@ -136,13 +139,14 @@ class Cache(Component):
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
         self._line_size = config.line_size
-        self._num_sets = config.num_sets
+        # Set index and tag are a mask and a shift: num_sets is a power of two.
+        self._set_mask = config.num_sets - 1
+        self._tag_shift = config.num_sets.bit_length() - 1
         self._full_mask = (1 << config.ways) - 1
         self._period_ps = clock.period_ps
         self._hit_latency_ps = config.hit_latency_cycles * clock.period_ps
         self._plru_keep, self._plru_point, _leaves = plru_tables(config.ways)
         self._sets: dict[int, _Set] = {}
-        self._reserved_slots: dict[tuple[int, int], int] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         self.writebacks = WritebackBuffer(config.writeback_entries)
         # Plain counters for caches without a control plane (the L1s).
@@ -176,13 +180,13 @@ class Cache(Component):
         identical to :meth:`handle_request`.
         """
         block = packet.addr // self._line_size
-        set_index = block % self._num_sets
+        set_index = block & self._set_mask
         sets = self._sets
         if set_index in sets:
             cache_set = sets[set_index]
         else:
             cache_set = sets[set_index] = _Set(self.config.ways)
-        key = (block // self._num_sets) << 16 | packet.ds_id
+        key = (block >> self._tag_shift) << 16 | packet.ds_id
         if key not in cache_set.index:
             # handle_request and ClockDomain.post_cycles, inlined: look up
             # one hit latency after the next clock edge.
@@ -208,8 +212,8 @@ class Cache(Component):
     def _lookup(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """The event-driven access, one hit latency after it arrived."""
         block = packet.addr // self._line_size
-        set_index = block % self._num_sets
-        tag = block // self._num_sets
+        set_index = block & self._set_mask
+        tag = block >> self._tag_shift
         sets = self._sets
         if set_index in sets:
             cache_set = sets[set_index]
@@ -238,47 +242,32 @@ class Cache(Component):
         if packet.span is not None:
             packet.span.hop(f"{self.name}.miss", now)
         line_addr = block * self._line_size
-        try:
-            _entry, is_primary = self.mshrs.allocate(
-                line_addr, ds_id, now, packet.op is not _READ,
-                partial(on_response, packet),
-            )
-        except MshrFullError:
+        mshr_key = (line_addr, ds_id)
+        mshrs = self.mshrs
+        entries = mshrs.entries
+        if mshr_key in entries:
+            # A secondary miss: merge into the in-flight fill.
+            entry = entries[mshr_key]
+            mshrs.secondary_misses += 1
+            if packet.op is not _READ:
+                entry.is_write = True
+            entry.waiters.append(partial(on_response, packet))
+            return
+        if len(entries) >= mshrs.num_entries:
             # Structural stall: retry the lookup after a short back-off.
             # Nothing was reserved, so the retry starts from scratch.
             self.clock.post_cycles(
                 self.config.retry_cycles, partial(self._lookup, packet, on_response)
             )
             return
-        if not is_primary:
-            return  # merged into an in-flight fill
-        self._evict_victim(cache_set, set_index, line_addr, ds_id)
-        fill = MemoryPacket(
-            ds_id=ds_id,
-            addr=line_addr,
-            size=self._line_size,
-            op=_READ,
-            birth_ps=now,
-            # The fill inherits the missing request's span, so the trail
-            # continues downstream (LLC, crossbar, DRAM).
-            span=packet.span,
-        )
-        fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
-        sync_latency = self.downstream.access(fill, fill_done)
-        if sync_latency is not None:
-            self.engine.post(sync_latency, fill_done)
-
-    def _evict_victim(self, cache_set: _Set, set_index: int, line_addr: int, ds_id: int) -> None:
-        """Select and evict the victim for an incoming fill.
-
-        The victim way is chosen under the requester's way mask (from the
-        control plane's parameter table): the lowest never-used way if the
-        mask has one, else the PLRU victim. The slot is reserved (tag -1) so
-        concurrent misses to the same set pick different ways. The
-        reservation key is the MSHR key ``(line_addr, ds_id)``, which is
-        unique because only primary misses reach this point.
-        """
-        control = self.control
+        entry = MshrEntry()
+        entry.is_write = packet.op is not _READ
+        entry.waiters = [partial(on_response, packet)]
+        entries[mshr_key] = entry
+        mshrs.primary_misses += 1
+        # The victim under the requester's way mask: its lowest free way,
+        # else the PLRU victim. Reserving it (tag -1, and in the entry)
+        # makes concurrent misses to the set pick different ways.
         mask = self._full_mask
         if control is not None:
             mask &= control.waymask(ds_id)
@@ -296,14 +285,27 @@ class Cache(Component):
             if victim.dirty:
                 self._write_back(set_index, victim)
             victim.valid = False
-        # Reserve the slot for this fill.
         victim.tag = -1
         plru = cache_set.plru
         plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
-        self._reserved_slots[(line_addr, ds_id)] = way
+        entry.way = way
+        fill = MemoryPacket(
+            ds_id=ds_id,
+            addr=line_addr,
+            size=self._line_size,
+            op=_READ,
+            birth_ps=now,
+            # The fill inherits the missing request's span, so the trail
+            # continues downstream (LLC, crossbar, DRAM).
+            span=packet.span,
+        )
+        fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
+        sync_latency = self.downstream.access(fill, fill_done)
+        if sync_latency is not None:
+            self.engine.post(sync_latency, fill_done)
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
-        line_addr = (victim.tag * self._num_sets + set_index) * self._line_size
+        line_addr = (victim.tag << self._tag_shift | set_index) * self._line_size
         now = self.engine._now
         entry = self.writebacks.push(line_addr, victim.ds_id, now)
         # Drain immediately; the memory controller queue is the real
@@ -322,24 +324,25 @@ class Cache(Component):
     def _on_fill(
         self, set_index: int, tag: int, line_addr: int, ds_id: int, _response=None
     ) -> None:
-        """Wake the MSHR waiters, then install the returned line.
-
-        The waiters run as the MSHR retires, before the install: a waiter
-        that touches the line again synchronously misses in
-        :meth:`access` and looks it up one hit latency later.
+        """Retire the MSHR entry and wake its waiters, then install the
+        line in the entry's way. A waiter that touches the line again
+        misses in :meth:`access` and looks it up one hit latency later.
         """
-        try:
-            way = self._reserved_slots.pop((line_addr, ds_id))
-        except KeyError:
+        entries = self.mshrs.entries
+        mshr_key = (line_addr, ds_id)
+        if mshr_key not in entries:
             # Unreachable: this callback is built only in _lookup, right
-            # after _evict_victim reserved this key, and the key is the
-            # MSHR key, so no second fill of it exists until this one has
-            # popped its reservation and retired its MSHR below.
+            # after it allocated this key's entry, and no second fill of
+            # the key exists until this one has retired the entry here.
             raise RuntimeError(
                 f"{self.name}: fill of line {line_addr:#x} for DS-id {ds_id} "
                 "has no reserved way"
-            ) from None
-        entry = self.mshrs.complete(line_addr, ds_id)
+            )
+        entry = entries[mshr_key]
+        del entries[mshr_key]
+        for waiter in entry.waiters:
+            waiter()
+        way = entry.way
         cache_set = self._sets[set_index]
         line = cache_set.lines[way]
         control = self.control

@@ -84,6 +84,7 @@ class CpuCore(Component):
                 f"cpu.{self.name}.memory_accesses", lambda: self.memory_accesses
             )
         self.tag = TagRegister(f"core{core_id}")
+        self._period_ps = clock.period_ps
         self.flush_threshold_ps = flush_threshold_cycles * clock.period_ps
         self.state = CoreState.IDLE
         self.busy_ps = 0
@@ -143,7 +144,7 @@ class CpuCore(Component):
                 return
             kind = op[0]
             if kind == "compute":
-                acc_ps += op[1] * self.clock.period_ps
+                acc_ps += op[1] * self._period_ps
                 if acc_ps >= self.flush_threshold_ps:
                     self.busy_ps += acc_ps
                     self.engine.post(acc_ps, self._step)
@@ -192,7 +193,11 @@ class CpuCore(Component):
             if packet.span is not None:
                 self._finish_span(packet, now + latency)
             return acc_ps + latency
-        self._begin_wait(acc_ps, outstanding=1)
+        # acc is carried, not consumed: it re-enters the accumulator when
+        # the wait ends, so it is charged to busy_ps exactly once.
+        self._carry_ps = acc_ps
+        self._outstanding = 1
+        self.state = CoreState.WAITING_MEM
         return None
 
     def _issue_batch(self, addrs, acc_ps: int) -> Optional[int]:
@@ -216,7 +221,9 @@ class CpuCore(Component):
                     max_sync = latency
         if pending == 0:
             return acc_ps + max_sync
-        self._begin_wait(acc_ps, outstanding=pending)
+        self._carry_ps = acc_ps  # carried, as in _issue_memory
+        self._outstanding = pending
+        self.state = CoreState.WAITING_MEM
         return None
 
     def _start_span(self, packet: MemoryPacket) -> None:
@@ -230,13 +237,6 @@ class CpuCore(Component):
         span.hop(f"{self.name}.response", at_ps)
         packet.span = None
         self.telemetry.spans.finish(span)
-
-    def _begin_wait(self, acc_ps: int, outstanding: int) -> None:
-        # acc is carried, not consumed: it re-enters the accumulator when
-        # the wait ends, so it is charged to busy_ps exactly once.
-        self._carry_ps = acc_ps
-        self._outstanding = outstanding
-        self.state = CoreState.WAITING_MEM
 
     def _finish(self) -> None:
         self.state = CoreState.DONE

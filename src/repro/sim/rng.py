@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from typing import Callable
 
 
 class DeterministicRng:
@@ -70,23 +71,41 @@ class DeterministicRng:
         # and the same float operations, so the same value.
         return -math.log(1.0 - self.random()) / (1.0 / mean)
 
-    def zipf_index(self, n: int, alpha: float = 0.99) -> int:
-        """A Zipf-distributed index in [0, n), via inverse-CDF on the
-        continuous approximation. Memcached key popularity is Zipfian.
+    def zipf_sampler(self, n: int, alpha: float = 0.99) -> Callable[[], int]:
+        """A draw function for Zipf-distributed indices in [0, n), via
+        inverse-CDF on the continuous approximation. Memcached key
+        popularity is Zipfian.
+
+        The constants are computed once here; a draw is one ``random()``
+        (none when ``n == 1``) through the same float operations as the
+        unhoisted closed form, so the value is bit-identical to it.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         if n == 1:
-            return 0
-        u = self._random.random()
-        if abs(alpha - 1.0) < 1e-9:
-            # Harmonic normalization ~ ln(n)
-            value = math.exp(u * math.log(n))
-        else:
-            one_minus = 1.0 - alpha
-            value = (u * (n**one_minus - 1.0) + 1.0) ** (1.0 / one_minus)
-        index = int(value) - 1
-        return min(max(index, 0), n - 1)
+            return lambda: 0
+        next_u = self.random
+        last = n - 1
+        # Harmonic normalization ~ ln(n) at alpha == 1.
+        harmonic = abs(alpha - 1.0) < 1e-9
+        log_n = math.log(n)
+        one_minus = 1.0 - alpha
+        scale = 0.0 if harmonic else n**one_minus - 1.0
+        exponent = 0.0 if harmonic else 1.0 / one_minus
+
+        def draw() -> int:
+            if harmonic:
+                index = int(math.exp(next_u() * log_n)) - 1
+            else:
+                index = int((next_u() * scale + 1.0) ** exponent) - 1
+            if index < 0:
+                return 0
+            return last if index > last else index
+
+        return draw
+
+    def zipf_index(self, n: int, alpha: float = 0.99) -> int:
+        return self.zipf_sampler(n, alpha)()
 
     def shuffle(self, items: list) -> None:
         self._random.shuffle(items)

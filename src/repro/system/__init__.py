@@ -6,9 +6,12 @@
   control planes and the PRM firmware into one PARD server
 - :mod:`repro.system.experiments` -- drivers that reproduce the paper's
   evaluation scenarios (Figs. 7-11)
+- :mod:`repro.system.invariants` -- :func:`check_invariants`, the
+  model-state checks tests run after a simulation
 """
 
 from repro.system.config import ServerConfig, TABLE2
+from repro.system.invariants import check_invariants
 from repro.system.server import PardServer
 
-__all__ = ["PardServer", "ServerConfig", "TABLE2"]
+__all__ = ["PardServer", "ServerConfig", "TABLE2", "check_invariants"]

@@ -113,8 +113,11 @@ class MemcachedServer(Workload):
     # -- server loop --------------------------------------------------------------
 
     def ops(self) -> Iterator[tuple]:
-        num_objects = self.working_set_bytes // (self.object_lines * LINE)
+        object_lines = self.object_lines
+        num_objects = self.working_set_bytes // (object_lines * LINE)
         batches = max(1, self.loads_per_request // self.mlp)
+        zipf = self.rng.zipf_sampler(num_objects, self.zipf_alpha)
+        randint = self.rng.randint
         while True:
             if not self.queue:
                 yield ("block",)
@@ -122,12 +125,11 @@ class MemcachedServer(Workload):
             arrived_at = self.queue.popleft()
             for _batch in range(batches):
                 yield ("compute", self.compute_cycles_per_batch)
-                obj = self.rng.zipf_index(num_objects, self.zipf_alpha)
-                base_line = obj * self.object_lines
-                batch = [
-                    (base_line + self.rng.randint(0, self.object_lines - 1)) * LINE
-                    for _ in range(self.mlp)
-                ]
+                base_line = zipf() * object_lines
+                # A plain loop, not a comprehension: no extra frame.
+                batch = [0] * self.mlp
+                for i in range(self.mlp):
+                    batch[i] = (base_line + randint(0, object_lines - 1)) * LINE
                 yield ("loads", batch)
             yield ("call", self._make_completion(arrived_at))
 

@@ -148,9 +148,16 @@ class TestMshrBehaviour:
         for i in range(3):
             pkt = MemoryPacket(ds_id=1, addr=0x1000 * (i + 1))
             cache.handle_request(pkt, lambda p: done.append(p.addr))
+        engine.run(until_ps=10_000)
+        # A full file stalls the other two misses: they retry and hold
+        # no MSHR entry until the first fill retires its entry.
+        assert list(cache.mshrs.entries) == [(0x1000, 1)]
+        assert cache.mshrs.primary_misses == 1
         engine.run()
         assert len(done) == 3
         assert len(memory.requests) == 3
+        assert cache.mshrs.primary_misses == 3
+        assert cache.mshrs.entries == {}
 
     def test_mshr_full_retry_reserves_no_way(self):
         """A stalled miss backs off without reserving a way; only a
@@ -164,11 +171,13 @@ class TestMshrBehaviour:
             cache.handle_request(pkt, lambda p: done.append(p.addr))
         engine.run(until_ps=20_000)  # both looked up; the second retries
         assert cache.mshrs.occupancy == 1
-        assert list(cache._reserved_slots) == [(0, 1)]
+        assert list(cache.mshrs.entries) == [(0, 1)]
+        reserved = [w for w, line in enumerate(cache._sets[0].lines) if line.tag == -1]
+        assert reserved == [cache.mshrs.entries[(0, 1)].way]
         assert len(memory.requests) == 1
         engine.run()
         assert sorted(done) == [0, set_stride]
-        assert cache._reserved_slots == {}
+        assert cache.mshrs.entries == {}
         assert cache.occupancy_blocks(1) == 2
 
     def test_fill_without_reservation_is_an_error(self):
@@ -177,6 +186,13 @@ class TestMshrBehaviour:
         engine, cache, memory = make_cache()
         with pytest.raises(RuntimeError, match="no reserved way"):
             cache._on_fill(0, 0, 0x40, 1)
+        # An entry for another DS-id of the same line does not count.
+        cache.handle_request(MemoryPacket(ds_id=2, addr=0x40), lambda p: None)
+        engine.run(until_ps=10_000)
+        assert list(cache.mshrs.entries) == [(0x40, 2)]
+        with pytest.raises(RuntimeError, match="no reserved way"):
+            cache._on_fill(1, 0, 0x40, 1)
+        assert list(cache.mshrs.entries) == [(0x40, 2)]
 
 
 class TestOccupancyAccounting:

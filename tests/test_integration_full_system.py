@@ -11,6 +11,7 @@ import pytest
 from repro.sim.engine import PS_PER_MS
 from repro.prm.rules import partition_llc_action
 from repro.system.config import TABLE2
+from repro.system import check_invariants
 from repro.system.server import PardServer
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
@@ -39,6 +40,7 @@ class TestTaggedMemoryPath:
         assert server.memory_control.mapping(a.ds_id).overlaps(
             server.memory_control.mapping(b.ds_id)
         ) is False
+        check_invariants(server)
 
     def test_cacheflush_steals_unpartitioned_llc(self):
         server = small_server()
@@ -57,6 +59,7 @@ class TestTaggedMemoryPath:
         server.run_ms(1.0)
         occupancy_after = server.llc_control.occupancy_bytes(victim.ds_id)
         assert occupancy_after < occupancy_before
+        check_invariants(server)
 
     def test_waymask_echo_protects_occupancy(self):
         server = small_server()
@@ -77,6 +80,7 @@ class TestTaggedMemoryPath:
         server.run_ms(1.0)
         occupancy_after = server.llc_control.occupancy_bytes(victim.ds_id)
         assert occupancy_after >= occupancy_before * 0.9
+        check_invariants(server)
 
 
 class TestTriggerEndToEnd:
@@ -104,6 +108,7 @@ class TestTriggerEndToEnd:
         assert mask == 0xFF00
         assert server.llc_control.interrupts_raised >= 1
         assert workload.requests_served > 0
+        check_invariants(server)
 
     def test_statistics_visible_through_sysfs(self):
         server = small_server()
@@ -117,6 +122,7 @@ class TestTriggerEndToEnd:
         assert int(fw.cat(f"{base}/capacity")) > 0
         mem_bw = int(fw.cat(f"/sys/cpa/cpa1/ldoms/ldom{ldom.ds_id}/statistics/bandwidth"))
         assert mem_bw > 0
+        check_invariants(server)
 
 
 class TestDiskPathEndToEnd:
@@ -135,6 +141,7 @@ class TestDiskPathEndToEnd:
         assert server.apic.dropped == 0
         # The DMA traffic hit DRAM under the LDom's DS-id.
         assert server.memory_control.statistics.get(ldom.ds_id, "serv_cnt") > 0
+        check_invariants(server)
 
     def test_disk_quota_shifts_throughput(self):
         server = small_server()
@@ -152,6 +159,7 @@ class TestDiskPathEndToEnd:
         bytes_a = server.ide_control.statistics.get(a.ds_id, "bytes_total")
         bytes_b = server.ide_control.statistics.get(b.ds_id, "bytes_total")
         assert bytes_a / bytes_b == pytest.approx(4.0, rel=0.3)
+        check_invariants(server)
 
 
 class TestSoloVsSharedUtilization:
@@ -174,3 +182,27 @@ class TestSoloVsSharedUtilization:
         shared_util = server.cpu_utilization()
         assert shared_util == pytest.approx(4 * solo_util)
         assert shared_util == 1.0
+        check_invariants(server)
+
+
+class TestRuntimeInvariants:
+    def drained_server(self):
+        """A finite flush with no statistics windows: the run drains."""
+        server = small_server()
+        server.firmware.create_ldom("a", (0,), 1 << 20)
+        server.firmware.launch_ldom("a", {0: CacheFlush(flush_bytes=64 << 10, passes=1)})
+        server.engine.run()
+        assert server.engine.pending_events == 0
+        return server
+
+    def test_drained_server_holds_every_invariant(self):
+        server = self.drained_server()
+        assert server.llc.mshrs.primary_misses > 0
+        check_invariants(server)
+
+    def test_corrupted_free_bit_raises(self):
+        server = self.drained_server()
+        cache_set = next(iter(server.llc._sets.values()))
+        cache_set.free ^= 1
+        with pytest.raises(RuntimeError, match="free mask"):
+            check_invariants(server)

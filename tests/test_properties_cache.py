@@ -215,7 +215,7 @@ def test_set_index_agrees_with_linear_scan(ops, masks):
     engine.run()
     assert_index_matches_scan(cache)
     assert len(completed) == issued
-    assert cache._reserved_slots == {}
+    assert cache.mshrs.entries == {}
     for ds_id in (1, 2, 3):
         assert control.occupancy_bytes(ds_id) == cache.occupancy_blocks(ds_id) * 64
 

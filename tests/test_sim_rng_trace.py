@@ -1,9 +1,10 @@
 """Unit tests for deterministic RNG streams."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.rng import DeterministicRng
 
@@ -136,3 +137,44 @@ class TestStdlibStream:
         for mean in (0, 0.0, -1.0):
             with pytest.raises(ValueError):
                 DeterministicRng().exponential(mean)
+
+
+def _zipf_closed_form(u: float, n: int, alpha: float) -> int:
+    """A Zipf index computed from ``u`` in full, with nothing hoisted."""
+    if abs(alpha - 1.0) < 1e-9:
+        value = math.exp(u * math.log(n))
+    else:
+        one_minus = 1.0 - alpha
+        value = (u * (n**one_minus - 1.0) + 1.0) ** (1.0 / one_minus)
+    return min(max(int(value) - 1, 0), n - 1)
+
+
+class TestZipfStream:
+    """``zipf_sampler`` hoists its constants without changing a draw.
+
+    Domains up to 2**60 matter: above 2**53 every float is an integer,
+    so a one-ulp change in a hoisted constant moves the index itself.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(st.just(1), st.integers(min_value=2, max_value=2**60)),
+        st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=2.5)),
+    )
+    # Here (1 - alpha) ** -1 != 1.0 / (1 - alpha).
+    @example(seed=0, n=2**60, alpha=0.664)
+    @example(seed=0, n=2**53, alpha=0.002)
+    def test_sampler_matches_closed_form(self, seed, n, alpha):
+        rng, twin = DeterministicRng(seed), random.Random(seed)
+        draw = rng.zipf_sampler(n, alpha)
+        for _ in range(20):
+            expected = 0 if n == 1 else _zipf_closed_form(twin.random(), n, alpha)
+            assert draw() == expected
+            # One random() per draw, none for a one-element domain.
+            assert rng._random.getstate() == twin.getstate()
+
+    def test_sampler_rejects_empty_domain(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                DeterministicRng().zipf_sampler(n)
