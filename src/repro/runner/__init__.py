@@ -2,7 +2,7 @@
 
 Expresses a grid as independent :class:`SweepPoint` jobs (a module-level
 function plus its keyword arguments), fans them out over a process pool,
-and merges results -- values, metric registries, spans, snapshots --
+and merges results -- values, labelled metric snapshots, spans --
 deterministically by point index, so ``--jobs N`` output is
 byte-identical to serial. The paper's grids are built in
 :mod:`repro.runner.builders`. See DESIGN.md ("Parallel sweep execution").
@@ -13,7 +13,6 @@ from .sweep import (
     SweepError,
     SweepPoint,
     SweepResult,
-    TelemetryConfig,
     default_jobs,
     run_sweep,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "SweepError",
     "SweepPoint",
     "SweepResult",
-    "TelemetryConfig",
     "default_jobs",
     "run_sweep",
 ]

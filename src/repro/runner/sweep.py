@@ -10,8 +10,11 @@ That makes a sweep embarrassingly parallel, provided two contracts hold:
    completion order, so a sweep's output is byte-identical between
    ``jobs=1`` (the exact serial fallback: no pool, points executed
    in index order in the calling process) and any ``jobs=N``. Worker
-   telemetry is shipped back as a picklable payload and merged into the
-   parent hub in index order too (see ``Telemetry.merge_payload``).
+   telemetry is shipped back as a picklable payload -- the point's
+   labelled snapshots and its spans -- and merged into the parent hub in
+   index order too (see ``Telemetry.merge_payload``). The parent's
+   registry stays empty: a point's values live only under its own run
+   label, so no merged metric can mix points.
 
 2. **Robustness.** A point that raises is captured with its traceback;
    a worker crash marks the affected points failed; surviving points
@@ -36,30 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.telemetry import Telemetry
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Picklable recipe for building one worker-local Telemetry hub."""
-
-    span_sample: int = 100
-    span_capacity: int = 10_000
-    snapshot_period_ms: float = 1.0
-
-    @classmethod
-    def from_hub(cls, hub: Telemetry) -> "TelemetryConfig":
-        return cls(
-            span_sample=hub.spans.sample_every,
-            span_capacity=hub.spans.capacity,
-            snapshot_period_ms=hub.snapshot_period_ms,
-        )
-
-    def build(self) -> Telemetry:
-        return Telemetry(
-            span_sample=self.span_sample,
-            span_capacity=self.span_capacity,
-            snapshot_period_ms=self.snapshot_period_ms,
-        )
 
 
 @dataclass(frozen=True)
@@ -149,9 +128,9 @@ class SweepResult:
 
 
 def _execute_point(
-    index: int, point: SweepPoint, tconf: Optional[TelemetryConfig]
+    index: int, point: SweepPoint, template: Optional[Telemetry]
 ) -> PointResult:
-    """Run one point with a fresh telemetry hub; never raises."""
+    """Run one point with a fresh copy of ``template``; never raises."""
     from repro.sim.packet import reset_packet_ids
 
     # Packet ids are embedded in span payloads; restarting the counter
@@ -161,7 +140,7 @@ def _execute_point(
     started = time.perf_counter()
     label = point.display_label(index)
     try:
-        telemetry = tconf.build() if tconf is not None else None
+        telemetry = template.fresh() if template is not None else None
         if telemetry is not None:
             telemetry.begin_run(label)
         value = point.fn(**point.kwargs, telemetry=telemetry)
@@ -186,9 +165,9 @@ def _execute_point(
 
 
 def _execute_chunk(
-    chunk: Sequence[tuple[int, SweepPoint]], tconf: Optional[TelemetryConfig]
+    chunk: Sequence[tuple[int, SweepPoint]], template: Optional[Telemetry]
 ) -> list[PointResult]:
-    return [_execute_point(index, point, tconf) for index, point in chunk]
+    return [_execute_point(index, point, template) for index, point in chunk]
 
 
 # -- the runner --------------------------------------------------------------
@@ -220,7 +199,7 @@ def run_sweep(
         return SweepResult(points=[], jobs=jobs)
 
     hub = telemetry if (telemetry is not None and telemetry.enabled) else None
-    tconf = TelemetryConfig.from_hub(hub) if hub is not None else None
+    template = hub.fresh() if hub is not None else None
     started = time.perf_counter()
 
     def note(pr: PointResult) -> None:
@@ -232,9 +211,9 @@ def run_sweep(
             )
 
     if jobs == 1:
-        collected = (_execute_point(i, p, tconf) for i, p in indexed)
+        collected = (_execute_point(i, p, template) for i, p in indexed)
     else:
-        collected = _pool_pass(indexed, jobs, tconf)
+        collected = _pool_pass(indexed, jobs, template)
     results: list[PointResult] = []
     for pr in collected:
         results.append(pr)
@@ -242,7 +221,7 @@ def run_sweep(
 
     for index, pr in enumerate(results):
         if not pr.ok:
-            retry = _execute_point(index, points[index], tconf)
+            retry = _execute_point(index, points[index], template)
             retry.retried = True
             retry.attempts = pr.attempts + 1
             if not retry.ok:
@@ -266,7 +245,7 @@ def run_sweep(
 def _pool_pass(
     indexed: list[tuple[int, SweepPoint]],
     jobs: int,
-    tconf: Optional[TelemetryConfig],
+    template: Optional[Telemetry],
 ):
     """Fan chunks out over a process pool; yield one result per point.
 
@@ -284,7 +263,7 @@ def _pool_pass(
     executor = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
     try:
         futures = [
-            executor.submit(_execute_chunk, chunk, tconf) for chunk in chunks
+            executor.submit(_execute_chunk, chunk, template) for chunk in chunks
         ]
         for chunk, future in zip(chunks, futures):
             try:

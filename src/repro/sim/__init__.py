@@ -7,7 +7,7 @@ reproduction is built on:
 - :mod:`repro.sim.clock` -- clock domains (CPU at 2 GHz, DDR3-1600 at 800 MHz)
 - :mod:`repro.sim.component` -- base class and port plumbing for hardware models
 - :mod:`repro.sim.packet` -- tagged intra-computer-network (ICN) packets
-- :mod:`repro.sim.stats` -- counters, windowed rates and latency recorders
+- :mod:`repro.sim.stats` -- windowed rates and latency recorders
 - :mod:`repro.sim.rng` -- deterministic random streams
 """
 
@@ -23,12 +23,11 @@ from repro.sim.packet import (
     Packet,
 )
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, LatencyRecorder, WindowedRate
+from repro.sim.stats import LatencyRecorder, WindowedRate
 
 __all__ = [
     "ClockDomain",
     "Component",
-    "Counter",
     "CPU_CLOCK_PS",
     "DRAM_CLOCK_PS",
     "DEFAULT_DSID",

@@ -2,9 +2,10 @@
 
 Control-plane statistics tables (PARD Fig. 2) store per-DS-id usage
 information such as hit/miss counts, bandwidth and average queueing
-latency. Triggers compare *rates* over recent history, so alongside plain
-counters we provide windowed counters that expose a value over the last
-completed window.
+latency. Triggers compare *rates* over recent history, so this module
+provides windowed counters that expose a value over the last completed
+window, and latency recorders. Plain counters are
+:class:`repro.telemetry.Counter`.
 """
 
 from __future__ import annotations
@@ -12,25 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from typing import Iterable, Optional
-
-
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter"):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class WindowedRate:

@@ -11,7 +11,6 @@ from .registry import (
     Histogram,
     Instrument,
     MetricsRegistry,
-    merge_registry_dumps,
 )
 from .spans import Span, SpanRecorder
 from .exporters import (
@@ -33,7 +32,6 @@ __all__ = [
     "SpanRecorder",
     "Telemetry",
     "chrome_trace_events",
-    "merge_registry_dumps",
     "metrics_rows",
     "read_jsonl",
     "write_chrome_trace",

@@ -82,15 +82,27 @@ class Telemetry:
 
     # -- sweep worker transport ---------------------------------------------
 
-    def dump_payload(self) -> dict:
-        """The hub's full picklable state, for shipping out of a worker.
+    def fresh(self) -> "Telemetry":
+        """An empty hub with this hub's sampling and snapshot settings.
 
-        Contains the registry dump (callback gauges frozen to values),
-        every snapshot taken so far, and the span recorder's finished
-        spans + sampling counters.
+        It holds no callbacks yet, so it pickles: the sweep runner sends
+        it to the workers and builds one copy per point.
+        """
+        return Telemetry(
+            span_sample=self.spans.sample_every,
+            span_capacity=self.spans.capacity,
+            snapshot_period_ms=self.snapshot_period_ms,
+        )
+
+    def dump_payload(self) -> dict:
+        """The hub's picklable record, for shipping out of a worker.
+
+        Contains every labelled snapshot taken so far and the span
+        recorder's finished spans + sampling counters. The registry
+        stays behind: each point's values already live in its own
+        snapshots, and a merged registry could only mix the points.
         """
         return {
-            "registry": self.registry.dump(),
             "snapshots": list(self.snapshots),
             "spans": self.spans.dump(),
         }
@@ -98,22 +110,19 @@ class Telemetry:
     def merge_payload(self, payload: dict) -> None:
         """Merge one worker hub's :meth:`dump_payload` into this hub.
 
-        Callers MUST merge payloads in ascending sweep-point index
-        order -- that order is what makes gauge last-write-wins, span id
+        Snapshots are concatenated and spans absorbed; this hub's
+        registry is untouched. Callers MUST merge payloads in ascending
+        sweep-point index order -- that order is what makes span id
         rebasing and snapshot concatenation deterministic regardless of
         how many workers ran the sweep. Span packet ids are rebased so
         each merged point keeps a disjoint id range.
         """
-        self.registry.merge_dump(payload["registry"])
         self.snapshots.extend(payload["snapshots"])
         self._span_id_base = self.spans.absorb(
             payload["spans"], id_offset=self._span_id_base
         )
 
     # -- exports -------------------------------------------------------------
-
-    def final_snapshot(self, engine=None) -> dict:
-        return self.snapshot(engine.now if engine is not None else 0)
 
     def export_metrics_jsonl(self, path: str) -> int:
         """Write all snapshots as flat JSONL rows; returns the row count."""

@@ -2,14 +2,15 @@
 
 PARD's control planes already keep per-DS-id *statistics tables* (Fig. 2);
 this module generalizes that idea to the whole simulated machine. Every
-component registers typed instruments -- :class:`Counter`, :class:`Gauge`
-(direct or callback-backed) and :class:`Histogram` with fixed log-spaced
-buckets -- under hierarchical dotted names such as ``llc.ds1.misses`` or
-``dram.qdelay_cycles``. The registry is what the JSONL snapshots and the
-sweep runner's merged dumps read. It is not mounted in the PRM's device
-file tree: PRM scripts read statistics through the CPA files under
-``/sys/cpa``, whose per-DS-id cells the firmware also registers here as
-callback gauges (``llc.ds1.misses``).
+component registers typed instruments -- :class:`Counter`, callback
+:class:`Gauge` and :class:`Histogram` with fixed log-spaced buckets --
+under hierarchical dotted names such as ``llc.ds1.misses`` or
+``dram.qdelay_cycles``. The registry is what the JSONL snapshots read;
+a sweep ships those labelled snapshots, never the registry itself, so
+each point's values stay under its own run label. It is not mounted in
+the PRM's device file tree: PRM scripts read statistics through the CPA
+files under ``/sys/cpa``, whose per-DS-id cells the firmware also
+registers here as callback gauges (``llc.ds1.misses``).
 
 Registration is get-or-create: asking twice for the same name returns the
 same instrument (a type mismatch raises).
@@ -72,7 +73,7 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """A point-in-time value, set directly or read through a callback.
+    """A point-in-time value read through a callback.
 
     Callback gauges are the near-zero-cost bridge to counters components
     already maintain (``cache.total_hits``, ``engine.executed_total``):
@@ -80,22 +81,14 @@ class Gauge(Instrument):
     """
 
     kind = "gauge"
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         super().__init__(name)
-        self._value = 0.0
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"{self.name} is callback-backed and cannot be set")
-        self._value = value
-
     def value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self._value
+        return self._fn()
 
 
 class Histogram(Instrument):
@@ -221,9 +214,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), Gauge)
-
     def gauge_fn(self, name: str, fn: Callable[[], float]) -> Gauge:
         """A callback-backed gauge (re-binding an existing name re-points it)."""
         instrument = self._instruments.get(name)
@@ -232,7 +222,7 @@ class MetricsRegistry:
                 raise TypeError(f"{name} already registered as {instrument.kind}")
             instrument._fn = fn
             return instrument
-        return self._get_or_create(name, lambda: Gauge(name, fn=fn), Gauge)
+        return self._get_or_create(name, lambda: Gauge(name, fn), Gauge)
 
     def histogram(
         self, name: str, start: float = 1.0, growth: float = 2.0, count: int = 24
@@ -266,92 +256,9 @@ class MetricsRegistry:
         """Current value of every instrument, by name."""
         return {name: inst.value() for name, inst in sorted(self._instruments.items())}
 
-    # -- serialization & merge (the sweep runner's transport) ---------------
-
-    def dump(self) -> dict[str, dict]:
-        """Full picklable state of every instrument, by name.
-
-        Callback gauges are evaluated at dump time and become plain
-        values: a dump is a frozen observation, not a live view.
-        """
-        out: dict[str, dict] = {}
-        for name in sorted(self._instruments):
-            inst = self._instruments[name]
-            if isinstance(inst, Counter):
-                out[name] = {"kind": "counter", "value": inst.value()}
-            elif isinstance(inst, Histogram):
-                out[name] = {
-                    "kind": "histogram",
-                    "bounds": list(inst.bounds),
-                    "counts": list(inst.counts),
-                    "count": inst.count,
-                    "sum": inst.total,
-                    "min": inst.min,
-                    "max": inst.max,
-                }
-            elif isinstance(inst, Gauge):
-                out[name] = {"kind": "gauge", "value": inst.value()}
-        return out
-
-    def merge_dump(self, dump: dict[str, dict]) -> None:
-        """Merge one :meth:`dump` into this registry.
-
-        Merge semantics per kind: counters **sum**, gauges **last write
-        wins** (so merging worker dumps in ascending point-index order
-        keeps the highest-index point's value), histogram buckets and
-        count/sum **add** (min/max combine); bucket bounds must match.
-        Merging a gauge onto a callback-backed gauge of the same name
-        raises -- a live view cannot absorb a frozen one.
-        """
-        for name in sorted(dump):
-            state = dump[name]
-            kind = state["kind"]
-            if kind == "counter":
-                self.counter(name).add(state["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(state["value"])
-            elif kind == "histogram":
-                histogram = self._get_or_create(
-                    name, lambda: _empty_histogram(name, state["bounds"]), Histogram
-                )
-                if list(histogram.bounds) != list(state["bounds"]):
-                    raise ValueError(
-                        f"{name}: histogram bucket bounds differ between "
-                        f"merged registries"
-                    )
-                for i, c in enumerate(state["counts"]):
-                    histogram.counts[i] += c
-                histogram._count += state["count"]
-                histogram._sum += state["sum"]
-                if state["count"]:
-                    histogram._min = min(histogram._min, state["min"])
-                    histogram._max = max(histogram._max, state["max"])
-            else:
-                raise ValueError(f"{name}: unknown instrument kind {kind!r}")
-
     def __len__(self) -> int:
         return len(self._instruments)
 
     def __iter__(self) -> Iterable[Instrument]:
         return iter([self._instruments[k] for k in sorted(self._instruments)])
 
-
-def _empty_histogram(name: str, bounds: list[float]) -> Histogram:
-    """A zeroed histogram with explicit (already-computed) bucket bounds."""
-    histogram = Histogram(name)
-    histogram.bounds = list(bounds)
-    histogram.counts = [0] * (len(bounds) + 1)
-    return histogram
-
-
-def merge_registry_dumps(dumps: Iterable[dict]) -> MetricsRegistry:
-    """Fold an ordered sequence of registry dumps into one fresh registry.
-
-    The order is the determinism contract: callers pass dumps in point
-    *index* order so gauge last-write-wins resolves identically no
-    matter how the sweep was scheduled.
-    """
-    registry = MetricsRegistry()
-    for dump in dumps:
-        registry.merge_dump(dump)
-    return registry

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import read_jsonl
 
 
 class TestParser:
@@ -46,3 +49,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "final waymask" in out
         assert "trigger" in out
+
+    def test_fig11_exports_identical_for_any_jobs(self, tmp_path, capsys):
+        outputs = {}
+        for jobs in (1, 2):
+            metrics = tmp_path / f"m{jobs}.jsonl"
+            trace = tmp_path / f"t{jobs}.json"
+            assert main([
+                "fig11", "--requests", "600", "--jobs", str(jobs),
+                "--metrics-out", str(metrics), "--trace-out", str(trace),
+            ]) == 0
+            outputs[jobs] = (
+                metrics.read_bytes(), trace.read_bytes(), capsys.readouterr().out,
+            )
+        assert outputs[1] == outputs[2]
+        rows = read_jsonl(str(tmp_path / "m1.jsonl"))
+        assert {row["run"] for row in rows} == {"fig11-baseline", "fig11-pard"}
+        trace = json.loads(outputs[1][1])
+        assert any(event.get("ph") == "X" for event in trace["traceEvents"])

@@ -45,6 +45,7 @@ from repro.system.experiments import (
     run_fig10,
     run_fig11,
 )
+from repro.system import check_invariants
 from repro.system.server import PardServer
 from repro.telemetry import Telemetry
 from repro.workloads.memcached import MemcachedServer
@@ -89,6 +90,7 @@ def run_colocation(kind: str, seed: int = 7) -> str:
         fw.create_ldom(f"st{i}", (i,), 1 << 20)
         fw.launch_ldom(f"st{i}", {i: Stream(array_bytes=128 << 10)})
     server.run_ms(1.0)
+    check_invariants(server)
 
     return digest((
         server.engine.now,
@@ -113,7 +115,11 @@ def run_colocation(kind: str, seed: int = 7) -> str:
 
 
 def fig8_digest(jobs: int, modes, loads, measure_ms: float) -> str:
-    """Digest of a fig8 grid's results plus its merged telemetry."""
+    """Digest of a fig8 grid's results plus its merged telemetry.
+
+    The merged telemetry is the spans and the labelled snapshots; each
+    point's final values are pinned through its own last snapshot.
+    """
     hub = Telemetry(span_sample=1, snapshot_period_ms=0.25)
     results = run_fig8(
         loads_rps=list(loads), modes=modes, setup=TINY,
@@ -121,7 +127,6 @@ def fig8_digest(jobs: int, modes, loads, measure_ms: float) -> str:
     )
     return digest((
         repr(results),
-        repr(hub.registry.dump()),
         repr(hub.spans.dump()),
         repr(hub.snapshots),
     ))

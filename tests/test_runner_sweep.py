@@ -16,6 +16,7 @@ import re
 import pytest
 
 from repro.runner import SweepError, SweepPoint, SweepResult, run_sweep
+from repro.runner.builders import fig8_points
 from repro.system.experiments import (
     ColocationSetup,
     run_colocation_point,
@@ -27,7 +28,6 @@ from repro.telemetry import Telemetry
 def _square(x, seed=0, telemetry=None):
     if telemetry is not None:
         telemetry.registry.counter("test.points").add(1)
-        telemetry.registry.gauge("test.last_index").set(x)
         telemetry.registry.histogram(
             "test.x", start=1.0, growth=2.0, count=8
         ).record(x)
@@ -148,22 +148,27 @@ def test_point_validation():
 
 
 def test_telemetry_merge_identical_serial_and_parallel():
-    def merged_dump(jobs):
+    def merged(jobs):
         hub = Telemetry(span_sample=1)
         sweep = run_sweep(square_points(6), jobs=jobs, telemetry=hub)
         assert sweep.ok
-        return hub.registry.dump(), hub.spans.dump(), hub.snapshots
+        assert len(hub.registry) == 0
+        return hub.spans.dump(), hub.snapshots
 
-    serial_reg, serial_spans, serial_snaps = merged_dump(1)
-    pooled_reg, pooled_spans, pooled_snaps = merged_dump(2)
-    assert serial_reg == pooled_reg
+    serial_spans, serial_snaps = merged(1)
+    pooled_spans, pooled_snaps = merged(2)
     assert serial_spans == pooled_spans
     assert serial_snaps == pooled_snaps
-    # The merge did what the contract says: counters summed across the
-    # 6 points, the gauge kept the highest-index point's write.
-    assert serial_reg["test.points"]["value"] == 6
-    assert serial_reg["test.last_index"]["value"] == 5
-    assert serial_reg["test.x"]["count"] == 6
+    # One snapshot per point, in index order, each holding that point's
+    # own values only.
+    assert [snap["run"] for snap in serial_snaps] == [
+        f"_square[{i}]" for i in range(6)
+    ]
+    for x, snap in enumerate(serial_snaps):
+        assert snap["metrics"]["test.points"] == 1
+        histogram = snap["metrics"]["test.x"]
+        assert histogram["count"] == 1
+        assert histogram["min"] == histogram["max"] == x
     # One span per point, packet ids rebased into disjoint ranges.
     ids = [s["packet_id"] for s in serial_spans["finished"]]
     assert len(ids) == len(set(ids)) == 6
@@ -182,6 +187,41 @@ def _tiny_point(mode="solo", rps=150_000, seed=None):
         mode, rps, setup=TINY, measure_ms=0.3,
         seed=TINY.seed if seed is None else seed,
     )
+
+
+def _llc_misses_alone(mode):
+    hub = Telemetry()
+    run_colocation_point(
+        mode, 150_000, setup=TINY, measure_ms=0.3, telemetry=hub,
+        seed=TINY.seed,
+    )
+    return hub.registry.get("cache.llc.misses").value()
+
+
+def test_sweep_snapshots_keep_each_points_own_values():
+    """A sweep keeps no merged registry whose values mix points.
+
+    Each point's last snapshot, under its own run label, must hold the
+    LLC misses of that point run alone. Solo and shared differ, so any
+    single merged value would misreport one of them.
+    """
+    modes = ("solo", "shared")
+    alone = {f"{mode}@150000rps": _llc_misses_alone(mode) for mode in modes}
+    assert len(set(alone.values())) == 2
+    points = fig8_points(
+        loads_rps=[150_000], modes=modes, setup=TINY, measure_ms=0.3
+    )
+    snapshots = {}
+    for jobs in (1, 2):
+        hub = Telemetry(span_sample=1, snapshot_period_ms=0.25)
+        run_sweep(points, jobs=jobs, telemetry=hub).raise_on_failure()
+        assert len(hub.registry) == 0
+        last = {snap["run"]: snap["metrics"] for snap in hub.snapshots}
+        assert {
+            run: metrics["cache.llc.misses"] for run, metrics in last.items()
+        } == alone
+        snapshots[jobs] = hub.snapshots
+    assert snapshots[1] == snapshots[2]
 
 
 def test_colocation_point_is_order_independent():

@@ -3,24 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counter, LatencyRecorder, WindowedRate
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter().value == 0
-
-    def test_add_accumulates(self):
-        c = Counter("hits")
-        c.add()
-        c.add(5)
-        assert c.value == 6
-
-    def test_reset(self):
-        c = Counter()
-        c.add(3)
-        c.reset()
-        assert c.value == 0
+from repro.sim.stats import LatencyRecorder, WindowedRate
 
 
 class TestWindowedRate:

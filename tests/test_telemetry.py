@@ -43,7 +43,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("x.y")
         with pytest.raises(TypeError):
-            reg.gauge("x.y")
+            reg.gauge_fn("x.y", lambda: 0)
         with pytest.raises(TypeError):
             reg.histogram("x.y")
 
@@ -65,16 +65,15 @@ class TestRegistry:
 
     def test_gauge_direct_and_callback(self):
         reg = MetricsRegistry()
-        g = reg.gauge("direct")
-        g.set(3.5)
-        assert g.value() == 3.5
         backing = {"v": 7}
         fn = reg.gauge_fn("cb", lambda: backing["v"])
         assert fn.value() == 7
         backing["v"] = 9
         assert fn.value() == 9
-        with pytest.raises(ValueError):
-            fn.set(1.0)
+        # A gauge is always read through its callback; there is no
+        # direct-set form.
+        with pytest.raises(TypeError):
+            Gauge("direct")
 
     def test_gauge_fn_rebinding_repoints_callback(self):
         reg = MetricsRegistry()
@@ -102,7 +101,7 @@ class TestRegistry:
     def test_snapshot_maps_names_to_values(self):
         reg = MetricsRegistry()
         reg.counter("a").add(2)
-        reg.gauge("b").set(1.5)
+        reg.gauge_fn("b", lambda: 1.5)
         snap = reg.snapshot()
         assert snap["a"] == 2
         assert snap["b"] == 1.5
@@ -298,7 +297,7 @@ class TestHub:
 
     def test_export_metrics_jsonl(self, tmp_path):
         hub = Telemetry()
-        hub.registry.gauge("g").set(1.0)
+        hub.registry.gauge_fn("g", lambda: 1.0)
         hub.snapshot(0)
         hub.snapshot(1_000_000_000)
         path = str(tmp_path / "m.jsonl")

@@ -1,84 +1,15 @@
 """Telemetry merge semantics (the sweep runner's transport layer).
 
-The contract under test: N registries populated independently and
-merged in point-index order must equal one registry fed the union of
-the observations -- counters sum, gauges resolve last-write-wins in
-merge order, histogram buckets add elementwise -- and merged span
-recorders keep per-point packet-id ranges disjoint.
+The contract under test: merging point payloads in point-index order
+concatenates their labelled snapshots, so each point's values stay
+under its own run label, and leaves the parent registry empty; merged
+span recorders keep per-point packet-id ranges disjoint.
 """
 
-import pytest
+import pickle
 
-from repro.telemetry import MetricsRegistry, Telemetry, merge_registry_dumps
+from repro.telemetry import Telemetry
 from repro.telemetry.spans import SpanRecorder
-
-
-def test_counters_sum_across_merged_registries():
-    parts = []
-    for amount in (3, 5, 9):
-        registry = MetricsRegistry()
-        registry.counter("reqs").add(amount)
-        parts.append(registry.dump())
-    merged = merge_registry_dumps(parts)
-    assert merged.get("reqs").value() == 17
-
-
-def test_gauges_are_last_write_by_merge_order():
-    parts = []
-    for value in (1.0, 7.0, 4.0):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(value)
-        parts.append(registry.dump())
-    assert merge_registry_dumps(parts).get("depth").value() == 4.0
-    assert merge_registry_dumps(reversed(parts)).get("depth").value() == 1.0
-
-
-def test_histogram_merge_equals_union_fed_registry():
-    # Two halves of one observation stream, each into its own registry...
-    lo, hi = [1, 2, 3, 5, 8], [13, 21, 34, 200]
-    halves = []
-    for values in (lo, hi):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", start=1.0, growth=2.0, count=6)
-        for v in values:
-            hist.record(v)
-        halves.append(registry.dump())
-    merged = merge_registry_dumps(halves)
-    # ...must equal one registry fed the union.
-    union = MetricsRegistry()
-    hist = union.histogram("lat", start=1.0, growth=2.0, count=6)
-    for v in lo + hi:
-        hist.record(v)
-    assert merged.dump() == union.dump()
-    got = merged.get("lat")
-    assert got.count == len(lo + hi)
-    assert got.total == sum(lo + hi)
-    assert (got.min, got.max) == (1, 200)
-
-
-def test_histogram_bounds_mismatch_raises():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.histogram("lat", start=1.0, growth=2.0, count=6).record(3)
-    b.histogram("lat", start=1.0, growth=4.0, count=6).record(3)
-    target = MetricsRegistry()
-    target.merge_dump(a.dump())
-    with pytest.raises(ValueError, match="bucket bounds differ"):
-        target.merge_dump(b.dump())
-
-
-def test_callback_gauge_cannot_absorb_frozen_value():
-    source = MetricsRegistry()
-    source.gauge("live").set(2.0)
-    target = MetricsRegistry()
-    target.gauge_fn("live", lambda: 99.0)
-    with pytest.raises(ValueError, match="callback-backed"):
-        target.merge_dump(source.dump())
-
-
-def test_dump_freezes_callback_gauges():
-    registry = MetricsRegistry()
-    registry.gauge_fn("live", lambda: 42.0)
-    assert registry.dump()["live"] == {"kind": "gauge", "value": 42.0}
 
 
 def _spans_with_ids(ids, ds_id=0):
@@ -133,7 +64,21 @@ def test_merge_payload_disjoint_ids_and_snapshot_order():
     hub = Telemetry()
     hub.merge_payload(_point_payload("p0", [0, 1], counter_by=2))
     hub.merge_payload(_point_payload("p1", [0, 1, 2], counter_by=3))
-    assert hub.registry.get("pts").value() == 5
+    # No merged registry: each run's own snapshot carries its count.
+    assert len(hub.registry) == 0
+    assert [snap["metrics"]["pts"] for snap in hub.snapshots] == [2, 3]
     ids = [span.packet_id for span in hub.spans.finished]
     assert ids == [0, 1, 2, 3, 4]  # second point rebased past the first
     assert [snap["run"] for snap in hub.snapshots] == ["p0", "p1"]
+
+
+def test_fresh_hub_keeps_settings_and_pickles():
+    hub = Telemetry(span_sample=7, span_capacity=50, snapshot_period_ms=0.25)
+    hub.registry.gauge_fn("live", lambda: 1.0)
+    hub.begin_run("p0")
+    hub.snapshot(t_ps=0)
+    clone = pickle.loads(pickle.dumps(hub.fresh()))
+    assert (clone.spans.sample_every, clone.spans.capacity) == (7, 50)
+    assert clone.snapshot_period_ms == 0.25
+    assert len(clone.registry) == 0 and clone.snapshots == []
+    assert clone.run_label == "" and len(clone.spans) == 0
