@@ -11,13 +11,17 @@ either way.
 """
 
 import os
+from itertools import islice
 
 from conftest import banner
 
 from repro.analysis.tables import format_table
 from repro.runner import SweepPoint, run_sweep
+from repro.sim.rng import DeterministicRng
 from repro.system.experiments import (
     ColocationSetup,
+    fig11_addresses,
+    fig11_arrivals,
     measure_saturation_rate,
     run_fig9,
     run_fig11_controller_point,
@@ -53,17 +57,18 @@ def ablate_partition_share():
 def ablate_hp_row_buffer():
     """Fig. 11's mechanism with and without the extra row buffer."""
     saturation = measure_saturation_rate(num_requests=2000)
-    rate = 0.75 * saturation
+    # Both points replay one stream: 4000 requests at 0.75 of saturation.
+    rng = DeterministicRng(7, "fig11")
+    addresses = list(islice(fig11_addresses(rng.child("addr"), 0.5), 4000))
+    arrivals = fig11_arrivals(rng.child("arrival"), 0.75 * saturation, 4000)
     flags = (False, True)
     points = [
         SweepPoint(
             run_fig11_controller_point,
             {
                 "with_control_plane": True,
-                "rate_req_per_cycle": rate,
-                "num_requests": 4000,
-                "seed": 7,
-                "row_hit_fraction": 0.5,
+                "addresses": addresses,
+                "arrivals": arrivals,
                 "hp_row_buffer": hp_row_buffer,
             },
             label=f"hp_row_buffer={hp_row_buffer}",

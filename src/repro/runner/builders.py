@@ -45,19 +45,10 @@ def fig8_points(
 
 
 def fig11_points(
-    rate_req_per_cycle: float,
-    num_requests: int,
-    seed: int,
-    row_hit_fraction: float,
-    hp_row_buffer: bool,
+    addresses: list[int], arrivals: list[int], hp_row_buffer: bool
 ) -> list[SweepPoint]:
-    """Fig. 11's baseline controller and PARD controller at one rate."""
-    common = {
-        "rate_req_per_cycle": rate_req_per_cycle,
-        "num_requests": num_requests,
-        "seed": seed,
-        "row_hit_fraction": row_hit_fraction,
-    }
+    """Fig. 11's baseline and PARD controllers, replaying one request stream."""
+    common = {"addresses": addresses, "arrivals": arrivals}
     return [
         SweepPoint(
             run_fig11_controller_point,

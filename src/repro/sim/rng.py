@@ -30,8 +30,9 @@ class DeterministicRng:
         self.seed = int(seed)
         self.name = name
         self._random = random.Random(self.seed)
-        # Uniform float in [0, 1): the stream's own method, one frame.
+        # Uniform float in [0, 1) and k random bits, one frame each.
         self.random = self._random.random
+        self.getrandbits = self._random.getrandbits
 
     def child(self, name: str) -> "DeterministicRng":
         """A new independent stream keyed by this stream's seed and ``name``."""
@@ -53,7 +54,7 @@ class DeterministicRng:
         n = high - low + 1
         if n <= 0:
             return self._random.randint(low, high)  # raises ValueError
-        getrandbits = self._random.getrandbits
+        getrandbits = self.getrandbits
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:

@@ -20,13 +20,16 @@ for the scale mapping to the paper's axes):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional
+from itertools import islice, repeat
+from typing import Iterator, Optional
 
 from repro.cache.control_plane import BASIS_POINTS
 from repro.dram.controller import MemoryController
 from repro.dram.control_plane import MemoryControlPlane
+from repro.dram.timing import DramGeometry
 from repro.prm.monitor import StatisticsMonitor
 from repro.prm.rules import partition_llc_action
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
@@ -473,19 +476,58 @@ def _finish_injected_span(spans, packet) -> None:
     spans.finish(packet.span)
 
 
+def fig11_addresses(rng: DeterministicRng, row_hit_fraction: float) -> Iterator[int]:
+    """The Fig. 11 injector's request addresses, an endless stream.
+
+    A request goes to a uniform bank: to its hot row with probability
+    ``row_hit_fraction``, else to a uniform one of 4096 rows. The
+    ``randint`` draws are inlined as its ``_randbelow`` loops (redraw
+    ``n.bit_length()`` bits while ``>= n``); ``TestFig11Stream`` pins
+    them to the ``randint`` loop, value for value.
+    """
+    geometry = DramGeometry()
+    banks, rows, row_bytes = geometry.total_banks, 4096, geometry.row_bytes
+    hot_rows = [rng.randint(0, 255) for _ in range(banks)]
+    getrandbits, random = rng.getrandbits, rng.random
+    bank_bits, row_bits = banks.bit_length(), rows.bit_length()
+    while True:
+        bank = getrandbits(bank_bits)
+        while bank >= banks:
+            bank = getrandbits(bank_bits)
+        if random() < row_hit_fraction:
+            row = hot_rows[bank]
+        else:
+            row = getrandbits(row_bits)
+            while row >= rows:
+                row = getrandbits(row_bits)
+        yield (row * banks + bank) * row_bytes
+
+
+def fig11_arrivals(rng: DeterministicRng, rate_req_per_cycle: float, n: int) -> list[int]:
+    """Poisson arrival times (ps) of ``n`` requests: each gap is
+    ``DeterministicRng.exponential`` inlined, floored, and at least 1."""
+    random, log = rng.random, math.log
+    rate_per_ps = 1.0 / (DRAM_CLOCK_PS / rate_req_per_cycle)
+    time_ps, arrivals = 0, []
+    for _ in range(n):
+        time_ps += max(1, int(-log(1.0 - random()) / rate_per_ps))
+        arrivals.append(time_ps)
+    return arrivals
+
+
 def _drive_controller(
     with_control_plane: bool,
-    rate_req_per_cycle: Optional[float],
-    num_requests: int,
-    seed: int,
-    row_hit_fraction: float,
+    addresses: list[int],
+    arrivals: Optional[list[int]],
     hp_row_buffer: bool,
     telemetry=None,
 ) -> MemoryController:
-    """Run the Fig. 11 injector against one controller configuration.
+    """Replay one Fig. 11 request stream into a controller configuration.
 
-    With ``rate_req_per_cycle=None`` all requests are enqueued at t=0,
-    which measures the controller's saturation throughput.
+    Request ``i`` reads ``addresses[i]`` at ``arrivals[i]`` ps, DS-id 2
+    (high priority) for odd ``i`` and 1 (low) for even. With
+    ``arrivals=None`` every request is enqueued at t=0, which measures
+    the controller's saturation throughput.
     """
     engine = Engine()
     clock = ClockDomain(engine, DRAM_CLOCK_PS)
@@ -503,23 +545,9 @@ def _drive_controller(
         if (telemetry is not None and telemetry.enabled)
         else None
     )
-    rng = DeterministicRng(seed, "fig11")
-    addr_rng = rng.child("addr")
-    arrival_rng = rng.child("arrival")
-    total_banks = controller.geometry.total_banks
-    row_bytes = controller.geometry.row_bytes
-    hot_rows = [addr_rng.randint(0, 255) for _ in range(total_banks)]
-    if rate_req_per_cycle is not None:
-        mean_gap_ps = DRAM_CLOCK_PS / rate_req_per_cycle
     finish_span = partial(_finish_injected_span, spans)
-    time_ps = 0
-    for i in range(num_requests):
-        bank = addr_rng.randint(0, total_banks - 1)
-        if addr_rng.random() < row_hit_fraction:
-            row = hot_rows[bank]
-        else:
-            row = addr_rng.randint(0, 4095)
-        addr = (row * total_banks + bank) * row_bytes
+    handle_request = controller.handle_request
+    for i, (addr, time_ps) in enumerate(zip(addresses, arrivals or repeat(0))):
         ds_id = 2 if i % 2 else 1  # half high (2), half low (1)
         packet = MemoryPacket(ds_id=ds_id, addr=addr, birth_ps=time_ps)
         done = _ignore_response
@@ -529,23 +557,18 @@ def _drive_controller(
                 span.hop("inject", time_ps)
                 packet.span = span
                 done = finish_span
-        if rate_req_per_cycle is None:
-            controller.handle_request(packet, done)
+        if arrivals is None:
+            handle_request(packet, done)
         else:
-            time_ps += max(1, int(arrival_rng.exponential(mean_gap_ps)))
-            engine.post_at(
-                time_ps, partial(controller.handle_request, packet, done)
-            )
+            engine.post_at(time_ps, partial(handle_request, packet, done))
     engine.run()
     return controller
 
 
 def run_fig11_controller_point(
     with_control_plane: bool,
-    rate_req_per_cycle: float,
-    num_requests: int,
-    seed: int,
-    row_hit_fraction: float,
+    addresses: list[int],
+    arrivals: list[int],
     hp_row_buffer: bool,
     telemetry=None,
 ) -> dict:
@@ -556,8 +579,8 @@ def run_fig11_controller_point(
     needs, in a form a sweep worker can ship back to the parent.
     """
     controller = _drive_controller(
-        with_control_plane, rate_req_per_cycle, num_requests, seed,
-        row_hit_fraction, hp_row_buffer=hp_row_buffer, telemetry=telemetry,
+        with_control_plane, addresses, arrivals, hp_row_buffer,
+        telemetry=telemetry,
     )
     if telemetry is not None:
         telemetry.snapshot(controller.engine.now)
@@ -573,15 +596,18 @@ def run_fig11_controller_point(
     }
 
 
+def _saturation_rate(addresses: list[int]) -> float:
+    """Requests/cycle of the baseline controller given all at t=0."""
+    controller = _drive_controller(False, addresses, None, hp_row_buffer=False)
+    return len(addresses) / (controller.engine.now / DRAM_CLOCK_PS)
+
+
 def measure_saturation_rate(
     num_requests: int = 4000, seed: int = 7, row_hit_fraction: float = 0.5
 ) -> float:
     """The baseline controller's saturation throughput (requests/cycle)."""
-    controller = _drive_controller(
-        False, None, num_requests, seed, row_hit_fraction, hp_row_buffer=False
-    )
-    cycles = controller.engine.now / DRAM_CLOCK_PS
-    return num_requests / cycles
+    draw = fig11_addresses(DeterministicRng(seed, "fig11").child("addr"), row_hit_fraction)
+    return _saturation_rate(list(islice(draw, num_requests)))
 
 
 def run_fig11(
@@ -612,14 +638,15 @@ def run_fig11(
     from repro.runner.builders import fig11_points
     from repro.runner.sweep import run_sweep
 
-    saturation = measure_saturation_rate(
-        num_requests=min(num_requests, 4000), seed=seed,
-        row_hit_fraction=row_hit_fraction,
-    )
-    points = fig11_points(
-        inject_rate * saturation, num_requests, seed, row_hit_fraction,
-        hp_row_buffer,
-    )
+    # One stream for all three runs: saturation is measured on its
+    # prefix, and the baseline and PARD controllers replay all of it.
+    rng = DeterministicRng(seed, "fig11")
+    draw = fig11_addresses(rng.child("addr"), row_hit_fraction)
+    addresses = list(islice(draw, min(num_requests, 4000)))
+    saturation = _saturation_rate(addresses)
+    addresses.extend(islice(draw, num_requests - len(addresses)))
+    arrivals = fig11_arrivals(rng.child("arrival"), inject_rate * saturation, num_requests)
+    points = fig11_points(addresses, arrivals, hp_row_buffer)
     sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
     sweep.raise_on_failure()
     baseline, pard = sweep.values()

@@ -1,7 +1,11 @@
 """Tests for the experiment drivers (scaled-down, fast configurations)."""
 
+import os
+
 import pytest
 
+from repro.sim.rng import DeterministicRng
+from repro.system import experiments
 from repro.system.experiments import (
     ColocationSetup,
     PAPER_KRPS_SCALE,
@@ -11,6 +15,7 @@ from repro.system.experiments import (
     run_fig10,
     run_fig11,
 )
+from repro.telemetry import Telemetry
 
 
 def tiny_setup():
@@ -108,3 +113,59 @@ class TestFig11Queueing:
     def test_invalid_inject_rate(self):
         with pytest.raises(ValueError):
             run_fig11(inject_rate=1.5)
+
+
+class TestFig11Replay:
+    """One ``run_fig11`` draws its request stream once and replays it."""
+
+    @pytest.fixture
+    def children(self, monkeypatch):
+        """Names of the child streams drawn; a sweep worker drawing fails."""
+        parent, names = os.getpid(), []
+        child = DeterministicRng.child
+
+        def recording(rng, name):
+            if os.getpid() != parent:
+                raise AssertionError(f"a sweep worker drew the {name!r} stream")
+            names.append(name)
+            return child(rng, name)
+
+        monkeypatch.setattr(DeterministicRng, "child", recording)
+        return names
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_call_draws_addresses_and_arrivals_once(self, children, jobs):
+        run_fig11(num_requests=600, jobs=jobs)
+        assert (children.count("addr"), children.count("arrival")) == (1, 1)
+
+    def test_each_call_draws_its_own_stream(self, children):
+        first = run_fig11(num_requests=600)
+        assert run_fig11(num_requests=600) == first
+        assert (children.count("addr"), children.count("arrival")) == (2, 2)
+
+    def test_every_run_serves_what_it_injected(self, monkeypatch):
+        runs = []
+        drive = experiments._drive_controller
+
+        def recording(with_control_plane, addresses, *args, **kwargs):
+            controller = drive(with_control_plane, addresses, *args, **kwargs)
+            runs.append((len(addresses), controller))
+            return controller
+
+        monkeypatch.setattr(experiments, "_drive_controller", recording)
+        run_fig11(num_requests=900)
+        assert len(runs) == 3  # saturation, baseline, PARD
+        for injected, controller in runs:
+            assert controller.served_requests == injected == 900
+            assert controller._inflight == 0
+            assert not any(controller.scheduler.queues)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inject_hop_is_the_arrival_time(self, jobs):
+        telemetry = Telemetry(span_sample=1)
+        run_fig11(num_requests=300, telemetry=telemetry, jobs=jobs)
+        spans = telemetry.spans.finished
+        assert len(spans) == 2 * 300  # the baseline and PARD runs
+        for span in spans:
+            hops = dict(span.hops)
+            assert hops["inject"] == hops["memctrl.enqueue"]

@@ -2,11 +2,21 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.dram.timing import DramGeometry
+from repro.sim.clock import DRAM_CLOCK_PS
 from repro.sim.rng import DeterministicRng
+from repro.system import experiments
+from repro.system.experiments import (
+    fig11_addresses,
+    fig11_arrivals,
+    measure_saturation_rate,
+    run_fig11,
+)
 
 
 class TestDeterministicRng:
@@ -178,3 +188,78 @@ class TestZipfStream:
         for n in (0, -1):
             with pytest.raises(ValueError):
                 DeterministicRng().zipf_sampler(n)
+
+
+def _fig11_stream_unhoisted(seed, row_hit_fraction, num_requests, rate):
+    """Fig. 11's address and arrival loop with every draw a method call."""
+    geometry = DramGeometry()
+    banks, row_bytes = geometry.total_banks, geometry.row_bytes
+    addr_rng = DeterministicRng(seed, "fig11").child("addr")
+    arrival_rng = DeterministicRng(seed, "fig11").child("arrival")
+    hot_rows = [addr_rng.randint(0, 255) for _ in range(banks)]
+    addresses, arrivals, time_ps = [], [], 0
+    for _ in range(num_requests):
+        bank = addr_rng.randint(0, banks - 1)
+        if addr_rng.random() < row_hit_fraction:
+            row = hot_rows[bank]
+        else:
+            row = addr_rng.randint(0, 4095)
+        addresses.append((row * banks + bank) * row_bytes)
+        time_ps += max(1, int(arrival_rng.exponential(DRAM_CLOCK_PS / rate)))
+        arrivals.append(time_ps)
+    return addresses, arrivals, addr_rng, arrival_rng
+
+
+class TestFig11Stream:
+    """The Fig. 11 injector's inlined draws are the unhoisted loop's.
+
+    ``run_fig11`` draws the stream once and replays it into all three
+    controller runs, so a drift here moves the saturation rate and both
+    queueing-delay CDFs together.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(
+            st.just(0.0), st.just(1.0),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=400),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
+    def test_stream_matches_unhoisted_loop(self, seed, row_hit_fraction, count, split, rate):
+        expected, expected_arrivals, addr_twin, arrival_twin = _fig11_stream_unhoisted(
+            seed, row_hit_fraction, count, rate
+        )
+        addr_rng = DeterministicRng(seed, "fig11").child("addr")
+        arrival_rng = DeterministicRng(seed, "fig11").child("arrival")
+        # Drawn in two pieces, as run_fig11 extends its saturation prefix.
+        draw = fig11_addresses(addr_rng, row_hit_fraction)
+        addresses = list(islice(draw, max(1, min(split, count))))
+        addresses.extend(islice(draw, count - len(addresses)))
+        assert addresses == expected
+        assert fig11_arrivals(arrival_rng, rate, count) == expected_arrivals
+        assert addr_rng._random.getstate() == addr_twin._random.getstate()
+        assert arrival_rng._random.getstate() == arrival_twin._random.getstate()
+
+    @pytest.mark.parametrize("num_requests", [900, 4100])
+    def test_saturation_run_replays_the_stream_prefix(self, monkeypatch, num_requests):
+        runs = []
+        drive = experiments._drive_controller
+
+        def recording(with_control_plane, addresses, arrivals, *args, **kwargs):
+            # A copy: run_fig11 extends the saturation run's list afterwards.
+            runs.append((list(addresses), arrivals))
+            return drive(with_control_plane, addresses, arrivals, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_drive_controller", recording)
+        run_fig11(num_requests=num_requests, seed=3)
+        (saturation, no_arrivals), baseline, pard = runs
+        prefix = min(num_requests, 4000)
+        rate = 0.75 * measure_saturation_rate(prefix, seed=3)
+        expected = _fig11_stream_unhoisted(3, 0.5, num_requests, rate)[:2]
+        assert no_arrivals is None
+        assert saturation == expected[0][:prefix]
+        assert baseline == pard == expected
