@@ -65,5 +65,5 @@ def test_table3_control_plane_tables(benchmark):
     assert all(rule.stat_column == "avg_qlat" for _, _, rule in mem_rules)
 
     # The programmed values landed in the hardware tables.
-    assert server.memory_control.priority(1) == 1
+    assert server.memory_control.parameters.get(1, "priority") == 1
     assert server.ide_control.quota(1) == 80

@@ -2,12 +2,14 @@
 
 One :class:`Cache` class serves both the private L1s and the shared LLC;
 the difference is that the LLC is constructed with an
-:class:`~repro.cache.control_plane.LlcControlPlane`, which supplies
-per-DS-id way masks for victim selection and receives per-DS-id
-hit/miss/occupancy accounting. The control-plane interactions happen off
-the critical path -- the hit latency is identical with and without a
-control plane attached, which is the paper's "no extra cycles" claim for
-the LLC control plane (§7.2) and is asserted by a benchmark.
+:class:`~repro.cache.control_plane.LlcControlPlane`, whose tables it uses
+in place: it reads per-DS-id way masks from the parameter rows for
+victim selection, and counts per-DS-id hits, misses and occupancy into
+the plane's window counts and ``capacity`` cells. The control-plane work
+happens off the critical path -- the hit latency is identical with and
+without a control plane attached, which is the paper's "no extra
+cycles" claim for the LLC control plane (§7.2) and is asserted by a
+benchmark.
 
 DS-id semantics (PARD Fig. 4): the tag array stores an ``owner DS-id``
 next to each tag, a hit requires *both* the address tag and the DS-id to
@@ -115,11 +117,15 @@ class Cache(Component):
     with the shared ``keep``/``point`` tables (``plru_tables``) rather
     than :meth:`WayMaskedPlru.touch`: every way they touch comes from
     the set's own index, free mask or ``victim()``, so it is in range by
-    construction. Calls into other layers (``downstream``, ``engine``,
-    ``control``) stay attribute lookups on the instance.
+    construction. Calls into other layers (``downstream``, ``engine``)
+    stay attribute lookups on the instance; the control plane's tables
+    are used in place, with no call per access.
 
     A miss is one frame from lookup to downstream fill; the MSHR entry
-    carries the reserved way to :meth:`_on_fill`.
+    carries the reserved way to :meth:`_on_fill`. A line-aligned,
+    line-sized READ that misses is its own fill: the same packet goes
+    downstream. A store, an unaligned access or a writeback that misses
+    sends a fresh READ of the whole line.
     """
 
     def __init__(
@@ -149,9 +155,19 @@ class Cache(Component):
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         self.writebacks = WritebackBuffer(config.writeback_entries)
-        # Plain counters for caches without a control plane (the L1s).
+        # Component-wide hit and miss counters (per DS-id, they are the
+        # control plane's window counts below).
         self.total_hits = 0
         self.total_misses = 0
+        # The control plane's tables, used in place (None without one):
+        # way masks, the open window's hit and miss counts, and the
+        # live ``capacity`` cells.
+        self._waymask_rows = self._capacity_rows = None
+        self._window_hits = self._window_misses = None
+        # A downstream with a synchronous fast path (the LLC below an L1)
+        # takes fills through access(); any other through handle_request,
+        # which Component.access would only forward to.
+        self._sync_downstream = type(downstream).access is not Component.access
         if self.telemetry is not None:
             # Callback gauges over the plain counters: zero hot-path cost,
             # read only at snapshot time.
@@ -161,6 +177,10 @@ class Cache(Component):
             reg.gauge_fn(f"cache.{self.name}.miss_rate", lambda: self.miss_rate)
         if control is not None:
             control.bind_cache(self)
+            self._waymask_rows = control.parameters.row_view
+            self._capacity_rows = control.statistics.row_view
+            self._window_hits = control.window_hits
+            self._window_misses = control.window_misses
 
     # -- request path -----------------------------------------------------
 
@@ -202,8 +222,13 @@ class Cache(Component):
         if packet.op is not _READ:
             cache_set.lines[way].dirty = True
         self.total_hits += 1
-        if self.control is not None:
-            self.control.record_access(packet.ds_id, True)
+        window = self._window_hits
+        if window is not None:
+            ds_id = packet.ds_id
+            if ds_id in window:
+                window[ds_id] += 1
+            else:
+                window[ds_id] = 1
         latency_ps = self._hit_latency_ps
         if packet.span is not None:
             packet.span.hop(f"{self.name}.hit", self.engine._now + latency_ps)
@@ -221,7 +246,6 @@ class Cache(Component):
             cache_set = sets[set_index] = _Set(self.config.ways)
         ds_id = packet.ds_id
         key = tag << 16 | ds_id
-        control = self.control
         if key in cache_set.index:
             way = cache_set.index[key]
             plru = cache_set.plru
@@ -229,15 +253,23 @@ class Cache(Component):
             if packet.op is not _READ:
                 cache_set.lines[way].dirty = True
             self.total_hits += 1
-            if control is not None:
-                control.record_access(ds_id, True)
+            window = self._window_hits
+            if window is not None:
+                if ds_id in window:
+                    window[ds_id] += 1
+                else:
+                    window[ds_id] = 1
             if packet.span is not None:
                 packet.span.hop(f"{self.name}.hit", self.engine._now)
             on_response(packet)
             return
         self.total_misses += 1
-        if control is not None:
-            control.record_access(ds_id, False)
+        window = self._window_misses
+        if window is not None:
+            if ds_id in window:
+                window[ds_id] += 1
+            else:
+                window[ds_id] = 1
         now = self.engine._now
         if packet.span is not None:
             packet.span.hop(f"{self.name}.miss", now)
@@ -269,8 +301,10 @@ class Cache(Component):
         # else the PLRU victim. Reserving it (tag -1, and in the entry)
         # makes concurrent misses to the set pick different ways.
         mask = self._full_mask
-        if control is not None:
-            mask &= control.waymask(ds_id)
+        rows = self._waymask_rows
+        # Untracked DS-ids share all ways.
+        if rows is not None and ds_id in rows:
+            mask &= rows[ds_id]["waymask"]
         free = cache_set.free & mask
         if free:
             way = (free & -free).bit_length() - 1  # the lowest free way
@@ -279,9 +313,14 @@ class Cache(Component):
         cache_set.free &= ~(1 << way)
         victim = cache_set.lines[way]
         if victim.valid:
-            del cache_set.index[victim.tag << 16 | victim.ds_id]
-            if control is not None:
-                control.record_eviction(victim.ds_id)
+            # _evict, inlined.
+            owner = victim.ds_id
+            del cache_set.index[victim.tag << 16 | owner]
+            rows = self._capacity_rows
+            if rows is not None and owner in rows:
+                row = rows[owner]
+                if row["capacity"] > 0:
+                    row["capacity"] -= self._line_size
             if victim.dirty:
                 self._write_back(set_index, victim)
             victim.valid = False
@@ -289,20 +328,27 @@ class Cache(Component):
         plru = cache_set.plru
         plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
         entry.way = way
-        fill = MemoryPacket(
-            ds_id=ds_id,
-            addr=line_addr,
-            size=self._line_size,
-            op=_READ,
-            birth_ps=now,
-            # The fill inherits the missing request's span, so the trail
-            # continues downstream (LLC, crossbar, DRAM).
-            span=packet.span,
-        )
+        if packet.op is _READ and packet.addr == line_addr and packet.size == self._line_size:
+            # The request reads exactly the line: it is its own fill.
+            fill = packet
+        else:
+            fill = MemoryPacket(
+                ds_id=ds_id,
+                addr=line_addr,
+                size=self._line_size,
+                op=_READ,
+                birth_ps=now,
+                # The fill inherits the missing request's span, so the
+                # trail continues downstream (LLC, crossbar, DRAM).
+                span=packet.span,
+            )
         fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
-        sync_latency = self.downstream.access(fill, fill_done)
-        if sync_latency is not None:
-            self.engine.post(sync_latency, fill_done)
+        if self._sync_downstream:
+            sync_latency = self.downstream.access(fill, fill_done)
+            if sync_latency is not None:
+                self.engine.post(sync_latency, fill_done)
+        else:
+            self.downstream.handle_request(fill, fill_done)
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
         line_addr = (victim.tag << self._tag_shift | set_index) * self._line_size
@@ -345,15 +391,10 @@ class Cache(Component):
         way = entry.way
         cache_set = self._sets[set_index]
         line = cache_set.lines[way]
-        control = self.control
         if line.valid:
             # A concurrent fill landed in our reserved way (possible when a
             # narrow way mask forces PLRU onto a reserved slot); evict it.
-            del cache_set.index[line.tag << 16 | line.ds_id]
-            if control is not None:
-                control.record_eviction(line.ds_id)
-            if line.dirty:
-                self._write_back(set_index, line)
+            self._evict(cache_set, set_index, line)
         line.tag = tag
         line.ds_id = ds_id
         line.valid = True
@@ -364,8 +405,23 @@ class Cache(Component):
         cache_set.free &= ~(1 << way)
         plru = cache_set.plru
         plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
-        if control is not None:
-            control.record_fill(ds_id)
+        rows = self._capacity_rows
+        if rows is not None and ds_id in rows:
+            rows[ds_id]["capacity"] += self._line_size
+
+    def _evict(self, cache_set: _Set, set_index: int, line: _Line) -> None:
+        """Drop a valid line from the set's index, take it off its owner's
+        ``capacity`` and write it back if dirty. The caller invalidates
+        or overwrites the line itself."""
+        owner = line.ds_id
+        del cache_set.index[line.tag << 16 | owner]
+        rows = self._capacity_rows
+        if rows is not None and owner in rows:
+            row = rows[owner]
+            if row["capacity"] > 0:
+                row["capacity"] -= self._line_size
+        if line.dirty:
+            self._write_back(set_index, line)
 
     # -- management operations ---------------------------------------------
 
@@ -381,16 +437,12 @@ class Cache(Component):
         for set_index, cache_set in self._sets.items():
             for way, line in enumerate(cache_set.lines):
                 if line.valid and line.ds_id == ds_id:
-                    if line.dirty:
-                        self._write_back(set_index, line)
-                    del cache_set.index[line.tag << 16 | ds_id]
+                    self._evict(cache_set, set_index, line)
                     cache_set.free |= 1 << way
                     line.valid = False
                     line.tag = 0
                     line.dirty = False
                     flushed += 1
-                    if self.control is not None:
-                        self.control.record_eviction(ds_id)
         return flushed
 
     # -- introspection ---------------------------------------------------------

@@ -9,9 +9,14 @@ Statistics table: ``miss_rate`` (basis points, windowed), ``capacity``
 Trigger table:    e.g. the paper's running rule
                   ``LLC.MissRate > 30% => increase way allocation``.
 
-The plane is bound to a :class:`~repro.cache.cache.Cache`; the cache
-pushes accounting events in (off the critical path) and pulls the current
-way mask out during victim selection.
+The plane is bound to a :class:`~repro.cache.cache.Cache`, which uses
+the tables in place, beside its data path (PARD §4.1: "no extra
+cycles"): it reads a DS-id's way mask from the parameter rows during
+victim selection, counts hits and misses into :attr:`window_hits` /
+:attr:`window_misses`, and keeps the ``capacity`` cell current on every
+fill and eviction. The plane's own work is publication: at each window
+it turns the open counts into ``miss_rate``, ``hit_cnt`` and
+``miss_cnt``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Optional
 
 from repro.core.control_plane import ControlPlane
 from repro.sim.engine import Engine, PS_PER_MS
-from repro.sim.stats import WindowedRate
 
 BASIS_POINTS = 10_000
 
@@ -55,52 +59,19 @@ class LlcControlPlane(ControlPlane):
             max_entries=max_entries, max_triggers=max_triggers,
             window_ps=window_ps,
         )
-        self._parameter_rows = self.parameters.row_view
-        self._statistics_rows = self.statistics.row_view
-        self._cache = None
-        self._window_hits: dict[int, WindowedRate] = {}
-        self._window_misses: dict[int, WindowedRate] = {}
-        self._line_size = 64
+        # DS-id -> hits / misses of the open window, counted by the cache
+        # for every DS-id it sees (allocated or not); on_window publishes
+        # and clears the entries of allocated DS-ids.
+        self.window_hits: dict[int, int] = {}
+        self.window_misses: dict[int, int] = {}
 
     def bind_cache(self, cache) -> None:
         """Called by the Cache constructor when this plane is attached."""
-        self._cache = cache
-        self._line_size = cache.config.line_size
         if cache.config.ways != self.num_ways:
             raise ValueError(
                 f"{self.name}: plane sized for {self.num_ways} ways but "
                 f"cache {cache.name} has {cache.config.ways}"
             )
-
-    # -- policy reads (hardware side) -----------------------------------------
-
-    def waymask(self, ds_id: int) -> int:
-        """The way-partition mask for a DS-id; untracked DS-ids share all ways."""
-        rows = self._parameter_rows
-        if ds_id in rows:
-            return rows[ds_id]["waymask"]
-        return self.full_mask
-
-    # -- accounting (hardware side, off the critical path) ----------------------
-
-    def record_access(self, ds_id: int, hit: bool) -> None:
-        table = self._window_hits if hit else self._window_misses
-        if ds_id in table:
-            table[ds_id].current += 1
-        else:
-            self._window(table, ds_id).add(1)
-
-    def record_fill(self, ds_id: int) -> None:
-        rows = self._statistics_rows
-        if ds_id in rows:
-            rows[ds_id]["capacity"] += self._line_size
-
-    def record_eviction(self, owner_ds_id: int) -> None:
-        rows = self._statistics_rows
-        if owner_ds_id in rows:
-            row = rows[owner_ds_id]
-            if row["capacity"] > 0:
-                row["capacity"] -= self._line_size
 
     def occupancy_bytes(self, ds_id: int) -> int:
         return self.statistics.get_default(ds_id, "capacity", 0)
@@ -110,8 +81,8 @@ class LlcControlPlane(ControlPlane):
     def on_window(self) -> None:
         """Publish the windowed miss rate per DS-id."""
         for ds_id in self.statistics.ds_ids:
-            hits = self._window(self._window_hits, ds_id).roll()
-            misses = self._window(self._window_misses, ds_id).roll()
+            hits = self.window_hits.pop(ds_id, 0)
+            misses = self.window_misses.pop(ds_id, 0)
             total = hits + misses
             if total:
                 miss_rate = misses * BASIS_POINTS // total
@@ -127,10 +98,3 @@ class LlcControlPlane(ControlPlane):
         if not self.statistics.has(ds_id):
             return None
         return self.statistics.get(ds_id, "miss_rate") / BASIS_POINTS
-
-    def _window(self, table: dict[int, WindowedRate], ds_id: int) -> WindowedRate:
-        rate = table.get(ds_id)
-        if rate is None:
-            rate = WindowedRate(f"{self.name}.dsid{ds_id}")
-            table[ds_id] = rate
-        return rate

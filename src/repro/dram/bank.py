@@ -36,35 +36,43 @@ class BankState:
             return "closed"
         return "conflict"
 
-    def access_latency_cycles(self, row: int, timing: DramTiming, high_priority: bool) -> int:
-        """Issue-to-last-data latency in memory cycles for this access.
-
-        A high-priority access that misses while a regular row is open
-        can activate into the extra row buffer without precharging the
-        regular row first (when the buffer is present), turning a
-        conflict into a closed-bank access.
-        """
-        # row_state(), inlined: this runs once per issued request.
-        if row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row):
-            return timing.row_hit_latency
-        if self.open_row is None or (high_priority and self.hp_row_buffer):
-            return timing.row_closed_latency
-        return timing.row_conflict_latency
-
-    def record_access(
+    def issue(
         self,
         row: int,
         issue_ps: int,
-        done_ps: int,
+        bus_free_ps: int,
         timing: DramTiming,
         cycle_ps: int,
         high_priority: bool,
     ) -> int:
-        """Update row-buffer/timing state after scheduling an access.
+        """Issue an access to ``row`` at ``issue_ps`` and update the row
+        buffers; returns when its burst leaves the data bus.
 
-        Returns the (possibly tRAS-extended) completion time.
+        The access takes the row hit, closed or conflict latency (issue to
+        last data). A high-priority access that misses while a regular
+        row is open can activate into the extra row buffer without
+        precharging the regular row first (when the buffer is present),
+        turning a conflict into a closed-bank access. The burst waits for
+        the shared data bus (free from ``bus_free_ps``); row preparation
+        overlaps with other banks' transfers. :attr:`ready_at_ps` becomes
+        the access's completion: the end of its burst, extended on a
+        conflict until the old row has been active for tRAS.
         """
-        if not (row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row)):
+        # row_state(), inlined: this runs once per issued request.
+        hit = row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row)
+        if hit:
+            latency_cycles = timing.row_hit_latency
+        elif self.open_row is None or (high_priority and self.hp_row_buffer):
+            latency_cycles = timing.row_closed_latency
+        else:
+            latency_cycles = timing.row_conflict_latency
+        burst_ps = timing.t_burst * cycle_ps
+        data_start_ps = issue_ps + latency_cycles * cycle_ps - burst_ps
+        if data_start_ps < bus_free_ps:
+            data_start_ps = bus_free_ps
+        data_end_ps = data_start_ps + burst_ps
+        done_ps = data_end_ps
+        if not hit:
             if high_priority and self.hp_row_buffer:
                 self.hp_open_row = row
             else:
@@ -78,7 +86,7 @@ class BankState:
                 self.open_row = row
                 self.activated_at_ps = issue_ps
         self.ready_at_ps = done_ps
-        return done_ps
+        return data_end_ps
 
     def close(self) -> None:
         """Precharge both row buffers (refresh or idle policy)."""

@@ -10,6 +10,11 @@ Statistics table: ``bandwidth`` (bytes in the last window), ``avg_qlat``
                   (average queueing delay, hundredths of a memory cycle),
                   ``serv_cnt`` (cumulative served requests).
 Trigger table:    e.g. ``avg_qlat > N => raise scheduling priority``.
+
+The bound :class:`~repro.dram.controller.MemoryController` uses the
+tables in place: it reads a request's window, priority and ``rowbuf``
+from the parameter rows and adds each served request to
+:attr:`window_service`. The plane publishes that window at each tick.
 """
 
 from __future__ import annotations
@@ -54,17 +59,20 @@ class MemoryControlPlane(ControlPlane):
             window_ps=window_ps,
         )
         self._parameter_rows = self.parameters.row_view
-        self._controller = None
-        # DS-id -> [bytes, queueing-delay sum, requests] of this window.
-        self._window_service: dict[int, list] = {}
+        # DS-id -> [bytes, queueing-delay sum, requests] of the open
+        # window, kept by the controller for every DS-id it serves;
+        # on_window publishes and clears the entries of allocated DS-ids.
+        self.window_service: dict[int, list] = {}
 
-    def bind_controller(self, controller) -> None:
-        self._controller = controller
-
-    # -- policy reads (hardware side) ----------------------------------------
+    # -- policy reads ------------------------------------------------------------
 
     def translate(self, ds_id: int, ldom_addr: int) -> int:
-        """LDom-physical -> DRAM address; identity for unmapped DS-ids."""
+        """LDom-physical -> DRAM address; identity for unmapped DS-ids.
+
+        A single-channel controller applies in-window addresses in place
+        and calls this only for one outside its DS-id's window, which
+        raises here.
+        """
         rows = self._parameter_rows
         if ds_id not in rows:
             return ldom_addr
@@ -87,33 +95,11 @@ class MemoryControlPlane(ControlPlane):
             return None
         return AddressMapping(self.parameters.get(ds_id, "addr_base"), size)
 
-    def priority(self, ds_id: int) -> int:
-        rows = self._parameter_rows
-        return rows[ds_id]["priority"] if ds_id in rows else 0
-
-    def rowbuf_enabled(self, ds_id: int) -> bool:
-        rows = self._parameter_rows
-        return bool(rows[ds_id]["rowbuf"]) if ds_id in rows else True
-
-    # -- accounting (hardware side) ---------------------------------------------
-
-    def record_service(
-        self, ds_id: int, size_bytes: int, queue_delay_cycles: float, total_cycles: float
-    ) -> None:
-        window = self._window_service
-        if ds_id in window:
-            totals = window[ds_id]
-            totals[0] += size_bytes
-            totals[1] += queue_delay_cycles
-            totals[2] += 1
-        else:
-            window[ds_id] = [size_bytes, 0.0 + queue_delay_cycles, 1]
-
     # -- window publication ---------------------------------------------------------
 
     def on_window(self) -> None:
         for ds_id in self.statistics.ds_ids:
-            bandwidth, delay_sum, served = self._window_service.pop(ds_id, (0, 0.0, 0))
+            bandwidth, delay_sum, served = self.window_service.pop(ds_id, (0, 0.0, 0))
             self.statistics.set(ds_id, "bandwidth", bandwidth)
             if served:
                 avg = int(delay_sum / served * LATENCY_SCALE)

@@ -46,8 +46,11 @@ class MemoryController(Component):
     The per-request methods follow the same rules as the caches (see
     DESIGN.md "Memory-hierarchy hot path"): ``engine._now`` instead of
     the ``now`` property, geometry and cycle time precomputed here,
-    ``functools.partial`` callbacks, and calls into the control plane
-    and engine through instance attributes.
+    ``functools.partial`` callbacks, and calls into the engine through
+    instance attributes. The control plane's tables are used in place:
+    the request path reads a DS-id's address window, priority and
+    ``rowbuf`` from its parameter row and adds each served request to
+    the plane's service window.
     """
 
     def __init__(
@@ -100,7 +103,6 @@ class MemoryController(Component):
         self._row_bytes = self.geometry.row_bytes
         self._total_banks = self.geometry.total_banks
         self._cycle_ps = clock.period_ps
-        self._burst_ps = self.timing.t_burst * clock.period_ps
         self.banks = [
             BankState(i, hp_row_buffer=hp_row_buffer)
             for i in range(self.geometry.total_banks)
@@ -114,8 +116,12 @@ class MemoryController(Component):
         self.served_requests = 0
         self.served_bytes = 0
         self.refreshes_performed = 0
+        # The control plane's parameter rows and service window, used in
+        # place (None without a control plane).
+        self._parameter_rows = self._service_window = None
         if control is not None:
-            control.bind_controller(self)
+            self._parameter_rows = control.parameters.row_view
+            self._service_window = control.window_service
         if enable_refresh:
             self.engine.post(
                 self.timing.t_refi * clock.period_ps, self._refresh
@@ -144,24 +150,31 @@ class MemoryController(Component):
         ds_id = packet.ds_id
         if packet.op is _WRITEBACK and packet.owner_ds_id is not None:
             ds_id = packet.owner_ds_id
-        control = self.control
         dram_addr = packet.addr
-        if control is not None and self.translate_addresses:
-            dram_addr = control.translate(ds_id, dram_addr)
-        # repro.dram.timing.decompose_address, inlined.
-        if dram_addr < 0:
-            raise ValueError(f"negative DRAM address {dram_addr}")
-        row_number = dram_addr // self._row_bytes
-        total_banks = self._total_banks
-        if control is None:
-            priority = 0
-        else:
-            priority = control.priority(ds_id)
+        priority = 0
+        rows = self._parameter_rows
+        # Untracked DS-ids keep their address and the lowest priority.
+        if rows is not None and ds_id in rows:
+            row = rows[ds_id]
+            size = row["addr_size"]
+            if size and self.translate_addresses:
+                base = row["addr_base"]
+                if base >= 0 and 0 <= dram_addr < size:
+                    dram_addr += base
+                else:
+                    # Out of the window: translate raises its error.
+                    dram_addr = self.control.translate(ds_id, dram_addr)
+            priority = row["priority"]
             top = self._top_priority
             if priority < 0:
                 priority = 0
             elif priority > top:
                 priority = top
+        # repro.dram.timing.decompose_address, inlined.
+        if dram_addr < 0:
+            raise ValueError(f"negative DRAM address {dram_addr}")
+        row_number = dram_addr // self._row_bytes
+        total_banks = self._total_banks
         now = self.engine._now
         # The priority is clamped, so the queue exists: append directly.
         self._queues[priority].append(
@@ -217,26 +230,19 @@ class MemoryController(Component):
         bank = self.banks[request.bank_index]
         priority = request.priority
         # High priority may use the extra row buffer, if its DS-id's
-        # rowbuf parameter allows.
-        high_priority = (
-            self.hp_row_buffer
-            and priority != 0
-            and (self.control is None or bool(self.control.rowbuf_enabled(request.ds_id)))
-        )
-        timing = self.timing
-        latency_cycles = bank.access_latency_cycles(request.row, timing, high_priority)
+        # rowbuf parameter allows (untracked DS-ids may).
+        high_priority = False
+        if self.hp_row_buffer and priority != 0:
+            rows = self._parameter_rows
+            ds_id = request.ds_id
+            high_priority = rows is None or ds_id not in rows or rows[ds_id]["rowbuf"] != 0
         cycle_ps = self._cycle_ps
-        burst_ps = self._burst_ps
-        # The shared data bus serializes bursts; row preparation overlaps
-        # with other banks' transfers.
-        data_start_ps = issue_ps + latency_cycles * cycle_ps - burst_ps
-        if data_start_ps < self.bus_free_at_ps:
-            data_start_ps = self.bus_free_at_ps
-        done_ps = bank.record_access(
-            request.row, issue_ps, data_start_ps + burst_ps, timing, cycle_ps,
+        # The shared data bus serializes bursts.
+        self.bus_free_at_ps = bank.issue(
+            request.row, issue_ps, self.bus_free_at_ps, self.timing, cycle_ps,
             high_priority,
         )
-        self.bus_free_at_ps = data_start_ps + burst_ps
+        done_ps = bank.ready_at_ps
         request.issued_at_ps = issue_ps
         delay_cycles = (issue_ps - request.enqueued_at_ps) / cycle_ps
         self.queue_delay[priority].record(delay_cycles)
@@ -256,11 +262,17 @@ class MemoryController(Component):
         self.served_bytes += packet.size
         if packet.span is not None:
             packet.span.hop(f"{self.name}.complete", done_ps)
-        if self.control is not None:
-            total_cycles = (done_ps - request.enqueued_at_ps) / self._cycle_ps
-            self.control.record_service(
-                request.ds_id, packet.size, delay_cycles, total_cycles
-            )
+        window = self._service_window
+        if window is not None:
+            # [bytes, queueing-delay sum, requests] of the open window.
+            ds_id = request.ds_id
+            if ds_id in window:
+                totals = window[ds_id]
+                totals[0] += packet.size
+                totals[1] += delay_cycles
+                totals[2] += 1
+            else:
+                window[ds_id] = [packet.size, delay_cycles, 1]
         request.on_response(packet)
         self._pump()
 

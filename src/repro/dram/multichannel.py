@@ -17,6 +17,7 @@ router; channel controllers are constructed with
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.dram.controller import MemoryController
@@ -73,8 +74,11 @@ class MultiChannelMemory(Component):
         else:
             dram_addr = packet.addr
         channel = self.channel_of(dram_addr)
-        packet.addr = dram_addr
-        self.controllers[channel].handle_request(packet, on_response)
+        # The channel sees a copy at the DRAM address: the request packet
+        # is its sender's (a cache forwards a core's read as its fill).
+        self.controllers[channel].handle_request(
+            replace(packet, addr=dram_addr), on_response
+        )
 
     # -- aggregate introspection ---------------------------------------------
 

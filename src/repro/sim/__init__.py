@@ -7,7 +7,7 @@ reproduction is built on:
 - :mod:`repro.sim.clock` -- clock domains (CPU at 2 GHz, DDR3-1600 at 800 MHz)
 - :mod:`repro.sim.component` -- base class and port plumbing for hardware models
 - :mod:`repro.sim.packet` -- tagged intra-computer-network (ICN) packets
-- :mod:`repro.sim.stats` -- windowed rates and latency recorders
+- :mod:`repro.sim.stats` -- latency recorders
 - :mod:`repro.sim.rng` -- deterministic random streams
 """
 
@@ -23,7 +23,7 @@ from repro.sim.packet import (
     Packet,
 )
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import LatencyRecorder, WindowedRate
+from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "ClockDomain",
@@ -39,5 +39,4 @@ __all__ = [
     "LatencyRecorder",
     "MemoryPacket",
     "Packet",
-    "WindowedRate",
 ]

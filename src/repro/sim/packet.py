@@ -54,12 +54,12 @@ class Packet:
     """Base class for all ICN packets.
 
     ``ds_id`` is the DiffServ identity tag; ``birth_ps`` records when the
-    packet entered the network, for end-to-end latency accounting.
+    packet entered the network.
 
-    Packets are the single most-allocated object in a run (one per
-    memory access that reaches the event-driven path), so every subclass
-    is a ``slots=True`` dataclass: no per-instance ``__dict__``, smaller
-    footprint, faster attribute access.
+    Packets are the single most-allocated object in a run (one per core
+    access, plus the fills, writebacks and DMA transfers below it), so
+    every subclass is a ``slots=True`` dataclass: no per-instance
+    ``__dict__``, smaller footprint, faster attribute access.
     """
 
     ds_id: int = DEFAULT_DSID
@@ -88,6 +88,15 @@ class MemoryPacket(Packet):
     addresses (PARD §4.2). ``owner_ds_id`` is only meaningful for
     writebacks, where the evicted block's owner -- not the requester that
     caused the eviction -- must be charged (PARD §4.1).
+
+    One packet serves a request for its whole trip down the hierarchy
+    where it can: a cache miss that is a line-aligned, line-sized READ
+    forwards the packet itself as its fill (L1 -> LLC -> DRAM). So packet
+    ids number the requests sources issue (core accesses, injected
+    Fig. 11 requests, DMA chunks) plus the packets caches build: the
+    READ fill of a store miss or an unaligned access, and writebacks. A
+    forwarded fill keeps the issuing core's ``birth_ps``, which nothing
+    reads. A component must not rewrite a packet it did not build.
 
     The constructor is written out rather than generated: it is the
     generated one with :meth:`Packet.__post_init__` folded in, which

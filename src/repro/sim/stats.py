@@ -1,11 +1,9 @@
-"""Statistics primitives used by control planes and experiment harnesses.
+"""Latency recorders for hardware models and experiment harnesses.
 
-Control-plane statistics tables (PARD Fig. 2) store per-DS-id usage
-information such as hit/miss counts, bandwidth and average queueing
-latency. Triggers compare *rates* over recent history, so this module
-provides windowed counters that expose a value over the last completed
-window, and latency recorders. Plain counters are
-:class:`repro.telemetry.Counter`.
+Control-plane statistics tables (PARD Fig. 2) keep their windowed
+per-DS-id counts as plain ints beside the tables themselves (see
+:mod:`repro.cache.control_plane` and :mod:`repro.dram.control_plane`).
+Plain counters are :class:`repro.telemetry.Counter`.
 """
 
 from __future__ import annotations
@@ -13,35 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from typing import Iterable, Optional
-
-
-class WindowedRate:
-    """A counter whose rate is read out per fixed window.
-
-    ``roll()`` closes the current window: the accumulated amount becomes
-    ``last_window_value`` and accumulation restarts. Control planes roll
-    their statistics at the trigger-evaluation period.
-    """
-
-    __slots__ = ("name", "current", "last_window_value", "windows_completed")
-
-    def __init__(self, name: str = "rate"):
-        self.name = name
-        self.current = 0
-        self.last_window_value = 0
-        self.windows_completed = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.current += amount
-
-    def roll(self) -> int:
-        self.last_window_value = self.current
-        self.current = 0
-        self.windows_completed += 1
-        return self.last_window_value
-
-    def __repr__(self) -> str:
-        return f"WindowedRate({self.name}: last={self.last_window_value})"
 
 
 class LatencyRecorder:

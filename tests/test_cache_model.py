@@ -114,6 +114,63 @@ class TestHitMiss:
         assert cache.total_misses == 5
 
 
+def make_hierarchy(engine=None):
+    """An L1 in front of an LLC with a control plane, over FakeMemory."""
+    engine = engine or Engine()
+    clock = ClockDomain(engine, CPU_CLOCK_PS)
+    memory = FakeMemory(engine)
+    llc = Cache(
+        engine, clock, CacheConfig("llc", size_bytes=16 * 4 * 64, ways=4),
+        memory, control=LlcControlPlane(engine, num_ways=4),
+    )
+    l1 = Cache(engine, clock, CacheConfig("l1", size_bytes=4 * 2 * 64, ways=2), llc)
+    return engine, l1, llc, memory
+
+
+def line_at(cache, addr, ds_id=0):
+    """The valid line holding ``addr`` for ``ds_id``."""
+    block = addr // cache.config.line_size
+    cache_set = cache._sets[block % cache.config.num_sets]
+    way = cache_set.index[(block // cache.config.num_sets) << 16 | ds_id]
+    return cache_set.lines[way]
+
+
+class TestMissForwarding:
+    """A line-aligned, line-sized READ that misses is its own fill."""
+
+    def test_aligned_read_miss_forwards_the_same_packet(self):
+        engine, cache, memory = make_cache()
+        _, pkt = access(engine, cache, 0x1000, ds_id=3)
+        assert len(memory.requests) == 1
+        assert memory.requests[0] is pkt
+
+    def test_aligned_read_is_forwarded_through_both_levels(self):
+        engine, l1, llc, memory = make_hierarchy()
+        _, pkt = access(engine, l1, 0x1000)
+        assert (l1.total_misses, llc.total_misses) == (1, 1)
+        assert memory.requests == [pkt]
+        assert memory.requests[0] is pkt
+
+    def test_store_miss_sends_a_read_line_fill(self):
+        engine, l1, llc, memory = make_hierarchy()
+        _, pkt = access(engine, l1, 0x1000, op=MemOp.WRITE)
+        [fill] = memory.requests
+        assert fill is not pkt
+        assert (fill.op, fill.addr, fill.size) == (MemOp.READ, 0x1000, 64)
+        # The store dirties the line in the L1 only: the LLC holds a
+        # clean copy until the L1 writes it back.
+        assert line_at(l1, 0x1000).dirty
+        assert not line_at(llc, 0x1000).dirty
+
+    def test_unaligned_read_gets_a_fresh_fill_at_the_line_address(self):
+        engine, cache, memory = make_cache()
+        _, pkt = access(engine, cache, 0x1030, ds_id=2)
+        [fill] = memory.requests
+        assert fill is not pkt
+        assert (fill.op, fill.addr, fill.size, fill.ds_id) == (MemOp.READ, 0x1000, 64, 2)
+        assert pkt.addr == 0x1030
+
+
 class TestWritebackDsid:
     def test_writeback_carries_owner_dsid(self):
         # The block is dirtied by DS-id 2; DS-id 1 later causes the
@@ -318,3 +375,55 @@ class TestControlPlaneBinding:
         first = control.statistics.get(1, "miss_rate")
         control.roll_window()  # no accesses this window
         assert control.statistics.get(1, "miss_rate") == first
+
+
+class TestWindowCounts:
+    """The LLC counts hits and misses into the plane's open window, which
+    each roll publishes and clears."""
+
+    def make(self):
+        engine = Engine()
+        control = LlcControlPlane(engine, num_ways=4)
+        control.allocate_ldom(1)
+        clock = ClockDomain(engine, CPU_CLOCK_PS)
+        config = CacheConfig("llc", size_bytes=4 * 4 * 64, ways=4)
+        cache = Cache(engine, clock, config, FakeMemory(engine), control=control)
+        return engine, cache, control
+
+    def test_roll_publishes_window_counts(self):
+        engine, cache, control = self.make()
+        access(engine, cache, 0, ds_id=1)      # miss
+        access(engine, cache, 0, ds_id=1)      # hit
+        access(engine, cache, 0, ds_id=1)      # hit
+        assert (control.window_hits[1], control.window_misses[1]) == (2, 1)
+        control.roll_window()
+        assert control.statistics.get(1, "hit_cnt") == 2
+        assert control.statistics.get(1, "miss_cnt") == 1
+        assert 1 not in control.window_hits and 1 not in control.window_misses
+
+    def test_consecutive_windows_independent(self):
+        engine, cache, control = self.make()
+        access(engine, cache, 0, ds_id=1)      # miss
+        control.roll_window()
+        assert control.statistics.get(1, "miss_rate") == 10_000
+        access(engine, cache, 0, ds_id=1)      # hit
+        control.roll_window()
+        # The second window saw only its own hit.
+        assert control.statistics.get(1, "miss_rate") == 0
+        assert control.statistics.get(1, "hit_cnt") == 1
+        assert control.statistics.get(1, "miss_cnt") == 1
+
+    def test_empty_window_publishes_zero(self):
+        engine, cache, control = self.make()
+        access(engine, cache, 0, ds_id=1)
+        control.roll_window()
+        control.roll_window()                  # no accesses this window
+        assert control.statistics.get(1, "miss_cnt") == 1
+        assert control.statistics.get(1, "hit_cnt") == 0
+
+    def test_untracked_dsid_is_counted_but_not_published(self):
+        engine, cache, control = self.make()
+        access(engine, cache, 0, ds_id=9)
+        control.roll_window()
+        assert control.window_misses == {9: 1}
+        assert not control.statistics.has(9)

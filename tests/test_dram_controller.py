@@ -198,7 +198,9 @@ class TestMemoryControlPlaneStats:
         engine = Engine()
         control = MemoryControlPlane(engine)
         control.allocate_ldom(1)
-        control.record_service(1, 64, queue_delay_cycles=2.7, total_cycles=20)
+        # One served request with 2.7 cycles of queueing delay, counted
+        # where the controller counts it: [bytes, delay sum, requests].
+        control.window_service[1] = [64, 2.7, 1]
         control.roll_window()
         assert control.statistics.get(1, "avg_qlat") == 270
         assert control.statistics.get(1, "avg_qlat") / LATENCY_SCALE == pytest.approx(2.7)

@@ -71,6 +71,15 @@ class TestAddressDecomposition:
 
 
 class TestBankState:
+    CYCLE_PS = 1250
+
+    def latency_cycles(self, bank, row, issue_ps, high_priority=False):
+        """Issue ``row`` on a free data bus; its burst then ends the
+        access latency after the issue."""
+        timing = DramTiming()
+        data_end = bank.issue(row, issue_ps, 0, timing, self.CYCLE_PS, high_priority)
+        return (data_end - issue_ps) // self.CYCLE_PS
+
     def test_initially_closed(self):
         bank = BankState(0)
         assert bank.row_state(5) == "closed"
@@ -78,27 +87,35 @@ class TestBankState:
     def test_hit_after_access(self):
         bank = BankState(0)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
+        bank.issue(5, 0, 0, timing, 1250, high_priority=False)
         assert bank.row_state(5) == "hit"
         assert bank.row_state(6) == "conflict"
 
     def test_access_latency_by_state(self):
         bank = BankState(0)
         timing = DramTiming()
-        assert bank.access_latency_cycles(5, timing, False) == timing.row_closed_latency
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
-        assert bank.access_latency_cycles(5, timing, False) == timing.row_hit_latency
-        assert bank.access_latency_cycles(6, timing, False) == timing.row_conflict_latency
+        assert self.latency_cycles(bank, 5, 0) == timing.row_closed_latency
+        assert self.latency_cycles(bank, 5, 100_000) == timing.row_hit_latency
+        assert self.latency_cycles(bank, 6, 200_000) == timing.row_conflict_latency
+
+    def test_burst_waits_for_the_data_bus(self):
+        bank = BankState(0)
+        timing = DramTiming()
+        burst_ps = timing.t_burst * self.CYCLE_PS
+        data_end = bank.issue(5, 0, 10**6, timing, self.CYCLE_PS, high_priority=False)
+        assert data_end == 10**6 + burst_ps
+        assert bank.ready_at_ps == data_end
 
     def test_tras_extends_conflict_completion(self):
         bank = BankState(0)
         timing = DramTiming()
         cycle_ps = 1250
-        bank.record_access(5, 0, 1000, timing, cycle_ps, high_priority=False)
+        bank.issue(5, 0, 0, timing, cycle_ps, high_priority=False)
         # Conflicting access issued immediately: the old row was activated
         # at 0 and cannot precharge before tRAS.
-        done = bank.record_access(6, 1000, 2000, timing, cycle_ps, high_priority=False)
-        assert done > 2000
+        data_end = bank.issue(6, 1000, 0, timing, cycle_ps, high_priority=False)
+        done = bank.ready_at_ps
+        assert done > data_end
         assert done - 1000 >= (timing.t_ras * cycle_ps - 1000)
 
     def test_hp_row_buffer_avoids_conflict(self):
@@ -106,9 +123,8 @@ class TestBankState:
         # request activate without closing the low-priority row.
         bank = BankState(0, hp_row_buffer=True)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
-        assert bank.access_latency_cycles(6, timing, True) == timing.row_closed_latency
-        bank.record_access(6, 2000, 3000, timing, 1250, high_priority=True)
+        bank.issue(5, 0, 0, timing, 1250, high_priority=False)
+        assert self.latency_cycles(bank, 6, 2000, True) == timing.row_closed_latency
         # Both rows are now hot.
         assert bank.row_state(5) == "hit"
         assert bank.row_state(6) == "hit"
@@ -116,14 +132,14 @@ class TestBankState:
     def test_without_hp_buffer_high_priority_conflicts(self):
         bank = BankState(0, hp_row_buffer=False)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
-        assert bank.access_latency_cycles(6, timing, True) == timing.row_conflict_latency
+        bank.issue(5, 0, 0, timing, 1250, high_priority=False)
+        assert self.latency_cycles(bank, 6, 2000, True) == timing.row_conflict_latency
 
     def test_close_precharges_both_buffers(self):
         bank = BankState(0, hp_row_buffer=True)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
-        bank.record_access(6, 2000, 3000, timing, 1250, high_priority=True)
+        bank.issue(5, 0, 0, timing, 1250, high_priority=False)
+        bank.issue(6, 2000, 0, timing, 1250, high_priority=True)
         bank.close()
         assert bank.row_state(5) == "closed"
         assert bank.row_state(6) == "closed"

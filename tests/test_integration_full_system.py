@@ -9,6 +9,7 @@ back through the device file tree, and triggers repartition the cache.
 import pytest
 
 from repro.sim.engine import PS_PER_MS
+from repro.cpu.core import CoreState
 from repro.prm.rules import partition_llc_action
 from repro.system.config import TABLE2
 from repro.system import check_invariants
@@ -186,13 +187,23 @@ class TestSoloVsSharedUtilization:
 
 
 class TestRuntimeInvariants:
-    def drained_server(self):
-        """A finite flush with no statistics windows: the run drains."""
+    def drained_server(self, ldoms=("a",)):
+        """Finite flushes with no statistics windows: the run drains."""
         server = small_server()
-        server.firmware.create_ldom("a", (0,), 1 << 20)
-        server.firmware.launch_ldom("a", {0: CacheFlush(flush_bytes=64 << 10, passes=1)})
+        for core_id, name in enumerate(ldoms):
+            server.firmware.create_ldom(name, (core_id,), 1 << 20)
+            server.firmware.launch_ldom(
+                name, {core_id: CacheFlush(flush_bytes=64 << 10, passes=1)}
+            )
         server.engine.run()
         assert server.engine.pending_events == 0
+        return server
+
+    def published_server(self, ldoms=("a",)):
+        """A drained server whose LLC and memory windows were published."""
+        server = self.drained_server(ldoms)
+        server.llc_control.roll_window()
+        server.memory_control.roll_window()
         return server
 
     def test_drained_server_holds_every_invariant(self):
@@ -205,4 +216,55 @@ class TestRuntimeInvariants:
         cache_set = next(iter(server.llc._sets.values()))
         cache_set.free ^= 1
         with pytest.raises(RuntimeError, match="free mask"):
+            check_invariants(server)
+
+    def test_published_sums_match_totals(self):
+        server = self.published_server()
+        ds_id = server.firmware.ldoms["a"].ds_id
+        llc_stats = server.llc_control.statistics
+        assert llc_stats.get(ds_id, "miss_cnt") > 0
+        assert server.memory_control.statistics.get(ds_id, "serv_cnt") > 0
+        check_invariants(server)
+
+    def test_uncounted_llc_hit_raises(self):
+        server = self.published_server()
+        server.llc.total_hits += 1
+        with pytest.raises(RuntimeError, match="llc hits"):
+            check_invariants(server)
+
+    def test_overcounted_llc_miss_raises(self):
+        server = self.drained_server()
+        ds_id = server.firmware.ldoms["a"].ds_id
+        server.llc_control.window_misses[ds_id] += 1
+        with pytest.raises(RuntimeError, match="llc misses"):
+            check_invariants(server)
+
+    def test_uncounted_dram_request_raises(self):
+        server = self.published_server()
+        server.memory_controller.served_requests += 1
+        with pytest.raises(RuntimeError, match="dram requests"):
+            check_invariants(server)
+
+    def test_destroyed_ldom_takes_its_counts_with_it(self):
+        """A freed row's published counts are gone, so the sums fall
+        short of the totals; they still may never exceed them."""
+        server = self.published_server(ldoms=("a", "b"))
+        server.firmware.destroy_ldom("a")
+        llc_stats = server.llc_control.statistics
+        published = sum(llc_stats.get(d, "miss_cnt") for d in llc_stats.ds_ids)
+        assert published + sum(server.llc_control.window_misses.values()) < (
+            server.llc.total_misses
+        )
+        check_invariants(server)
+        ds_id = server.firmware.ldoms["b"].ds_id
+        server.memory_control.window_service[ds_id] = [64, 0.0, 10**6]
+        with pytest.raises(RuntimeError, match="dram requests"):
+            check_invariants(server)
+
+    def test_core_waiting_on_memory_at_drain_raises(self):
+        server = self.drained_server()
+        core = server.cores[0]
+        core.state = CoreState.WAITING_MEM
+        core._outstanding = 1
+        with pytest.raises(RuntimeError, match="waiting on 1 memory"):
             check_invariants(server)

@@ -190,11 +190,10 @@ class TestTriggerActionPath:
             "cpa0", 1, "miss_rate", "gt,30", action_id=0,
             script_path="/cpa0_ldom1_t0.sh",
         )
-        # Simulate a hot window: many misses for DS-id 1.
-        for _ in range(70):
-            cache.record_access(1, hit=False)
-        for _ in range(30):
-            cache.record_access(1, hit=True)
+        # Simulate a hot window: many misses for DS-id 1, counted where
+        # the LLC counts them.
+        cache.window_misses[1] = 70
+        cache.window_hits[1] = 30
         cache.roll_window()
         # The script runs only after the firmware reaction latency.
         assert cache.parameters.get(1, "waymask") == 0x000F
@@ -207,7 +206,7 @@ class TestTriggerActionPath:
         engine, firmware, (cache, _, _), _, _ = make_firmware()
         firmware.create_ldom("a", (0,), 1 << 20)
         firmware.install_trigger("cpa0", 1, "miss_rate", "gt,0", action_id=0)
-        cache.record_access(1, hit=False)
+        cache.window_misses[1] = 1
         cache.roll_window()
         engine.run()
         assert len(firmware.trigger_log) == 1
@@ -225,8 +224,7 @@ class TestTriggerActionPath:
         script = chain_actions(log_action(), increase_waymask_action(16))
         firmware.register_script("/t.sh", script)
         firmware.install_trigger("cpa0", 1, "miss_rate", "gt,10", script_path="/t.sh")
-        for _ in range(10):
-            cache.record_access(1, hit=False)
+        cache.window_misses[1] = 10
         cache.roll_window()
         engine.run()
         assert "trigger" in firmware.cat("/log/triggers.log")
@@ -236,7 +234,9 @@ class TestTriggerActionPath:
         firmware.create_ldom("a", (0,), 1 << 20, priority=0)
         firmware.register_script("/p.sh", raise_priority_action(1))
         firmware.install_trigger("cpa1", 1, "avg_qlat", "gt,10", script_path="/p.sh")
-        mem.record_service(1, 64, queue_delay_cycles=50.0, total_cycles=60.0)
+        # One served request with 50 cycles of queueing delay, counted
+        # where the controller counts it: [bytes, delay sum, requests].
+        mem.window_service[1] = [64, 50.0, 1]
         mem.roll_window()
         engine.run()
         assert mem.parameters.get(1, "priority") == 1

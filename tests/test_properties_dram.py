@@ -117,7 +117,7 @@ def test_arbiter_dispatches_in_pifo_order(arrivals):
     controller._issue = dispatch
 
     def arrive(order, packet):
-        rank = (-control.priority(packet.ds_id), order)
+        rank = (-control.parameters.get_default(packet.ds_id, "priority", 0), order)
         waiting[packet.packet_id] = rank
         controller.handle_request(packet, lambda _p: None)
 

@@ -3,31 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import LatencyRecorder, WindowedRate
-
-
-class TestWindowedRate:
-    def test_roll_exposes_window_value(self):
-        r = WindowedRate("bw")
-        r.add(10)
-        r.add(5)
-        assert r.roll() == 15
-        assert r.last_window_value == 15
-        assert r.current == 0
-
-    def test_consecutive_windows_independent(self):
-        r = WindowedRate()
-        r.add(4)
-        r.roll()
-        r.add(7)
-        assert r.roll() == 7
-        assert r.windows_completed == 2
-
-    def test_empty_window_rolls_to_zero(self):
-        r = WindowedRate()
-        r.add(9)
-        r.roll()
-        assert r.roll() == 0
+from repro.sim.stats import LatencyRecorder
 
 
 class TestLatencyRecorder:
