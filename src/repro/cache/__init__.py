@@ -4,7 +4,6 @@
   (the "Way Partitioning Enabled Pseudo-LRU" of PARD Fig. 4)
 - :mod:`repro.cache.mshr` -- miss status holding registers; an entry
   also holds the way its fill reserved
-- :mod:`repro.cache.writeback` -- the writeback buffer (owner-DS-id tagged)
 - :mod:`repro.cache.cache` -- the cache model itself (used for both the
   private L1s and the shared LLC); a miss runs MSHR merge/allocate and
   victim choice in one frame
@@ -15,7 +14,6 @@ from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
 from repro.cache.mshr import MshrFile
 from repro.cache.replacement import WayMaskedPlru
-from repro.cache.writeback import WritebackBuffer
 
 __all__ = [
     "Cache",
@@ -23,5 +21,4 @@ __all__ = [
     "LlcControlPlane",
     "MshrFile",
     "WayMaskedPlru",
-    "WritebackBuffer",
 ]

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.cache.mshr import MshrEntry, MshrFile
 from repro.cache.replacement import WayMaskedPlru, plru_tables
-from repro.cache.writeback import WritebackBuffer
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
@@ -44,7 +43,6 @@ class CacheConfig:
     line_size: int = 64
     hit_latency_cycles: int = 2
     mshr_entries: int = 16
-    writeback_entries: int = 8
     retry_cycles: int = 4  # back-off when the MSHR file is full
 
     def __post_init__(self) -> None:
@@ -154,7 +152,6 @@ class Cache(Component):
         self._plru_keep, self._plru_point, _leaves = plru_tables(config.ways)
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
-        self.writebacks = WritebackBuffer(config.writeback_entries)
         # Component-wide hit and miss counters (per DS-id, they are the
         # control plane's window counts below).
         self.total_hits = 0
@@ -339,7 +336,7 @@ class Cache(Component):
                 op=_READ,
                 birth_ps=now,
                 # The fill inherits the missing request's span, so the
-                # trail continues downstream (LLC, crossbar, DRAM).
+                # trail continues downstream (LLC, DRAM).
                 span=packet.span,
             )
         fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
@@ -351,19 +348,16 @@ class Cache(Component):
             self.downstream.handle_request(fill, fill_done)
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
+        # Posted straight downstream, tagged with the owner DS-id; the
+        # memory controller queue is the real contention point.
         line_addr = (victim.tag << self._tag_shift | set_index) * self._line_size
-        now = self.engine._now
-        entry = self.writebacks.push(line_addr, victim.ds_id, now)
-        # Drain immediately; the memory controller queue is the real
-        # contention point downstream.
-        self.writebacks.pop()
         packet = MemoryPacket(
-            ds_id=entry.owner_ds_id,
-            addr=entry.line_addr,
+            ds_id=victim.ds_id,
+            addr=line_addr,
             size=self._line_size,
             op=MemOp.WRITEBACK,
-            owner_ds_id=entry.owner_ds_id,
-            birth_ps=now,
+            owner_ds_id=victim.ds_id,
+            birth_ps=self.engine._now,
         )
         self.downstream.handle_request(packet, _drop_response)
 

@@ -12,7 +12,6 @@
 from repro.dram.bank import BankState
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.multichannel import MultiChannelMemory
 from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 
@@ -22,7 +21,6 @@ __all__ = [
     "DramTiming",
     "MemoryControlPlane",
     "MemoryController",
-    "MultiChannelMemory",
     "PendingRequest",
     "PriorityFrFcfsScheduler",
     "decompose_address",

@@ -63,7 +63,6 @@ class MemoryController(Component):
         priority_levels: int = 2,
         hp_row_buffer: bool = True,
         enable_refresh: bool = False,
-        translate_addresses: bool = True,
         name: str = "memctrl",
         telemetry=None,
     ):
@@ -71,7 +70,6 @@ class MemoryController(Component):
         self.timing = timing or DramTiming()
         self.geometry = geometry or DramGeometry()
         self.control = control
-        self.translate_addresses = translate_addresses
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -157,7 +155,7 @@ class MemoryController(Component):
         if rows is not None and ds_id in rows:
             row = rows[ds_id]
             size = row["addr_size"]
-            if size and self.translate_addresses:
+            if size:
                 base = row["addr_base"]
                 if base >= 0 and 0 <= dram_addr < size:
                     dram_addr += base

@@ -49,7 +49,6 @@ TELEMETRY_PREFIXES = {
     "I": "ide",
     "B": "bridge",
     "N": "nic",
-    "X": "icn",
 }
 
 # Statistics-column renames for the telemetry namespace.

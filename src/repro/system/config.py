@@ -42,15 +42,6 @@ class ServerConfig:
     dram_timing: DramTiming = DramTiming()
     dram_geometry: DramGeometry = DramGeometry()
 
-    # Memory organization: Table 2 has one channel; the paper's RTL
-    # substrate (OpenSPARC T1) has four controllers.
-    memory_channels: int = 1
-
-    # Optional explicit ICN crossbar between the L1s and the LLC
-    # (zero-cost fabric by default, matching the experiment calibration).
-    icn_crossbar: bool = False
-    crossbar_traversal_ps: int = 2_000
-
     # Disk (4-channel IDE, 8 disks -- modeled as one shared controller)
     disk_bandwidth_bytes_per_s: int = 100 * 1024 * 1024
     disk_chunk_bytes: int = 64 * 1024
@@ -68,8 +59,6 @@ class ServerConfig:
             raise ValueError("need at least one core")
         if self.llc_size_bytes % (self.llc_ways * 64):
             raise ValueError("LLC size must be divisible by ways * line size")
-        if self.memory_channels <= 0:
-            raise ValueError("need at least one memory channel")
 
     def scaled(self, factor: int) -> "ServerConfig":
         """Shrink cache capacities by ``factor`` (a power of two).

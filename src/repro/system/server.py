@@ -19,8 +19,6 @@ from repro.cache.control_plane import LlcControlPlane
 from repro.cpu.core import CpuCore
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.multichannel import MultiChannelMemory
-from repro.icn.crossbar import Crossbar
 from repro.io.apic import Apic
 from repro.io.bridge import IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
@@ -71,20 +69,12 @@ class PardServer:
         self.ide_control = IdeControlPlane(engine, **plane_kwargs)
         self.bridge_control = IoBridgeControlPlane(engine, **plane_kwargs)
 
-        # Memory hierarchy: one controller (Table 2), or an interleaved
-        # multi-channel organization when configured.
-        if config.memory_channels == 1:
-            self.memory_controller = MemoryController(
-                engine, self.dram_clock,
-                timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, telemetry=telemetry,
-            )
-        else:
-            self.memory_controller = MultiChannelMemory(
-                engine, self.dram_clock, channels=config.memory_channels,
-                timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, telemetry=telemetry,
-            )
+        # Memory hierarchy: one DDR3 controller (Table 2).
+        self.memory_controller = MemoryController(
+            engine, self.dram_clock,
+            timing=config.dram_timing, geometry=config.dram_geometry,
+            control=self.memory_control, telemetry=telemetry,
+        )
         llc_config = CacheConfig(
             name="llc",
             size_bytes=config.llc_size_bytes,
@@ -96,18 +86,6 @@ class PardServer:
             engine, self.cpu_clock, llc_config, self.memory_controller,
             control=self.llc_control, telemetry=telemetry,
         )
-        # Optional explicit crossbar hop between the private L1s and the
-        # shared LLC (the T1-style fabric of Fig. 1).
-        if config.icn_crossbar:
-            self.crossbar = Crossbar(
-                engine, self.llc,
-                traversal_ps=config.crossbar_traversal_ps,
-                telemetry=telemetry,
-            )
-            l1_downstream = self.crossbar
-        else:
-            self.crossbar = None
-            l1_downstream = self.llc
 
         # I/O.
         self.apic = Apic(engine, telemetry=telemetry)
@@ -139,7 +117,7 @@ class PardServer:
                 hit_latency_cycles=config.l1_hit_cycles,
             )
             l1 = Cache(
-                engine, self.cpu_clock, l1_config, l1_downstream,
+                engine, self.cpu_clock, l1_config, self.llc,
                 telemetry=telemetry,
             )
             core = CpuCore(

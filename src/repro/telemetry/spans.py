@@ -1,9 +1,9 @@
 """Packet-lifecycle spans: per-hop timestamps on sampled tagged requests.
 
 A span follows one packet through the machine -- core issue, L1/L2
-lookup, crossbar forward, DRAM enqueue/issue/complete, response -- and
-records a ``(hop_name, time_ps)`` pair at each stage. Spans carry the
-packet's DS-id, so finished spans can be queried per DS-id to attribute
+lookup, DRAM enqueue/issue/complete, response -- and records a
+``(hop_name, time_ps)`` pair at each stage. Spans carry the packet's
+DS-id, so finished spans can be queried per DS-id to attribute
 tail latency to a stage ("ds1's p99 is queue delay at the memory
 controller, not LLC misses").
 

@@ -19,9 +19,8 @@ from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
 from repro.workloads.memcached import MemcachedServer
 from repro.workloads.multiplex import TimeSliced
-from repro.workloads.spec import SyntheticSpec, lbm, leslie3d, libquantum, mcf, omnetpp
+from repro.workloads.spec import SyntheticSpec, lbm, leslie3d
 from repro.workloads.stream import Stream
-from repro.workloads.trace import TraceReplay, parse_trace
 
 __all__ = [
     "Boot",
@@ -32,12 +31,7 @@ __all__ = [
     "Stream",
     "SyntheticSpec",
     "TimeSliced",
-    "TraceReplay",
     "Workload",
     "lbm",
     "leslie3d",
-    "libquantum",
-    "mcf",
-    "omnetpp",
-    "parse_trace",
 ]

@@ -94,42 +94,3 @@ def lbm(scale: float = 1.0) -> SyntheticSpec:
         write_fraction=0.4,
     )
 
-
-def mcf(scale: float = 1.0) -> SyntheticSpec:
-    """429.mcf: pointer chasing over a huge graph -- latency-bound,
-    almost no MLP, very low locality."""
-    return SyntheticSpec(
-        benchmark="429.mcf",
-        working_set_bytes=int((8 << 20) * scale),
-        compute_cycles_per_batch=20,
-        mlp=1,
-        locality=0.25,
-        hot_fraction=0.02,
-        write_fraction=0.1,
-    )
-
-
-def libquantum(scale: float = 1.0) -> SyntheticSpec:
-    """462.libquantum: perfectly streaming over one large vector."""
-    return SyntheticSpec(
-        benchmark="462.libquantum",
-        working_set_bytes=int((4 << 20) * scale),
-        compute_cycles_per_batch=16,
-        mlp=8,
-        locality=0.02,
-        hot_fraction=0.01,
-        write_fraction=0.5,
-    )
-
-
-def omnetpp(scale: float = 1.0) -> SyntheticSpec:
-    """471.omnetpp: event-queue heavy, medium footprint, decent reuse."""
-    return SyntheticSpec(
-        benchmark="471.omnetpp",
-        working_set_bytes=int((3 << 20) * scale),
-        compute_cycles_per_batch=90,
-        mlp=2,
-        locality=0.65,
-        hot_fraction=0.2,
-        write_fraction=0.3,
-    )

@@ -1,4 +1,4 @@
-"""Unit tests for MSHRs and the writeback buffer.
+"""Unit tests for MSHRs.
 
 The MSHR file is plain state that :class:`~repro.cache.cache.Cache`
 manages inline, so its behaviour is tested through ``handle_request``.
@@ -7,7 +7,6 @@ manages inline, so its behaviour is tested through ``handle_request``.
 import pytest
 
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.writeback import WritebackBuffer
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -141,44 +140,3 @@ class TestMshrFile:
         with pytest.raises(ValueError):
             make_cache(mshr_entries=0)
 
-
-class TestWritebackBuffer:
-    def test_fifo_order(self):
-        buf = WritebackBuffer(4)
-        buf.push(0x100, 1, now_ps=0)
-        buf.push(0x200, 2, now_ps=1)
-        assert buf.pop().line_addr == 0x100
-        assert buf.pop().owner_ds_id == 2
-
-    def test_capacity(self):
-        buf = WritebackBuffer(1)
-        buf.push(0x100, 1, 0)
-        assert buf.is_full
-        with pytest.raises(OverflowError):
-            buf.push(0x200, 1, 0)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            WritebackBuffer(2).pop()
-
-    def test_peek_does_not_remove(self):
-        buf = WritebackBuffer(2)
-        buf.push(0x100, 3, 0)
-        assert buf.peek().owner_ds_id == 3
-        assert buf.occupancy == 1
-
-    def test_entry_records_owner_dsid(self):
-        buf = WritebackBuffer(2)
-        entry = buf.push(0x100, owner_ds_id=7, now_ps=5)
-        assert entry.owner_ds_id == 7
-        assert entry.queued_at_ps == 5
-
-    def test_total_enqueued_counts(self):
-        buf = WritebackBuffer(4)
-        for i in range(3):
-            buf.push(i * 64, 0, 0)
-        assert buf.total_enqueued == 3
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            WritebackBuffer(0)

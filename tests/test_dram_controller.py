@@ -5,7 +5,7 @@ import pytest
 from repro.core.address import AddressTranslationError
 from repro.dram.control_plane import LATENCY_SCALE, MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, DramTiming
+from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -150,16 +150,33 @@ class TestAddressTranslation:
 
     def test_same_ldom_address_different_banks_possible(self):
         # Two LDoms issue address 0; after translation they land in
-        # different rows, so both can be row hits concurrently.
+        # different rows, so both can be row hits concurrently. The row
+        # each one opens shows the controller added its window base.
         engine, controller, control = self.make_mapped()
-        read(engine, controller, 0, ds_id=1)
-        read(engine, controller, 0, ds_id=2)
+        untranslated = decompose_address(0, controller.geometry)[:2]
+        for ds_id in (1, 2):
+            packet = MemoryPacket(ds_id=ds_id, addr=0)
+            controller.handle_request(packet, lambda p: None)
+            engine.run()
+            bank, row, _ = decompose_address(
+                control.translate(ds_id, 0), controller.geometry
+            )
+            assert (bank, row) != untranslated
+            assert controller.banks[bank].open_row == row
+            # The controller did not build the packet, so it must not
+            # rewrite it: the DRAM address stays internal.
+            assert packet.addr == 0
         assert controller.served_requests == 2
 
     def test_out_of_window_access_raises(self):
-        _, _, control = self.make_mapped()
+        _, controller, control = self.make_mapped()
         with pytest.raises(AddressTranslationError):
             control.translate(1, 1 << 20)
+        # The controller's inlined translation raises the same error.
+        packet = MemoryPacket(ds_id=1, addr=1 << 20)
+        with pytest.raises(AddressTranslationError):
+            controller.handle_request(packet, lambda p: None)
+        assert controller.served_requests == 0
 
     def test_unmapped_dsid_is_identity(self):
         _, _, control = self.make_mapped()

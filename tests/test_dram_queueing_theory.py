@@ -71,9 +71,6 @@ def _waits(arrivals, with_priorities: bool) -> list:
         geometry=DramGeometry(ranks=1, banks_per_rank=1),
         control=control,
         hp_row_buffer=False,
-        # Every request reads address 0: one row, so every access after
-        # the first is a row hit.
-        translate_addresses=False,
     )
     for time_ps, ds_id in arrivals:
         packet = MemoryPacket(ds_id=ds_id, addr=0)

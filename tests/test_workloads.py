@@ -135,6 +135,18 @@ class TestSyntheticSpec:
         assert leslie3d().name == "437.leslie3d"
         assert lbm().working_set_bytes > leslie3d().working_set_bytes
 
+    def test_factories_produce_distinct_profiles(self):
+        models = [leslie3d(), lbm()]
+        assert len({m.name for m in models}) == 2
+        # lbm is the streaming, write-heavy one of Fig. 7's pair.
+        assert models[1].locality < models[0].locality
+        assert models[1].write_fraction > models[0].write_fraction
+
+    def test_scaling(self):
+        # Fig. 7 shrinks both working sets by its workload scale.
+        for factory in (leslie3d, lbm):
+            assert factory(scale=0.5).working_set_bytes == factory().working_set_bytes // 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec("x", 64, 10, mlp=4)
