@@ -162,20 +162,22 @@ def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict
 # A tiny Fig. 8 trigger-mode point: memcached beside three STREAM LDoms,
 # 0.05 ms warm-up (the trigger fires at its window) + 0.05 ms measured.
 CALLS_POINT = dict(mode="trigger", rps=444_000, span_ms=0.05, seed=1)
-# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (15.14;
+# Calls per event on CALLS_POINT, measured on CPython 3.11.7 (13.14;
 # 74.05 before the memory-hierarchy hot-path rewrite, 28.58 before the
 # one-frame-per-hop pass, 23.31 before the one-frame-per-miss pass,
 # 18.81 before misses forwarded their packet and used the control-plane
-# tables in place), plus 10%.
-CALLS_PER_EVENT_BUDGET = 16.7
+# tables in place, 15.09 before a DRAM request became one frame and the
+# L1 victim a table lookup), plus 10%.
+CALLS_PER_EVENT_BUDGET = 14.5
 # A small Fig. 11 run: the injector straight into both controller
 # configurations, no cores or caches.
 FIG11_CALLS_POINT = dict(inject_rate=0.75, num_requests=600, seed=1, jobs=1)
 # Calls per event on FIG11_CALLS_POINT, measured on CPython 3.11.7
-# (15.43; 29.29 before the one-frame-per-hop pass, 20.64 before the
+# (13.04; 29.29 before the one-frame-per-hop pass, 20.64 before the
 # request stream was drawn once per run, 16.63 before the controller
-# used the control-plane tables in place), plus 10%.
-FIG11_CALLS_PER_EVENT_BUDGET = 17.0
+# used the control-plane tables in place, 15.43 before a DRAM request
+# became one frame from enqueue to response), plus 10%.
+FIG11_CALLS_PER_EVENT_BUDGET = 14.4
 CALLS_PYTHON = (3, 11)
 
 

@@ -39,7 +39,8 @@ def test_table2_configuration(benchmark):
     assert (timing.t_rcd, timing.t_cl, timing.t_rp) == (11, 11, 11)  # 13.75ns
     assert timing.t_ras == 28                    # 35 ns
     geometry = TABLE2.dram_geometry
-    assert geometry.channels == 1 and geometry.ranks == 2
+    assert "1 channel, 2 ranks" in dict(TABLE2.describe())["DRAM"]
+    assert geometry.ranks == 2
     assert geometry.banks_per_rank == 8 and geometry.row_bytes == 1024
     assert geometry.capacity_bytes == 8 << 30
     assert TABLE2.max_table_entries == 256 and TABLE2.max_triggers == 64

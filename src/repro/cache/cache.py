@@ -113,8 +113,10 @@ class Cache(Component):
     ``functools.partial`` callbacks instead of a closure per request;
     see DESIGN.md "Memory-hierarchy hot path". They apply PLRU touches
     with the shared ``keep``/``point`` tables (``plru_tables``) rather
-    than :meth:`WayMaskedPlru.touch`: every way they touch comes from
-    the set's own index, free mask or ``victim()``, so it is in range by
+    than :meth:`WayMaskedPlru.touch`, and a full-mask victim of a tree
+    of at most 8 ways from its ``victims`` table rather than
+    :meth:`WayMaskedPlru.victim`: every way they touch comes from the
+    set's own index, free mask or a victim pick, so it is in range by
     construction. Calls into other layers (``downstream``, ``engine``)
     stay attribute lookups on the instance; the control plane's tables
     are used in place, with no call per access.
@@ -149,7 +151,9 @@ class Cache(Component):
         self._full_mask = (1 << config.ways) - 1
         self._period_ps = clock.period_ps
         self._hit_latency_ps = config.hit_latency_cycles * clock.period_ps
-        self._plru_keep, self._plru_point, _leaves = plru_tables(config.ways)
+        self._plru_keep, self._plru_point, _leaves, self._plru_victims = plru_tables(
+            config.ways
+        )
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         # Component-wide hit and miss counters (per DS-id, they are the
@@ -305,6 +309,9 @@ class Cache(Component):
         free = cache_set.free & mask
         if free:
             way = (free & -free).bit_length() - 1  # the lowest free way
+        elif mask == self._full_mask and self._plru_victims is not None:
+            # victim() under the full mask, as one table lookup (the L1s).
+            way = self._plru_victims[cache_set.plru.state]
         else:
             way = cache_set.plru.victim(mask)
         cache_set.free &= ~(1 << way)

@@ -22,17 +22,25 @@ def mask_ways(mask: int, num_ways: int) -> list[int]:
     return [w for w in range(num_ways) if mask & (1 << w)]
 
 
+# Trees up to this many ways get a full-mask victim table (2**8 entries).
+VICTIM_TABLE_MAX_WAYS = 8
+
+
 @lru_cache(maxsize=None)
-def plru_tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def plru_tables(
+    num_ways: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
     """Per-way-count lookup tables, built once and shared by every tree
-    (and by :class:`~repro.cache.cache.Cache`, which applies touches
-    itself on its per-access path).
+    (and by :class:`~repro.cache.cache.Cache`, which applies touches and
+    picks full-mask victims itself on its per-access path).
 
     ``keep[way]`` and ``point[way]`` turn a touch into one expression,
     ``state & keep[way] | point[way]``: ``keep`` clears the bits of the
     nodes on the way's root path and ``point`` sets those that must now
     point right (away from a left child). ``leaves[node]`` is the mask of
-    the ways under tree node ``node``.
+    the ways under tree node ``node``. ``victims[state]`` is the victim
+    of a tree in ``state`` under the full way mask, for trees of at most
+    :data:`VICTIM_TABLE_MAX_WAYS` ways; it is ``None`` for wider trees.
     """
     keep, point = [], []
     for way in range(num_ways):
@@ -52,7 +60,18 @@ def plru_tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
         while node:
             leaves[node] |= 1 << way
             node >>= 1
-    return tuple(keep), tuple(point), tuple(leaves)
+    victims = None
+    if num_ways <= VICTIM_TABLE_MAX_WAYS:
+        # Under the full mask every subtree has an allowed way, so the
+        # walk just follows each node's bit (bit 0 is not a node).
+        victims = []
+        for state in range(1 << num_ways):
+            node = 1
+            while node < num_ways:
+                node = 2 * node + (state >> node & 1)
+            victims.append(node - num_ways)
+        victims = tuple(victims)
+    return tuple(keep), tuple(point), tuple(leaves), victims
 
 
 class WayMaskedPlru:
@@ -74,7 +93,7 @@ class WayMaskedPlru:
         self.num_ways = num_ways
         self.full_mask = (1 << num_ways) - 1
         self.state = 0
-        self._keep, self._point, self._leaves = plru_tables(num_ways)
+        self._keep, self._point, self._leaves, _victims = plru_tables(num_ways)
 
     @property
     def bits(self) -> list[int]:

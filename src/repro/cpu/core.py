@@ -83,7 +83,10 @@ class CpuCore(Component):
             reg.gauge_fn(
                 f"cpu.{self.name}.memory_accesses", lambda: self.memory_accesses
             )
-        self.tag = TagRegister(f"core{core_id}")
+        self.tag = TagRegister(f"core{core_id}", on_change=self._retag)
+        # The register's value, read per access without the property
+        # frame; TagRegister.write stays the only (validated) writer.
+        self._ds_id = self.tag.ds_id
         self._period_ps = clock.period_ps
         self.flush_threshold_ps = flush_threshold_cycles * clock.period_ps
         self.state = CoreState.IDLE
@@ -95,6 +98,9 @@ class CpuCore(Component):
         self._outstanding = 0
         self._wake_pending = False
         self._started_at_ps = 0
+
+    def _retag(self, _old: int, new: int) -> None:
+        self._ds_id = new
 
     # -- workload control --------------------------------------------------
 
@@ -182,7 +188,7 @@ class CpuCore(Component):
         """Issue one access; returns updated acc on a sync hit, else None."""
         now = self.engine._now
         packet = MemoryPacket(
-            ds_id=self.tag.ds_id, birth_ps=now, addr=addr,
+            ds_id=self._ds_id, birth_ps=now, addr=addr,
             op=_WRITE if is_store else _READ,
         )
         if self.telemetry is not None:
@@ -204,7 +210,7 @@ class CpuCore(Component):
         """Issue independent accesses together (MLP); wait for the slowest."""
         max_sync = 0
         pending = 0
-        ds_id = self.tag.ds_id
+        ds_id = self._ds_id
         now = self.engine._now
         for addr in addrs:
             packet = MemoryPacket(ds_id=ds_id, birth_ps=now, addr=addr, op=_READ)

@@ -12,7 +12,7 @@
 from repro.dram.bank import BankState
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
+from repro.dram.scheduler import PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "DramTiming",
     "MemoryControlPlane",
     "MemoryController",
-    "PendingRequest",
     "PriorityFrFcfsScheduler",
     "decompose_address",
 ]

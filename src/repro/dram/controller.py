@@ -29,7 +29,7 @@ from functools import partial
 from typing import Optional
 
 from repro.dram.bank import BankState
-from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
+from repro.dram.scheduler import PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
@@ -111,6 +111,7 @@ class MemoryController(Component):
         self.queue_delay = [
             LatencyRecorder(f"{name}.qdelay.p{p}") for p in range(priority_levels)
         ]
+        self._qdelay_samples = [recorder.samples for recorder in self.queue_delay]
         self.served_requests = 0
         self.served_bytes = 0
         self.refreshes_performed = 0
@@ -175,8 +176,9 @@ class MemoryController(Component):
         total_banks = self._total_banks
         now = self.engine._now
         # The priority is clamped, so the queue exists: append directly.
+        # The entry's layout is documented on _pump.
         self._queues[priority].append(
-            PendingRequest(
+            (
                 packet, row_number % total_banks, row_number // total_banks,
                 priority, now, on_response, ds_id,
             )
@@ -185,10 +187,17 @@ class MemoryController(Component):
             packet.span.hop(f"{self.name}.enqueue", now)
         self._pump()
 
-    # -- arbitration / issue --------------------------------------------------
+    # -- arbitration / issue / completion ------------------------------------
 
-    def _pump(self) -> None:
-        """Dispatch queued requests to bank state machines (Fig. 5).
+    def _pump(self, finished: Optional[tuple] = None, delay_cycles: float = 0.0) -> None:
+        """Retire ``finished`` (if given), then dispatch queued requests to
+        the bank state machines (Fig. 5).
+
+        A request's completion event is ``partial(self._pump, request,
+        delay_cycles)``: its accounting and ``on_response`` run first, then
+        the dispatch scan, so one frame both retires a request and refills
+        the freed bank. A queued request is the tuple ``(packet,
+        bank_index, row, priority, enqueued_at_ps, on_response, ds_id)``.
 
         Each priority class is a strict FIFO: only the head of a queue
         can dispatch, and it dispatches when its bank's state machine is
@@ -207,6 +216,25 @@ class MemoryController(Component):
         is what Fig. 11 measures.
         """
         now = self.engine._now
+        if finished is not None:
+            packet, _bank, _row, _priority, _enqueued, on_response, ds_id = finished
+            self._inflight -= 1
+            self.served_requests += 1
+            self.served_bytes += packet.size
+            if packet.span is not None:
+                packet.span.hop(f"{self.name}.complete", now)
+            window = self._service_window
+            if window is not None:
+                # [bytes, queueing-delay sum, requests] of the open window.
+                if ds_id in window:
+                    totals = window[ds_id]
+                    totals[0] += packet.size
+                    totals[1] += delay_cycles
+                    totals[2] += 1
+                else:
+                    window[ds_id] = [packet.size, delay_cycles, 1]
+            on_response(packet)
+        banks = self.banks
         while True:
             for queue in self._queues_by_rank:
                 if queue:
@@ -214,65 +242,39 @@ class MemoryController(Component):
             else:
                 return
             head = queue[0]
-            if self.banks[head.bank_index].ready_at_ps > now:
+            bank = banks[head[1]]
+            if bank.ready_at_ps > now:
                 # Strict priority: the preferred head owns the dispatch
                 # port even while its bank is busy. No wakeup is needed:
                 # a bank's ready time is the done time of its last
-                # access, whose _complete runs _pump then, and a refresh
+                # access, whose completion runs _pump then, and a refresh
                 # posts its own _pump.
                 return
             queue.popleft()
-            self._issue(head, now)
-
-    def _issue(self, request: PendingRequest, issue_ps: int) -> None:
-        bank = self.banks[request.bank_index]
-        priority = request.priority
-        # High priority may use the extra row buffer, if its DS-id's
-        # rowbuf parameter allows (untracked DS-ids may).
-        high_priority = False
-        if self.hp_row_buffer and priority != 0:
-            rows = self._parameter_rows
-            ds_id = request.ds_id
-            high_priority = rows is None or ds_id not in rows or rows[ds_id]["rowbuf"] != 0
-        cycle_ps = self._cycle_ps
-        # The shared data bus serializes bursts.
-        self.bus_free_at_ps = bank.issue(
-            request.row, issue_ps, self.bus_free_at_ps, self.timing, cycle_ps,
-            high_priority,
-        )
-        done_ps = bank.ready_at_ps
-        request.issued_at_ps = issue_ps
-        delay_cycles = (issue_ps - request.enqueued_at_ps) / cycle_ps
-        self.queue_delay[priority].record(delay_cycles)
-        if self._qdelay_hist is not None:
-            self._qdelay_hist.record(delay_cycles)
-        if request.packet.span is not None:
-            request.packet.span.hop(f"{self.name}.issue", issue_ps)
-        self._inflight += 1
-        self.engine.post_at(
-            done_ps, partial(self._complete, request, delay_cycles, done_ps)
-        )
-
-    def _complete(self, request: PendingRequest, delay_cycles: float, done_ps: int) -> None:
-        self._inflight -= 1
-        packet = request.packet
-        self.served_requests += 1
-        self.served_bytes += packet.size
-        if packet.span is not None:
-            packet.span.hop(f"{self.name}.complete", done_ps)
-        window = self._service_window
-        if window is not None:
-            # [bytes, queueing-delay sum, requests] of the open window.
-            ds_id = request.ds_id
-            if ds_id in window:
-                totals = window[ds_id]
-                totals[0] += packet.size
-                totals[1] += delay_cycles
-                totals[2] += 1
-            else:
-                window[ds_id] = [packet.size, delay_cycles, 1]
-        request.on_response(packet)
-        self._pump()
+            packet, _bank, row, priority, enqueued_at_ps, _on_response, ds_id = head
+            # High priority may use the extra row buffer, if its DS-id's
+            # rowbuf parameter allows (untracked DS-ids may).
+            high_priority = False
+            if self.hp_row_buffer and priority != 0:
+                rows = self._parameter_rows
+                high_priority = rows is None or ds_id not in rows or rows[ds_id]["rowbuf"] != 0
+            cycle_ps = self._cycle_ps
+            # The shared data bus serializes bursts.
+            self.bus_free_at_ps = bank.issue(
+                row, now, self.bus_free_at_ps, self.timing, cycle_ps, high_priority,
+            )
+            delay_cycles = (now - enqueued_at_ps) / cycle_ps
+            # LatencyRecorder.record, minus its frame: the recorder folds
+            # bare appends into its summaries when they are read.
+            self._qdelay_samples[priority].append(delay_cycles)
+            if self._qdelay_hist is not None:
+                self._qdelay_hist.record(delay_cycles)
+            if packet.span is not None:
+                packet.span.hop(f"{self.name}.issue", now)
+            self._inflight += 1
+            self.engine.post_at(
+                bank.ready_at_ps, partial(self._pump, head, delay_cycles)
+            )
 
     # -- introspection ------------------------------------------------------------
 

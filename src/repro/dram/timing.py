@@ -25,21 +25,20 @@ class DramTiming:
 
     Table 2 gives nanosecond values at tCK = 1.25 ns:
     tRCD = tCL = tRP = 13.75 ns = 11 cycles, tRAS = 35 ns = 28 cycles,
-    tRRD = 6 ns ~ 5 cycles, burst of 8 transfers = 4 cycles (DDR).
+    burst of 8 transfers = 4 cycles (DDR).
     """
 
     t_rcd: int = 11  # row-to-column (ACTIVATE -> READ/WRITE)
     t_cl: int = 11   # CAS latency (READ -> first data)
     t_rp: int = 11   # row precharge
     t_ras: int = 28  # minimum row-active time (ACTIVATE -> PRECHARGE)
-    t_rrd: int = 5   # ACTIVATE-to-ACTIVATE, different banks
     t_burst: int = 4  # BL8 on a DDR bus = 4 bus cycles
     t_refi: int = 6240  # refresh interval: 7.8 us at tCK = 1.25 ns
     t_rfc: int = 208    # refresh cycle time: 260 ns for a 4 Gbit device
 
     def __post_init__(self) -> None:
         for field_name in (
-            "t_rcd", "t_cl", "t_rp", "t_ras", "t_rrd", "t_burst", "t_refi", "t_rfc"
+            "t_rcd", "t_cl", "t_rp", "t_ras", "t_burst", "t_refi", "t_rfc"
         ):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
@@ -62,23 +61,27 @@ class DramTiming:
 
 @dataclass(frozen=True)
 class DramGeometry:
-    """Channel organization; Table 2's single-channel configuration."""
+    """The one channel's organization (Table 2).
 
-    channels: int = 1
+    The machine has one DDR3 channel, one controller and one data bus,
+    so the geometry has no channel count: every bank below shares that
+    bus.
+    """
+
     ranks: int = 2
     banks_per_rank: int = 8
     row_bytes: int = 1024
     capacity_bytes: int = 8 * 1024 ** 3  # 8 GB
 
     def __post_init__(self) -> None:
-        if min(self.channels, self.ranks, self.banks_per_rank, self.row_bytes) <= 0:
+        if min(self.ranks, self.banks_per_rank, self.row_bytes) <= 0:
             raise ValueError("geometry values must be positive")
         if self.row_bytes & (self.row_bytes - 1):
             raise ValueError("row_bytes must be a power of two")
 
     @cached_property
     def total_banks(self) -> int:
-        return self.channels * self.ranks * self.banks_per_rank
+        return self.ranks * self.banks_per_rank
 
     @cached_property
     def rows_per_bank(self) -> int:

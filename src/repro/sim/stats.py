@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import islice
 from typing import Iterable, Optional
 
 
@@ -19,14 +20,20 @@ class LatencyRecorder:
     Used both by hardware models (memory queueing delay, Fig. 11) and by
     workloads (memcached response times, Fig. 8).
 
-    The recorder sits on per-request hot paths, so the summary statistics
-    are maintained incrementally: ``record`` updates a running sum and
-    min/max, making ``mean``/``min``/``max``/``total`` O(1) reads instead
-    of full-list reductions. Percentile and CDF queries sort once and
-    reuse the sorted view until the next sample arrives.
+    The recorder sits on per-request hot paths, so recording a sample is
+    one ``samples.append``; a hot caller may append to :attr:`samples`
+    itself and skip the call (the memory controller does). The summary
+    statistics are caught up lazily: the first read after new samples
+    folds them into the running sum and min/max in sample order, with
+    the same float additions as folding each at record time, so
+    ``mean``/``min``/``max``/``total`` are bit-identical to an eager
+    recorder and cost O(new samples). Percentile and CDF queries sort
+    once and reuse the sorted view until the next sample arrives.
+    :attr:`samples` is append-only between :meth:`reset` calls, and it
+    stays the same list object for the recorder's lifetime.
     """
 
-    __slots__ = ("name", "samples", "_sum", "_min", "_max", "_ordered_cache")
+    __slots__ = ("name", "samples", "_sum", "_min", "_max", "_folded", "_ordered_cache")
 
     def __init__(self, name: str = "latency"):
         self.name = name
@@ -34,21 +41,28 @@ class LatencyRecorder:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        self._folded = 0  # samples[:_folded] are in _sum/_min/_max
         self._ordered_cache: Optional[list[float]] = None
 
     def record(self, value: float) -> None:
-        value = float(value)
-        self.samples.append(value)
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        self._ordered_cache = None
+        self.samples.append(float(value))
 
     def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
+        self.samples.extend(map(float, values))
+
+    def _catch_up(self) -> None:
+        samples = self.samples
+        if self._folded == len(samples):
+            return
+        total, low, high = self._sum, self._min, self._max
+        for value in islice(samples, self._folded, None):
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._sum, self._min, self._max = total, low, high
+        self._folded = len(samples)
 
     @property
     def count(self) -> int:
@@ -56,29 +70,38 @@ class LatencyRecorder:
 
     @property
     def total(self) -> float:
-        """Sum of all recorded samples (incrementally maintained)."""
+        """Sum of all recorded samples, in recording order."""
+        self._catch_up()
         return self._sum
 
     @property
     def mean(self) -> float:
         if not self.samples:
             return 0.0
+        self._catch_up()
         return self._sum / len(self.samples)
 
     @property
     def max(self) -> Optional[float]:
         """Largest sample, or ``None`` if nothing was recorded (a bare
         0.0 would be indistinguishable from a real zero-latency sample)."""
-        return self._max if self.samples else None
+        if not self.samples:
+            return None
+        self._catch_up()
+        return self._max
 
     @property
     def min(self) -> Optional[float]:
         """Smallest sample, or ``None`` if nothing was recorded."""
-        return self._min if self.samples else None
+        if not self.samples:
+            return None
+        self._catch_up()
+        return self._min
 
     def _ordered(self) -> list[float]:
+        # Append-only samples: a sorted view as long as them is current.
         ordered = self._ordered_cache
-        if ordered is None:
+        if ordered is None or len(ordered) != len(self.samples):
             ordered = self._ordered_cache = sorted(self.samples)
         return ordered
 
@@ -137,6 +160,7 @@ class LatencyRecorder:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        self._folded = 0
         self._ordered_cache = None
 
     def __repr__(self) -> str:

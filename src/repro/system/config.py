@@ -85,7 +85,7 @@ class ServerConfig:
             ("Shared LLC", f"{self.llc_size_bytes // (1024 * 1024)}MB "
                            f"{self.llc_ways}-way, hit = {self.llc_hit_cycles} cycles"),
             ("DRAM", f"DDR3-1600 {t.t_rcd}-{t.t_cl}-{t.t_rp}, "
-                     f"{g.channels} channel, {g.ranks} ranks, "
+                     f"1 channel, {g.ranks} ranks, "
                      f"{g.banks_per_rank} banks/rank, row buffer = {g.row_bytes}B"),
             ("Disks", f"IDE @ {self.disk_bandwidth_bytes_per_s // (1024 * 1024)} MB/s"),
             ("PRM", f"window = {self.control_window_ps // PS_PER_MS} ms, "

@@ -117,7 +117,9 @@ class MemcachedServer(Workload):
         num_objects = self.working_set_bytes // (object_lines * LINE)
         batches = max(1, self.loads_per_request // self.mlp)
         zipf = self.rng.zipf_sampler(num_objects, self.zipf_alpha)
-        randint = self.rng.randint
+        # randint(0, object_lines - 1), inlined as its _randbelow loop.
+        getrandbits = self.rng.getrandbits
+        line_bits = object_lines.bit_length()
         while True:
             if not self.queue:
                 yield ("block",)
@@ -129,7 +131,10 @@ class MemcachedServer(Workload):
                 # A plain loop, not a comprehension: no extra frame.
                 batch = [0] * self.mlp
                 for i in range(self.mlp):
-                    batch[i] = (base_line + randint(0, object_lines - 1)) * LINE
+                    line = getrandbits(line_bits)
+                    while line >= object_lines:
+                        line = getrandbits(line_bits)
+                    batch[i] = (base_line + line) * LINE
                 yield ("loads", batch)
             yield ("call", self._make_completion(arrived_at))
 

@@ -62,6 +62,20 @@ class TestMemoryOps:
         assert len(memory.requests) == 1
         assert memory.requests[0].ds_id == 5
 
+    def test_retag_mid_run_tags_later_accesses(self):
+        # The core tags packets from a copy of its register, kept current
+        # by the register's on_change hook.
+        engine, core, memory = make_core()
+        core.assign(ListWorkload([
+            ("load", 0x0),
+            ("call", lambda: core.tag.write(7)),
+            ("loads", [0x40, 0x80]),
+            ("call", lambda: core.tag.write(0)),
+            ("store", 0xC0),
+        ]))
+        engine.run()
+        assert [p.ds_id for p in memory.requests] == [0, 7, 7, 0]
+
     def test_load_waits_for_response(self):
         engine, core, _ = make_core(mem_latency=80_000)
         core.assign(ListWorkload([("load", 0x0), ("compute", 100)]))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from tests.helpers import FakeMemory
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
-from repro.cache.replacement import WayMaskedPlru
+from repro.cache.replacement import WayMaskedPlru, plru_tables
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -301,6 +301,19 @@ def test_plru_tables_match_loop_exhaustively(num_ways):
             plru.touch(way)
             oracle.touch(way)
             assert plru.bits == oracle.bits, (state, way)
+
+
+@pytest.mark.parametrize("num_ways", [1, 2, 4, 8])
+def test_victim_table_matches_victim_exhaustively(num_ways):
+    """``Cache._lookup`` reads full-mask victims of trees up to 8 ways
+    from ``plru_tables``: every entry is ``victim()`` in that state."""
+    victims = plru_tables(num_ways)[3]
+    assert len(victims) == 1 << num_ways
+    plru = WayMaskedPlru(num_ways)
+    for state in range(1 << num_ways):
+        plru.state = state
+        assert victims[state] == plru.victim(), state
+        assert victims[state] == plru.victim(plru.full_mask), state
 
 
 @settings(max_examples=200, deadline=None)

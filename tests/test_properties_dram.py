@@ -78,7 +78,7 @@ def test_fifo_order_within_priority_class(requests):
     # Reconstruct per-priority issue order from the recorders: samples
     # are appended at issue time, so their count is monotone; instead we
     # check the scheduler is empty and nothing was dropped.
-    assert controller.scheduler.occupancy == 0
+    assert not any(controller.scheduler.queues)
 
 
 ARRIVAL = st.tuples(
@@ -106,15 +106,21 @@ def test_arbiter_dispatches_in_pifo_order(arrivals):
     )
     waiting = {}  # packet id -> PIFO rank
     dispatched = []
-    issue = controller._issue
+    (bank,) = controller.banks
+    issue = bank.issue
 
-    def dispatch(request, issue_ps):
-        rank = waiting.pop(request.packet.packet_id)
+    def dispatch(*args):
+        # The arbiter pops a request off its queue, then issues it to the
+        # bank: the dispatched request is the one arrived but no longer
+        # queued (a queue entry's packet is its first field).
+        queued = {entry[0].packet_id for queue in controller.scheduler.queues for entry in queue}
+        (packet_id,) = set(waiting) - queued
+        rank = waiting.pop(packet_id)
         assert all(rank < other for other in waiting.values())
         dispatched.append(rank)
-        issue(request, issue_ps)
+        return issue(*args)
 
-    controller._issue = dispatch
+    bank.issue = dispatch
 
     def arrive(order, packet):
         rank = (-control.parameters.get_default(packet.ds_id, "priority", 0), order)

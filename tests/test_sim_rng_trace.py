@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.dram.timing import DramGeometry
 from repro.sim.clock import DRAM_CLOCK_PS
+from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng
 from repro.system import experiments
 from repro.system.experiments import (
@@ -17,6 +18,8 @@ from repro.system.experiments import (
     measure_saturation_rate,
     run_fig11,
 )
+from repro.workloads.base import LINE
+from repro.workloads.memcached import MemcachedServer
 
 
 class TestDeterministicRng:
@@ -263,3 +266,52 @@ class TestFig11Stream:
         assert no_arrivals is None
         assert saturation == expected[0][:prefix]
         assert baseline == pard == expected
+
+
+# Line counts of one object: 1, and 2**k - 1, 2**k, 2**k + 1 for k <= 10,
+# the widths where randint's rejection loop changes shape.
+OBJECT_LINES = st.integers(min_value=0, max_value=10).flatmap(
+    lambda k: st.sampled_from(sorted({1, max(1, 2**k - 1), 2**k, 2**k + 1}))
+)
+
+
+class TestMemcachedStream:
+    """Memcached's inlined line draw is ``randint(0, object_lines - 1)``.
+
+    ``MemcachedServer.ops`` runs the ``_randbelow`` loop on
+    ``getrandbits`` in its own frame; a drift here moves every Fig. 8
+    and Fig. 9 address after the first batch.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        OBJECT_LINES,
+        st.integers(min_value=1, max_value=40),  # objects in the working set
+        st.integers(min_value=1, max_value=4),   # mlp
+        st.integers(min_value=1, max_value=12),  # loads per request
+        st.integers(min_value=1, max_value=3),   # queued requests
+    )
+    def test_batches_match_randint(self, seed, object_lines, objects, mlp, loads, requests):
+        server = MemcachedServer(
+            Engine(), rps=1000.0, working_set_bytes=LINE * object_lines * objects,
+            object_lines=object_lines, loads_per_request=loads, mlp=mlp,
+            rng=DeterministicRng(seed, "memcached"),
+        )
+        server.queue.extend([0] * requests)
+        batches = []
+        for op in server.ops():
+            if op[0] == "block":
+                break
+            if op[0] == "loads":
+                batches.append(op[1])
+        twin = DeterministicRng(seed, "memcached")
+        zipf = twin.zipf_sampler(objects, server.zipf_alpha)
+        expected = []
+        for _ in range(requests * max(1, loads // mlp)):
+            base_line = zipf() * object_lines
+            expected.append(
+                [(base_line + twin.randint(0, object_lines - 1)) * LINE for _ in range(mlp)]
+            )
+        assert batches == expected
+        assert server.rng._random.getstate() == twin._random.getstate()

@@ -1,7 +1,10 @@
 """Unit and property tests for statistics primitives."""
 
+import math
+from typing import Optional
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.stats import LatencyRecorder
 
@@ -96,3 +99,94 @@ class TestLatencyRecorder:
         rec.extend(samples)
         value = rec.percentile(pct)
         assert min(samples) <= value <= max(samples)
+
+
+class EagerRecorder:
+    """The incremental reference: every summary updated at record time."""
+
+    def __init__(self):
+        self.samples = []
+        self.reset()
+
+    def record(self, value):
+        value = float(value)
+        self.samples.append(value)
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+
+    def reset(self):
+        self.samples.clear()
+        self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
+
+    def summaries(self) -> tuple:
+        n = len(self.samples)
+        return (
+            n,
+            self._sum,
+            self._sum / n if n else 0.0,
+            self._min if n else None,
+            self._max if n else None,
+        )
+
+
+def _bits(value: Optional[float]):
+    return None if value is None else value.hex()
+
+
+SAMPLE = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+STEP = st.one_of(
+    st.tuples(st.just("record"), SAMPLE),
+    st.tuples(st.just("append"), SAMPLE),
+    st.tuples(st.just("extend"), st.lists(SAMPLE, max_size=5)),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("percentile"), st.floats(min_value=0.0, max_value=100.0)),
+    st.tuples(st.just("reset"), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STEP, max_size=60))
+def test_lazy_summaries_match_eager_reference_bit_for_bit(steps):
+    """Bare ``samples.append`` (the controller's path), ``record`` and
+    ``extend``, interleaved with reads and resets: every summary equals
+    the eager recorder's, float bit for float bit, and the sorted view
+    behind percentiles and the CDF never goes stale."""
+    rec, ref = LatencyRecorder(), EagerRecorder()
+    samples = rec.samples
+    for kind, arg in steps:
+        if kind == "record":
+            rec.record(arg)
+            ref.record(arg)
+        elif kind == "append":
+            samples.append(arg)
+            ref.record(arg)
+        elif kind == "extend":
+            rec.extend(arg)
+            for value in arg:
+                ref.record(value)
+        elif kind == "reset":
+            rec.reset()
+            ref.reset()
+            assert rec.samples is samples
+        elif kind == "percentile":
+            # A recorder built from scratch sorts every sample afresh.
+            fresh = LatencyRecorder()
+            fresh.extend(ref.samples)
+            assert rec.percentile(arg) == fresh.percentile(arg)
+            assert rec.cdf() == fresh.cdf()
+        else:
+            count, total, mean, low, high = ref.summaries()
+            assert rec.count == count
+            assert _bits(rec.total) == _bits(total)
+            assert _bits(rec.mean) == _bits(mean)
+            assert _bits(rec.min) == _bits(low)
+            assert _bits(rec.max) == _bits(high)
+    count, total, mean, low, high = ref.summaries()
+    assert (rec.count, _bits(rec.total), _bits(rec.mean), _bits(rec.min), _bits(rec.max)) == (
+        count, _bits(total), _bits(mean), _bits(low), _bits(high)
+    )
