@@ -3,7 +3,6 @@
 - :mod:`repro.dram.timing` -- DDR3-1600 timing/geometry (Table 2)
 - :mod:`repro.dram.bank` -- bank state, including the paper's extra
   high-priority row buffer (§4.2)
-- :mod:`repro.dram.scheduler` -- per-priority FIFO queues
 - :mod:`repro.dram.controller` -- the memory controller component
 - :mod:`repro.dram.control_plane` -- the memory control plane (address
   mapping, scheduling priority, bandwidth/latency statistics, triggers)
@@ -12,7 +11,6 @@
 from repro.dram.bank import BankState
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.scheduler import PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 
 __all__ = [
@@ -21,6 +19,5 @@ __all__ = [
     "DramTiming",
     "MemoryControlPlane",
     "MemoryController",
-    "PriorityFrFcfsScheduler",
     "decompose_address",
 ]

@@ -25,11 +25,11 @@ experiment depends on it); see :meth:`MemoryController._refresh`.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from typing import Optional
 
 from repro.dram.bank import BankState
-from repro.dram.scheduler import PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
@@ -60,7 +60,6 @@ class MemoryController(Component):
         timing: Optional[DramTiming] = None,
         geometry: Optional[DramGeometry] = None,
         control=None,
-        priority_levels: int = 2,
         hp_row_buffer: bool = True,
         enable_refresh: bool = False,
         name: str = "memctrl",
@@ -87,16 +86,17 @@ class MemoryController(Component):
             self._qdelay_hist = reg.histogram(
                 f"dram.{name}.qdelay_cycles", start=1.0, growth=2.0, count=16
             )
+        # One FIFO queue per priority level, indexed by priority: high and
+        # low with a control plane; the Fig. 11 baseline has a single one.
+        priority_levels = 2
         if control is None:
-            # Fig. 11 baseline: a single FIFO queue.
             priority_levels = 1
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
-        self.scheduler = PriorityFrFcfsScheduler(priority_levels)
-        self._queues = self.scheduler.queues
+        self.queues: list[deque[tuple]] = [deque() for _ in range(priority_levels)]
         self._top_priority = priority_levels - 1
         # The arbiter's scan order: highest priority first.
-        self._queues_by_rank = self._queues[::-1]
+        self._queues_by_rank = self.queues[::-1]
         # decompose_address's geometry and the cycle time, read per request.
         self._row_bytes = self.geometry.row_bytes
         self._total_banks = self.geometry.total_banks
@@ -177,7 +177,7 @@ class MemoryController(Component):
         now = self.engine._now
         # The priority is clamped, so the queue exists: append directly.
         # The entry's layout is documented on _pump.
-        self._queues[priority].append(
+        self.queues[priority].append(
             (
                 packet, row_number % total_banks, row_number // total_banks,
                 priority, now, on_response, ds_id,

@@ -6,8 +6,6 @@
   the descriptor write and stamped onto every transfer (§4.1)
 - :mod:`repro.io.disk` -- the IDE controller with a bandwidth-quota
   control plane (Fig. 10)
-- :mod:`repro.io.nic` -- the multi-queue NIC virtualized into v-NICs with
-  per-v-NIC tag registers and MAC-based demux (§4.1)
 - :mod:`repro.io.bridge` -- the I/O bridge control plane (device access
   masks per DS-id, PIO accounting)
 """
@@ -16,7 +14,6 @@ from repro.io.apic import Apic
 from repro.io.bridge import IoBridge, IoBridgeControlPlane, IoAccessError
 from repro.io.disk import IdeControlPlane, IdeController
 from repro.io.dma import DmaEngine
-from repro.io.nic import MultiQueueNic, NicControlPlane
 
 __all__ = [
     "Apic",
@@ -26,6 +23,4 @@ __all__ = [
     "IoAccessError",
     "IoBridge",
     "IoBridgeControlPlane",
-    "MultiQueueNic",
-    "NicControlPlane",
 ]

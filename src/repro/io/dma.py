@@ -26,6 +26,10 @@ from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket, MemOp, MemoryPacket
 
+# The vector every DMA completion interrupt raises; the firmware routes it
+# to an LDom's first core.
+DISK_INTERRUPT_VECTOR = 14
+
 
 class DmaEngine(Component):
     """One device's DMA engine."""
@@ -36,13 +40,11 @@ class DmaEngine(Component):
         name: str,
         memory: Optional[Component],
         apic=None,
-        interrupt_vector: int = 14,
         chunk_bytes: int = 4096,
     ):
         super().__init__(engine, name)
         self.memory = memory
         self.apic = apic
-        self.interrupt_vector = interrupt_vector
         self.chunk_bytes = chunk_bytes
         self.tag = TagRegister(f"{name}.dma")
         self.transfers_completed = 0
@@ -67,9 +69,9 @@ class DmaEngine(Component):
         """Move ``nbytes`` between memory and the device.
 
         ``to_device`` reads from memory (e.g. a disk write); the reverse
-        writes to memory (e.g. a network receive). ``ds_id`` overrides
-        the latched tag for engines with multiple tag registers (the
-        v-NIC case); normally the latched register is used.
+        writes to memory (e.g. a disk read). ``ds_id`` overrides the
+        latched tag, as the IDE does with each queued transfer's owner;
+        otherwise the latched register is used.
         """
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
@@ -114,7 +116,7 @@ class DmaEngine(Component):
             self.apic.raise_interrupt(
                 InterruptPacket(
                     ds_id=tag,
-                    vector=self.interrupt_vector,
+                    vector=DISK_INTERRUPT_VECTOR,
                     device=self.name,
                     birth_ps=self.now,
                 )

@@ -33,6 +33,7 @@ from repro.core.programming import (
     TABLE_TRIGGER,
 )
 from repro.core.triggers import TriggerOp, TriggerRule
+from repro.io.dma import DISK_INTERRUPT_VECTOR
 from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
 from repro.prm.sysfs import SysfsTree
@@ -48,14 +49,10 @@ TELEMETRY_PREFIXES = {
     "M": "memory",
     "I": "ide",
     "B": "bridge",
-    "N": "nic",
 }
 
 # Statistics-column renames for the telemetry namespace.
 TELEMETRY_STAT_NAMES = {"hit_cnt": "hits", "miss_cnt": "misses"}
-
-DISK_INTERRUPT_VECTOR = 14
-NIC_INTERRUPT_VECTOR = 11
 
 # An action script: fn(firmware, context_dict) -> None.
 ActionScript = Callable[["Firmware", dict], None]
@@ -219,8 +216,7 @@ class Firmware:
         for core_id in core_ids:
             self._core(core_id).tag.write(ds_id)
         if self.inventory.apic is not None and core_ids:
-            for vector in (DISK_INTERRUPT_VECTOR, NIC_INTERRUPT_VECTOR):
-                self.inventory.apic.set_route(ds_id, vector, core_ids[0])
+            self.inventory.apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, core_ids[0])
         self.ldoms[name] = ldom
         self._ldoms_by_dsid[ds_id] = ldom
         return ldom

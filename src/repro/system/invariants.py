@@ -35,20 +35,15 @@ def check_invariants(server) -> None:
     for cache in caches:
         if cache.mshrs.occupancy:
             raise RuntimeError(f"{cache.name}: MSHR entries left after drain")
-    for controller in _controllers(server):
-        if controller._inflight:
-            raise RuntimeError(f"{controller.name}: DRAM requests in flight after drain")
+    controller = server.memory_controller
+    if controller._inflight:
+        raise RuntimeError(f"{controller.name}: DRAM requests in flight after drain")
     for core in server.cores:
         if core.state is CoreState.WAITING_MEM:
             raise RuntimeError(
                 f"{core.name}: still waiting on {core._outstanding} memory "
                 "access(es) after drain"
             )
-
-
-def _controllers(server) -> list:
-    memory = server.memory_controller
-    return getattr(memory, "controllers", [memory])
 
 
 def _check_per_dsid_sums(server) -> None:
@@ -59,7 +54,7 @@ def _check_per_dsid_sums(server) -> None:
     their ``hit_cnt``/``miss_cnt`` cells; likewise every served DRAM
     request into the memory plane's service window and ``serv_cnt``. So
     published plus open-window counts, summed over DS-ids, equal the
-    LLC's ``total_hits``/``total_misses`` and the controllers'
+    LLC's ``total_hits``/``total_misses`` and the controller's
     ``served_requests``. Destroying an LDom frees its rows, and its
     published counts leave with them: once the firmware has destroyed an
     LDom, the sums may only fall short of the totals, never exceed them.
@@ -68,7 +63,7 @@ def _check_per_dsid_sums(server) -> None:
     freed = firmware._next_ds_id - 1 != len(firmware.ldoms)
     llc_control, mem_control = server.llc_control, server.memory_control
     llc_stats, mem_stats = llc_control.statistics, mem_control.statistics
-    served = sum(controller.served_requests for controller in _controllers(server))
+    served = server.memory_controller.served_requests
     for what, counted, total in (
         (
             "llc hits",

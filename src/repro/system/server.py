@@ -2,7 +2,7 @@
 
 Builds the Fig. 2 machine: tagged cores behind private L1s, a shared LLC
 with its control plane, a DDR3 memory controller with its control plane,
-an I/O bridge / IDE / NIC with theirs, a per-DS-id APIC, and the PRM
+an I/O bridge / IDE with theirs, a per-DS-id APIC, and the PRM
 firmware wired to every control plane through CPA register files.
 
 The paper's baselines fall out of policy, not structure: a "conventional
@@ -22,7 +22,6 @@ from repro.dram.controller import MemoryController
 from repro.io.apic import Apic
 from repro.io.bridge import IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
-from repro.io.nic import MultiQueueNic, NicControlPlane
 from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Engine
@@ -96,11 +95,6 @@ class PardServer:
             chunk_bytes=config.disk_chunk_bytes,
             telemetry=telemetry,
         )
-        self.nic = MultiQueueNic(
-            engine, memory=self.memory_controller, apic=self.apic,
-            control=NicControlPlane(engine, **plane_kwargs),
-            telemetry=telemetry,
-        )
         self.bridge = IoBridge(
             engine, control=self.bridge_control, telemetry=telemetry
         )
@@ -154,7 +148,6 @@ class PardServer:
         """Begin control-plane statistics windows (call before running)."""
         for plane in self.control_planes:
             plane.start_windows()
-        self.nic.control.start_windows()
         if self.telemetry is not None:
             self.telemetry.start_periodic_snapshots(self.engine)
 

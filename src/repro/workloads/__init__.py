@@ -18,7 +18,6 @@ from repro.workloads.base import Boot, Sequence, Workload
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
 from repro.workloads.memcached import MemcachedServer
-from repro.workloads.multiplex import TimeSliced
 from repro.workloads.spec import SyntheticSpec, lbm, leslie3d
 from repro.workloads.stream import Stream
 
@@ -30,7 +29,6 @@ __all__ = [
     "Sequence",
     "Stream",
     "SyntheticSpec",
-    "TimeSliced",
     "Workload",
     "lbm",
     "leslie3d",

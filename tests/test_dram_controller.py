@@ -84,7 +84,7 @@ class TestBasicService:
 class TestBaselineVsControlPlane:
     def test_without_control_plane_single_queue(self):
         _, controller = make_controller()
-        assert controller.scheduler.priority_levels == 1
+        assert len(controller.queues) == 1
         assert not controller.hp_row_buffer
 
     def test_with_control_plane_two_queues(self):
@@ -92,7 +92,7 @@ class TestBaselineVsControlPlane:
         clock = ClockDomain(engine, DRAM_CLOCK_PS)
         control = MemoryControlPlane(engine)
         controller = MemoryController(engine, clock, control=control)
-        assert controller.scheduler.priority_levels == 2
+        assert len(controller.queues) == 2
 
     def test_priority_requests_overtake(self):
         engine = Engine()

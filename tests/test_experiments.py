@@ -158,7 +158,7 @@ class TestFig11Replay:
         for injected, controller in runs:
             assert controller.served_requests == injected == 900
             assert controller._inflight == 0
-            assert not any(controller.scheduler.queues)
+            assert not any(controller.queues)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_inject_hop_is_the_arrival_time(self, jobs):

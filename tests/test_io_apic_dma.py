@@ -4,7 +4,7 @@ import pytest
 
 from tests.helpers import FakeMemory
 from repro.io.apic import Apic, RouteError
-from repro.io.dma import DmaEngine
+from repro.io.dma import DISK_INTERRUPT_VECTOR, DmaEngine
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket, MemOp
 
@@ -92,7 +92,7 @@ class TestDmaEngine:
 
     def test_completion_interrupt_tagged(self):
         engine, memory, apic, dma, delivered = self.make_dma()
-        apic.set_route(4, dma.interrupt_vector, 0)
+        apic.set_route(4, DISK_INTERRUPT_VECTOR, 0)
         dma.program(4)
         dma.transfer(4096, to_device=True)
         engine.run()
@@ -109,6 +109,8 @@ class TestDmaEngine:
         assert done_at and done_at[0] >= 1000  # after memory responses
 
     def test_dsid_override_for_vnics(self):
+        """An explicit ``ds_id`` replaces the latched tag, as the IDE's
+        per-transfer owner does."""
         engine, memory, _, dma, _ = self.make_dma()
         dma.program(1)
         dma.transfer(4096, to_device=False, raise_interrupt=False, ds_id=7)

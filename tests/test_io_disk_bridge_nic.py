@@ -1,11 +1,10 @@
-"""Unit tests for the IDE controller, I/O bridge and multi-queue NIC."""
+"""Unit tests for the IDE controller and the I/O bridge."""
 
 import pytest
 
 from tests.helpers import FakeMemory
 from repro.io.bridge import ALL_DEVICES_MASK, IoAccessError, IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
-from repro.io.nic import MultiQueueNic, NicControlPlane
 from repro.sim.engine import Engine, PS_PER_S
 from repro.sim.packet import IoOp, IoPacket
 
@@ -150,62 +149,3 @@ class TestIoBridge:
         engine, bridge, plane, _ = self.make_bridge()
         assert plane.devmask(42) == ALL_DEVICES_MASK
 
-
-class TestMultiQueueNic:
-    def make_nic(self):
-        engine = Engine()
-        memory = FakeMemory(engine, latency_ps=100)
-        plane = NicControlPlane(engine)
-        nic = MultiQueueNic(engine, memory=memory, control=plane)
-        return engine, memory, plane, nic
-
-    def test_mac_demux_tags_rx_dma(self):
-        engine, memory, plane, nic = self.make_nic()
-        plane.allocate_ldom(1)
-        plane.allocate_ldom(2)
-        nic.add_vnic("aa:01", ds_id=1)
-        nic.add_vnic("aa:02", ds_id=2)
-        nic.receive_frame("aa:01", 1500)
-        nic.receive_frame("aa:02", 1500)
-        engine.run()
-        tags = [p.ds_id for p in memory.requests]
-        assert 1 in tags and 2 in tags
-
-    def test_unknown_mac_dropped(self):
-        engine, memory, plane, nic = self.make_nic()
-        assert nic.receive_frame("de:ad", 1500) is False
-        assert nic.rx_dropped == 1
-        engine.run()
-        assert memory.requests == []
-
-    def test_duplicate_mac_rejected(self):
-        _, _, _, nic = self.make_nic()
-        nic.add_vnic("aa:01", 1)
-        with pytest.raises(ValueError):
-            nic.add_vnic("aa:01", 2)
-
-    def test_tx_serialized_on_wire(self):
-        engine, memory, plane, nic = self.make_nic()
-        plane.allocate_ldom(1)
-        sent = []
-        nic.send(1, 125_000_000, on_sent=lambda: sent.append(engine.now))  # ~0.1s at 10GbE
-        nic.send(1, 125_000_000, on_sent=lambda: sent.append(engine.now))
-        engine.run()
-        assert len(sent) == 2
-        assert sent[1] == pytest.approx(2 * sent[0], rel=0.01)
-
-    def test_traffic_statistics(self):
-        engine, memory, plane, nic = self.make_nic()
-        plane.allocate_ldom(1)
-        nic.add_vnic("aa:01", 1)
-        nic.receive_frame("aa:01", 1000)
-        nic.send(1, 500)
-        engine.run()
-        plane.roll_window()
-        assert plane.statistics.get(1, "rx_bytes") == 1000
-        assert plane.statistics.get(1, "tx_bytes") == 500
-
-    def test_send_validation(self):
-        _, _, _, nic = self.make_nic()
-        with pytest.raises(ValueError):
-            nic.send(1, 0)

@@ -75,7 +75,7 @@ def test_io_packet_fields():
 
 
 def test_dma_packet_direction():
-    pkt = DmaPacket(ds_id=1, addr=0x2000, size=4096, to_device=True, device="nic0")
+    pkt = DmaPacket(ds_id=1, addr=0x2000, size=4096, to_device=True, device="ide0")
     assert pkt.to_device
     assert pkt.size == 4096
 

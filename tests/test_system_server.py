@@ -73,6 +73,9 @@ class TestPardServerAssembly:
     def test_start_launches_windows(self):
         server = PardServer(TABLE2.scaled(16))
         server.start()
+        # One window tick per CPA-mounted plane: nothing ticks that the
+        # PRM cannot read.
+        assert server.engine.pending_events == len(server.control_planes)
         server.firmware.create_ldom("a", (0,), 1 << 20)
         server.run_ms(2.1)
         # After two windows, statistics exist (zeros are fine).
