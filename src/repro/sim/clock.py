@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.engine import Engine
 
 CPU_CLOCK_PS = 500  # 2 GHz
 DRAM_CLOCK_PS = 1250  # DDR3-1600: tCK = 1.25 ns
@@ -51,15 +51,10 @@ class ClockDomain:
             return now
         return now + (self.period_ps - remainder)
 
-    def schedule_cycles(self, cycles: int, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` ``cycles`` edges after the next aligned edge."""
-        target = self.next_edge_ps() + self.cycles_to_ps(cycles)
-        return self.engine.schedule_at(target, callback)
-
     def post_cycles(self, cycles: int, callback: Callable[[], None]) -> None:
-        """Uncancellable :meth:`schedule_cycles`: edge-aligned work from
-        every component in this domain lands in the same engine bucket and
-        is dispatched in one queue operation."""
+        """Run ``callback`` ``cycles`` edges after the next aligned edge.
+        Edge-aligned work from every component in this domain lands in the
+        same engine bucket and is dispatched in one queue operation."""
         # next_edge_ps() + cycles_to_ps(cycles), inlined: this is on every
         # cache access that misses the synchronous hit path.
         period = self.period_ps

@@ -30,20 +30,12 @@ class Component:
     def now(self) -> int:
         return self.engine.now
 
-    def schedule(self, delay_ps: int, callback: Callable[[], None]):
-        return self.engine.schedule(delay_ps, callback)
-
     def post(self, delay_ps: int, callback: Callable[[], None]) -> None:
-        """Uncancellable fast-path schedule (no handle allocation)."""
+        """Run ``callback`` ``delay_ps`` picoseconds from now."""
         self.engine.post(delay_ps, callback)
 
-    def schedule_cycles(self, cycles: int, callback: Callable[[], None]):
-        if self.clock is None:
-            raise RuntimeError(f"component {self.name} has no clock domain")
-        return self.clock.schedule_cycles(cycles, callback)
-
     def post_cycles(self, cycles: int, callback: Callable[[], None]) -> None:
-        """Uncancellable fast-path schedule aligned to this clock domain."""
+        """Run ``callback`` ``cycles`` edges after the next edge of this domain."""
         if self.clock is None:
             raise RuntimeError(f"component {self.name} has no clock domain")
         self.clock.post_cycles(cycles, callback)

@@ -4,41 +4,30 @@ Time is an integer number of picoseconds, which lets the CPU domain
 (500 ps per cycle at 2 GHz) and the DRAM domain (1250 ps per cycle at
 DDR3-1600's 800 MHz bus clock) coexist without rounding drift.
 
-Components never advance time themselves; they schedule callbacks and the
-engine invokes them in timestamp order. Ties are broken by scheduling
+Components never advance time themselves; they post callbacks and the
+engine invokes them in timestamp order. Ties are broken by posting
 order, which keeps runs fully deterministic.
 
-Two queue implementations share one API and one ordering contract:
+There is one scheduling path, ``post(delay_ps, callback)`` /
+``post_at(time_ps, callback)``: the bare callback is enqueued, with no
+event record and no handle, and it always runs. Nothing in the machine
+cancels work once posted. Two queue implementations share this API and
+one ordering contract:
 
 :class:`Engine` (the default)
-    A bucketed calendar queue. Events are grouped into per-timestamp
+    A bucketed calendar queue. Callbacks are grouped into per-timestamp
     buckets (a dict keyed by time) and a small heap orders only the
     *distinct* timestamps. Because hardware models align work to clock
     edges, many events share a timestamp, so a whole clock edge's worth
     of callbacks is dispatched with a single heap operation. Within a
-    bucket events run in scheduling order, which is exactly the
+    bucket callbacks run in posting order, which is exactly the
     ``(time, sequence)`` order of the heap reference -- the two engines
     produce byte-identical event orderings for the same schedule.
 
 :class:`HeapqEngine`
     The reference implementation: one binary heap of ``(time, sequence)``
-    ordered events. Kept deliberately simple; property tests cross-check
-    the calendar queue against it.
-
-Both engines support two scheduling paths:
-
-``schedule()`` / ``schedule_at()``
-    Allocate an event record and return an :class:`EventHandle` that can
-    cancel the callback. Cancellation is O(1): a live-event counter is
-    decremented immediately and the dead record is dropped either when it
-    reaches the head of the queue or by a lazy purge when dead records
-    outnumber live ones.
-
-``post()`` / ``post_at()``
-    The allocation-free hot path: the bare callback is enqueued with no
-    event record and no handle. Use it for the vast majority of
-    schedules that are never cancelled (cache lookups, DRAM completions,
-    core steps, statistics windows).
+    ordered event records. Kept deliberately simple; property tests
+    cross-check the calendar queue against it.
 """
 
 from __future__ import annotations
@@ -51,63 +40,15 @@ PS_PER_US = 1_000_000
 PS_PER_MS = 1_000_000_000
 PS_PER_S = 1_000_000_000_000
 
-# Lazy-purge thresholds: rebuild the queue once at least this many
-# cancelled records linger *and* they outnumber the live entries.
-_PURGE_MIN_CANCELLED = 64
-
 
 class SimulationError(RuntimeError):
     """Raised for violations of engine scheduling rules."""
 
 
-class _Event:
-    """A cancellable scheduled callback.
-
-    ``seq`` orders ties in the heap engine; the calendar engine orders
-    ties by bucket append order and leaves ``seq`` at 0. ``done`` marks
-    an event that already executed, so a late ``cancel()`` on its handle
-    cannot corrupt the live-event counter.
-    """
-
-    __slots__ = ("time_ps", "seq", "callback", "cancelled", "done")
-
-    def __init__(self, time_ps: int, seq: int, callback: Callable[[], None]):
-        self.time_ps = time_ps
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.done = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time_ps != other.time_ps:
-            return self.time_ps < other.time_ps
-        return self.seq < other.seq
-
-
-class EventHandle:
-    """Handle returned by :meth:`Engine.schedule`; allows cancellation."""
-
-    __slots__ = ("_engine", "_event")
-
-    def __init__(self, engine: "Engine", event: _Event):
-        self._engine = engine
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the callback from running. Safe to call more than once,
-        and a no-op once the event has executed."""
-        event = self._event
-        if not event.cancelled and not event.done:
-            event.cancelled = True
-            self._engine._on_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time_ps(self) -> int:
-        return self._event.time_ps
+def _not_int(time_ps) -> SimulationError:
+    return SimulationError(
+        f"event time must be an int number of picoseconds, got {time_ps!r}"
+    )
 
 
 class Engine:
@@ -115,7 +56,7 @@ class Engine:
 
     >>> engine = Engine()
     >>> fired = []
-    >>> _ = engine.schedule(100, lambda: fired.append(engine.now))
+    >>> engine.post(100, lambda: fired.append(engine.now))
     >>> engine.run()
     1
     >>> fired
@@ -126,18 +67,12 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        # time_ps -> FIFO list of entries; an entry is either a bare
-        # callback (post path) or an _Event (cancellable path).
-        self._buckets: dict[int, list] = {}
+        self._buckets: dict[int, list] = {}  # time_ps -> FIFO of callbacks
         self._times: list[int] = []  # heap of the distinct bucket times
-        self._pos = 0  # resume index into the earliest bucket after stop()
-        # Invariant: live events == _queued - _cancelled_pending. Keeping
-        # two counters instead of three makes the per-event bookkeeping a
-        # single integer update on each of the insert and dispatch paths.
-        self._queued = 0  # total entries queued, cancelled included
-        self._cancelled_pending = 0  # cancelled records not yet dropped
+        # Iterator over the bucket being dispatched; its length hint says
+        # how many of that bucket's callbacks have not started yet.
+        self._dispatching = iter(())
         self._running = False
-        self._stopped = False
         self.executed_total = 0
 
     # -- time ----------------------------------------------------------------
@@ -161,107 +96,55 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued. O(1)."""
-        return self._queued - self._cancelled_pending
+        """Callbacks queued and not yet started. Read from inside a
+        callback, the running callback and those before it in its bucket
+        no longer count; those posted after it at the same time do."""
+        pending = sum(map(len, self._buckets.values()))
+        if self._running:
+            # Minus the dispatching bucket's started callbacks.
+            bucket = self._buckets[self._now]
+            pending -= len(bucket) - self._dispatching.__length_hint__()
+        return pending
 
     # -- scheduling ----------------------------------------------------------
-
-    def schedule(self, delay_ps: int, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay_ps`` picoseconds from now."""
-        if delay_ps < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        return self.schedule_at(self._now + int(delay_ps), callback)
-
-    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at an absolute timestamp, cancellable."""
-        time_ps = int(time_ps)
-        if time_ps < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ps} ps, already at {self._now} ps"
-            )
-        event = _Event(time_ps, 0, callback)
-        bucket = self._buckets.get(time_ps)
-        if bucket is None:
-            self._buckets[time_ps] = [event]
-            heapq.heappush(self._times, time_ps)
-        else:
-            bucket.append(event)
-        self._queued += 1
-        return EventHandle(self, event)
 
     # The two post methods inline the bucket insert: they are the hottest
     # functions in the whole simulator and every saved call level counts.
 
     def post(self, delay_ps: int, callback: Callable[[], None]) -> None:
-        """Uncancellable fast path: no event record, no handle."""
+        """Run ``callback`` ``delay_ps`` picoseconds from now."""
         if delay_ps < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        time_ps = self._now + int(delay_ps)
-        bucket = self._buckets.get(time_ps)
-        if bucket is None:
-            self._buckets[time_ps] = [callback]
-            heapq.heappush(self._times, time_ps)
+        time_ps = self._now + delay_ps
+        if time_ps.__class__ is not int:
+            raise _not_int(time_ps)
+        buckets = self._buckets
+        if time_ps in buckets:
+            buckets[time_ps].append(callback)
         else:
-            bucket.append(callback)
-        self._queued += 1
+            buckets[time_ps] = [callback]
+            heapq.heappush(self._times, time_ps)
 
     def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
-        """Uncancellable fast path at an absolute timestamp."""
-        time_ps = int(time_ps)
+        """Run ``callback`` at the absolute time ``time_ps``."""
+        if time_ps.__class__ is not int:
+            raise _not_int(time_ps)
         if time_ps < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, already at {self._now} ps"
             )
-        bucket = self._buckets.get(time_ps)
-        if bucket is None:
-            self._buckets[time_ps] = [callback]
-            heapq.heappush(self._times, time_ps)
+        buckets = self._buckets
+        if time_ps in buckets:
+            buckets[time_ps].append(callback)
         else:
-            bucket.append(callback)
-        self._queued += 1
+            buckets[time_ps] = [callback]
+            heapq.heappush(self._times, time_ps)
 
-    # -- cancellation bookkeeping --------------------------------------------
-
-    def _on_cancel(self) -> None:
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= _PURGE_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self._queued
-        ):
-            self._purge()
-
-    def _purge(self) -> None:
-        """Drop cancelled records from every bucket not currently executing."""
-        # Never rewrite the bucket currently (or partially) executing:
-        # _pos indexes into it.
-        in_head = self._running or self._pos
-        skip = self._times[0] if in_head and self._times else None
-        removed = 0
-        for time_ps in list(self._buckets):
-            if time_ps == skip:
-                continue
-            bucket = self._buckets[time_ps]
-            kept = [
-                e for e in bucket
-                if not (e.__class__ is _Event and e.cancelled)
-            ]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                if kept:
-                    self._buckets[time_ps] = kept
-                else:
-                    del self._buckets[time_ps]
-                    self._times.remove(time_ps)
-        if removed:
-            heapq.heapify(self._times)
-            self._queued -= removed
-            self._cancelled_pending -= removed
+    # e2ebench/layertrace.py still wraps this name when it attaches; the
+    # next change to the benchmark drops that and this alias with it.
+    schedule_at = post_at
 
     # -- execution -----------------------------------------------------------
-
-    def stop(self) -> None:
-        """Stop the run loop after the current callback returns."""
-        self._stopped = True
 
     def run(self, until_ps: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until_ps`` is reached.
@@ -269,57 +152,45 @@ class Engine:
         Events stamped exactly at ``until_ps`` are executed. Returns the
         number of callbacks invoked. After a bounded run, time is advanced
         to ``until_ps`` even if the queue drained earlier, so repeated
-        bounded runs tile the timeline predictably.
+        bounded runs tile the timeline predictably. If a callback raises,
+        the exception propagates and the next ``run()`` resumes with the
+        callback after it.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        self._stopped = False
         executed = 0
         times = self._times
         buckets = self._buckets
-        event_class = _Event
         try:
-            while times and not self._stopped:
+            while times:
                 time_ps = times[0]
                 if until_ps is not None and time_ps > until_ps:
                     break
-                bucket = buckets[time_ps]
-                if self._pos:
-                    # Resuming after a mid-bucket stop(): drop the already
-                    # dispatched prefix so iteration restarts at zero.
-                    bucket = bucket[self._pos:]
-                    buckets[time_ps] = bucket
-                    self._pos = 0
                 self._now = time_ps
-                i = 0
+                bucket = buckets[time_ps]
                 # The list iterator re-checks the length every step, so
-                # callbacks that schedule more work at the current
-                # timestamp extend this bucket and the new entries run in
-                # this same pass, in append order.
-                for entry in bucket:
-                    i += 1
-                    self._queued -= 1
-                    if entry.__class__ is event_class:
-                        if entry.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        entry.done = True
-                        entry = entry.callback
-                    entry()
-                    executed += 1
-                    if self._stopped:
-                        break
-                if i < len(bucket):
-                    # Stopped mid-bucket: remember where to resume.
-                    self._pos = i
-                    break
+                # callbacks that post more work at the current timestamp
+                # extend this bucket and the new entries run in this same
+                # pass, in append order.
+                self._dispatching = dispatching = iter(bucket)
+                try:
+                    for callback in dispatching:
+                        callback()
+                        executed += 1
+                except BaseException:
+                    # Drop the started callbacks, the raising one included.
+                    del bucket[: len(bucket) - dispatching.__length_hint__()]
+                    if not bucket:
+                        del buckets[time_ps]
+                        heapq.heappop(times)
+                    raise
                 del buckets[time_ps]
                 heapq.heappop(times)
         finally:
             self._running = False
             self.executed_total += executed
-        if until_ps is not None and self._now < until_ps and not self._stopped:
+        if until_ps is not None and self._now < until_ps:
             self._now = until_ps
         return executed
 
@@ -328,10 +199,27 @@ class Engine:
         return self.run(until_ps=self._now + int(duration_ps))
 
     def drain(self, callbacks: Iterable[Callable[[], None]] = ()) -> int:
-        """Schedule ``callbacks`` immediately, then run the queue dry."""
+        """Post ``callbacks`` immediately, then run the queue dry."""
         for callback in callbacks:
             self.post(0, callback)
         return self.run()
+
+
+class _HeapEvent:
+    """A queued callback of the reference engine, ordered by
+    ``(time_ps, seq)``."""
+
+    __slots__ = ("time_ps", "seq", "callback")
+
+    def __init__(self, time_ps: int, seq: int, callback: Callable[[], None]):
+        self.time_ps = time_ps
+        self.seq = seq
+        self.callback = callback
+
+    def __lt__(self, other: "_HeapEvent") -> bool:
+        if self.time_ps != other.time_ps:
+            return self.time_ps < other.time_ps
+        return self.seq < other.seq
 
 
 class HeapqEngine(Engine):
@@ -346,65 +234,50 @@ class HeapqEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: list[_Event] = []
+        self._queue: list[_HeapEvent] = []
         self._seq = 0
 
-    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> EventHandle:
-        time_ps = int(time_ps)
+    @property
+    def pending_events(self) -> int:
+        # run() pops an event before invoking it.
+        return len(self._queue)
+
+    def post(self, delay_ps: int, callback: Callable[[], None]) -> None:
+        if delay_ps < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
+        self.post_at(self._now + delay_ps, callback)
+
+    def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
+        if time_ps.__class__ is not int:
+            raise _not_int(time_ps)
         if time_ps < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, already at {self._now} ps"
             )
-        event = _Event(time_ps, self._seq, callback)
+        heapq.heappush(self._queue, _HeapEvent(time_ps, self._seq, callback))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        self._queued += 1
-        return EventHandle(self, event)
 
-    def post(self, delay_ps: int, callback: Callable[[], None]) -> None:
-        # The reference engine has no bare-callback representation; the
-        # post path simply discards the handle.
-        if delay_ps < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        self.schedule_at(self._now + int(delay_ps), callback)
-
-    def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
-        self.schedule_at(time_ps, callback)
-
-    def _purge(self) -> None:
-        survivors = [e for e in self._queue if not e.cancelled]
-        removed = len(self._queue) - len(survivors)
-        if removed:
-            heapq.heapify(survivors)
-            self._queue = survivors
-            self._queued -= removed
-            self._cancelled_pending -= removed
+    schedule_at = post_at
 
     def run(self, until_ps: Optional[int] = None) -> int:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        self._stopped = False
         executed = 0
         queue = self._queue
         try:
-            while queue and not self._stopped:
+            while queue:
                 event = queue[0]
                 if until_ps is not None and event.time_ps > until_ps:
                     break
                 heapq.heappop(queue)
-                self._queued -= 1
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
                 self._now = event.time_ps
-                event.done = True
                 event.callback()
                 executed += 1
         finally:
             self._running = False
             self.executed_total += executed
-        if until_ps is not None and self._now < until_ps and not self._stopped:
+        if until_ps is not None and self._now < until_ps:
             self._now = until_ps
         return executed
 

@@ -17,7 +17,7 @@ class FakeMemory(Component):
 
     def handle_request(self, packet, on_response):
         self.requests.append(packet)
-        self.schedule(self.latency_ps, lambda: on_response(packet))
+        self.post(self.latency_ps, lambda: on_response(packet))
 
     def requests_of(self, op=None, ds_id=None):
         result = self.requests

@@ -130,7 +130,7 @@ class TestBlockWake:
         core.assign(ListWorkload([("block",), ("compute", 100)]))
         engine.run()
         assert core.state is CoreState.BLOCKED
-        engine.schedule(5000, core.wake)
+        engine.post(5000, core.wake)
         engine.run()
         assert core.state is CoreState.DONE
         assert engine.now == 5000 + 100 * CPU_CLOCK_PS

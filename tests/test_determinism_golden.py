@@ -65,7 +65,7 @@ def test_queue_implementations_agree_on_randomized_schedule():
         for label in range(2_000):
             delay = rng.choice((0, 250, 500, 1250, rng.randint(1, 100_000)))
             engine.post(0, lambda: None)  # noise: same-instant filler
-            engine.schedule(delay, lambda label=label: trace.append((engine.now, label)))
+            engine.post(delay, lambda label=label: trace.append((engine.now, label)))
         engine.run()
         return trace
 

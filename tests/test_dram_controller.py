@@ -108,7 +108,7 @@ class TestBaselineVsControlPlane:
             pkt = MemoryPacket(ds_id=1, addr=(i % 3) * stride)
             controller.handle_request(pkt, lambda p: order.append(p.ds_id))
         hp = MemoryPacket(ds_id=2, addr=64)
-        engine.schedule(10_000, lambda: controller.handle_request(hp, lambda p: order.append(p.ds_id)))
+        engine.post(10_000, lambda: controller.handle_request(hp, lambda p: order.append(p.ds_id)))
         engine.run()
         assert order[-1] != 2, "high priority request finished last despite priority"
         assert 2 in order
@@ -125,8 +125,8 @@ class TestBaselineVsControlPlane:
         for i in range(60):
             low = MemoryPacket(ds_id=1, addr=(i % 4) * stride + (i % 16) * 64)
             high = MemoryPacket(ds_id=2, addr=(i % 4) * stride + 512 + (i % 16) * 64)
-            engine.schedule(i * interval, lambda p=low: controller.handle_request(p, lambda _: None))
-            engine.schedule(i * interval + 1, lambda p=high: controller.handle_request(p, lambda _: None))
+            engine.post(i * interval, lambda p=low: controller.handle_request(p, lambda _: None))
+            engine.post(i * interval + 1, lambda p=high: controller.handle_request(p, lambda _: None))
         engine.run()
         low_delay = controller.queue_delay[0].mean
         high_delay = controller.queue_delay[1].mean

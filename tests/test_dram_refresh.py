@@ -41,7 +41,7 @@ class TestRefresh:
         refresh_at = timing.t_refi * DRAM_CLOCK_PS
         done = []
         # Arrive right at the refresh instant: must wait ~tRFC extra.
-        engine.schedule_at(
+        engine.post_at(
             refresh_at + 1,
             lambda: controller.handle_request(MemoryPacket(addr=0), lambda p: done.append(engine.now)),
         )

@@ -36,7 +36,7 @@ def run_requests(requests, with_control=True):
             ds_id=ds_id, addr=addr,
             op=MemOp.WRITE if is_write else MemOp.READ,
         )
-        engine.schedule_at(
+        engine.post_at(
             time_ps, lambda p=pkt: controller.handle_request(p, done.append)
         )
     engine.run()

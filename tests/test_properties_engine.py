@@ -1,11 +1,11 @@
 """Randomized property tests for the event queue implementations.
 
-A random scenario -- a self-expanding web of schedules, posts and
-cancellations -- is replayed on the bucketed calendar queue and on the
-heapq reference, and the two execution traces must be byte-identical:
-same events, same timestamps, same tie-break order, same bounded-run
-boundaries. Any divergence in ordering, cancellation handling or
-``run(until_ps=...)`` semantics shows up as a trace mismatch.
+A random scenario -- a self-expanding web of relative and absolute
+posts -- is replayed on the bucketed calendar queue and on the heapq
+reference, and the two execution traces must be byte-identical: same
+events, same timestamps, same tie-break order, same bounded-run
+boundaries. Any divergence in ordering or ``run(until_ps=...)``
+semantics shows up as a trace mismatch.
 """
 
 import pytest
@@ -21,10 +21,10 @@ class _Scenario:
 
     Every fired event appends ``(now, label)`` to the trace, then draws
     from the scenario RNG to decide what to do next: spawn follow-up
-    events (via ``schedule`` or the uncancellable ``post`` path), cancel
-    a pending handle, or go quiet. Because every draw happens inside a
-    callback, the RNG stream itself verifies ordering: two engines only
-    see the same draws if they fire events in exactly the same order.
+    events (via ``post`` or ``post_at``) or go quiet. Because every draw
+    happens inside a callback, the RNG stream itself verifies ordering:
+    two engines only see the same draws if they fire events in exactly
+    the same order.
     """
 
     def __init__(self, engine, seed: int, max_events: int = 400):
@@ -33,7 +33,6 @@ class _Scenario:
         self.trace = []
         self.spawned = 0
         self.max_events = max_events
-        self.handles = []
 
     def seed_events(self, count: int = 8) -> None:
         for _ in range(count):
@@ -55,16 +54,12 @@ class _Scenario:
         if self.rng.random() < 0.5:
             self.engine.post(delay, lambda: self._fire(label))
         else:
-            handle = self.engine.schedule(delay, lambda: self._fire(label))
-            self.handles.append(handle)
+            self.engine.post_at(self.engine.now + delay, lambda: self._fire(label))
 
     def _fire(self, label: int) -> None:
         self.trace.append((self.engine.now, label))
         for _ in range(self.rng.randint(0, 2)):
             self._spawn()
-        if self.handles and self.rng.random() < 0.25:
-            victim = self.handles.pop(self.rng.randint(0, len(self.handles) - 1))
-            victim.cancel()
 
 
 def run_scenario(kind: str, seed: int, bounded: bool):
@@ -110,28 +105,6 @@ def test_scenario_is_reproducible(seed):
     assert run_scenario("calendar", seed, bounded=False) == run_scenario(
         "calendar", seed, bounded=False
     )
-
-
-@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
-def test_random_cancellations_never_fire(kind):
-    """Cancelled events never execute, survivors all do, and the live
-    counter tracks exactly, across random cancellation patterns."""
-    rng = DeterministicRng(99, name="cancel")
-    engine = make_engine(kind)
-    fired = []
-    handles = []
-    for i in range(300):
-        handles.append(engine.schedule(rng.randint(0, 10_000), lambda i=i: fired.append(i)))
-    cancelled = set()
-    for i, handle in enumerate(handles):
-        if rng.random() < 0.4:
-            handle.cancel()
-            cancelled.add(i)
-    assert engine.pending_events == 300 - len(cancelled)
-    executed = engine.run()
-    assert executed == 300 - len(cancelled)
-    assert set(fired) == set(range(300)) - cancelled
-    assert engine.pending_events == 0
 
 
 @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))

@@ -40,7 +40,7 @@ def test_next_edge_on_edge_is_now():
 def test_next_edge_rounds_up():
     engine = Engine()
     clock = ClockDomain(engine, 500)
-    engine.schedule(123, lambda: None)
+    engine.post(123, lambda: None)
     engine.run()
     assert engine.now == 123
     assert clock.next_edge_ps() == 500
@@ -51,7 +51,7 @@ def test_schedule_cycles_aligns_to_edges():
     clock = ClockDomain(engine, 1250)
     fired = []
     # Move to an unaligned time first.
-    engine.schedule(100, lambda: clock.schedule_cycles(2, lambda: fired.append(engine.now)))
+    engine.post(100, lambda: clock.post_cycles(2, lambda: fired.append(engine.now)))
     engine.run()
     # Next edge after 100 ps is 1250; two cycles later is 3750.
     assert fired == [3750]
@@ -60,6 +60,6 @@ def test_schedule_cycles_aligns_to_edges():
 def test_now_cycles_counts_completed_cycles():
     engine = Engine()
     clock = ClockDomain(engine, 500)
-    engine.schedule(1600, lambda: None)
+    engine.post(1600, lambda: None)
     engine.run()
     assert clock.now_cycles == 3
