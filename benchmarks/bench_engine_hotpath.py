@@ -8,9 +8,14 @@ calendar queue is built for. Each executed callback schedules its
 chain's next event, exercising the schedule/run interleaving of a live
 simulation rather than a pre-filled queue.
 
+Each measurement runs :data:`PAIRS` interleaved calendar/heapq pairs,
+alternating which engine goes first, and reports the median of the
+per-pair speedups: on a shared host, one run of each engine can land
+anywhere from 2.4x to 3.7x.
+
 Run as a script for the full 1M-event measurement and a machine-readable
 JSON record on stdout (``--json-file`` also writes it to disk, and
-``--check`` exits non-zero unless the calendar queue clears the 2x
+``--check`` exits non-zero unless the median speedup clears the 2x
 acceptance bar)::
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py [--check]
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from contextlib import contextmanager
@@ -54,6 +60,8 @@ GRID_PS = 1_000_000  # 1 us maintenance grid (window ticks, refresh)
 FULL_EVENTS = 1_000_000
 SMOKE_EVENTS = 120_000
 CHAINS = 64
+# Interleaved calendar/heapq pairs per measurement.
+PAIRS = 5
 
 
 def make_delays(total_events: int, seed: int = 2015) -> list[int]:
@@ -138,22 +146,33 @@ def drive(kind: str, delays: list[int], chains: int = CHAINS) -> dict:
 
 
 def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict:
+    """Run :data:`PAIRS` calendar/heapq pairs on one schedule.
+
+    Pairs alternate which engine runs first, so slow drift on the host
+    falls on both engines alike; the median per-pair speedup is the
+    result.
+    """
     delays = make_delays(total_events)
-    results = {kind: drive(kind, delays, chains) for kind in sorted(ENGINE_KINDS)}
+    kinds = sorted(ENGINE_KINDS)
+    pairs = []
+    for i in range(PAIRS):
+        order = kinds if i % 2 == 0 else kinds[::-1]
+        rows = {kind: drive(kind, delays, chains) for kind in order}
+        speedup = rows["calendar"]["events_per_sec"] / rows["heapq"]["events_per_sec"]
+        pairs.append({"first": order[0], **rows, "speedup": round(speedup, 3)})
     # Identical schedules must end at the identical simulated instant.
-    finals = {row["final_time_ps"] for row in results.values()}
+    finals = {pair[kind]["final_time_ps"] for pair in pairs for kind in kinds}
     if len(finals) != 1:
         raise AssertionError(f"engines diverged: final times {finals}")
-    speedup = (
-        results["calendar"]["events_per_sec"] / results["heapq"]["events_per_sec"]
-    )
     return {
         "benchmark": "engine_hotpath",
         "n_events": total_events,
         "chains": chains,
         "python": platform.python_version(),
-        "results": results,
-        "speedup_calendar_over_heapq": round(speedup, 3),
+        "pairs": pairs,
+        "speedup_calendar_over_heapq": statistics.median(
+            pair["speedup"] for pair in pairs
+        ),
     }
 
 
@@ -284,8 +303,9 @@ def test_engine_hotpath_smoke():
     record = run_benchmark(SMOKE_EVENTS)
     print()
     print(json.dumps(record, indent=2))
-    for row in record["results"].values():
-        assert row["events"] >= SMOKE_EVENTS
+    assert len(record["pairs"]) == PAIRS
+    for pair in record["pairs"]:
+        assert pair["calendar"]["events"] == pair["heapq"]["events"] >= SMOKE_EVENTS
     # Soft bound for noisy CI runners; the scripted full run checks 2x.
     assert record["speedup_calendar_over_heapq"] >= 1.2
 
@@ -325,7 +345,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json-file", default=None)
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless the calendar queue is >= 2x the heapq path "
+        help="exit non-zero unless the median calendar/heapq speedup is >= 2x "
         "(with --calls-per-event: unless the count is within its budget)",
     )
     parser.add_argument(
@@ -350,7 +370,7 @@ def main(argv=None) -> int:
         with open(args.json_file, "w") as fh:
             fh.write(text + "\n")
     if args.check and record["speedup_calendar_over_heapq"] < 2.0:
-        print("FAIL: calendar queue below the 2x acceptance bar", file=sys.stderr)
+        print("FAIL: median speedup below the 2x acceptance bar", file=sys.stderr)
         return 1
     return 0
 

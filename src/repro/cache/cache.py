@@ -29,6 +29,7 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
+from repro.telemetry import effective
 
 _READ = MemOp.READ
 
@@ -141,9 +142,7 @@ class Cache(Component):
         self.config = config
         self.downstream = downstream
         self.control = control
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         self._line_size = config.line_size
         # Set index and tag are a mask and a shift: num_sets is a power of two.
         self._set_mask = config.num_sets - 1
@@ -363,7 +362,6 @@ class Cache(Component):
             addr=line_addr,
             size=self._line_size,
             op=MemOp.WRITEBACK,
-            owner_ds_id=victim.ds_id,
             birth_ps=self.engine._now,
         )
         self.downstream.handle_request(packet, _drop_response)

@@ -44,6 +44,7 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
+from repro.telemetry import effective
 
 _READ, _WRITE = MemOp.READ, MemOp.WRITE
 
@@ -74,9 +75,7 @@ class CpuCore(Component):
         self.core_id = core_id
         self.memory = memory
         self.io_port = io_port
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         if self.telemetry is not None:
             reg = self.telemetry.registry
             reg.gauge_fn(f"cpu.{self.name}.busy_ps", lambda: self.busy_ps)

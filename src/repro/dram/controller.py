@@ -34,10 +34,9 @@ from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
-from repro.sim.packet import MemOp, MemoryPacket
+from repro.sim.packet import MemoryPacket
 from repro.sim.stats import LatencyRecorder
-
-_WRITEBACK = MemOp.WRITEBACK
+from repro.telemetry import effective
 
 
 class MemoryController(Component):
@@ -69,23 +68,7 @@ class MemoryController(Component):
         self.timing = timing or DramTiming()
         self.geometry = geometry or DramGeometry()
         self.control = control
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
-        self._qdelay_hist = None
-        if self.telemetry is not None:
-            reg = self.telemetry.registry
-            reg.gauge_fn(f"dram.{name}.served_requests", lambda: self.served_requests)
-            reg.gauge_fn(f"dram.{name}.served_bytes", lambda: self.served_bytes)
-            reg.gauge_fn(
-                f"dram.{name}.mean_qdelay_cycles",
-                lambda: self.mean_queue_delay_cycles,
-            )
-            # Queueing delay in memory cycles; log-spaced from 1 cycle to
-            # ~32k cycles covers idle through heavily-backlogged queues.
-            self._qdelay_hist = reg.histogram(
-                f"dram.{name}.qdelay_cycles", start=1.0, growth=2.0, count=16
-            )
+        self.telemetry = effective(telemetry)
         # One FIFO queue per priority level, indexed by priority: high and
         # low with a control plane; the Fig. 11 baseline has a single one.
         priority_levels = 2
@@ -115,6 +98,20 @@ class MemoryController(Component):
         self.served_requests = 0
         self.served_bytes = 0
         self.refreshes_performed = 0
+        if self.telemetry is not None:
+            reg = self.telemetry.registry
+            reg.gauge_fn(f"dram.{name}.served_requests", lambda: self.served_requests)
+            reg.gauge_fn(f"dram.{name}.served_bytes", lambda: self.served_bytes)
+            reg.gauge_fn(
+                f"dram.{name}.mean_qdelay_cycles",
+                lambda: self.mean_queue_delay_cycles,
+            )
+            # Queueing delay in memory cycles; log-spaced from 1 cycle to
+            # ~32k cycles covers idle through heavily-backlogged queues.
+            reg.histogram(
+                f"dram.{name}.qdelay_cycles", self.queue_delay,
+                start=1.0, growth=2.0, count=16,
+            )
         # The control plane's parameter rows and service window, used in
         # place (None without a control plane).
         self._parameter_rows = self._service_window = None
@@ -145,10 +142,9 @@ class MemoryController(Component):
     # -- request entry ------------------------------------------------------
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        # The accounting DS-id: a writeback is charged to the block's owner.
+        # A writeback carries its block's owner as its DS-id, so it is
+        # charged to the owner (PARD §4.1).
         ds_id = packet.ds_id
-        if packet.op is _WRITEBACK and packet.owner_ds_id is not None:
-            ds_id = packet.owner_ds_id
         dram_addr = packet.addr
         priority = 0
         rows = self._parameter_rows
@@ -267,8 +263,6 @@ class MemoryController(Component):
             # LatencyRecorder.record, minus its frame: the recorder folds
             # bare appends into its summaries when they are read.
             self._qdelay_samples[priority].append(delay_cycles)
-            if self._qdelay_hist is not None:
-                self._qdelay_hist.record(delay_cycles)
             if packet.span is not None:
                 packet.span.hop(f"{self.name}.issue", now)
             self._inflight += 1

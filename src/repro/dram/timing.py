@@ -83,10 +83,6 @@ class DramGeometry:
     def total_banks(self) -> int:
         return self.ranks * self.banks_per_rank
 
-    @cached_property
-    def rows_per_bank(self) -> int:
-        return self.capacity_bytes // (self.total_banks * self.row_bytes)
-
 
 def decompose_address(addr: int, geometry: DramGeometry) -> tuple[int, int, int]:
     """DRAM physical address -> ``(bank_index, row, column)``.

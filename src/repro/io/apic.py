@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket
+from repro.telemetry import effective
 
 InterruptHandler = Callable[[InterruptPacket], None]
 
@@ -41,9 +42,7 @@ class Apic(Component):
         self._core_handlers: dict[int, InterruptHandler] = {}
         self.delivered = 0
         self.dropped = 0
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         if self.telemetry is not None:
             reg = self.telemetry.registry
             reg.gauge_fn(f"io.{name}.delivered", lambda: self.delivered)

@@ -16,6 +16,7 @@ from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import IoPacket
+from repro.telemetry import effective
 
 ALL_DEVICES_MASK = (1 << 62) - 1
 
@@ -66,9 +67,7 @@ class IoBridge(Component):
         self.forward_latency_ps = forward_latency_ps
         self._devices: dict[str, tuple[int, Component]] = {}
         self.forwarded_pio = 0
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         if self.telemetry is not None:
             self.telemetry.registry.gauge_fn(
                 f"io.{name}.forwarded_pio", lambda: self.forwarded_pio
@@ -81,9 +80,6 @@ class IoBridge(Component):
         index = len(self._devices)
         self._devices[name] = (index, device)
         return index
-
-    def device_index(self, name: str) -> int:
-        return self._devices[name][0]
 
     def handle_request(self, packet: IoPacket, on_response: ResponseCallback) -> None:
         entry = self._devices.get(packet.device)

@@ -27,6 +27,7 @@ from repro.io.dma import DmaEngine
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine, PS_PER_S
 from repro.sim.packet import IoOp, IoPacket
+from repro.telemetry import effective
 
 
 class IdeControlPlane(ControlPlane):
@@ -103,9 +104,7 @@ class IdeController(Component):
         super().__init__(engine, name)
         if total_bandwidth_bytes_per_s <= 0 or chunk_bytes <= 0:
             raise ValueError("bandwidth and chunk size must be positive")
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         if self.telemetry is not None:
             self.telemetry.registry.gauge_fn(
                 f"io.{name}.completed_transfers", lambda: self.completed_transfers
@@ -226,11 +225,3 @@ class IdeController(Component):
             transfer.on_response(transfer.packet)
         self._busy = False
         self._pump()
-
-    # -- introspection -----------------------------------------------------------------
-
-    def queued_bytes(self, ds_id: int) -> int:
-        queue = self._queues.get(ds_id)
-        if not queue:
-            return 0
-        return sum(t.remaining_bytes for t in queue)

@@ -44,10 +44,6 @@ class WindowAllocator:
     def free_bytes(self) -> int:
         return sum(block.size for block in self._free)
 
-    @property
-    def allocated_windows(self) -> int:
-        return len(self._allocated)
-
     def allocate(self, size_bytes: int) -> int:
         """Allocate an aligned window; returns its base address."""
         if size_bytes <= 0:
@@ -84,9 +80,6 @@ class WindowAllocator:
             else:
                 merged.append(block)
         self._free = merged
-
-    def window_size(self, base: int) -> int:
-        return self._allocated[base]
 
 
 def _round_up(value: int, align: int) -> int:

@@ -81,12 +81,6 @@ class PrmIoSpace:
     def __len__(self) -> int:
         return len(self._adaptors)
 
-    def by_index(self, index: int) -> ControlPlaneAdaptor:
-        try:
-            return self._adaptors[index]
-        except IndexError:
-            raise CpaSpaceError(f"no CPA at index {index}")
-
     def by_name(self, name: str) -> ControlPlaneAdaptor:
         for adaptor in self._adaptors:
             if adaptor.name == name:

@@ -38,6 +38,7 @@ from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
 from repro.prm.sysfs import SysfsTree
 from repro.sim.engine import Engine, PS_PER_US
+from repro.telemetry import effective
 
 # Columns whose sysfs/pardtrigger values are expressed in percent but
 # stored scaled (miss_rate is kept in basis points in the hardware).
@@ -90,7 +91,6 @@ class Firmware:
         self.io_space = PrmIoSpace()
         self.sysfs = SysfsTree()
         self.ldoms: dict[str, LDom] = {}
-        self._ldoms_by_dsid: dict[int, LDom] = {}
         self._next_ds_id = 1  # DS-id 0 is the default/untagged domain
         self.memory_allocator = WindowAllocator(
             inventory.memory_capacity_bytes, inventory.memory_reserved_bytes
@@ -98,11 +98,8 @@ class Firmware:
         self._scripts: dict[str, ActionScript] = {}
         self._bindings: dict[tuple[str, int, int], str] = {}
         self.trigger_log: list[tuple[int, str, int, str]] = []
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
-        self._triggers_fired = None
-        self._scripts_run = None
+        self.scripts_run = 0
+        self.telemetry = effective(telemetry)
         self._ldom_metrics: dict[int, list[str]] = {}
         self.sysfs.mkdir("/sys/cpa")
         self.sysfs.mkdir("/log")
@@ -114,8 +111,8 @@ class Firmware:
     def _register_prm_metrics(self) -> None:
         """Register the PRM's own instruments (``prm.*``)."""
         registry = self.telemetry.registry
-        self._triggers_fired = registry.counter("prm.triggers_fired")
-        self._scripts_run = registry.counter("prm.scripts_run")
+        registry.gauge_fn("prm.triggers_fired", lambda: len(self.trigger_log))
+        registry.gauge_fn("prm.scripts_run", lambda: self.scripts_run)
         registry.gauge_fn("prm.ldoms", lambda: len(self.ldoms))
 
     # -- CPA attachment and sysfs construction -------------------------------
@@ -132,12 +129,6 @@ class Firmware:
             read_handler=lambda rf=rf: f"{ord(rf.type_code):#x} '{rf.type_code}'",
         )
         self.sysfs.mkdir(f"{base}/ldoms")
-        return adaptor
-
-    def adaptor_for(self, control_plane: ControlPlane) -> ControlPlaneAdaptor:
-        adaptor = self.io_space.find(control_plane)
-        if adaptor is None:
-            raise FirmwareError(f"{control_plane.name} is not attached to this PRM")
         return adaptor
 
     def _build_ldom_subtree(self, adaptor: ControlPlaneAdaptor, ds_id: int) -> None:
@@ -218,7 +209,6 @@ class Firmware:
         if self.inventory.apic is not None and core_ids:
             self.inventory.apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, core_ids[0])
         self.ldoms[name] = ldom
-        self._ldoms_by_dsid[ds_id] = ldom
         return ldom
 
     def _program_defaults(
@@ -297,10 +287,6 @@ class Firmware:
             for metric in self._ldom_metrics.pop(ldom.ds_id, []):
                 self.telemetry.registry.remove(metric)
         del self.ldoms[name]
-        del self._ldoms_by_dsid[ldom.ds_id]
-
-    def ldom_by_dsid(self, ds_id: int) -> Optional[LDom]:
-        return self._ldoms_by_dsid.get(ds_id)
 
     def _ldom(self, name: str) -> LDom:
         try:
@@ -387,8 +373,6 @@ class Firmware:
         self.trigger_log.append(
             (self.engine.now, adaptor.name, ds_id, rule.describe())
         )
-        if self._triggers_fired is not None:
-            self._triggers_fired.add()
         if not script_path:
             return
         script = self._scripts[script_path]
@@ -403,8 +387,7 @@ class Firmware:
         )
 
     def _run_script(self, script: ActionScript, context: dict) -> None:
-        if self._scripts_run is not None:
-            self._scripts_run.add()
+        self.scripts_run += 1
         script(self, context)
 
     # -- the shell (echo / cat / ls / pardtrigger) --------------------------------

@@ -40,10 +40,6 @@ class ProbeSeries:
     def latest(self) -> Optional[float]:
         return self.values[-1] if self.values else None
 
-    def as_rows(self) -> list[tuple[float, float]]:
-        """(time_ms, value) pairs, for printing or export."""
-        return [(t / PS_PER_MS, v) for t, v in zip(self.times_ps, self.values)]
-
 
 class StatisticsMonitor:
     """Periodically samples sysfs statistic files into time series."""
@@ -65,13 +61,6 @@ class StatisticsMonitor:
         series = ProbeSeries(name, path)
         self.probes[name] = series
         return series
-
-    def remove_probe(self, name: str) -> None:
-        if name not in self.probes:
-            raise ValueError(
-                f"no probe named {name!r}; have {sorted(self.probes)}"
-            )
-        del self.probes[name]
 
     def run(self, duration_ps: int) -> None:
         """Advance the machine by ``duration_ps``, sampling every period.

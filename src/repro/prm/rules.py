@@ -90,15 +90,6 @@ def raise_priority_action(level: int = 1) -> Callable:
     return script
 
 
-def set_parameter_action(column: str, value: int) -> Callable:
-    """A generic action: write a fixed value into one parameter cell."""
-
-    def script(firmware, context: dict) -> None:
-        firmware.echo(str(value), f"{context['ldom_path']}/parameters/{column}")
-
-    return script
-
-
 def log_action(tag: str = "trigger") -> Callable:
     """Append a line to /log/triggers.log (Example 2's first command)."""
 

@@ -38,7 +38,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, effective
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def run_sweep(
     if not indexed:
         return SweepResult(points=[], jobs=jobs)
 
-    hub = telemetry if (telemetry is not None and telemetry.enabled) else None
+    hub = effective(telemetry)
     template = hub.fresh() if hub is not None else None
     started = time.perf_counter()
 

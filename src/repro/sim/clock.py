@@ -28,35 +28,11 @@ class ClockDomain:
         self.period_ps = int(period_ps)
         self.name = name
 
-    @property
-    def frequency_ghz(self) -> float:
-        return 1_000.0 / self.period_ps
-
-    @property
-    def now_cycles(self) -> int:
-        """Completed cycles of this domain at the current engine time."""
-        return self.engine.now // self.period_ps
-
-    def cycles_to_ps(self, cycles: int) -> int:
-        return int(cycles) * self.period_ps
-
-    def ps_to_cycles(self, ps: int) -> float:
-        return ps / self.period_ps
-
-    def next_edge_ps(self) -> int:
-        """Absolute time of the next clock edge (now, if on an edge)."""
-        now = self.engine.now
-        remainder = now % self.period_ps
-        if remainder == 0:
-            return now
-        return now + (self.period_ps - remainder)
-
     def post_cycles(self, cycles: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``cycles`` edges after the next aligned edge.
         Edge-aligned work from every component in this domain lands in the
         same engine bucket and is dispatched in one queue operation."""
-        # next_edge_ps() + cycles_to_ps(cycles), inlined: this is on every
-        # cache access that misses the synchronous hit path.
+        # The next edge is now + -now % period (now, if on an edge).
         period = self.period_ps
         now = self.engine._now
         self.engine.post_at(now + -now % period + int(cycles) * period, callback)

@@ -83,18 +83,6 @@ class Engine:
         return self._now
 
     @property
-    def now_ns(self) -> float:
-        return self._now / PS_PER_NS
-
-    @property
-    def now_us(self) -> float:
-        return self._now / PS_PER_US
-
-    @property
-    def now_ms(self) -> float:
-        return self._now / PS_PER_MS
-
-    @property
     def pending_events(self) -> int:
         """Callbacks queued and not yet started. Read from inside a
         callback, the running callback and those before it in its bucket

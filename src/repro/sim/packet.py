@@ -85,9 +85,9 @@ class MemoryPacket(Packet):
 
     ``addr`` is an *LDom-physical* address: LDoms all see an address space
     starting at 0 and the memory control plane translates to DRAM physical
-    addresses (PARD §4.2). ``owner_ds_id`` is only meaningful for
-    writebacks, where the evicted block's owner -- not the requester that
-    caused the eviction -- must be charged (PARD §4.1).
+    addresses (PARD §4.2). A writeback's ``ds_id`` is the evicted block's
+    owner, not the requester that caused the eviction, so the owner is
+    charged (PARD §4.1).
 
     One packet serves a request for its whole trip down the hierarchy
     where it can: a cache miss that is a line-aligned, line-sized READ
@@ -106,7 +106,6 @@ class MemoryPacket(Packet):
     addr: int = 0
     size: int = 64
     op: MemOp = MemOp.READ
-    owner_ds_id: Optional[int] = None
 
     def __init__(
         self,
@@ -117,7 +116,6 @@ class MemoryPacket(Packet):
         addr: int = 0,
         size: int = 64,
         op: MemOp = MemOp.READ,
-        owner_ds_id: Optional[int] = None,
     ) -> None:
         self.ds_id = ds_id
         self.birth_ps = birth_ps
@@ -126,23 +124,8 @@ class MemoryPacket(Packet):
         self.addr = addr
         self.size = size
         self.op = op
-        self.owner_ds_id = owner_ds_id
         if not 0 <= ds_id <= MAX_DSID:
             raise ValueError(f"DS-id {ds_id} outside 16-bit tag space")
-
-    @property
-    def is_write(self) -> bool:
-        return self.op in (MemOp.WRITE, MemOp.WRITEBACK)
-
-    @property
-    def effective_ds_id(self) -> int:
-        """The DS-id used for accounting and policy at the memory level."""
-        if self.op is MemOp.WRITEBACK and self.owner_ds_id is not None:
-            return self.owner_ds_id
-        return self.ds_id
-
-    def line_addr(self, line_size: int = 64) -> int:
-        return self.addr - (self.addr % line_size)
 
 
 @dataclass(slots=True)

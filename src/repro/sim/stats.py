@@ -3,7 +3,8 @@
 Control-plane statistics tables (PARD Fig. 2) keep their windowed
 per-DS-id counts as plain ints beside the tables themselves (see
 :mod:`repro.cache.control_plane` and :mod:`repro.dram.control_plane`).
-Plain counters are :class:`repro.telemetry.Counter`.
+A telemetry :class:`repro.telemetry.Histogram` is a view over recorders:
+it reads their samples at snapshot time and keeps none of its own.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class LatencyRecorder:
     ``mean``/``min``/``max``/``total`` are bit-identical to an eager
     recorder and cost O(new samples). Percentile and CDF queries sort
     once and reuse the sorted view until the next sample arrives.
-    :attr:`samples` is append-only between :meth:`reset` calls, and it
-    stays the same list object for the recorder's lifetime.
+    :attr:`samples` is append-only and stays the same list object for
+    the recorder's lifetime.
     """
 
     __slots__ = ("name", "samples", "_sum", "_min", "_max", "_folded", "_ordered_cache")
@@ -46,9 +47,6 @@ class LatencyRecorder:
 
     def record(self, value: float) -> None:
         self.samples.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.samples.extend(map(float, values))
 
     def _catch_up(self) -> None:
         samples = self.samples
@@ -125,43 +123,17 @@ class LatencyRecorder:
     def p95(self) -> float:
         return self.percentile(95.0)
 
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
-    def cdf(self, points: Optional[Iterable[float]] = None) -> list[tuple[float, float]]:
-        """Empirical CDF as ``(value, cumulative_fraction)`` pairs.
-
-        With ``points`` given, evaluates the CDF at those values;
-        otherwise returns one step per distinct sample.
-        """
+    def cdf(self, points: Iterable[float]) -> list[tuple[float, float]]:
+        """Empirical CDF evaluated at ``points``, as ``(point,
+        cumulative_fraction)`` pairs."""
         if not self.samples:
             return []
         ordered = self._ordered()
         n = len(ordered)
-        if points is None:
-            result = []
-            seen = 0
-            previous = None
-            for value in ordered:
-                seen += 1
-                if value != previous:
-                    result.append((value, seen / n))
-                    previous = value
-                else:
-                    result[-1] = (value, seen / n)
-            return result
         result = []
         for point in points:
             result.append((float(point), bisect_right(ordered, point) / n))
         return result
-
-    def reset(self) -> None:
-        self.samples.clear()
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._folded = 0
-        self._ordered_cache = None
 
     def __repr__(self) -> str:
         return f"LatencyRecorder({self.name}: n={self.count}, mean={self.mean:.2f})"

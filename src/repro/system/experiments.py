@@ -39,6 +39,7 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.stats import LatencyRecorder
 from repro.system.config import ServerConfig, TABLE2
 from repro.system.server import PardServer
+from repro.telemetry import effective
 from repro.workloads.base import Boot, Sequence
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
@@ -540,11 +541,8 @@ def _drive_controller(
         engine, clock, control=control, hp_row_buffer=hp_row_buffer,
         telemetry=telemetry,
     )
-    spans = (
-        telemetry.spans
-        if (telemetry is not None and telemetry.enabled)
-        else None
-    )
+    hub = effective(telemetry)
+    spans = hub.spans if hub is not None else None
     finish_span = partial(_finish_injected_span, spans)
     handle_request = controller.handle_request
     for i, (addr, time_ps) in enumerate(zip(addresses, arrivals or repeat(0))):
@@ -582,8 +580,8 @@ def run_fig11_controller_point(
         with_control_plane, addresses, arrivals, hp_row_buffer,
         telemetry=telemetry,
     )
-    if telemetry is not None:
-        telemetry.snapshot(controller.engine.now)
+    if controller.telemetry is not None:
+        controller.telemetry.snapshot(controller.engine.now)
     return {
         "mean": {
             priority: recorder.mean

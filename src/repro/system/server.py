@@ -26,6 +26,7 @@ from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Engine
 from repro.system.config import ServerConfig, TABLE2
+from repro.telemetry import effective
 
 
 class PardServer:
@@ -39,9 +40,7 @@ class PardServer:
     ):
         self.config = config
         self.engine = engine or Engine()
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
+        self.telemetry = effective(telemetry)
         telemetry = self.telemetry
         engine = self.engine
         if telemetry is not None:

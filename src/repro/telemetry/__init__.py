@@ -6,7 +6,6 @@ sampling rules, and the overhead budget this layer is held to.
 """
 
 from .registry import (
-    Counter,
     Gauge,
     Histogram,
     Instrument,
@@ -23,7 +22,6 @@ from .exporters import (
 from .hub import Telemetry, effective
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "Instrument",

@@ -1,8 +1,9 @@
 """The Telemetry hub: one object bundling registry, spans and snapshots.
 
-Components receive the hub (or ``None``) at construction and normalize::
+Components receive the hub (or ``None``) at construction and normalize
+it with :func:`effective`::
 
-    self.telemetry = telemetry if (telemetry is not None and telemetry.enabled) else None
+    self.telemetry = effective(telemetry)
 
 so every hot-path guard is a single ``is None`` check and a disabled hub
 costs exactly as much as no hub at all. The hub owns:

@@ -2,24 +2,27 @@
 
 PARD's control planes already keep per-DS-id *statistics tables* (Fig. 2);
 this module generalizes that idea to the whole simulated machine. Every
-component registers typed instruments -- :class:`Counter`, callback
-:class:`Gauge` and :class:`Histogram` with fixed log-spaced buckets --
-under hierarchical dotted names such as ``llc.ds1.misses`` or
-``dram.qdelay_cycles``. The registry is what the JSONL snapshots read;
-a sweep ships those labelled snapshots, never the registry itself, so
-each point's values stay under its own run label. It is not mounted in
-the PRM's device file tree: PRM scripts read statistics through the CPA
-files under ``/sys/cpa``, whose per-DS-id cells the firmware also
-registers here as callback gauges (``llc.ds1.misses``).
+instrument is a read, at snapshot time, of state a component already
+keeps: a callback :class:`Gauge` over a counter, or a :class:`Histogram`
+with fixed log-spaced buckets over the component's latency recorders.
+Instruments live under hierarchical dotted names such as
+``llc.ds1.misses`` or ``dram.memctrl.qdelay_cycles``. The registry is
+what the JSONL snapshots read; a sweep ships those labelled snapshots,
+never the registry itself, so each point's values stay under its own run
+label. It is not mounted in the PRM's device file tree: PRM scripts read
+statistics through the CPA files under ``/sys/cpa``, whose per-DS-id
+cells the firmware also registers here as callback gauges
+(``llc.ds1.misses``).
 
-Registration is get-or-create: asking twice for the same name returns the
-same instrument (a type mismatch raises).
+Registering a name again re-points it at the new callback or recorders
+(a kind mismatch raises).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 _NAME_BAD_CHARS = set("/ \t\n")
@@ -53,25 +56,6 @@ class Instrument:
         return f"{type(self).__name__}({self.name}={self.render()})"
 
 
-class Counter(Instrument):
-    """A monotonically increasing integer counter."""
-
-    kind = "counter"
-    __slots__ = ("_value",)
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters only increase (got {amount})")
-        self._value += amount
-
-    def value(self) -> int:
-        return self._value
-
-
 class Gauge(Instrument):
     """A point-in-time value read through a callback.
 
@@ -92,77 +76,84 @@ class Gauge(Instrument):
 
 
 class Histogram(Instrument):
-    """A histogram over fixed log-spaced buckets.
+    """A histogram view over latency recorders
+    (:class:`repro.sim.stats.LatencyRecorder`).
 
     Bucket upper bounds are ``start * growth**i`` for ``i`` in
     ``range(count)`` plus a final +inf overflow bucket, mirroring
-    Prometheus exponential buckets. Alongside the bucket counts it keeps
-    the exact running count/sum/min/max (the same incremental shape as
-    :class:`repro.sim.stats.LatencyRecorder`, which it absorbs for
-    metrics that do not need exact percentiles).
+    Prometheus exponential buckets. The recorders are the only copy of
+    the samples: every read bins the samples that arrived since the last
+    one, and count/sum/min/max come from the recorders themselves, so
+    nothing runs per sample on the component's hot path.
     """
 
     kind = "histogram"
-    __slots__ = ("bounds", "counts", "_count", "_sum", "_min", "_max")
+    __slots__ = ("recorders", "bounds", "_counts", "_binned")
 
     def __init__(
-        self, name: str, start: float = 1.0, growth: float = 2.0, count: int = 24
+        self,
+        name: str,
+        recorders: Iterable,
+        start: float = 1.0,
+        growth: float = 2.0,
+        count: int = 24,
     ):
         super().__init__(name)
         if start <= 0 or growth <= 1.0 or count < 1:
             raise ValueError(f"{name}: need start>0, growth>1, count>=1")
+        self.recorders = tuple(recorders)
         self.bounds = [start * growth ** i for i in range(count)]
-        self.counts = [0] * (count + 1)  # +1 = overflow bucket (le=+inf)
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
+        self._counts = [0] * (count + 1)  # +1 = overflow bucket (le=+inf)
+        self._binned = [0] * len(self.recorders)  # samples already counted
 
-    def record(self, value: float) -> None:
-        value = float(value)
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+    @property
+    def counts(self) -> list[int]:
+        """Samples per bucket, the last being the +inf overflow bucket."""
+        bounds, counts = self.bounds, self._counts
+        for i, recorder in enumerate(self.recorders):
+            samples = recorder.samples
+            for value in islice(samples, self._binned[i], None):
+                counts[bisect_left(bounds, value)] += 1
+            self._binned[i] = len(samples)
+        return counts
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(recorder.count for recorder in self.recorders)
 
     @property
     def total(self) -> float:
-        return self._sum
+        return sum(recorder.total for recorder in self.recorders)
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     @property
     def min(self) -> Optional[float]:
-        return self._min if self._count else None
+        return min((r.min for r in self.recorders if r.count), default=None)
 
     @property
     def max(self) -> Optional[float]:
-        return self._max if self._count else None
+        return max((r.max for r in self.recorders if r.count), default=None)
 
     def quantile(self, q: float) -> float:
         """Approximate quantile from the bucket counts (upper-bound based)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        rank = q * self._count
+        rank = q * count
         seen = 0
         for i, c in enumerate(self.counts):
             seen += c
             if seen >= rank and c:
                 if i < len(self.bounds):
                     return self.bounds[i]
-                return self._max
-        return self._max
+                break
+        return self.max
 
     def buckets(self) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, Prometheus-style."""
@@ -171,13 +162,13 @@ class Histogram(Instrument):
         for bound, c in zip(self.bounds, self.counts):
             cumulative += c
             out.append((bound, cumulative))
-        out.append((math.inf, self._count))
+        out.append((math.inf, self.count))
         return out
 
     def value(self) -> dict:
         return {
-            "count": self._count,
-            "sum": self._sum,
+            "count": self.count,
+            "sum": self.total,
             "min": self.min,
             "max": self.max,
             "buckets": [[b, c] for b, c in self.buckets() if b != math.inf],
@@ -185,51 +176,44 @@ class Histogram(Instrument):
 
     def render(self) -> str:
         return (
-            f"count={self._count} sum={self._sum:.6g} "
+            f"count={self.count} sum={self.total:.6g} "
             f"mean={self.mean:.6g} p95={self.quantile(0.95):.6g}"
         )
 
 
 class MetricsRegistry:
-    """Get-or-create registry of instruments under hierarchical names."""
+    """Registry of instruments under hierarchical names."""
 
     def __init__(self) -> None:
         self._instruments: dict[str, Instrument] = {}
 
     # -- registration -------------------------------------------------------
 
-    def _get_or_create(self, name: str, factory, cls) -> Instrument:
-        instrument = self._instruments.get(name)
-        if instrument is not None:
-            if not isinstance(instrument, cls):
-                raise TypeError(
-                    f"{name} already registered as {instrument.kind}, "
-                    f"requested {cls.kind}"
-                )
-            return instrument
-        instrument = factory()
-        self._instruments[name] = instrument
+    def _bind(self, instrument: Instrument) -> Instrument:
+        """Register ``instrument``, replacing one of the same kind and name."""
+        existing = self._instruments.get(instrument.name)
+        if existing is not None and existing.kind != instrument.kind:
+            raise TypeError(
+                f"{instrument.name} already registered as {existing.kind}, "
+                f"requested {instrument.kind}"
+            )
+        self._instruments[instrument.name] = instrument
         return instrument
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), Counter)
 
     def gauge_fn(self, name: str, fn: Callable[[], float]) -> Gauge:
         """A callback-backed gauge (re-binding an existing name re-points it)."""
-        instrument = self._instruments.get(name)
-        if instrument is not None:
-            if not isinstance(instrument, Gauge):
-                raise TypeError(f"{name} already registered as {instrument.kind}")
-            instrument._fn = fn
-            return instrument
-        return self._get_or_create(name, lambda: Gauge(name, fn), Gauge)
+        return self._bind(Gauge(name, fn))
 
     def histogram(
-        self, name: str, start: float = 1.0, growth: float = 2.0, count: int = 24
+        self,
+        name: str,
+        recorders: Iterable,
+        start: float = 1.0,
+        growth: float = 2.0,
+        count: int = 24,
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, start, growth, count), Histogram
-        )
+        """A histogram over ``recorders`` (re-binding a name re-points it)."""
+        return self._bind(Histogram(name, recorders, start, growth, count))
 
     def remove(self, name: str) -> bool:
         """Remove an instrument (e.g. when its LDom is destroyed)."""

@@ -22,6 +22,7 @@ from typing import Iterator, Optional
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import LatencyRecorder
+from repro.telemetry import effective
 from repro.workloads.base import LINE, Workload
 
 
@@ -70,10 +71,7 @@ class MemcachedServer(Workload):
         self.requests_dropped = 0
         self._arrivals_started = False
         self._interarrival_ps = PS_PER_MS * 1000.0 / rps  # mean, in ps
-        self.telemetry = (
-            telemetry if (telemetry is not None and telemetry.enabled) else None
-        )
-        self._latency_hist = None
+        self.telemetry = effective(telemetry)
         if self.telemetry is not None:
             prefix = f"workload.memcached.ds{ds_id}"
             reg = self.telemetry.registry
@@ -82,8 +80,9 @@ class MemcachedServer(Workload):
             reg.gauge_fn(f"{prefix}.dropped", lambda: self.requests_dropped)
             reg.gauge_fn(f"{prefix}.queue_depth", lambda: len(self.queue))
             # Response time in ms: 1 us .. ~16 ms in log-spaced buckets.
-            self._latency_hist = reg.histogram(
-                f"{prefix}.response_ms", start=0.001, growth=2.0, count=15
+            reg.histogram(
+                f"{prefix}.response_ms", (self.latencies,),
+                start=0.001, growth=2.0, count=15,
             )
 
     # -- client (arrival process) ---------------------------------------------
@@ -142,10 +141,7 @@ class MemcachedServer(Workload):
         def complete() -> None:
             self.requests_served += 1
             if arrived_at >= self.warmup_ps:
-                latency_ms = (self.engine.now - arrived_at) / PS_PER_MS
-                self.latencies.record(latency_ms)
-                if self._latency_hist is not None:
-                    self._latency_hist.record(latency_ms)
+                self.latencies.record((self.engine.now - arrived_at) / PS_PER_MS)
         return complete
 
     # -- results ---------------------------------------------------------------------

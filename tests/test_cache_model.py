@@ -171,6 +171,34 @@ class TestMissForwarding:
         assert pkt.addr == 0x1030
 
 
+class TestStoreHitDirtiesTheLine:
+    """A store that hits a clean line dirties it, on both hit paths: the
+    synchronous ``access()`` an upper level calls and the event-driven
+    ``_lookup`` that ``handle_request`` schedules."""
+
+    @pytest.mark.parametrize("path", ["access", "lookup"])
+    def test_store_hit_dirties_a_clean_line(self, path):
+        engine, cache, memory = make_cache()
+        access(engine, cache, 0x1000)  # a read miss fills a clean line
+        assert not line_at(cache, 0x1000).dirty
+        store = MemoryPacket(addr=0x1000, op=MemOp.WRITE)
+        if path == "access":
+            assert cache.access(store, None) == cache._hit_latency_ps
+        else:
+            done = []
+            cache.handle_request(store, done.append)
+            engine.run()
+            assert done == [store]
+        assert (cache.total_hits, cache.total_misses) == (1, 1)
+        assert line_at(cache, 0x1000).dirty
+        # Evicting the line writes it back, once.
+        stride = cache.config.num_sets * cache.config.line_size
+        for i in range(1, cache.config.ways + 1):
+            access(engine, cache, 0x1000 + i * stride)
+        writebacks = memory.requests_of(op=MemOp.WRITEBACK)
+        assert [(wb.addr, wb.ds_id) for wb in writebacks] == [(0x1000, 0)]
+
+
 class TestWritebackDsid:
     def test_writeback_carries_owner_dsid(self):
         # The block is dirtied by DS-id 2; DS-id 1 later causes the
@@ -183,8 +211,7 @@ class TestWritebackDsid:
         access(engine, cache, 3 * stride, ds_id=1)
         writebacks = memory.requests_of(op=MemOp.WRITEBACK)
         assert len(writebacks) == 1
-        assert writebacks[0].owner_ds_id == 2
-        assert writebacks[0].effective_ds_id == 2
+        assert writebacks[0].ds_id == 2
 
 
 class TestMshrBehaviour:

@@ -6,6 +6,7 @@ from tests.helpers import FakeMemory
 from repro.cpu.core import CoreState, CpuCore
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
+from repro.sim.packet import MemOp
 
 
 class ListWorkload:
@@ -87,7 +88,7 @@ class TestMemoryOps:
         engine, core, memory = make_core()
         core.assign(ListWorkload([("store", 0x40)]))
         engine.run()
-        assert memory.requests[0].is_write
+        assert memory.requests[0].op is MemOp.WRITE
 
     def test_batch_waits_for_slowest(self):
         engine, core, memory = make_core(mem_latency=60_000)

@@ -34,7 +34,7 @@ class TestDramGeometry:
         geometry = DramGeometry()
         assert geometry.total_banks == 16  # 2 ranks x 8 banks
         assert geometry.row_bytes == 1024
-        assert geometry.rows_per_bank == 8 * 1024 ** 3 // (16 * 1024)
+        assert geometry.capacity_bytes == 8 * 1024 ** 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

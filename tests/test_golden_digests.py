@@ -181,7 +181,6 @@ def test_fig11_digest():
     assert digest(fig11()) == pinned("fig11")
 
 
-@pytest.mark.slow
 def test_fig7_digest():
     assert digest(fig7()) == pinned("fig7")
 

@@ -50,7 +50,7 @@ class TestCacheFlushDsid:
         cache.flush_dsid(1)
         writebacks = memory.requests_of(op=MemOp.WRITEBACK)
         assert len(writebacks) == 4
-        assert all(p.owner_ds_id == 1 for p in writebacks)
+        assert all(p.ds_id == 1 for p in writebacks)
 
     def test_flush_clean_lines_no_writeback(self):
         engine, cache, control, memory = self.make_cache()

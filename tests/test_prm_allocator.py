@@ -14,13 +14,13 @@ class TestWindowAllocator:
         a = alloc.allocate(4 * MB)
         b = alloc.allocate(4 * MB)
         assert a != b
-        assert alloc.allocated_windows == 2
+        assert alloc.free_bytes == 8 * MB
 
     def test_alignment(self):
         alloc = WindowAllocator(16 * MB, align=MB)
         base = alloc.allocate(100)  # tiny request, MB-aligned window
         assert base % MB == 0
-        assert alloc.window_size(base) == MB
+        assert alloc.allocate(MB) == base + MB  # the window is one MB
 
     def test_reserved_region_respected(self):
         alloc = WindowAllocator(16 * MB, reserved_bytes=2 * MB)
@@ -78,23 +78,24 @@ def test_property_no_overlap_and_conservation(actions):
     conserved; freeing everything restores one maximal block."""
     capacity = 32 * MB
     alloc = WindowAllocator(capacity, align=MB)
-    live: list[int] = []
+    live: list[tuple[int, int]] = []  # (base, window size)
     for action in actions:
         if action[0] == "alloc":
             try:
-                live.append(alloc.allocate(action[1]))
+                base = alloc.allocate(action[1])
+                live.append((base, -(-action[1] // MB) * MB))
             except OutOfMemoryError:
                 pass
         elif live:
             index = action[1] % len(live)
-            alloc.free(live.pop(index))
+            alloc.free(live.pop(index)[0])
 
-    windows = sorted((base, alloc.window_size(base)) for base in live)
+    windows = sorted(live)
     for i in range(len(windows) - 1):
         assert windows[i][0] + windows[i][1] <= windows[i + 1][0]
     allocated_bytes = sum(size for _, size in windows)
     assert allocated_bytes + alloc.free_bytes == capacity
-    for base in list(live):
+    for base, _size in list(live):
         alloc.free(base)
     assert alloc.free_bytes == capacity
     # After freeing everything, a near-capacity allocation succeeds.

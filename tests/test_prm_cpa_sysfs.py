@@ -38,7 +38,7 @@ class TestPrmIoSpace:
         plane = LlcControlPlane(engine)
         adaptor = space.attach(plane)
         assert space.by_name("cpa0") is adaptor
-        assert space.by_index(0) is adaptor
+        assert adaptor.index == 0 and list(space) == [adaptor]
         assert space.find(plane) is adaptor
         with pytest.raises(CpaSpaceError):
             space.by_name("cpa9")

@@ -16,7 +16,6 @@ from repro.prm.rules import (
     increase_waymask_action,
     log_action,
     raise_priority_action,
-    set_parameter_action,
     update_mask,
 )
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
@@ -135,7 +134,7 @@ class TestLDomLifecycle:
         assert cores[0].tag.ds_id == 0
         assert apic.route_of(ldom.ds_id, 14) is None
         assert not firmware.sysfs.exists("/sys/cpa/cpa0/ldoms/ldom1")
-        assert firmware.ldom_by_dsid(ldom.ds_id) is None
+        assert "a" not in firmware.ldoms
 
 
 class TestShell:
@@ -244,7 +243,12 @@ class TestTriggerActionPath:
     def test_set_parameter_action(self):
         engine, firmware, (_, _, ide), _, _ = make_firmware()
         firmware.create_ldom("a", (0,), 1 << 20)
-        firmware.register_script("/s.sh", set_parameter_action("bandwidth", 80))
+        # A script written against the file primitives alone: echo a
+        # fixed value into one parameter cell of the triggering LDom.
+        def set_bandwidth(firmware, context):
+            firmware.echo("80", f"{context['ldom_path']}/parameters/bandwidth")
+
+        firmware.register_script("/s.sh", set_bandwidth)
         firmware.install_trigger("cpa2", 1, "bandwidth", "ge,0", script_path="/s.sh")
         ide.roll_window()
         engine.run()

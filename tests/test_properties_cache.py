@@ -126,7 +126,7 @@ def test_writeback_owners_are_writers(accesses):
         cache.handle_request(pkt, lambda p: None)
         engine.run()
     for packet in memory.requests_of(op=MemOp.WRITEBACK):
-        assert packet.owner_ds_id in writers
+        assert packet.ds_id in writers
 
 
 # -- the set index and free-way mask ------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 from repro.runner import SweepError, SweepPoint, SweepResult, run_sweep
 from repro.runner.builders import fig8_points
+from repro.sim.stats import LatencyRecorder
 from repro.system.experiments import (
     ColocationSetup,
     run_colocation_point,
@@ -27,10 +28,12 @@ from repro.telemetry import Telemetry
 
 def _square(x, seed=0, telemetry=None):
     if telemetry is not None:
-        telemetry.registry.counter("test.points").add(1)
+        telemetry.registry.gauge_fn("test.points", lambda: 1)
+        recorder = LatencyRecorder()
+        recorder.record(x)
         telemetry.registry.histogram(
-            "test.x", start=1.0, growth=2.0, count=8
-        ).record(x)
+            "test.x", (recorder,), start=1.0, growth=2.0, count=8
+        )
         span = telemetry.spans.maybe_start(ds_id=0, packet_id=x, kind="test")
         if span is not None:
             span.hop("begin", 0)

@@ -12,38 +12,34 @@ def test_cpu_and_dram_periods_match_table2():
     assert DRAM_CLOCK_PS == 1250
 
 
-def test_frequency_property():
-    engine = Engine()
-    cpu = ClockDomain(engine, CPU_CLOCK_PS)
-    assert cpu.frequency_ghz == pytest.approx(2.0)
-    dram = ClockDomain(engine, DRAM_CLOCK_PS)
-    assert dram.frequency_ghz == pytest.approx(0.8)
-
-
 def test_invalid_period_rejected():
     with pytest.raises(ValueError):
         ClockDomain(Engine(), 0)
 
 
+def fire_time(clock: ClockDomain, start_ps: int, cycles: int) -> int:
+    """When ``post_cycles(cycles)`` issued at ``start_ps`` fires."""
+    engine = clock.engine
+    fired = []
+    engine.post_at(
+        start_ps, lambda: clock.post_cycles(cycles, lambda: fired.append(engine.now))
+    )
+    engine.run()
+    return fired[0]
+
+
 def test_cycle_conversions():
-    clock = ClockDomain(Engine(), 500)
-    assert clock.cycles_to_ps(4) == 2000
-    assert clock.ps_to_cycles(2000) == pytest.approx(4.0)
+    # From an edge, 4 cycles of a 500 ps clock are 2000 ps.
+    assert fire_time(ClockDomain(Engine(), 500), 0, 4) == 2000
 
 
 def test_next_edge_on_edge_is_now():
-    engine = Engine()
-    clock = ClockDomain(engine, 500)
-    assert clock.next_edge_ps() == 0
+    assert fire_time(ClockDomain(Engine(), 500), 0, 0) == 0
+    assert fire_time(ClockDomain(Engine(), 500), 1500, 0) == 1500
 
 
 def test_next_edge_rounds_up():
-    engine = Engine()
-    clock = ClockDomain(engine, 500)
-    engine.post(123, lambda: None)
-    engine.run()
-    assert engine.now == 123
-    assert clock.next_edge_ps() == 500
+    assert fire_time(ClockDomain(Engine(), 500), 123, 0) == 500
 
 
 def test_schedule_cycles_aligns_to_edges():
@@ -55,11 +51,3 @@ def test_schedule_cycles_aligns_to_edges():
     engine.run()
     # Next edge after 100 ps is 1250; two cycles later is 3750.
     assert fired == [3750]
-
-
-def test_now_cycles_counts_completed_cycles():
-    engine = Engine()
-    clock = ClockDomain(engine, 500)
-    engine.post(1600, lambda: None)
-    engine.run()
-    assert clock.now_cycles == 3

@@ -11,7 +11,6 @@ from repro.sim.engine import (
     ENGINE_KINDS,
     Engine,
     HeapqEngine,
-    PS_PER_MS,
     SimulationError,
     make_engine,
 )
@@ -162,14 +161,6 @@ def test_returns_executed_count(engine):
         engine.post(delay, lambda: None)
     assert engine.run() == 3
     assert engine.executed_total == 3
-
-
-def test_time_unit_properties(engine):
-    engine.post(2 * PS_PER_MS, lambda: None)
-    engine.run()
-    assert engine.now_ms == pytest.approx(2.0)
-    assert engine.now_us == pytest.approx(2000.0)
-    assert engine.now_ns == pytest.approx(2_000_000.0)
 
 
 def test_drain_runs_immediate_callbacks(engine):

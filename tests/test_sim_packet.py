@@ -2,6 +2,11 @@
 
 import pytest
 
+from tests.test_cache_model import line_at, make_cache
+from repro.dram.control_plane import MemoryControlPlane
+from repro.dram.controller import MemoryController
+from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
+from repro.sim.engine import Engine
 from repro.sim.packet import (
     DEFAULT_DSID,
     DmaPacket,
@@ -34,38 +39,50 @@ def test_packet_ids_are_unique():
 def test_memory_packet_defaults():
     pkt = MemoryPacket(addr=0x1000)
     assert pkt.op is MemOp.READ
-    assert not pkt.is_write
     assert pkt.size == 64
 
 
 def test_write_and_writeback_are_writes():
-    assert MemoryPacket(op=MemOp.WRITE).is_write
-    assert MemoryPacket(op=MemOp.WRITEBACK).is_write
+    # Both ops dirty the resident line they hit: a store, and an upper
+    # level's writeback of its dirty copy.
+    for op in (MemOp.WRITE, MemOp.WRITEBACK):
+        engine, cache, _memory = make_cache()
+        _run(engine, cache.handle_request, MemoryPacket(addr=0x1000))
+        _run(engine, cache.handle_request, MemoryPacket(addr=0x1000, op=op))
+        assert cache.total_hits == 1
+        assert line_at(cache, 0x1000).dirty
 
 
-def test_line_addr_alignment():
-    pkt = MemoryPacket(addr=0x1234)
-    assert pkt.line_addr(64) == 0x1200
-    assert pkt.line_addr(128) == 0x1200
-    aligned = MemoryPacket(addr=0x1240)
-    assert aligned.line_addr(64) == 0x1240
+def _charged_dsids(packet: MemoryPacket) -> list[int]:
+    """The DS-ids whose memory service window one request lands in."""
+    engine = Engine()
+    control = MemoryControlPlane(engine)
+    for ds_id in (1, 2):
+        control.allocate_ldom(ds_id)
+    controller = MemoryController(
+        engine, ClockDomain(engine, DRAM_CLOCK_PS), control=control
+    )
+    _run(engine, controller.handle_request, packet)
+    return sorted(control.window_service)
 
 
 def test_writeback_charges_owner_dsid():
     # PARD §4.1: the writeback must use the evicted block's owner DS-id,
-    # not the DS-id of the request that caused the eviction.
-    pkt = MemoryPacket(ds_id=1, op=MemOp.WRITEBACK, owner_ds_id=2)
-    assert pkt.effective_ds_id == 2
+    # not the DS-id of the request that caused the eviction. The cache
+    # tags a writeback with its owner, so the memory level charges the
+    # packet's own DS-id.
+    assert _charged_dsids(MemoryPacket(ds_id=2, op=MemOp.WRITEBACK)) == [2]
 
 
 def test_non_writeback_uses_request_dsid():
-    pkt = MemoryPacket(ds_id=1, op=MemOp.READ, owner_ds_id=2)
-    assert pkt.effective_ds_id == 1
+    assert _charged_dsids(MemoryPacket(ds_id=1, op=MemOp.READ)) == [1]
 
 
-def test_writeback_without_owner_falls_back_to_request_dsid():
-    pkt = MemoryPacket(ds_id=3, op=MemOp.WRITEBACK)
-    assert pkt.effective_ds_id == 3
+def _run(engine, handle_request, packet):
+    done = []
+    handle_request(packet, done.append)
+    engine.run()
+    assert done == [packet]
 
 
 def test_io_packet_fields():

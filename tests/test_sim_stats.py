@@ -9,13 +9,20 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.stats import LatencyRecorder
 
 
+def recorder_of(samples) -> LatencyRecorder:
+    rec = LatencyRecorder()
+    for value in samples:
+        rec.record(value)
+    return rec
+
+
 class TestLatencyRecorder:
     def test_empty_recorder(self):
         rec = LatencyRecorder()
         assert rec.count == 0
         assert rec.mean == 0.0
         assert rec.percentile(95) == 0.0
-        assert rec.cdf() == []
+        assert rec.cdf([1.0]) == []
 
     def test_empty_recorder_extremes_are_none(self):
         # None, not 0.0: "no samples" must be distinguishable from a
@@ -28,15 +35,13 @@ class TestLatencyRecorder:
         assert rec.max == 0.0
 
     def test_mean_and_extremes(self):
-        rec = LatencyRecorder()
-        rec.extend([1.0, 2.0, 3.0, 10.0])
+        rec = recorder_of([1.0, 2.0, 3.0, 10.0])
         assert rec.mean == pytest.approx(4.0)
         assert rec.min == 1.0
         assert rec.max == 10.0
 
     def test_percentile_interpolation(self):
-        rec = LatencyRecorder()
-        rec.extend([0.0, 10.0])
+        rec = recorder_of([0.0, 10.0])
         assert rec.percentile(50) == pytest.approx(5.0)
         assert rec.percentile(0) == 0.0
         assert rec.percentile(100) == 10.0
@@ -48,32 +53,22 @@ class TestLatencyRecorder:
             rec.percentile(101)
 
     def test_p95_on_uniform_samples(self):
-        rec = LatencyRecorder()
-        rec.extend(float(i) for i in range(101))  # 0..100
+        rec = recorder_of((float(i) for i in range(101)))  # 0..100
         assert rec.p95() == pytest.approx(95.0)
 
     def test_cdf_steps(self):
-        rec = LatencyRecorder()
-        rec.extend([1.0, 1.0, 2.0, 4.0])
-        cdf = rec.cdf()
+        rec = recorder_of([1.0, 1.0, 2.0, 4.0])
+        cdf = rec.cdf(points=[1.0, 2.0, 4.0])
         assert cdf == [(1.0, 0.5), (2.0, 0.75), (4.0, 1.0)]
 
     def test_cdf_at_points(self):
-        rec = LatencyRecorder()
-        rec.extend([1.0, 2.0, 3.0, 4.0])
+        rec = recorder_of([1.0, 2.0, 3.0, 4.0])
         cdf = rec.cdf(points=[0.0, 2.5, 10.0])
         assert cdf == [(0.0, 0.0), (2.5, 0.5), (10.0, 1.0)]
 
-    def test_reset(self):
-        rec = LatencyRecorder()
-        rec.record(5.0)
-        rec.reset()
-        assert rec.count == 0
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     def test_percentiles_are_monotonic(self, samples):
-        rec = LatencyRecorder()
-        rec.extend(samples)
+        rec = recorder_of(samples)
         values = [rec.percentile(p) for p in (0, 25, 50, 75, 95, 99, 100)]
         assert values == sorted(values)
         assert values[0] == pytest.approx(min(samples))
@@ -81,9 +76,8 @@ class TestLatencyRecorder:
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     def test_cdf_is_monotonic_and_ends_at_one(self, samples):
-        rec = LatencyRecorder()
-        rec.extend(samples)
-        cdf = rec.cdf()
+        rec = recorder_of(samples)
+        cdf = rec.cdf(points=sorted(samples))
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0)
@@ -95,8 +89,7 @@ class TestLatencyRecorder:
         st.floats(min_value=0, max_value=100),
     )
     def test_percentile_within_sample_range(self, samples, pct):
-        rec = LatencyRecorder()
-        rec.extend(samples)
+        rec = recorder_of(samples)
         value = rec.percentile(pct)
         assert min(samples) <= value <= max(samples)
 
@@ -106,7 +99,9 @@ class EagerRecorder:
 
     def __init__(self):
         self.samples = []
-        self.reset()
+        self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     def record(self, value):
         value = float(value)
@@ -116,12 +111,6 @@ class EagerRecorder:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def reset(self):
-        self.samples.clear()
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def summaries(self) -> tuple:
         n = len(self.samples)
@@ -142,20 +131,18 @@ SAMPLE = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 STEP = st.one_of(
     st.tuples(st.just("record"), SAMPLE),
     st.tuples(st.just("append"), SAMPLE),
-    st.tuples(st.just("extend"), st.lists(SAMPLE, max_size=5)),
     st.tuples(st.just("read"), st.none()),
     st.tuples(st.just("percentile"), st.floats(min_value=0.0, max_value=100.0)),
-    st.tuples(st.just("reset"), st.none()),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(STEP, max_size=60))
 def test_lazy_summaries_match_eager_reference_bit_for_bit(steps):
-    """Bare ``samples.append`` (the controller's path), ``record`` and
-    ``extend``, interleaved with reads and resets: every summary equals
-    the eager recorder's, float bit for float bit, and the sorted view
-    behind percentiles and the CDF never goes stale."""
+    """Bare ``samples.append`` (the controller's path) and ``record``,
+    interleaved with reads: every summary equals the eager recorder's,
+    float bit for float bit, and the sorted view behind percentiles and
+    the CDF never goes stale."""
     rec, ref = LatencyRecorder(), EagerRecorder()
     samples = rec.samples
     for kind, arg in steps:
@@ -165,20 +152,12 @@ def test_lazy_summaries_match_eager_reference_bit_for_bit(steps):
         elif kind == "append":
             samples.append(arg)
             ref.record(arg)
-        elif kind == "extend":
-            rec.extend(arg)
-            for value in arg:
-                ref.record(value)
-        elif kind == "reset":
-            rec.reset()
-            ref.reset()
-            assert rec.samples is samples
         elif kind == "percentile":
             # A recorder built from scratch sorts every sample afresh.
-            fresh = LatencyRecorder()
-            fresh.extend(ref.samples)
+            fresh = recorder_of(ref.samples)
             assert rec.percentile(arg) == fresh.percentile(arg)
-            assert rec.cdf() == fresh.cdf()
+            points = sorted(ref.samples)
+            assert rec.cdf(points) == fresh.cdf(points)
         else:
             count, total, mean, low, high = ref.summaries()
             assert rec.count == count

@@ -1,21 +1,25 @@
 """Tests for the unified telemetry layer.
 
-Covers the metrics registry (typed instruments, get-or-create),
-histogram bucket boundaries, span lifecycle under deterministic sampling,
-exporter round-trips (JSONL, Chrome trace), the disabled-telemetry no-op
-paths, and the firmware's per-LDom gauges on a live machine.
+Covers the metrics registry (typed instruments, re-binding), histograms
+as views over latency recorders, span lifecycle under deterministic
+sampling, exporter round-trips (JSONL, Chrome trace), the
+disabled-telemetry no-op paths, and the firmware's per-LDom gauges on a
+live machine.
 """
 
 import io
 import json
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
 from repro.prm.sysfs import SysfsError
+from repro.sim.stats import LatencyRecorder
+from repro.system.experiments import _build_colocated_server
 from repro.system.server import PardServer
 from repro.telemetry import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -29,23 +33,29 @@ from repro.telemetry import (
     write_chrome_trace,
     write_jsonl,
 )
+from tests.test_golden_digests import TINY
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
+    def test_histogram_rebinding_repoints_recorders(self):
         reg = MetricsRegistry()
-        a = reg.counter("llc.ds1.misses")
-        b = reg.counter("llc.ds1.misses")
-        assert a is b
+        first, second = recorder_of([1.0]), recorder_of([])
+        reg.histogram("dram.qdelay", (first,))
+        h = reg.histogram("dram.qdelay", (second,))
+        assert reg.get("dram.qdelay") is h
         assert len(reg) == 1
+        assert h.count == 0
+        second.record(3.0)
+        assert h.counts[2] == 1
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
-        reg.counter("x.y")
+        reg.gauge_fn("x.y", lambda: 0)
         with pytest.raises(TypeError):
-            reg.gauge_fn("x.y", lambda: 0)
+            reg.histogram("x.y", ())
+        reg.histogram("h.y", ())
         with pytest.raises(TypeError):
-            reg.histogram("x.y")
+            reg.gauge_fn("h.y", lambda: 0)
 
     @pytest.mark.parametrize(
         "bad", ["", ".lead", "trail.", "a..b", "a/b", "a b", "a\tb"]
@@ -53,15 +63,7 @@ class TestRegistry:
     def test_bad_names_rejected(self, bad):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
-            reg.counter(bad)
-
-    def test_counter_is_monotonic(self):
-        c = MetricsRegistry().counter("c")
-        c.add()
-        c.add(4)
-        assert c.value() == 5
-        with pytest.raises(ValueError):
-            c.add(-1)
+            reg.gauge_fn(bad, lambda: 0)
 
     def test_gauge_direct_and_callback(self):
         reg = MetricsRegistry()
@@ -84,77 +86,139 @@ class TestRegistry:
 
     def test_remove_reports_whether_present(self):
         reg = MetricsRegistry()
-        reg.counter("before")
+        reg.gauge_fn("before", lambda: 0)
         assert reg.remove("before")
         assert reg.get("before") is None
         assert not reg.remove("before")  # already gone
 
     def test_find_respects_hierarchy(self):
         reg = MetricsRegistry()
-        reg.counter("llc.ds1.misses")
-        reg.counter("llc.ds2.misses")
-        reg.counter("llcx.other")
+        for name in ("llc.ds1.misses", "llc.ds2.misses", "llcx.other"):
+            reg.gauge_fn(name, lambda: 0)
         assert [i.name for i in reg.find("llc")] == [
             "llc.ds1.misses", "llc.ds2.misses",
         ]
 
     def test_snapshot_maps_names_to_values(self):
         reg = MetricsRegistry()
-        reg.counter("a").add(2)
+        reg.gauge_fn("a", lambda: 2)
         reg.gauge_fn("b", lambda: 1.5)
+        reg.histogram("c", (recorder_of([1.0, 3.0]),), start=1.0, growth=2.0, count=2)
         snap = reg.snapshot()
         assert snap["a"] == 2
         assert snap["b"] == 1.5
+        assert snap["c"] == {
+            "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0,
+            "buckets": [[1.0, 1], [2.0, 1]],
+        }
+
+
+def recorder_of(samples) -> LatencyRecorder:
+    recorder = LatencyRecorder()
+    for value in samples:
+        recorder.record(value)
+    return recorder
 
 
 class TestHistogram:
+    """A histogram is a view: it reads the samples its recorders hold."""
+
     def test_bucket_boundaries_are_log_spaced_and_inclusive(self):
-        h = Histogram("h", start=1.0, growth=2.0, count=3)
+        rec = LatencyRecorder()
+        h = Histogram("h", (rec,), start=1.0, growth=2.0, count=3)
         assert h.bounds == [1.0, 2.0, 4.0]
         # A value exactly on a bound lands in that bucket (le semantics).
-        h.record(1.0)
-        h.record(2.0)
-        h.record(4.0)
+        rec.record(1.0)
+        rec.record(2.0)
+        rec.record(4.0)
         assert h.counts == [1, 1, 1, 0]
-        h.record(1.5)   # (1, 2]
-        h.record(100.0)  # overflow
+        # Samples recorded after a read are binned at the next read.
+        rec.record(1.5)   # (1, 2]
+        rec.record(100.0)  # overflow
         assert h.counts == [1, 2, 1, 1]
 
     def test_cumulative_buckets_prometheus_style(self):
-        h = Histogram("h", start=1.0, growth=2.0, count=3)
-        for v in (0.5, 1.5, 3.0, 99.0):
-            h.record(v)
+        h = Histogram("h", (recorder_of([0.5, 1.5, 3.0, 99.0]),), 1.0, 2.0, 3)
         assert h.buckets() == [(1.0, 1), (2.0, 2), (4.0, 3), (math.inf, 4)]
 
     def test_empty_histogram_min_max_are_none(self):
-        h = Histogram("h")
-        assert h.min is None
-        assert h.max is None
-        assert h.count == 0
-        assert h.mean == 0.0
+        for recorders in ((), (LatencyRecorder(),)):
+            h = Histogram("h", recorders)
+            assert h.min is None
+            assert h.max is None
+            assert h.count == 0
+            assert h.mean == 0.0
+            assert h.quantile(0.5) == 0.0
 
     def test_running_stats(self):
-        h = Histogram("h", start=1.0, growth=2.0, count=4)
-        for v in (1.0, 3.0, 8.0):
-            h.record(v)
+        h = Histogram("h", (recorder_of([1.0, 3.0, 8.0]),), 1.0, 2.0, 4)
         assert h.count == 3
         assert h.total == 12.0
         assert h.mean == 4.0
         assert h.min == 1.0
         assert h.max == 8.0
 
+    def test_stats_span_every_recorder(self):
+        low, high = recorder_of([5.0, 2.0]), recorder_of([0.5, 9.0, 1.0])
+        h = Histogram("h", (low, high), 1.0, 2.0, 4)
+        assert (h.count, h.total, h.min, h.max) == (5, 17.5, 0.5, 9.0)
+        assert h.counts == [2, 1, 0, 1, 1]
+
     def test_quantile_upper_bound_approximation(self):
-        h = Histogram("h", start=1.0, growth=2.0, count=4)
-        for _ in range(99):
-            h.record(1.0)
-        h.record(7.0)
+        h = Histogram("h", (recorder_of([1.0] * 99 + [7.0]),), 1.0, 2.0, 4)
         assert h.quantile(0.5) == 1.0
         assert h.quantile(1.0) == 8.0  # bucket upper bound containing max
+
+    def test_quantile_in_overflow_is_the_max(self):
+        h = Histogram("h", (recorder_of([1.0, 50.0]),), 1.0, 2.0, 2)
+        assert h.quantile(1.0) == 50.0
 
     def test_bad_parameters_rejected(self):
         for kwargs in ({"start": 0}, {"growth": 1.0}, {"count": 0}):
             with pytest.raises(ValueError):
-                Histogram("h", **kwargs)
+                Histogram("h", (LatencyRecorder(),), **kwargs)
+
+
+class TestHistogramViews:
+    """On a live machine, the registered histograms report exactly what
+    their components' recorders hold, snapshot after snapshot."""
+
+    def test_snapshots_agree_with_the_recorders(self):
+        hub = Telemetry(snapshot_period_ms=0.25)
+        server, memcached, ds_id = _build_colocated_server(
+            TINY, "shared", 150_000, telemetry=hub
+        )
+        recorders = server.memory_controller.queue_delay
+        take_snapshot = hub.snapshot
+        counts = []
+
+        def snapshot_and_check(t_ps):
+            metrics = take_snapshot(t_ps)["metrics"]
+            response = metrics[f"workload.memcached.ds{ds_id}.response_ms"]
+            latencies = memcached.latencies
+            assert (
+                response["count"], response["sum"], response["min"], response["max"]
+            ) == (latencies.count, latencies.total, latencies.min, latencies.max)
+            qdelay = metrics["dram.memctrl.qdelay_cycles"]
+            samples = [value for r in recorders for value in r.samples]
+            assert qdelay["count"] == sum(r.count for r in recorders) == len(samples)
+            mean = metrics["dram.memctrl.mean_qdelay_cycles"]
+            assert qdelay["sum"] / qdelay["count"] == mean
+            # The buckets, recounted from scratch over every sample.
+            bounds = [bound for bound, _ in qdelay["buckets"]]
+            per_bucket = [0] * (len(bounds) + 1)
+            for value in samples:
+                per_bucket[bisect_left(bounds, value)] += 1
+            cumulative = list(accumulate(per_bucket))[:-1]
+            assert [count for _, count in qdelay["buckets"]] == cumulative
+            counts.append((response["count"], qdelay["count"]))
+
+        hub.snapshot = snapshot_and_check
+        server.run_ms(TINY.warmup_ms + 0.5)
+        hub.snapshot(server.engine.now)
+        # Periodic snapshots through warmup and measurement, then the last.
+        assert len(counts) == 5
+        assert counts == sorted(counts) and counts[-1][0] > 0
 
 
 class TestSpans:
@@ -288,7 +352,7 @@ class TestDisabledTelemetry:
 class TestHub:
     def test_snapshots_carry_run_label_and_time(self):
         hub = Telemetry()
-        hub.registry.counter("c").add(3)
+        hub.registry.gauge_fn("c", lambda: 3)
         hub.begin_run("pointA")
         snap = hub.snapshot(2_000_000_000)
         assert snap["run"] == "pointA"

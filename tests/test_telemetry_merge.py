@@ -48,10 +48,10 @@ def test_span_absorb_accumulates_sampling_counters():
     assert len(merged) == 3
 
 
-def _point_payload(label, span_ids, counter_by):
+def _point_payload(label, span_ids, points):
     hub = Telemetry(span_sample=1)
     hub.begin_run(label)
-    hub.registry.counter("pts").add(counter_by)
+    hub.registry.gauge_fn("pts", lambda: points)
     for packet_id in span_ids:
         span = hub.spans.maybe_start(ds_id=0, packet_id=packet_id)
         span.hop("a", 0)
@@ -62,8 +62,8 @@ def _point_payload(label, span_ids, counter_by):
 
 def test_merge_payload_disjoint_ids_and_snapshot_order():
     hub = Telemetry()
-    hub.merge_payload(_point_payload("p0", [0, 1], counter_by=2))
-    hub.merge_payload(_point_payload("p1", [0, 1, 2], counter_by=3))
+    hub.merge_payload(_point_payload("p0", [0, 1], points=2))
+    hub.merge_payload(_point_payload("p1", [0, 1, 2], points=3))
     # No merged registry: each run's own snapshot carries its count.
     assert len(hub.registry) == 0
     assert [snap["metrics"]["pts"] for snap in hub.snapshots] == [2, 3]
