@@ -12,7 +12,13 @@ antagonists, "shared" mode) under three telemetry configurations:
 
 The simulation itself must be byte-identical across configurations
 (telemetry observes, never schedules differently), which the benchmark
-asserts via served-request counts before comparing wall-clock rates.
+asserts via served-request counts on every run.
+
+Each round runs all three configurations back to back, rotating which
+one goes first, and takes each configuration's events/sec ratio to
+``none`` within the round. The reported ``disabled_vs_none`` and
+``sampled_vs_none`` are the medians of those per-round ratios, so a
+noisy moment on a shared machine skews one round, not the verdict.
 
 Run as a script for the full measurement and a machine-readable JSON
 record on stdout (``--json-file`` also writes it to disk; ``--check``
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 
@@ -42,6 +49,8 @@ from repro.telemetry import Telemetry
 RPS = 220_000
 FULL_SIM_MS = 4.0
 SMOKE_SIM_MS = 1.0
+SMOKE_ROUNDS = 3
+CONFIGS = ("none", "disabled", "sampled_1pct")
 
 # Acceptance bars (events/sec relative to the no-telemetry baseline).
 DISABLED_BAR = 0.97  # disabled telemetry: within 3%
@@ -85,48 +94,65 @@ def drive(config: str, sim_ms: float, rps: float = RPS) -> dict:
 
 
 def run_benchmark(sim_ms: float = FULL_SIM_MS, repeat: int = 1) -> dict:
-    configs = ("none", "disabled", "sampled_1pct")
-    # Interleave repeats round-robin so clock drift / thermal effects hit
-    # every configuration equally, then keep best-of-N per config
-    # (wall-clock noise only ever slows a run down).
-    rows: dict[str, list[dict]] = {config: [] for config in configs}
-    for _ in range(max(1, repeat)):
-        for config in configs:
-            rows[config].append(drive(config, sim_ms))
-    results = {
-        config: max(rows[config], key=lambda r: r["events_per_sec"])
-        for config in configs
-    }
-    # Telemetry must observe without perturbing the simulation.
-    served = {row["requests_served"] for row in results.values()}
-    if len(served) != 1:
-        raise AssertionError(f"configs diverged: requests served {served}")
-    baseline = results["none"]["events_per_sec"]
+    """Run ``repeat`` rounds; round ``k`` starts with config ``k mod 3``."""
+    rounds = []
+    for index in range(max(1, repeat)):
+        first = index % len(CONFIGS)
+        order = CONFIGS[first:] + CONFIGS[:first]
+        rows = {config: drive(config, sim_ms) for config in order}
+        # Telemetry must observe without perturbing the simulation.
+        served = {row["requests_served"] for row in rows.values()}
+        if len(served) != 1:
+            raise AssertionError(f"configs diverged: requests served {served}")
+        baseline = rows["none"]["events_per_sec"]
+        rounds.append({
+            "order": list(order),
+            "rows": rows,
+            "disabled_vs_none": rows["disabled"]["events_per_sec"] / baseline,
+            "sampled_vs_none": rows["sampled_1pct"]["events_per_sec"] / baseline,
+        })
     return {
         "benchmark": "telemetry_overhead",
         "sim_ms": sim_ms,
         "rps": RPS,
-        "repeat": repeat,
+        "repeat": len(rounds),
         "python": platform.python_version(),
-        "results": results,
+        "rounds": rounds,
         "disabled_vs_none": round(
-            results["disabled"]["events_per_sec"] / baseline, 4
+            statistics.median(r["disabled_vs_none"] for r in rounds), 4
         ),
         "sampled_vs_none": round(
-            results["sampled_1pct"]["events_per_sec"] / baseline, 4
+            statistics.median(r["sampled_vs_none"] for r in rounds), 4
         ),
     }
+
+
+def round_table(record: dict) -> str:
+    """One line per round: run order, events/sec and both ratios."""
+    lines = []
+    for index, rnd in enumerate(record["rounds"]):
+        rates = " ".join(
+            f"{config}={rnd['rows'][config]['events_per_sec']:.0f}/s"
+            for config in rnd["order"]
+        )
+        lines.append(
+            f"round {index}: {rates}  disabled_vs_none="
+            f"{rnd['disabled_vs_none']:.3f} sampled_vs_none="
+            f"{rnd['sampled_vs_none']:.3f}"
+        )
+    return "\n".join(lines)
 
 
 # -- pytest smoke mode (used by CI) ---------------------------------------
 
 
 def test_telemetry_overhead_smoke():
-    record = run_benchmark(SMOKE_SIM_MS, repeat=2)
+    record = run_benchmark(SMOKE_SIM_MS, repeat=SMOKE_ROUNDS)
     print()
-    print(json.dumps(record, indent=2))
-    assert record["results"]["sampled_1pct"]["spans_recorded"] > 0
-    assert record["results"]["sampled_1pct"]["snapshots"] > 0
+    print(round_table(record))
+    for rnd in record["rounds"]:
+        assert rnd["rows"]["sampled_1pct"]["spans_recorded"] > 0
+        assert rnd["rows"]["sampled_1pct"]["snapshots"] > 0
     assert record["disabled_vs_none"] >= SMOKE_DISABLED_BAR
     assert record["sampled_vs_none"] >= SMOKE_SAMPLED_BAR
 
@@ -138,7 +164,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sim-ms", type=float, default=FULL_SIM_MS)
     parser.add_argument("--repeat", type=int, default=3,
-                        help="runs per config; best-of-N is reported")
+                        help="rounds; the median per-round ratio is reported")
     parser.add_argument("--json-file", default=None)
     parser.add_argument(
         "--check", action="store_true",
@@ -147,6 +173,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     record = run_benchmark(args.sim_ms, args.repeat)
+    print(round_table(record), file=sys.stderr)
     text = json.dumps(record, indent=2)
     print(text)
     if args.json_file:

@@ -7,6 +7,9 @@ bridge, IDE) subclass it, declare their table schemas, and override the
 window hook to publish derived statistics (miss rates, bandwidth,
 average queueing latency) into the statistics table.
 
+The parameter and statistics tables are :class:`DsidTable` rows; the
+trigger table is a :class:`TriggerBank` holding one :class:`TriggerRule`
+per (DS-id, slot), which also owns the slot's register layout.
 Everything management-side -- the PRM firmware, ``pardtrigger``, trigger
 handler scripts -- reaches these tables *only* through the register file,
 mirroring the hardware's narrow programming interface.
@@ -17,137 +20,103 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.core.programming import (
-    CMD_READ,
     CpaRegisterFile,
     ProtocolError,
     TABLE_PARAMETER,
     TABLE_STATISTICS,
     TABLE_TRIGGER,
 )
-from repro.core.tables import DsidTable, TableError, TableSchema, make_table
+from repro.core.tables import DsidTable, TableError, TableSchema
 from repro.core.triggers import TriggerOp, TriggerRule
 from repro.sim.engine import Engine, PS_PER_MS
 
 # Interrupt callbacks receive (control_plane, ds_id, rule).
 InterruptCallback = Callable[["ControlPlane", int, TriggerRule], None]
 
-# Register-protocol layout of one trigger slot: offset = slot * SLOT_STRIDE
-# + field index. ``fire_count`` is read-only from the protocol.
-TRIGGER_FIELDS = ("stat_col", "op", "threshold", "action_id", "enabled", "fire_count")
-TRIGGER_SLOT_STRIDE = 8
-
 
 class TriggerBank:
-    """Bounded storage for trigger rules, addressable per (DS-id, slot)."""
+    """The trigger table: one :class:`TriggerRule` per (DS-id, slot).
+
+    The register protocol addresses a slot's fields at ``slot *
+    SLOT_STRIDE + field index``. A slot's first write creates a disabled
+    rule; each write sets one field and re-arms the rule, so a condition
+    that stays true fires again at the next window. Writing ``enabled=0``
+    restarts ``fire_count``, which is read-only. Only enabled rules are
+    evaluated and count against ``max_triggers``.
+    """
+
+    FIELDS = ("stat_col", "op", "threshold", "action_id", "enabled", "fire_count")
+    SLOT_STRIDE = 8
 
     def __init__(self, stats_schema: TableSchema, max_triggers: int = 64):
         if max_triggers <= 0:
             raise ValueError("max_triggers must be positive")
         self.stats_schema = stats_schema
         self.max_triggers = max_triggers
-        self._slots: dict[tuple[int, int], dict[str, int]] = {}
         self._rules: dict[tuple[int, int], TriggerRule] = {}
 
-    @property
-    def armed_count(self) -> int:
-        return len(self._rules)
-
-    def install(
-        self,
-        ds_id: int,
-        stat_column: str,
-        op: TriggerOp,
-        threshold: int,
-        action_id: int = 0,
-        slot: Optional[int] = None,
-    ) -> int:
-        """Install and enable a rule; returns the slot index used."""
-        if slot is None:
-            slot = 0
-            while (ds_id, slot) in self._rules:
-                slot += 1
-        stat_col = self.stats_schema.offset_of(stat_column)
-        for field, value in (
-            ("stat_col", stat_col),
-            ("op", int(op)),
-            ("threshold", int(threshold)),
-            ("action_id", int(action_id)),
-            ("enabled", 1),
-        ):
-            self.write_field(ds_id, slot, field, value)
-        return slot
-
-    def remove(self, ds_id: int, slot: int) -> None:
-        self._slots.pop((ds_id, slot), None)
-        self._rules.pop((ds_id, slot), None)
+    def offset_of(self, field: str, slot: int = 0) -> int:
+        """The register offset of ``field`` in trigger slot ``slot``."""
+        return slot * self.SLOT_STRIDE + self.FIELDS.index(field)
 
     def remove_ldom(self, ds_id: int) -> None:
-        for key in [k for k in self._slots if k[0] == ds_id]:
-            del self._slots[key]
         for key in [k for k in self._rules if k[0] == ds_id]:
             del self._rules[key]
 
     def rules(self) -> list[tuple[int, int, TriggerRule]]:
-        """All armed rules as ``(ds_id, slot, rule)``, in stable order."""
-        return [(d, s, self._rules[(d, s)]) for d, s in sorted(self._rules)]
+        """All enabled rules as ``(ds_id, slot, rule)``, in stable order."""
+        return [(d, s, r) for (d, s), r in sorted(self._rules.items()) if r.enabled]
 
     def rule_at(self, ds_id: int, slot: int) -> Optional[TriggerRule]:
-        return self._rules.get((ds_id, slot))
+        rule = self._rules.get((ds_id, slot))
+        return rule if rule is not None and rule.enabled else None
 
     # -- register-protocol cell access ------------------------------------
 
-    def write_field(self, ds_id: int, slot: int, field: str, value: int) -> None:
-        raw = self._slots.setdefault((ds_id, slot), {})
+    def write_cell(self, ds_id: int, offset: int, value: int) -> None:
+        slot, field = self._locate(offset)
         if field == "fire_count":
             raise TableError("trigger fire_count is read-only")
-        raw[field] = int(value)
+        value = int(value)
+        rule = self._rules.get((ds_id, slot))
+        if rule is None:
+            column = self.stats_schema.column_at(0)
+            rule = TriggerRule(ds_id, column, TriggerOp.GT, 0, enabled=False)
+            self._rules[(ds_id, slot)] = rule
         if field == "enabled":
-            if value:
-                self._materialize(ds_id, slot, raw)
-            else:
-                self._rules.pop((ds_id, slot), None)
-        elif (ds_id, slot) in self._rules:
-            # Live update of an armed rule.
-            self._materialize(ds_id, slot, raw)
-
-    def write_cell(self, ds_id: int, offset: int, value: int) -> None:
-        slot, field_index = divmod(offset, TRIGGER_SLOT_STRIDE)
-        if field_index >= len(TRIGGER_FIELDS):
-            raise TableError(f"invalid trigger field offset {offset}")
-        self.write_field(ds_id, slot, TRIGGER_FIELDS[field_index], value)
+            armed = sum(r.enabled for r in self._rules.values())
+            if value and not rule.enabled and armed >= self.max_triggers:
+                raise TableError(
+                    f"trigger table full ({self.max_triggers} entries), "
+                    f"cannot arm slot {slot} for DS-id {ds_id}"
+                )
+            rule.enabled = bool(value)
+            if not value:
+                rule.fire_count = 0
+        elif field == "stat_col":
+            rule.stat_column = self.stats_schema.column_at(value)
+        elif field == "op":
+            rule.op = TriggerOp(value)
+        else:
+            setattr(rule, field, value)
+        rule.armed = True
 
     def read_cell(self, ds_id: int, offset: int) -> int:
-        slot, field_index = divmod(offset, TRIGGER_SLOT_STRIDE)
-        if field_index >= len(TRIGGER_FIELDS):
-            raise TableError(f"invalid trigger field offset {offset}")
-        field = TRIGGER_FIELDS[field_index]
+        slot, field = self._locate(offset)
         rule = self._rules.get((ds_id, slot))
-        if field == "fire_count":
-            return rule.fire_count if rule else 0
-        if field == "enabled":
-            return 1 if rule else 0
-        raw = self._slots.get((ds_id, slot))
-        if raw is None:
+        if rule is None:
+            if field in ("enabled", "fire_count"):
+                return 0
             raise TableError(f"trigger slot {slot} for DS-id {ds_id} is empty")
-        return raw.get(field, 0)
+        if field == "stat_col":
+            return self.stats_schema.offset_of(rule.stat_column)
+        return int(getattr(rule, field))
 
-    def _materialize(self, ds_id: int, slot: int, raw: dict[str, int]) -> None:
-        if len(self._rules) >= self.max_triggers and (ds_id, slot) not in self._rules:
-            raise TableError(
-                f"trigger table full ({self.max_triggers} entries), "
-                f"cannot arm slot {slot} for DS-id {ds_id}"
-            )
-        previous = self._rules.get((ds_id, slot))
-        rule = TriggerRule(
-            ds_id=ds_id,
-            stat_column=self.stats_schema.column_at(raw.get("stat_col", 0)),
-            op=TriggerOp(raw.get("op", 0)),
-            threshold=raw.get("threshold", 0),
-            action_id=raw.get("action_id", 0),
-        )
-        if previous is not None:
-            rule.fire_count = previous.fire_count
-        self._rules[(ds_id, slot)] = rule
+    def _locate(self, offset: int) -> tuple[int, str]:
+        slot, index = divmod(offset, self.SLOT_STRIDE)
+        if index >= len(self.FIELDS):
+            raise TableError(f"invalid trigger field offset {offset}")
+        return slot, self.FIELDS[index]
 
 
 class ControlPlane:
@@ -177,8 +146,12 @@ class ControlPlane:
         self.engine = engine
         self.name = name
         self.window_ps = int(window_ps)
-        self.parameters = make_table(f"{name}.parameters", list(self.PARAMETER_COLUMNS), max_entries)
-        self.statistics = make_table(f"{name}.statistics", list(self.STATISTICS_COLUMNS), max_entries)
+        self.parameters = DsidTable(
+            f"{name}.parameters", TableSchema(self.PARAMETER_COLUMNS), max_entries
+        )
+        self.statistics = DsidTable(
+            f"{name}.statistics", TableSchema(self.STATISTICS_COLUMNS), max_entries
+        )
         self.triggers = TriggerBank(self.statistics.schema, max_triggers)
         self.register_file = CpaRegisterFile(
             self.IDENT, self.TYPE_CODE, self._table_read, self._table_write

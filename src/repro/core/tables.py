@@ -18,7 +18,7 @@ percent) and latencies in hundredths of a cycle.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 
 class TableError(KeyError):
@@ -124,10 +124,6 @@ class DsidTable:
     def ds_ids(self) -> list[int]:
         return sorted(self._rows)
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._rows)
-
     # -- cell access ----------------------------------------------------
 
     def get(self, ds_id: int, column: str) -> int:
@@ -161,14 +157,6 @@ class DsidTable:
         row[column] = row.get(column, 0) + int(delta)
         return row[column]
 
-    def row(self, ds_id: int) -> dict[str, int]:
-        """A copy of the row, for inspection."""
-        return dict(self._row(ds_id))
-
-    def rows(self) -> Iterator[tuple[int, dict[str, int]]]:
-        for ds_id in sorted(self._rows):
-            yield ds_id, dict(self._rows[ds_id])
-
     # -- register-protocol access (by offset) ----------------------------
 
     def read_cell(self, ds_id: int, offset: int) -> int:
@@ -184,14 +172,4 @@ class DsidTable:
             raise TableError(f"{self.name}: DS-id {ds_id} not allocated")
 
     def __repr__(self) -> str:
-        return f"DsidTable({self.name}, {self.entry_count}/{self.max_entries} rows)"
-
-
-def make_table(
-    name: str,
-    columns: Sequence[tuple[str, int]],
-    max_entries: int = 256,
-    schema: Optional[TableSchema] = None,
-) -> DsidTable:
-    """Convenience constructor used by control-plane subclasses."""
-    return DsidTable(name, schema or TableSchema(columns), max_entries)
+        return f"DsidTable({self.name}, {len(self._rows)}/{self.max_entries} rows)"

@@ -2,7 +2,7 @@
 
 A trigger row (PARD Fig. 2, "Trigger Table") names a statistics-table
 column, a comparison operator and a threshold for one DS-id. When the
-control plane rolls its statistics window it evaluates every armed
+control plane rolls its statistics window it evaluates every enabled
 trigger; a transition from false to true raises an interrupt toward the
 PRM, where the firmware runs the bound action script.
 
@@ -66,7 +66,7 @@ class TriggerOp(IntEnum):
 
 @dataclass
 class TriggerRule:
-    """One armed trigger: ``stats[ds_id][stat_column] <op> threshold``.
+    """One trigger slot: ``stats[ds_id][stat_column] <op> threshold``.
 
     ``action_id`` identifies the handler slot in the firmware's device
     file tree (``.../triggers/<action_id>``); the control plane only knows
@@ -80,7 +80,7 @@ class TriggerRule:
     action_id: int = 0
     enabled: bool = True
     fire_count: int = field(default=0)
-    _armed: bool = field(default=True, repr=False)
+    armed: bool = field(default=True, repr=False)
 
     def evaluate(self, observed: int) -> bool:
         """Evaluate against a fresh statistics value.
@@ -92,11 +92,11 @@ class TriggerRule:
             return False
         condition = self.op.apply(observed, self.threshold)
         if not condition:
-            self._armed = True
+            self.armed = True
             return False
-        if not self._armed:
+        if not self.armed:
             return False
-        self._armed = False
+        self.armed = False
         self.fire_count += 1
         return True
 

@@ -87,8 +87,3 @@ class BankState:
                 self.activated_at_ps = issue_ps
         self.ready_at_ps = done_ps
         return data_end_ps
-
-    def close(self) -> None:
-        """Precharge both row buffers (refresh or idle policy)."""
-        self.open_row = None
-        self.hp_open_row = None

@@ -18,9 +18,9 @@ FIFO queue, no address translation, no priority.
 The timing model is command-accurate at the granularity of whole
 accesses: per-bank row state decides hit/closed/conflict latency
 (DDR3-1600 11-11-11, Table 2), tRAS is enforced on precharge, and the
-shared data bus serializes bursts. Refresh is modeled but off by
-default (it would add the same ~3% to every configuration and no paper
-experiment depends on it); see :meth:`MemoryController._refresh`.
+shared data bus serializes bursts. Refresh is not modeled: it would
+add the same ~3% to every configuration and no paper experiment depends
+on it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class MemoryController(Component):
         geometry: Optional[DramGeometry] = None,
         control=None,
         hp_row_buffer: bool = True,
-        enable_refresh: bool = False,
         name: str = "memctrl",
         telemetry=None,
     ):
@@ -97,7 +96,6 @@ class MemoryController(Component):
         self._qdelay_samples = [recorder.samples for recorder in self.queue_delay]
         self.served_requests = 0
         self.served_bytes = 0
-        self.refreshes_performed = 0
         if self.telemetry is not None:
             reg = self.telemetry.registry
             reg.gauge_fn(f"dram.{name}.served_requests", lambda: self.served_requests)
@@ -118,26 +116,6 @@ class MemoryController(Component):
         if control is not None:
             self._parameter_rows = control.parameters.row_view
             self._service_window = control.window_service
-        if enable_refresh:
-            self.engine.post(
-                self.timing.t_refi * clock.period_ps, self._refresh
-            )
-
-    def _refresh(self) -> None:
-        """All-bank refresh: precharge every row and block the banks for
-        tRFC. Off by default (it costs every configuration the same
-        ~tRFC/tREFI ≈ 3% and no paper experiment depends on it); enable
-        with ``enable_refresh=True`` for refresh-sensitivity studies.
-        """
-        cycle_ps = self.clock.period_ps
-        blocked_until = self.now + self.timing.t_rfc * cycle_ps
-        for bank in self.banks:
-            bank.close()
-            if bank.ready_at_ps < blocked_until:
-                bank.ready_at_ps = blocked_until
-        self.refreshes_performed += 1
-        self.engine.post(self.timing.t_refi * cycle_ps, self._refresh)
-        self.engine.post_at(blocked_until, self._pump)
 
     # -- request entry ------------------------------------------------------
 
@@ -243,8 +221,7 @@ class MemoryController(Component):
                 # Strict priority: the preferred head owns the dispatch
                 # port even while its bank is busy. No wakeup is needed:
                 # a bank's ready time is the done time of its last
-                # access, whose completion runs _pump then, and a refresh
-                # posts its own _pump.
+                # access, whose completion runs _pump then.
                 return
             queue.popleft()
             packet, _bank, row, priority, enqueued_at_ps, _on_response, ds_id = head

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.sim.clock import DRAM_CLOCK_PS
-
 
 @dataclass(frozen=True)
 class DramTiming:
@@ -33,13 +31,9 @@ class DramTiming:
     t_rp: int = 11   # row precharge
     t_ras: int = 28  # minimum row-active time (ACTIVATE -> PRECHARGE)
     t_burst: int = 4  # BL8 on a DDR bus = 4 bus cycles
-    t_refi: int = 6240  # refresh interval: 7.8 us at tCK = 1.25 ns
-    t_rfc: int = 208    # refresh cycle time: 260 ns for a 4 Gbit device
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "t_rcd", "t_cl", "t_rp", "t_ras", "t_burst", "t_refi", "t_rfc"
-        ):
+        for field_name in ("t_rcd", "t_cl", "t_rp", "t_ras", "t_burst"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
 
@@ -98,6 +92,3 @@ def decompose_address(addr: int, geometry: DramGeometry) -> tuple[int, int, int]
     bank_index = row_number % geometry.total_banks
     row = row_number // geometry.total_banks
     return bank_index, row, column
-
-
-DRAM_CYCLE_PS = DRAM_CLOCK_PS

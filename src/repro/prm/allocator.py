@@ -3,13 +3,16 @@
 LDoms receive contiguous base+bound DRAM windows (the memory control
 plane's AddrMap is a single base/size pair per DS-id, §4.2), so the
 firmware needs a contiguous allocator: first-fit with free-block
-coalescing. Windows are aligned to a large grain so row/bank interleave
+coalescing. Windows are aligned to a 1 MiB grain so row/bank interleave
 patterns start identically for every LDom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+WINDOW_ALIGN = 1 << 20
 
 
 class OutOfMemoryError(RuntimeError):
@@ -29,15 +32,10 @@ class _FreeBlock:
 class WindowAllocator:
     """First-fit contiguous allocator with coalescing."""
 
-    def __init__(self, capacity_bytes: int, reserved_bytes: int = 0, align: int = 1 << 20):
-        if capacity_bytes <= reserved_bytes:
-            raise ValueError("capacity must exceed the reserved region")
-        if align <= 0 or align & (align - 1):
-            raise ValueError("alignment must be a power of two")
-        self.capacity_bytes = capacity_bytes
-        self.align = align
-        base = _round_up(reserved_bytes, align)
-        self._free: list[_FreeBlock] = [_FreeBlock(base, capacity_bytes - base)]
+    def __init__(self, capacity_bytes: int):
+        if capacity_bytes <= 0:
+            raise ValueError("capacity must be positive")
+        self._free: list[_FreeBlock] = [_FreeBlock(0, capacity_bytes)]
         self._allocated: dict[int, int] = {}  # base -> size
 
     @property
@@ -48,7 +46,7 @@ class WindowAllocator:
         """Allocate an aligned window; returns its base address."""
         if size_bytes <= 0:
             raise ValueError("size must be positive")
-        size = _round_up(size_bytes, self.align)
+        size = (size_bytes + WINDOW_ALIGN - 1) & ~(WINDOW_ALIGN - 1)
         for index, block in enumerate(self._free):
             if block.size >= size:
                 base = block.base
@@ -80,7 +78,3 @@ class WindowAllocator:
             else:
                 merged.append(block)
         self._free = merged
-
-
-def _round_up(value: int, align: int) -> int:
-    return (value + align - 1) & ~(align - 1)

@@ -1,11 +1,13 @@
 """Control plane adaptors and the PRM's I/O window.
 
 The PRM reserves a 64 KB I/O address space; each control plane adaptor
-(CPA) occupies one 32-byte block in it (PARD Fig. 6). The firmware's CPA
-driver performs all table accesses through these registers -- write the
-``addr`` register to select (DS-id, offset, table), then issue a READ or
-WRITE command -- so every management action in this reproduction crosses
-the same narrow interface as on the real hardware.
+(CPA) occupies one 32-byte block in it (PARD Fig. 6). A CPA is a base
+address plus its control plane's :class:`CpaRegisterFile`. The firmware
+performs every table access through that register file's
+``read_cell``/``write_cell`` -- write the ``addr`` register to select
+(DS-id, offset, table), then issue a READ or WRITE command -- so every
+management action in this reproduction crosses the same narrow interface
+as on the real hardware.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.control_plane import ControlPlane
-from repro.core.programming import (
-    CMD_READ,
-    CMD_WRITE,
-    CPA_SIZE_BYTES,
-    CPA_SPACE_BYTES,
-    REG_DATA,
-)
+from repro.core.programming import CPA_SIZE_BYTES, CPA_SPACE_BYTES, CpaRegisterFile
 
 
 class CpaSpaceError(RuntimeError):
@@ -39,22 +35,8 @@ class ControlPlaneAdaptor:
         return f"cpa{self.index}"
 
     @property
-    def register_file(self):
+    def register_file(self) -> CpaRegisterFile:
         return self.control_plane.register_file
-
-    # -- driver-level helpers (what the firmware's CPA driver does) ----------
-
-    def read_cell(self, ds_id: int, offset: int, table: int) -> int:
-        rf = self.register_file
-        rf.write_addr(ds_id, offset, table)
-        rf.issue(CMD_READ)
-        return rf.mmio_read(REG_DATA)
-
-    def write_cell(self, ds_id: int, offset: int, table: int, value: int) -> None:
-        rf = self.register_file
-        rf.write_addr(ds_id, offset, table)
-        rf.data = int(value)
-        rf.issue(CMD_WRITE)
 
 
 class PrmIoSpace:

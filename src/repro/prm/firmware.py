@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.address import AddressMapping
-from repro.core.control_plane import ControlPlane, TRIGGER_SLOT_STRIDE, TRIGGER_FIELDS
+from repro.core.control_plane import ControlPlane
 from repro.core.ldom import LDom
 from repro.core.programming import (
     TABLE_PARAMETER,
@@ -72,7 +72,6 @@ class HardwareInventory:
     apic: Optional[object] = None
     caches: list = field(default_factory=list)  # flushable on LDom destroy
     memory_capacity_bytes: int = 8 << 30
-    memory_reserved_bytes: int = 0  # carved out before LDom windows
 
 
 class Firmware:
@@ -92,9 +91,7 @@ class Firmware:
         self.sysfs = SysfsTree()
         self.ldoms: dict[str, LDom] = {}
         self._next_ds_id = 1  # DS-id 0 is the default/untagged domain
-        self.memory_allocator = WindowAllocator(
-            inventory.memory_capacity_bytes, inventory.memory_reserved_bytes
-        )
+        self.memory_allocator = WindowAllocator(inventory.memory_capacity_bytes)
         self._scripts: dict[str, ActionScript] = {}
         self._bindings: dict[tuple[str, int, int], str] = {}
         self.trigger_log: list[tuple[int, str, int, str]] = []
@@ -133,6 +130,7 @@ class Firmware:
 
     def _build_ldom_subtree(self, adaptor: ControlPlaneAdaptor, ds_id: int) -> None:
         cp = adaptor.control_plane
+        rf = adaptor.register_file
         base = f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}"
         self.sysfs.mkdir(f"{base}/parameters")
         self.sysfs.mkdir(f"{base}/statistics")
@@ -140,25 +138,16 @@ class Firmware:
         for offset, column in enumerate(cp.parameters.schema.column_names):
             self.sysfs.add_file(
                 f"{base}/parameters/{column}",
-                read_handler=self._param_reader(adaptor, ds_id, offset),
-                write_handler=self._param_writer(adaptor, ds_id, offset),
+                read_handler=lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_PARAMETER)),
+                write_handler=lambda text, o=offset: rf.write_cell(
+                    ds_id, o, TABLE_PARAMETER, _parse_int(text)
+                ),
             )
         for offset, column in enumerate(cp.statistics.schema.column_names):
             self.sysfs.add_file(
                 f"{base}/statistics/{column}",
-                read_handler=self._stat_reader(adaptor, ds_id, offset),
+                read_handler=lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_STATISTICS)),
             )
-
-    def _param_reader(self, adaptor, ds_id, offset):
-        return lambda: str(adaptor.read_cell(ds_id, offset, TABLE_PARAMETER))
-
-    def _param_writer(self, adaptor, ds_id, offset):
-        def write(text: str) -> None:
-            adaptor.write_cell(ds_id, offset, TABLE_PARAMETER, _parse_int(text))
-        return write
-
-    def _stat_reader(self, adaptor, ds_id, offset):
-        return lambda: str(adaptor.read_cell(ds_id, offset, TABLE_STATISTICS))
 
     # -- LDom lifecycle --------------------------------------------------------
 
@@ -169,7 +158,6 @@ class Firmware:
         memory_bytes: int,
         priority: int = 0,
         disk_share: int = 0,
-        waymask: Optional[int] = None,
     ) -> LDom:
         """Create a logical domain and program every control plane for it.
 
@@ -201,7 +189,7 @@ class Firmware:
         for adaptor in self.io_space:
             adaptor.control_plane.allocate_ldom(ds_id)
             self._build_ldom_subtree(adaptor, ds_id)
-            self._program_defaults(adaptor, ldom, waymask)
+            self._program_defaults(adaptor, ldom)
         if self.telemetry is not None:
             self._register_ldom_metrics(ds_id)
         for core_id in core_ids:
@@ -211,9 +199,7 @@ class Firmware:
         self.ldoms[name] = ldom
         return ldom
 
-    def _program_defaults(
-        self, adaptor: ControlPlaneAdaptor, ldom: LDom, waymask: Optional[int]
-    ) -> None:
+    def _program_defaults(self, adaptor: ControlPlaneAdaptor, ldom: LDom) -> None:
         """Write the LDom's policy into one control plane, by column name."""
         columns = adaptor.control_plane.parameters.schema
         values = {
@@ -222,11 +208,9 @@ class Firmware:
             "priority": ldom.priority,
             "bandwidth": ldom.disk_share,
         }
-        if waymask is not None:
-            values["waymask"] = waymask
         for column, value in values.items():
             if column in columns:
-                adaptor.write_cell(
+                adaptor.register_file.write_cell(
                     ldom.ds_id, columns.offset_of(column), TABLE_PARAMETER, value
                 )
 
@@ -248,8 +232,8 @@ class Firmware:
                 metric = f"{prefix}.ds{ds_id}.{leaf}"
                 scale = STAT_SCALES.get(column, 1)
 
-                def read(a=adaptor, d=ds_id, o=offset, s=scale):
-                    return a.read_cell(d, o, TABLE_STATISTICS) / s
+                def read(rf=adaptor.register_file, o=offset, s=scale):
+                    return rf.read_cell(ds_id, o, TABLE_STATISTICS) / s
 
                 registry.gauge_fn(metric, read)
                 names.append(metric)
@@ -319,7 +303,6 @@ class Firmware:
         stat_column: str,
         condition: str,
         action_id: int = 0,
-        script_path: Optional[str] = None,
     ) -> None:
         """The ``pardtrigger`` command: program a trigger row and expose
         ``.../triggers/<action_id>`` for the script binding.
@@ -334,18 +317,16 @@ class Firmware:
             raise FirmwareError(f"malformed condition {condition!r}")
         op = TriggerOp.from_symbol(op_text)
         threshold = _parse_int(value_text) * STAT_SCALES.get(stat_column, 1)
-        stat_offset = cp.statistics.schema.offset_of(stat_column)
-        slot_base = action_id * TRIGGER_SLOT_STRIDE
         fields = {
-            "stat_col": stat_offset,
+            "stat_col": cp.statistics.schema.offset_of(stat_column),
             "op": int(op),
             "threshold": threshold,
             "action_id": action_id,
             "enabled": 1,
         }
         for field_name, value in fields.items():
-            offset = slot_base + TRIGGER_FIELDS.index(field_name)
-            adaptor.write_cell(ds_id, offset, TABLE_TRIGGER, value)
+            offset = cp.triggers.offset_of(field_name, slot=action_id)
+            adaptor.register_file.write_cell(ds_id, offset, TABLE_TRIGGER, value)
         trigger_path = f"/sys/cpa/{cpa_name}/ldoms/ldom{ds_id}/triggers/{action_id}"
         if not self.sysfs.exists(trigger_path):
             key = (cpa_name, ds_id, action_id)
@@ -354,8 +335,6 @@ class Firmware:
                 read_handler=lambda k=key: self._bindings.get(k, ""),
                 write_handler=lambda text, k=key: self._bind_action(k, text.strip()),
             )
-        if script_path is not None:
-            self.sysfs.write(trigger_path, script_path)
 
     def _bind_action(self, key: tuple[str, int, int], script_path: str) -> None:
         if script_path and script_path not in self._scripts:

@@ -16,7 +16,6 @@ from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import (
     DEFAULT_DSID,
-    DmaPacket,
     InterruptPacket,
     IoPacket,
     MemoryPacket,
@@ -32,7 +31,6 @@ __all__ = [
     "DRAM_CLOCK_PS",
     "DEFAULT_DSID",
     "DeterministicRng",
-    "DmaPacket",
     "Engine",
     "InterruptPacket",
     "IoPacket",

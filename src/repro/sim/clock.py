@@ -15,7 +15,6 @@ from repro.sim.engine import Engine
 
 CPU_CLOCK_PS = 500  # 2 GHz
 DRAM_CLOCK_PS = 1250  # DDR3-1600: tCK = 1.25 ns
-PRM_CLOCK_PS = 10_000  # the PRM's embedded core runs at 100 MHz
 
 
 class ClockDomain:

@@ -139,16 +139,6 @@ class IoPacket(Packet):
 
 
 @dataclass(slots=True)
-class DmaPacket(Packet):
-    """A DMA data-transfer request issued by a device's DMA engine."""
-
-    addr: int = 0
-    size: int = 512
-    to_device: bool = False
-    device: str = ""
-
-
-@dataclass(slots=True)
 class InterruptPacket(Packet):
     """An interrupt raised by a device, routed by the APIC per DS-id."""
 

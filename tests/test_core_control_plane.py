@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.control_plane import ControlPlane, TriggerBank, TRIGGER_SLOT_STRIDE
+from repro.core.control_plane import ControlPlane, TriggerBank
 from repro.core.programming import TABLE_PARAMETER, TABLE_STATISTICS, TABLE_TRIGGER
 from repro.core.tables import TableError, TableSchema
 from repro.core.triggers import TriggerOp
@@ -31,6 +31,17 @@ class FakeCachePlane(ControlPlane):
         self.parameter_writes.append((ds_id, column, value))
 
 
+def arm(bank, ds_id, column, op, threshold, slot=0):
+    """Program and enable one trigger slot through its register cells."""
+    for field, value in (
+        ("stat_col", bank.stats_schema.offset_of(column)),
+        ("op", int(op)),
+        ("threshold", threshold),
+        ("enabled", 1),
+    ):
+        bank.write_cell(ds_id, bank.offset_of(field, slot), value)
+
+
 @pytest.fixture
 def plane():
     return FakeCachePlane(Engine())
@@ -45,10 +56,10 @@ class TestLDomLifecycle:
 
     def test_free_removes_rows_and_triggers(self, plane):
         plane.allocate_ldom(1)
-        plane.triggers.install(1, "miss_rate", TriggerOp.GT, 3000)
+        arm(plane.triggers, 1, "miss_rate", TriggerOp.GT, 3000)
         plane.free_ldom(1)
         assert plane.ds_ids == []
-        assert plane.triggers.armed_count == 0
+        assert plane.triggers.rules() == []
 
 
 class TestRegisterFileIntegration:
@@ -80,11 +91,66 @@ class TestRegisterFileIntegration:
 
     def test_trigger_fire_count_readable_via_protocol(self, plane):
         plane.allocate_ldom(2)
-        plane.triggers.install(2, "miss_rate", TriggerOp.GT, 3000)
+        arm(plane.triggers, 2, "miss_rate", TriggerOp.GT, 3000)
         plane.pending_miss_rate[2] = 5000
         plane.roll_window()
-        fire_offset = 0 * TRIGGER_SLOT_STRIDE + 5
+        fire_offset = plane.triggers.offset_of("fire_count")
         assert plane.register_file.read_cell(2, fire_offset, TABLE_TRIGGER) == 1
+
+    def test_trigger_slot_register_semantics(self):
+        """The trigger table as the register protocol exposes it."""
+        plane = FakeCachePlane(Engine(), max_triggers=2)
+        plane.allocate_ldom(1)
+        rf = plane.register_file
+        fields = ("stat_col", "op", "threshold", "action_id", "enabled", "fire_count")
+
+        def write(slot, name, value):
+            rf.write_cell(1, slot * 8 + fields.index(name), TABLE_TRIGGER, value)
+
+        def read(slot, name):
+            return rf.read_cell(1, slot * 8 + fields.index(name), TABLE_TRIGGER)
+
+        def armed():
+            return [(d, s) for d, s, _ in plane.triggers.rules()]
+
+        # A slot never written: enabled and fire_count read 0, the rest raise.
+        assert read(0, "enabled") == 0 and read(0, "fire_count") == 0
+        for name in ("stat_col", "op", "threshold", "action_id"):
+            with pytest.raises(TableError):
+                read(0, name)
+        # Staged fields arm nothing; enabled=1 arms the rule.
+        write(0, "stat_col", plane.statistics.schema.offset_of("miss_rate"))
+        write(0, "op", int(TriggerOp.GT))
+        write(0, "threshold", 3000)
+        assert armed() == [] and read(0, "enabled") == 0
+        assert read(0, "threshold") == 3000 and read(0, "action_id") == 0
+        write(0, "enabled", 1)
+        assert armed() == [(1, 0)] and read(0, "enabled") == 1
+        plane.pending_miss_rate[1] = 5000
+        assert len(plane.roll_window()) == 1
+        assert plane.roll_window() == []  # edge-armed: a standing condition
+        # A write to any field keeps fire_count and re-arms the rule.
+        write(0, "threshold", 4000)
+        assert read(0, "fire_count") == 1
+        assert len(plane.roll_window()) == 1
+        assert read(0, "fire_count") == 2
+        # Disabling keeps the fields; re-enabling restarts fire_count.
+        write(0, "enabled", 0)
+        assert armed() == [] and plane.roll_window() == []
+        assert read(0, "enabled") == 0 and read(0, "threshold") == 4000
+        write(0, "enabled", 1)
+        assert read(0, "fire_count") == 0
+        # Capacity counts armed rules only.
+        write(1, "enabled", 1)
+        write(2, "threshold", 7)
+        with pytest.raises(TableError):
+            write(2, "enabled", 1)
+        assert read(2, "enabled") == 0 and armed() == [(1, 0), (1, 1)]
+        write(0, "threshold", 4500)  # an armed rule at capacity stays writable
+        write(0, "enabled", 1)
+        assert plane.triggers.rule_at(1, 0).threshold == 4500
+        with pytest.raises(TableError):
+            write(0, "fire_count", 5)
 
 
 class TestWindowsAndInterrupts:
@@ -92,7 +158,7 @@ class TestWindowsAndInterrupts:
         received = []
         plane.attach_interrupt(lambda cp, ds_id, rule: received.append((ds_id, rule.stat_column)))
         plane.allocate_ldom(2)
-        plane.triggers.install(2, "miss_rate", TriggerOp.GT, 3000)
+        arm(plane.triggers, 2, "miss_rate", TriggerOp.GT, 3000)
         plane.pending_miss_rate[2] = 3500
         fired = plane.roll_window()
         assert [(d, r.stat_column) for d, r in fired] == [(2, "miss_rate")]
@@ -103,7 +169,7 @@ class TestWindowsAndInterrupts:
         received = []
         plane.attach_interrupt(lambda *args: received.append(args))
         plane.allocate_ldom(2)
-        plane.triggers.install(2, "miss_rate", TriggerOp.GT, 3000)
+        arm(plane.triggers, 2, "miss_rate", TriggerOp.GT, 3000)
         plane.pending_miss_rate[2] = 1000
         assert plane.roll_window() == []
         assert received == []
@@ -127,7 +193,7 @@ class TestWindowsAndInterrupts:
         assert engine.pending_events == 1
 
     def test_trigger_on_unallocated_dsid_sees_zero(self, plane):
-        plane.triggers.install(7, "miss_rate", TriggerOp.EQ, 0)
+        arm(plane.triggers, 7, "miss_rate", TriggerOp.EQ, 0)
         fired = plane.roll_window()
         assert len(fired) == 1  # observed default 0 == 0
 
@@ -138,29 +204,33 @@ class TestTriggerBank:
 
     def test_install_auto_slot(self):
         bank = TriggerBank(self.schema())
-        assert bank.install(1, "miss_rate", TriggerOp.GT, 10) == 0
-        assert bank.install(1, "capacity", TriggerOp.LT, 5) == 1
+        arm(bank, 1, "miss_rate", TriggerOp.GT, 10, slot=0)
+        arm(bank, 1, "capacity", TriggerOp.LT, 5, slot=1)
+        assert [(d, s, r.stat_column) for d, s, r in bank.rules()] == [
+            (1, 0, "miss_rate"),
+            (1, 1, "capacity"),
+        ]
 
     def test_capacity_enforced(self):
         bank = TriggerBank(self.schema(), max_triggers=1)
-        bank.install(1, "miss_rate", TriggerOp.GT, 10)
+        arm(bank, 1, "miss_rate", TriggerOp.GT, 10)
         with pytest.raises(TableError):
-            bank.install(2, "miss_rate", TriggerOp.GT, 10)
+            arm(bank, 2, "miss_rate", TriggerOp.GT, 10)
 
     def test_disable_frees_capacity(self):
         bank = TriggerBank(self.schema(), max_triggers=1)
-        bank.install(1, "miss_rate", TriggerOp.GT, 10)
-        bank.write_field(1, 0, "enabled", 0)
-        bank.install(2, "miss_rate", TriggerOp.GT, 10)
-        assert bank.armed_count == 1
+        arm(bank, 1, "miss_rate", TriggerOp.GT, 10)
+        bank.write_cell(1, bank.offset_of("enabled"), 0)
+        arm(bank, 2, "miss_rate", TriggerOp.GT, 10)
+        assert [(d, s) for d, s, _ in bank.rules()] == [(2, 0)]
 
     def test_live_threshold_update_preserves_fire_count(self):
         bank = TriggerBank(self.schema())
-        bank.install(1, "miss_rate", TriggerOp.GT, 10)
+        arm(bank, 1, "miss_rate", TriggerOp.GT, 10)
         rule = bank.rule_at(1, 0)
         rule.evaluate(50)
         assert rule.fire_count == 1
-        bank.write_field(1, 0, "threshold", 99)
+        bank.write_cell(1, bank.offset_of("threshold"), 99)
         updated = bank.rule_at(1, 0)
         assert updated.threshold == 99
         assert updated.fire_count == 1
@@ -168,7 +238,7 @@ class TestTriggerBank:
     def test_fire_count_not_writable(self):
         bank = TriggerBank(self.schema())
         with pytest.raises(TableError):
-            bank.write_field(1, 0, "fire_count", 5)
+            bank.write_cell(1, bank.offset_of("fire_count"), 5)
 
     def test_read_empty_slot_raises(self):
         bank = TriggerBank(self.schema())
@@ -177,7 +247,7 @@ class TestTriggerBank:
 
     def test_read_enabled_of_empty_slot_is_zero(self):
         bank = TriggerBank(self.schema())
-        assert bank.read_cell(1, 4) == 0  # 'enabled' field
+        assert bank.read_cell(1, bank.offset_of("enabled")) == 0
 
     def test_invalid_field_offset(self):
         bank = TriggerBank(self.schema())
@@ -186,9 +256,9 @@ class TestTriggerBank:
 
     def test_remove_ldom_clears_all_slots(self):
         bank = TriggerBank(self.schema())
-        bank.install(1, "miss_rate", TriggerOp.GT, 10)
-        bank.install(1, "capacity", TriggerOp.LT, 5)
-        bank.install(2, "miss_rate", TriggerOp.GT, 10)
+        arm(bank, 1, "miss_rate", TriggerOp.GT, 10, slot=0)
+        arm(bank, 1, "capacity", TriggerOp.LT, 5, slot=1)
+        arm(bank, 2, "miss_rate", TriggerOp.GT, 10)
         bank.remove_ldom(1)
-        assert bank.armed_count == 1
-        assert bank.rule_at(2, 0) is not None
+        assert [(d, s) for d, s, _ in bank.rules()] == [(2, 0)]
+        assert bank.read_cell(1, bank.offset_of("enabled", slot=1)) == 0

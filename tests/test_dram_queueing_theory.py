@@ -1,6 +1,6 @@
 """The memory controller against queueing theory, not against itself.
 
-One bank with one row and refresh off makes every access after the
+One bank with one row (and no refresh model) makes every access after the
 first a row hit, so the controller is a single server with a
 deterministic service time ``S`` (``t_cl + t_burst`` = 15 cycles).
 Poisson arrivals then give closed-form waits:

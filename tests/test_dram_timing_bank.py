@@ -134,12 +134,3 @@ class TestBankState:
         timing = DramTiming()
         bank.issue(5, 0, 0, timing, 1250, high_priority=False)
         assert self.latency_cycles(bank, 6, 2000, True) == timing.row_conflict_latency
-
-    def test_close_precharges_both_buffers(self):
-        bank = BankState(0, hp_row_buffer=True)
-        timing = DramTiming()
-        bank.issue(5, 0, 0, timing, 1250, high_priority=False)
-        bank.issue(6, 2000, 0, timing, 1250, high_priority=True)
-        bank.close()
-        assert bank.row_state(5) == "closed"
-        assert bank.row_state(6) == "closed"

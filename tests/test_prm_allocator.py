@@ -17,14 +17,10 @@ class TestWindowAllocator:
         assert alloc.free_bytes == 8 * MB
 
     def test_alignment(self):
-        alloc = WindowAllocator(16 * MB, align=MB)
+        alloc = WindowAllocator(16 * MB)
         base = alloc.allocate(100)  # tiny request, MB-aligned window
         assert base % MB == 0
         assert alloc.allocate(MB) == base + MB  # the window is one MB
-
-    def test_reserved_region_respected(self):
-        alloc = WindowAllocator(16 * MB, reserved_bytes=2 * MB)
-        assert alloc.allocate(MB) >= 2 * MB
 
     def test_out_of_memory(self):
         alloc = WindowAllocator(4 * MB)
@@ -58,9 +54,7 @@ class TestWindowAllocator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowAllocator(MB, reserved_bytes=MB)
-        with pytest.raises(ValueError):
-            WindowAllocator(4 * MB, align=3)
+            WindowAllocator(0)
         with pytest.raises(ValueError):
             WindowAllocator(4 * MB).allocate(0)
 
@@ -77,7 +71,7 @@ def test_property_no_overlap_and_conservation(actions):
     """Allocated windows never overlap; free + allocated bytes are
     conserved; freeing everything restores one maximal block."""
     capacity = 32 * MB
-    alloc = WindowAllocator(capacity, align=MB)
+    alloc = WindowAllocator(capacity)
     live: list[tuple[int, int]] = []  # (base, window size)
     for action in actions:
         if action[0] == "alloc":

@@ -49,8 +49,8 @@ class TestPrmIoSpace:
         plane = LlcControlPlane(engine)
         plane.allocate_ldom(1)
         adaptor = space.attach(plane)
-        adaptor.write_cell(1, 0, TABLE_PARAMETER, 0x00FF)
-        assert adaptor.read_cell(1, 0, TABLE_PARAMETER) == 0x00FF
+        adaptor.register_file.write_cell(1, 0, TABLE_PARAMETER, 0x00FF)
+        assert adaptor.register_file.read_cell(1, 0, TABLE_PARAMETER) == 0x00FF
         assert plane.parameters.get(1, "waymask") == 0x00FF
 
     def test_mmio_address_decoding(self):

@@ -66,10 +66,10 @@ class TestLDomLifecycle:
         _, firmware, (cache, mem, ide), cores, _ = make_firmware()
         ldom = firmware.create_ldom(
             "web", core_ids=(0, 1), memory_bytes=1 << 20,
-            priority=1, disk_share=80, waymask=0xFF00,
+            priority=1, disk_share=80,
         )
         assert ldom.ds_id == 1
-        assert cache.parameters.get(1, "waymask") == 0xFF00
+        assert cache.parameters.get(1, "waymask") == 0xFFFF
         assert mem.parameters.get(1, "addr_base") == 0
         assert mem.parameters.get(1, "addr_size") == 1 << 20
         assert mem.parameters.get(1, "priority") == 1
@@ -183,12 +183,11 @@ class TestTriggerActionPath:
     def test_end_to_end_trigger_reaction(self):
         """The paper's Fig. 9 mechanism: miss rate > 30% => bigger waymask."""
         engine, firmware, (cache, _, _), _, _ = make_firmware()
-        firmware.create_ldom("mc", (0,), 1 << 20, waymask=0x000F)
+        firmware.create_ldom("mc", (0,), 1 << 20)
+        firmware.sh("echo 0x000F > /sys/cpa/cpa0/ldoms/ldom1/parameters/waymask")
         firmware.register_script("/cpa0_ldom1_t0.sh", increase_waymask_action(num_ways=16))
-        firmware.install_trigger(
-            "cpa0", 1, "miss_rate", "gt,30", action_id=0,
-            script_path="/cpa0_ldom1_t0.sh",
-        )
+        firmware.sh("pardtrigger /dev/cpa0 -ldom=1 -action=0 -stats=miss_rate -cond=gt,30")
+        firmware.sh("echo /cpa0_ldom1_t0.sh > /sys/cpa/cpa0/ldoms/ldom1/triggers/0")
         # Simulate a hot window: many misses for DS-id 1, counted where
         # the LLC counts them.
         cache.window_misses[1] = 70
@@ -219,10 +218,12 @@ class TestTriggerActionPath:
 
     def test_chained_log_and_react(self):
         engine, firmware, (cache, _, _), _, _ = make_firmware()
-        firmware.create_ldom("a", (0,), 1 << 20, waymask=0x0003)
+        firmware.create_ldom("a", (0,), 1 << 20)
+        firmware.sh("echo 0x0003 > /sys/cpa/cpa0/ldoms/ldom1/parameters/waymask")
         script = chain_actions(log_action(), increase_waymask_action(16))
         firmware.register_script("/t.sh", script)
-        firmware.install_trigger("cpa0", 1, "miss_rate", "gt,10", script_path="/t.sh")
+        firmware.install_trigger("cpa0", 1, "miss_rate", "gt,10")
+        firmware.sh("echo /t.sh > /sys/cpa/cpa0/ldoms/ldom1/triggers/0")
         cache.window_misses[1] = 10
         cache.roll_window()
         engine.run()
@@ -232,7 +233,8 @@ class TestTriggerActionPath:
         engine, firmware, (_, mem, _), _, _ = make_firmware()
         firmware.create_ldom("a", (0,), 1 << 20, priority=0)
         firmware.register_script("/p.sh", raise_priority_action(1))
-        firmware.install_trigger("cpa1", 1, "avg_qlat", "gt,10", script_path="/p.sh")
+        firmware.install_trigger("cpa1", 1, "avg_qlat", "gt,10")
+        firmware.sh("echo /p.sh > /sys/cpa/cpa1/ldoms/ldom1/triggers/0")
         # One served request with 50 cycles of queueing delay, counted
         # where the controller counts it: [bytes, delay sum, requests].
         mem.window_service[1] = [64, 50.0, 1]
@@ -249,7 +251,8 @@ class TestTriggerActionPath:
             firmware.echo("80", f"{context['ldom_path']}/parameters/bandwidth")
 
         firmware.register_script("/s.sh", set_bandwidth)
-        firmware.install_trigger("cpa2", 1, "bandwidth", "ge,0", script_path="/s.sh")
+        firmware.install_trigger("cpa2", 1, "bandwidth", "ge,0")
+        firmware.sh("echo /s.sh > /sys/cpa/cpa2/ldoms/ldom1/triggers/0")
         ide.roll_window()
         engine.run()
         assert ide.parameters.get(1, "bandwidth") == 80

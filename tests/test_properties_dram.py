@@ -146,7 +146,7 @@ def test_arbiter_dispatches_in_pifo_order(arrivals):
     geometry = DramGeometry(ranks=1, banks_per_rank=1)
     controller = MemoryController(
         engine, clock, geometry=geometry, control=control,
-        hp_row_buffer=False, enable_refresh=False,
+        hp_row_buffer=False,
     )
     waiting = {}  # packet id -> PIFO rank
     dispatched = []

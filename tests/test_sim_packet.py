@@ -9,7 +9,6 @@ from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import (
     DEFAULT_DSID,
-    DmaPacket,
     InterruptPacket,
     IoPacket,
     IoOp,
@@ -89,12 +88,6 @@ def test_io_packet_fields():
     pkt = IoPacket(ds_id=2, device="ide0", offset=8, op=IoOp.PIO_WRITE, value=0x80)
     assert pkt.device == "ide0"
     assert pkt.op is IoOp.PIO_WRITE
-
-
-def test_dma_packet_direction():
-    pkt = DmaPacket(ds_id=1, addr=0x2000, size=4096, to_device=True, device="ide0")
-    assert pkt.to_device
-    assert pkt.size == 4096
 
 
 def test_interrupt_packet_carries_dsid():
