@@ -4,8 +4,8 @@ Not a paper figure -- these isolate the contribution of individual PARD
 mechanisms: way-partition share, the extra high-priority row buffer,
 and the statistics-window length that paces trigger reaction time.
 
-Each ablation grid runs through ``repro.runner.run_sweep``, so setting
-``REPRO_BENCH_JOBS=4`` fans the points out over a process pool; the
+Each ablation grid runs through ``repro.runner.sweep.run_sweep``, so
+setting ``REPRO_BENCH_JOBS=4`` fans the points out over a process pool; the
 default (1) keeps the exact serial behaviour and results are identical
 either way.
 """
@@ -16,7 +16,7 @@ from itertools import islice
 from conftest import banner
 
 from repro.analysis.tables import format_table
-from repro.runner import SweepPoint, run_sweep
+from repro.runner.sweep import SweepPoint, run_sweep
 from repro.sim.rng import DeterministicRng
 from repro.system.experiments import (
     ColocationSetup,

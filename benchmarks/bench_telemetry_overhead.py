@@ -1,29 +1,26 @@
-"""Telemetry overhead benchmark: the disabled path must be (nearly) free.
+"""Telemetry overhead benchmark: 1% sampling must stay bounded.
 
 Drives the same colocated fig8-style machine (memcached + three stream
-antagonists, "shared" mode) under three telemetry configurations:
+antagonists, "shared" mode) under two telemetry configurations:
 
-- ``none``        -- no hub at all (the pre-telemetry baseline),
-- ``disabled``    -- ``Telemetry(enabled=False)``: every component holds
-  the hub but normalizes it to ``None``, so hot paths pay only the same
-  ``is None`` guards as the baseline,
-- ``sampled_1pct`` -- enabled, 1-in-100 span sampling and 1 ms metric
-  snapshots (the recommended operator configuration).
+- ``none``        -- no hub at all (``telemetry=None``, the only way to
+  turn telemetry off),
+- ``sampled_1pct`` -- 1-in-100 span sampling and 1 ms metric snapshots
+  (the recommended operator configuration).
 
 The simulation itself must be byte-identical across configurations
 (telemetry observes, never schedules differently), which the benchmark
 asserts via served-request counts on every run.
 
-Each round runs all three configurations back to back, rotating which
-one goes first, and takes each configuration's events/sec ratio to
-``none`` within the round. The reported ``disabled_vs_none`` and
-``sampled_vs_none`` are the medians of those per-round ratios, so a
-noisy moment on a shared machine skews one round, not the verdict.
+Each round runs both configurations back to back, alternating which one
+goes first, and takes the sampled run's events/sec ratio to ``none``
+within the round. The reported ``sampled_vs_none`` is the median of
+those per-round ratios, so a noisy moment on a shared machine skews one
+round, not the verdict.
 
 Run as a script for the full measurement and a machine-readable JSON
 record on stdout (``--json-file`` also writes it to disk; ``--check``
-exits non-zero unless disabled telemetry stays within 3% of the
-no-telemetry baseline and 1% sampling stays within the bounded-overhead
+exits non-zero unless 1% sampling stays within the bounded-overhead
 bar)::
 
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py [--check]
@@ -44,26 +41,22 @@ import sys
 import time
 
 from repro.system.experiments import ColocationSetup, _build_colocated_server
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 
 RPS = 220_000
 FULL_SIM_MS = 4.0
 SMOKE_SIM_MS = 1.0
 SMOKE_ROUNDS = 3
-CONFIGS = ("none", "disabled", "sampled_1pct")
+CONFIGS = ("none", "sampled_1pct")
 
 # Acceptance bars (events/sec relative to the no-telemetry baseline).
-DISABLED_BAR = 0.97  # disabled telemetry: within 3%
 SAMPLED_BAR = 0.70  # 1% sampling: bounded, not free
-SMOKE_DISABLED_BAR = 0.90
 SMOKE_SAMPLED_BAR = 0.50
 
 
 def _make_telemetry(config: str) -> Telemetry | None:
     if config == "none":
         return None
-    if config == "disabled":
-        return Telemetry(enabled=False)
     if config == "sampled_1pct":
         return Telemetry(span_sample=100, snapshot_period_ms=1.0)
     raise ValueError(f"unknown config {config!r}")
@@ -86,7 +79,7 @@ def drive(config: str, sim_ms: float, rps: float = RPS) -> dict:
         "events_per_sec": round(executed / elapsed, 1),
         "requests_served": memcached.requests_served,
     }
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         row["spans_recorded"] = len(telemetry.spans.finished)
         row["snapshots"] = len(telemetry.snapshots)
         row["instruments"] = len(telemetry.registry)
@@ -94,7 +87,7 @@ def drive(config: str, sim_ms: float, rps: float = RPS) -> dict:
 
 
 def run_benchmark(sim_ms: float = FULL_SIM_MS, repeat: int = 1) -> dict:
-    """Run ``repeat`` rounds; round ``k`` starts with config ``k mod 3``."""
+    """Run ``repeat`` rounds; round ``k`` starts with config ``k mod 2``."""
     rounds = []
     for index in range(max(1, repeat)):
         first = index % len(CONFIGS)
@@ -108,7 +101,6 @@ def run_benchmark(sim_ms: float = FULL_SIM_MS, repeat: int = 1) -> dict:
         rounds.append({
             "order": list(order),
             "rows": rows,
-            "disabled_vs_none": rows["disabled"]["events_per_sec"] / baseline,
             "sampled_vs_none": rows["sampled_1pct"]["events_per_sec"] / baseline,
         })
     return {
@@ -118,9 +110,6 @@ def run_benchmark(sim_ms: float = FULL_SIM_MS, repeat: int = 1) -> dict:
         "repeat": len(rounds),
         "python": platform.python_version(),
         "rounds": rounds,
-        "disabled_vs_none": round(
-            statistics.median(r["disabled_vs_none"] for r in rounds), 4
-        ),
         "sampled_vs_none": round(
             statistics.median(r["sampled_vs_none"] for r in rounds), 4
         ),
@@ -128,7 +117,7 @@ def run_benchmark(sim_ms: float = FULL_SIM_MS, repeat: int = 1) -> dict:
 
 
 def round_table(record: dict) -> str:
-    """One line per round: run order, events/sec and both ratios."""
+    """One line per round: run order, events/sec and the ratio."""
     lines = []
     for index, rnd in enumerate(record["rounds"]):
         rates = " ".join(
@@ -136,9 +125,8 @@ def round_table(record: dict) -> str:
             for config in rnd["order"]
         )
         lines.append(
-            f"round {index}: {rates}  disabled_vs_none="
-            f"{rnd['disabled_vs_none']:.3f} sampled_vs_none="
-            f"{rnd['sampled_vs_none']:.3f}"
+            f"round {index}: {rates}  "
+            f"sampled_vs_none={rnd['sampled_vs_none']:.3f}"
         )
     return "\n".join(lines)
 
@@ -153,7 +141,6 @@ def test_telemetry_overhead_smoke():
     for rnd in record["rounds"]:
         assert rnd["rows"]["sampled_1pct"]["spans_recorded"] > 0
         assert rnd["rows"]["sampled_1pct"]["snapshots"] > 0
-    assert record["disabled_vs_none"] >= SMOKE_DISABLED_BAR
     assert record["sampled_vs_none"] >= SMOKE_SAMPLED_BAR
 
 
@@ -168,8 +155,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json-file", default=None)
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero unless disabled telemetry is within 3% of the "
-             "no-telemetry baseline and 1%% sampling is bounded",
+        help="exit non-zero unless 1%% sampling keeps at least "
+             f"{SAMPLED_BAR} of the no-telemetry events/sec",
     )
     args = parser.parse_args(argv)
     record = run_benchmark(args.sim_ms, args.repeat)
@@ -180,13 +167,6 @@ def main(argv=None) -> int:
         with open(args.json_file, "w") as fh:
             fh.write(text + "\n")
     if args.check:
-        if record["disabled_vs_none"] < DISABLED_BAR:
-            print(
-                f"FAIL: disabled telemetry at "
-                f"{record['disabled_vs_none']:.3f}x baseline "
-                f"(bar {DISABLED_BAR})", file=sys.stderr,
-            )
-            return 1
         if record["sampled_vs_none"] < SAMPLED_BAR:
             print(
                 f"FAIL: 1% sampling at {record['sampled_vs_none']:.3f}x "

@@ -1,8 +1,10 @@
 """PARD: Programmable Architecture for Resourcing-on-Demand.
 
-A full reproduction of Ma et al., ASPLOS 2015. The public API surface:
+A full reproduction of Ma et al., ASPLOS 2015. Import each name
+straight from the module that defines it:
 
->>> from repro import PardServer, TABLE2
+>>> from repro.system.config import TABLE2
+>>> from repro.system.server import PardServer
 >>> server = PardServer(TABLE2.scaled(16))
 >>> ldom = server.firmware.create_ldom("web", (0,), 32 << 20)
 >>> server.start()
@@ -10,10 +12,3 @@ A full reproduction of Ma et al., ASPLOS 2015. The public API surface:
 See README.md for a tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for the reproduced evaluation.
 """
-
-from repro.system.config import ServerConfig, TABLE2
-from repro.system.server import PardServer
-
-__version__ = "1.0.0"
-
-__all__ = ["PardServer", "ServerConfig", "TABLE2", "__version__"]

@@ -38,11 +38,3 @@ def ascii_sparkline(series: Sequence[float], width: int = 60) -> str:
         level = int((value - low) / span * (len(_SPARK_LEVELS) - 1))
         chars.append(_SPARK_LEVELS[level])
     return "".join(chars)
-
-
-def share_of_total(values: Sequence[float]) -> list[float]:
-    """Normalize values to fractions of their sum (0s stay 0 if all 0)."""
-    total = sum(values)
-    if total == 0:
-        return [0.0] * len(values)
-    return [v / total for v in values]

@@ -9,16 +9,3 @@
   victim choice in one frame
 - :mod:`repro.cache.control_plane` -- the LLC control plane
 """
-
-from repro.cache.cache import Cache, CacheConfig
-from repro.cache.control_plane import LlcControlPlane
-from repro.cache.mshr import MshrFile
-from repro.cache.replacement import WayMaskedPlru
-
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "LlcControlPlane",
-    "MshrFile",
-    "WayMaskedPlru",
-]

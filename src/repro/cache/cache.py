@@ -29,7 +29,6 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
-from repro.telemetry import effective
 
 _READ = MemOp.READ
 
@@ -142,7 +141,7 @@ class Cache(Component):
         self.config = config
         self.downstream = downstream
         self.control = control
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         self._line_size = config.line_size
         # Set index and tag are a mask and a shift: num_sets is a power of two.
         self._set_mask = config.num_sets - 1

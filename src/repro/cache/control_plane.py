@@ -73,6 +73,15 @@ class LlcControlPlane(ControlPlane):
                 f"cache {cache.name} has {cache.config.ways}"
             )
 
+    def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
+        """Reject a way mask that selects no way or names ways the cache
+        does not have."""
+        if value == 0 or value & ~self.full_mask:
+            raise ValueError(
+                f"{self.name}: waymask {value:#x} must select ways within "
+                f"{self.full_mask:#x}"
+            )
+
     def occupancy_bytes(self, ds_id: int) -> int:
         return self.statistics.get_default(ds_id, "capacity", 0)
 

@@ -40,8 +40,8 @@ from repro.hwcost.fpga import (
     tag_array_blockram_overhead,
     trigger_table_cost,
 )
-from repro.runner import default_jobs, run_sweep
 from repro.runner.builders import all_points
+from repro.runner.sweep import default_jobs, run_sweep
 from repro.system.config import TABLE2
 from repro.system.experiments import (
     run_fig7,
@@ -50,7 +50,7 @@ from repro.system.experiments import (
     run_fig10,
     run_fig11,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 
 
 def _add_telemetry_args(subparser: argparse.ArgumentParser) -> None:

@@ -14,41 +14,3 @@ particular hardware resource:
 - :mod:`repro.core.ldom` -- logical domains (submachines)
 - :mod:`repro.core.address` -- per-LDom physical address mapping
 """
-
-from repro.core.address import AddressMapping, AddressTranslationError
-from repro.core.control_plane import ControlPlane
-from repro.core.ldom import LDom, LDomState
-from repro.core.programming import (
-    CMD_READ,
-    CMD_WRITE,
-    CpaRegisterFile,
-    TABLE_PARAMETER,
-    TABLE_STATISTICS,
-    TABLE_TRIGGER,
-    pack_addr,
-    unpack_addr,
-)
-from repro.core.tables import DsidTable, TableSchema
-from repro.core.tagging import TagRegister
-from repro.core.triggers import TriggerOp, TriggerRule
-
-__all__ = [
-    "AddressMapping",
-    "AddressTranslationError",
-    "CMD_READ",
-    "CMD_WRITE",
-    "ControlPlane",
-    "CpaRegisterFile",
-    "DsidTable",
-    "LDom",
-    "LDomState",
-    "TABLE_PARAMETER",
-    "TABLE_STATISTICS",
-    "TABLE_TRIGGER",
-    "TableSchema",
-    "TagRegister",
-    "TriggerOp",
-    "TriggerRule",
-    "pack_addr",
-    "unpack_addr",
-]

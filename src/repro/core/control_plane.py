@@ -127,7 +127,7 @@ class ControlPlane:
     - ``IDENT`` / ``TYPE_CODE`` -- identification (e.g. ``CACHE_CP`` / 'C')
     - ``PARAMETER_COLUMNS`` / ``STATISTICS_COLUMNS`` -- table schemas
     - :meth:`on_window` -- publish derived per-window statistics
-    - :meth:`on_parameter_write` -- react to firmware policy changes
+    - :meth:`on_parameter_write` -- validate firmware policy changes
     """
 
     IDENT = "BASE_CP"
@@ -217,7 +217,10 @@ class ControlPlane:
         """Publish derived statistics for the closing window (subclass hook)."""
 
     def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
-        """React to a firmware parameter write (subclass hook)."""
+        """Check a firmware parameter write before it lands (subclass hook).
+
+        Raising rejects the write and leaves the cell as it was.
+        """
 
     # -- register-file plumbing --------------------------------------------------
 
@@ -233,8 +236,8 @@ class ControlPlane:
     def _table_write(self, table: int, ds_id: int, offset: int, value: int) -> None:
         if table == TABLE_PARAMETER:
             column = self.parameters.schema.column_at(offset)
-            self.parameters.write_cell(ds_id, offset, value)
             self.on_parameter_write(ds_id, column, value)
+            self.parameters.write_cell(ds_id, offset, value)
         elif table == TABLE_STATISTICS:
             # Statistics are hardware-maintained; firmware writes clear them.
             self.statistics.write_cell(ds_id, offset, value)

@@ -6,7 +6,3 @@ op stream produced by a workload model: compute blocks, tagged memory
 accesses routed into its private L1, blocking waits, and callbacks that
 let workloads observe simulated time.
 """
-
-from repro.cpu.core import CoreState, CpuCore
-
-__all__ = ["CoreState", "CpuCore"]

@@ -44,7 +44,6 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
-from repro.telemetry import effective
 
 _READ, _WRITE = MemOp.READ, MemOp.WRITE
 
@@ -75,7 +74,7 @@ class CpuCore(Component):
         self.core_id = core_id
         self.memory = memory
         self.io_port = io_port
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         if self.telemetry is not None:
             reg = self.telemetry.registry
             reg.gauge_fn(f"cpu.{self.name}.busy_ps", lambda: self.busy_ps)
@@ -154,15 +153,10 @@ class CpuCore(Component):
                     self.busy_ps += acc_ps
                     self.engine.post(acc_ps, self._step)
                     return
-            elif kind == "load" or kind == "store":
-                done = self._issue_memory(op[1], kind == "store", acc_ps)
+            elif kind == "load" or kind == "store" or kind == "loads":
+                done = self._issue(op, acc_ps)
                 if done is None:
                     return  # waiting for memory
-                acc_ps = done
-            elif kind == "loads":
-                done = self._issue_batch(op[1], acc_ps)
-                if done is None:
-                    return
                 acc_ps = done
             elif kind == "call":
                 op[1]()
@@ -180,43 +174,31 @@ class CpuCore(Component):
                 raise ValueError(f"unknown core op {kind!r}")
 
     # -- memory ops --------------------------------------------------------------
-    # Both issue paths build the packet inline, tagged with the core's
-    # DS-id at construction: they run once per memory access.
 
-    def _issue_memory(self, addr: int, is_store: bool, acc_ps: int) -> Optional[int]:
-        """Issue one access; returns updated acc on a sync hit, else None."""
-        now = self.engine._now
-        packet = MemoryPacket(
-            ds_id=self._ds_id, birth_ps=now, addr=addr,
-            op=_WRITE if is_store else _READ,
-        )
-        if self.telemetry is not None:
-            self._start_span(packet)
-        self.memory_accesses += 1
-        latency = self.memory.access(packet, self._resume)
-        if latency is not None:
-            if packet.span is not None:
-                self._finish_span(packet, now + latency)
-            return acc_ps + latency
-        # acc is carried, not consumed: it re-enters the accumulator when
-        # the wait ends, so it is charged to busy_ps exactly once.
-        self._carry_ps = acc_ps
-        self._outstanding = 1
-        self.state = CoreState.WAITING_MEM
-        return None
+    def _issue(self, op, acc_ps: int) -> Optional[int]:
+        """Issue a memory op; returns updated acc if every access hit
+        synchronously, else None.
 
-    def _issue_batch(self, addrs, acc_ps: int) -> Optional[int]:
-        """Issue independent accesses together (MLP); wait for the slowest."""
+        A single ``load``/``store`` is a batch of one; a ``loads`` batch
+        issues its independent accesses together (MLP) and waits for the
+        slowest. Each packet is built inline, tagged with the core's
+        DS-id at construction: this runs once per memory access.
+        """
+        kind, target = op
+        if kind == "loads":
+            addrs, mem_op = target, _READ
+        else:
+            addrs, mem_op = (target,), _WRITE if kind == "store" else _READ
         max_sync = 0
         pending = 0
         ds_id = self._ds_id
         now = self.engine._now
         for addr in addrs:
-            packet = MemoryPacket(ds_id=ds_id, birth_ps=now, addr=addr, op=_READ)
+            packet = MemoryPacket(ds_id=ds_id, birth_ps=now, addr=addr, op=mem_op)
             if self.telemetry is not None:
                 self._start_span(packet)
             self.memory_accesses += 1
-            latency = self.memory.access(packet, self._resume_batch)
+            latency = self.memory.access(packet, self._on_response)
             if latency is None:
                 pending += 1
             else:
@@ -226,7 +208,9 @@ class CpuCore(Component):
                     max_sync = latency
         if pending == 0:
             return acc_ps + max_sync
-        self._carry_ps = acc_ps  # carried, as in _issue_memory
+        # acc is carried, not consumed: it re-enters the accumulator when
+        # the wait ends, so it is charged to busy_ps exactly once.
+        self._carry_ps = acc_ps
         self._outstanding = pending
         self.state = CoreState.WAITING_MEM
         return None
@@ -246,18 +230,11 @@ class CpuCore(Component):
     def _finish(self) -> None:
         self.state = CoreState.DONE
 
-    def _resume(self, _packet=None) -> None:
-        if _packet is not None and _packet.span is not None:
-            self._finish_span(_packet, self.now)
-        if self.state is CoreState.WAITING_MEM:
-            self.state = CoreState.RUNNING
-            self._step()
-
-    def _resume_batch(self, _packet=None) -> None:
+    def _on_response(self, _packet=None) -> None:
         if _packet is not None and _packet.span is not None:
             self._finish_span(_packet, self.now)
         self._outstanding -= 1
-        # The last response of the batch resumes the core (_resume, inlined).
+        # The last response of the op resumes the core.
         if self._outstanding == 0 and self.state is CoreState.WAITING_MEM:
             self.state = CoreState.RUNNING
             self._step()

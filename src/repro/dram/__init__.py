@@ -7,17 +7,3 @@
 - :mod:`repro.dram.control_plane` -- the memory control plane (address
   mapping, scheduling priority, bandwidth/latency statistics, triggers)
 """
-
-from repro.dram.bank import BankState
-from repro.dram.control_plane import MemoryControlPlane
-from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, DramTiming, decompose_address
-
-__all__ = [
-    "BankState",
-    "DramGeometry",
-    "DramTiming",
-    "MemoryControlPlane",
-    "MemoryController",
-    "decompose_address",
-]

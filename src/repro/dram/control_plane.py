@@ -109,9 +109,16 @@ class MemoryControlPlane(ControlPlane):
     # -- validation hooks --------------------------------------------------------
 
     def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
-        if column == "addr_size" and value:
-            base = self.parameters.get(ds_id, "addr_base")
-            window = AddressMapping(base, value)
+        """Reject an ``addr_base`` or ``addr_size`` write whose resulting
+        window overlaps another DS-id's."""
+        if column == "addr_base":
+            base, size = value, self.parameters.get(ds_id, "addr_size")
+        elif column == "addr_size":
+            base, size = self.parameters.get(ds_id, "addr_base"), value
+        else:
+            return
+        if size:
+            window = AddressMapping(base, size)
             for other in self.parameters.ds_ids:
                 if other == ds_id:
                     continue

@@ -36,7 +36,6 @@ from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
 from repro.sim.stats import LatencyRecorder
-from repro.telemetry import effective
 
 
 class MemoryController(Component):
@@ -67,7 +66,7 @@ class MemoryController(Component):
         self.timing = timing or DramTiming()
         self.geometry = geometry or DramGeometry()
         self.control = control
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         # One FIFO queue per priority level, indexed by priority: high and
         # low with a control plane; the Fig. 11 baseline has a single one.
         priority_levels = 2

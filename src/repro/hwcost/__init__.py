@@ -1,21 +1,1 @@
 """Analytical FPGA-cost model for PARD control planes (Fig. 12, §7.2)."""
-
-from repro.hwcost.fpga import (
-    ControlPlaneCost,
-    LLC_CONTROLLER_LUT_FF,
-    MIG_CONTROLLER_LUT_FF,
-    ResourceEstimate,
-    llc_control_plane_cost,
-    memory_control_plane_cost,
-    tag_array_blockram_overhead,
-)
-
-__all__ = [
-    "ControlPlaneCost",
-    "LLC_CONTROLLER_LUT_FF",
-    "MIG_CONTROLLER_LUT_FF",
-    "ResourceEstimate",
-    "llc_control_plane_cost",
-    "memory_control_plane_cost",
-    "tag_array_blockram_overhead",
-]

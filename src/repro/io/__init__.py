@@ -9,18 +9,3 @@
 - :mod:`repro.io.bridge` -- the I/O bridge control plane (device access
   masks per DS-id, PIO accounting)
 """
-
-from repro.io.apic import Apic
-from repro.io.bridge import IoBridge, IoBridgeControlPlane, IoAccessError
-from repro.io.disk import IdeControlPlane, IdeController
-from repro.io.dma import DmaEngine
-
-__all__ = [
-    "Apic",
-    "DmaEngine",
-    "IdeControlPlane",
-    "IdeController",
-    "IoAccessError",
-    "IoBridge",
-    "IoBridgeControlPlane",
-]

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.packet import InterruptPacket
-from repro.telemetry import effective
 
 InterruptHandler = Callable[[InterruptPacket], None]
 
@@ -42,7 +41,7 @@ class Apic(Component):
         self._core_handlers: dict[int, InterruptHandler] = {}
         self.delivered = 0
         self.dropped = 0
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         if self.telemetry is not None:
             reg = self.telemetry.registry
             reg.gauge_fn(f"io.{name}.delivered", lambda: self.delivered)

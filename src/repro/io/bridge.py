@@ -16,7 +16,6 @@ from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import IoPacket
-from repro.telemetry import effective
 
 ALL_DEVICES_MASK = (1 << 62) - 1
 
@@ -67,7 +66,7 @@ class IoBridge(Component):
         self.forward_latency_ps = forward_latency_ps
         self._devices: dict[str, tuple[int, Component]] = {}
         self.forwarded_pio = 0
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         if self.telemetry is not None:
             self.telemetry.registry.gauge_fn(
                 f"io.{name}.forwarded_pio", lambda: self.forwarded_pio

@@ -27,7 +27,6 @@ from repro.io.dma import DmaEngine
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine, PS_PER_S
 from repro.sim.packet import IoOp, IoPacket
-from repro.telemetry import effective
 
 
 class IdeControlPlane(ControlPlane):
@@ -104,7 +103,7 @@ class IdeController(Component):
         super().__init__(engine, name)
         if total_bandwidth_bytes_per_s <= 0 or chunk_bytes <= 0:
             raise ValueError("bandwidth and chunk size must be positive")
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         if self.telemetry is not None:
             self.telemetry.registry.gauge_fn(
                 f"io.{name}.completed_transfers", lambda: self.completed_transfers

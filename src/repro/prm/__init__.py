@@ -14,32 +14,3 @@ a 64 KB I/O window) and every tag register, and runs a firmware that
 - dispatches control-plane trigger interrupts to installed
   "trigger => action" handler scripts (§3 mechanism 4).
 """
-
-from repro.prm.allocator import OutOfMemoryError, WindowAllocator
-from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
-from repro.prm.firmware import Firmware, FirmwareError, HardwareInventory
-from repro.prm.monitor import StatisticsMonitor
-from repro.prm.rules import (
-    increase_waymask_action,
-    partition_llc_action,
-    raise_priority_action,
-    update_mask,
-)
-from repro.prm.sysfs import SysfsError, SysfsTree
-
-__all__ = [
-    "ControlPlaneAdaptor",
-    "Firmware",
-    "FirmwareError",
-    "HardwareInventory",
-    "OutOfMemoryError",
-    "PrmIoSpace",
-    "StatisticsMonitor",
-    "SysfsError",
-    "SysfsTree",
-    "WindowAllocator",
-    "increase_waymask_action",
-    "partition_llc_action",
-    "raise_priority_action",
-    "update_mask",
-]

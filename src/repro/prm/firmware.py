@@ -38,7 +38,6 @@ from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
 from repro.prm.sysfs import SysfsTree
 from repro.sim.engine import Engine, PS_PER_US
-from repro.telemetry import effective
 
 # Columns whose sysfs/pardtrigger values are expressed in percent but
 # stored scaled (miss_rate is kept in basis points in the hardware).
@@ -96,7 +95,7 @@ class Firmware:
         self._bindings: dict[tuple[str, int, int], str] = {}
         self.trigger_log: list[tuple[int, str, int, str]] = []
         self.scripts_run = 0
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         self._ldom_metrics: dict[int, list[str]] = {}
         self.sysfs.mkdir("/sys/cpa")
         self.sysfs.mkdir("/log")

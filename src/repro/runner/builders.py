@@ -1,8 +1,8 @@
 """The paper's experiment grids as data: lists of :class:`SweepPoint`.
 
 Each point names a driver from :mod:`repro.system.experiments` and the
-keyword arguments of one run; :func:`repro.runner.run_sweep` executes
-the list. Setups travel as :class:`ColocationSetup` objects and the
+keyword arguments of one run; :func:`repro.runner.sweep.run_sweep`
+executes the list. Setups travel as :class:`ColocationSetup` objects and the
 workload seed is one of the kwargs, so a point's result depends on
 nothing but its spec, at any ``--jobs`` value.
 """

@@ -38,7 +38,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.telemetry import Telemetry, effective
+from repro.telemetry.hub import Telemetry
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def run_sweep(
     if not indexed:
         return SweepResult(points=[], jobs=jobs)
 
-    hub = effective(telemetry)
-    template = hub.fresh() if hub is not None else None
+    template = telemetry.fresh() if telemetry is not None else None
     started = time.perf_counter()
 
     def note(pr: PointResult) -> None:
@@ -231,12 +230,12 @@ def run_sweep(
             results[index] = retry
             note(retry)
 
-    if hub is not None:
+    if telemetry is not None:
         # Index order, never completion order: the merged artifact must
         # be byte-identical for every jobs value.
         for pr in results:
             if pr.ok and pr.telemetry is not None:
-                hub.merge_payload(pr.telemetry)
+                telemetry.merge_payload(pr.telemetry)
     return SweepResult(
         points=results, jobs=jobs, elapsed_s=time.perf_counter() - started
     )

@@ -10,31 +10,3 @@ reproduction is built on:
 - :mod:`repro.sim.stats` -- latency recorders
 - :mod:`repro.sim.rng` -- deterministic random streams
 """
-
-from repro.sim.clock import ClockDomain, CPU_CLOCK_PS, DRAM_CLOCK_PS
-from repro.sim.component import Component
-from repro.sim.engine import Engine
-from repro.sim.packet import (
-    DEFAULT_DSID,
-    InterruptPacket,
-    IoPacket,
-    MemoryPacket,
-    Packet,
-)
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import LatencyRecorder
-
-__all__ = [
-    "ClockDomain",
-    "Component",
-    "CPU_CLOCK_PS",
-    "DRAM_CLOCK_PS",
-    "DEFAULT_DSID",
-    "DeterministicRng",
-    "Engine",
-    "InterruptPacket",
-    "IoPacket",
-    "LatencyRecorder",
-    "MemoryPacket",
-    "Packet",
-]

@@ -67,8 +67,8 @@ class Packet:
     # Drawn from the global counter by __post_init__ (MemoryPacket: by its
     # __init__) unless given, so it is an int after construction.
     packet_id: Optional[int] = None
-    # Optional telemetry span (repro.telemetry.Span). None for the vast
-    # majority of packets; only a sampled fraction carries one, and every
+    # Optional telemetry span (repro.telemetry.spans.Span). None for the
+    # vast majority of packets; only a sampled fraction carries one, and every
     # hop site guards with a single `is not None` check.
     span: Optional[object] = None
 

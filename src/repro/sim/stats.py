@@ -3,8 +3,9 @@
 Control-plane statistics tables (PARD Fig. 2) keep their windowed
 per-DS-id counts as plain ints beside the tables themselves (see
 :mod:`repro.cache.control_plane` and :mod:`repro.dram.control_plane`).
-A telemetry :class:`repro.telemetry.Histogram` is a view over recorders:
-it reads their samples at snapshot time and keeps none of its own.
+A telemetry :class:`repro.telemetry.registry.Histogram` is a view over
+recorders: it reads their samples at snapshot time and keeps none of its
+own.
 """
 
 from __future__ import annotations

@@ -9,9 +9,3 @@
 - :mod:`repro.system.invariants` -- :func:`check_invariants`, the
   model-state checks tests run after a simulation
 """
-
-from repro.system.config import ServerConfig, TABLE2
-from repro.system.invariants import check_invariants
-from repro.system.server import PardServer
-
-__all__ = ["PardServer", "ServerConfig", "TABLE2", "check_invariants"]

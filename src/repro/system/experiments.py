@@ -39,7 +39,6 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.stats import LatencyRecorder
 from repro.system.config import ServerConfig, TABLE2
 from repro.system.server import PardServer
-from repro.telemetry import effective
 from repro.workloads.base import Boot, Sequence
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
@@ -541,8 +540,7 @@ def _drive_controller(
         engine, clock, control=control, hp_row_buffer=hp_row_buffer,
         telemetry=telemetry,
     )
-    hub = effective(telemetry)
-    spans = hub.spans if hub is not None else None
+    spans = telemetry.spans if telemetry is not None else None
     finish_span = partial(_finish_injected_span, spans)
     handle_request = controller.handle_request
     for i, (addr, time_ps) in enumerate(zip(addresses, arrivals or repeat(0))):

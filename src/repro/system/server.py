@@ -26,7 +26,6 @@ from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Engine
 from repro.system.config import ServerConfig, TABLE2
-from repro.telemetry import effective
 
 
 class PardServer:
@@ -40,8 +39,7 @@ class PardServer:
     ):
         self.config = config
         self.engine = engine or Engine()
-        self.telemetry = effective(telemetry)
-        telemetry = self.telemetry
+        self.telemetry = telemetry
         engine = self.engine
         if telemetry is not None:
             telemetry.registry.gauge_fn(

@@ -1,12 +1,10 @@
 """The Telemetry hub: one object bundling registry, spans and snapshots.
 
-Components receive the hub (or ``None``) at construction and normalize
-it with :func:`effective`::
-
-    self.telemetry = effective(telemetry)
-
-so every hot-path guard is a single ``is None`` check and a disabled hub
-costs exactly as much as no hub at all. The hub owns:
+Components receive the hub, or ``None`` for no telemetry, at
+construction and store it as given, so every hot-path guard is a single
+``is None`` check. ``None`` is the only way to turn telemetry off; a
+``snapshot_period_ms <= 0`` hub still records spans and gauges but takes
+no periodic snapshots. The hub owns:
 
 * ``registry`` -- the :class:`MetricsRegistry` all components share,
 * ``spans`` -- the :class:`SpanRecorder` (deterministic 1-in-N sampling),
@@ -16,8 +14,6 @@ costs exactly as much as no hub at all. The hub owns:
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .exporters import metrics_rows, write_chrome_trace, write_jsonl
 from .registry import MetricsRegistry
@@ -32,12 +28,10 @@ class Telemetry:
 
     def __init__(
         self,
-        enabled: bool = True,
         span_sample: int = DEFAULT_SPAN_SAMPLE,
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
         snapshot_period_ms: float = 1.0,
     ):
-        self.enabled = enabled
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(sample_every=span_sample, capacity=span_capacity)
         self.snapshot_period_ms = snapshot_period_ms
@@ -71,7 +65,7 @@ class Telemetry:
         when the bounded run finishes (a trailing event past ``until_ps``
         stays queued and is simply never dispatched in this process).
         """
-        if not self.enabled or self.snapshot_period_ms <= 0:
+        if self.snapshot_period_ms <= 0:
             return
         period_ps = int(self.snapshot_period_ms * 1e9)
 
@@ -134,19 +128,7 @@ class Telemetry:
         return write_chrome_trace(self.spans.finished, path)
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
         return (
-            f"Telemetry({state}, {len(self.registry)} instruments, "
+            f"Telemetry({len(self.registry)} instruments, "
             f"{len(self.spans)} spans, {len(self.snapshots)} snapshots)"
         )
-
-
-def effective(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Normalize a telemetry argument: disabled hubs become None.
-
-    Components call this once in their constructor so their hot paths
-    only ever test ``self.telemetry is None``.
-    """
-    if telemetry is not None and telemetry.enabled:
-        return telemetry
-    return None

@@ -13,23 +13,3 @@ Synthetic but behaviourally faithful versions of the paper's workloads:
 - :mod:`repro.workloads.diskio` -- ``dd``-style disk writers (DiskCopy)
 - :mod:`repro.workloads.base` -- the op-stream protocol and combinators
 """
-
-from repro.workloads.base import Boot, Sequence, Workload
-from repro.workloads.cacheflush import CacheFlush
-from repro.workloads.diskio import DiskCopy
-from repro.workloads.memcached import MemcachedServer
-from repro.workloads.spec import SyntheticSpec, lbm, leslie3d
-from repro.workloads.stream import Stream
-
-__all__ = [
-    "Boot",
-    "CacheFlush",
-    "DiskCopy",
-    "MemcachedServer",
-    "Sequence",
-    "Stream",
-    "SyntheticSpec",
-    "Workload",
-    "lbm",
-    "leslie3d",
-]

@@ -22,7 +22,6 @@ from typing import Iterator, Optional
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import LatencyRecorder
-from repro.telemetry import effective
 from repro.workloads.base import LINE, Workload
 
 
@@ -71,7 +70,7 @@ class MemcachedServer(Workload):
         self.requests_dropped = 0
         self._arrivals_started = False
         self._interarrival_ps = PS_PER_MS * 1000.0 / rps  # mean, in ps
-        self.telemetry = effective(telemetry)
+        self.telemetry = telemetry
         if self.telemetry is not None:
             prefix = f"workload.memcached.ds{ds_id}"
             reg = self.telemetry.registry

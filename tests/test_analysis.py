@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.series import ascii_sparkline, downsample, share_of_total
+from repro.analysis.series import ascii_sparkline, downsample
 from repro.analysis.tables import format_table
 
 
@@ -74,17 +74,3 @@ class TestSparkline:
     def test_width_cap(self):
         line = ascii_sparkline(list(range(500)), width=40)
         assert len(line) == 40
-
-
-class TestShareOfTotal:
-    def test_normalizes(self):
-        assert share_of_total([1, 3]) == [0.25, 0.75]
-
-    def test_all_zero(self):
-        assert share_of_total([0, 0]) == [0.0, 0.0]
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
-    def test_property_sums_to_one_or_zero(self, values):
-        shares = share_of_total(values)
-        total = sum(shares)
-        assert total == pytest.approx(1.0) or total == 0.0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.telemetry import read_jsonl
+from repro.telemetry.exporters import read_jsonl
 
 
 class TestParser:

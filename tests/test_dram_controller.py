@@ -193,6 +193,7 @@ class TestAddressTranslation:
         control.register_file.write_cell(2, base_offset, TABLE_PARAMETER, 1 << 19)
         with pytest.raises(AddressTranslationError):
             control.register_file.write_cell(2, size_offset, TABLE_PARAMETER, 1 << 20)
+        assert control.register_file.read_cell(2, size_offset, TABLE_PARAMETER) == 0
 
 
 class TestMemoryControlPlaneStats:

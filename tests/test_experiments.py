@@ -15,7 +15,7 @@ from repro.system.experiments import (
     run_fig10,
     run_fig11,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 
 
 def tiny_setup():

@@ -45,9 +45,9 @@ from repro.system.experiments import (
     run_fig10,
     run_fig11,
 )
-from repro.system import check_invariants
+from repro.system.invariants import check_invariants
 from repro.system.server import PardServer
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 from repro.workloads.memcached import MemcachedServer
 from repro.workloads.stream import Stream
 

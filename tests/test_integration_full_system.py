@@ -12,7 +12,7 @@ from repro.sim.engine import PS_PER_MS
 from repro.cpu.core import CoreState
 from repro.prm.rules import partition_llc_action
 from repro.system.config import TABLE2
-from repro.system import check_invariants
+from repro.system.invariants import check_invariants
 from repro.system.server import PardServer
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy

@@ -4,6 +4,7 @@ import pytest
 
 from tests.helpers import FakeMemory
 from repro.cache.control_plane import LlcControlPlane
+from repro.core.address import AddressTranslationError
 from repro.core.ldom import LDomState
 from repro.core.triggers import TriggerOp
 from repro.cpu.core import CpuCore
@@ -177,6 +178,41 @@ class TestShell:
         firmware.create_ldom("a", (0,), 1 << 20)
         with pytest.raises(FirmwareError):
             firmware.sh("echo banana > /sys/cpa/cpa0/ldoms/ldom1/parameters/waymask")
+
+
+class TestRejectedParameterWrites:
+    """A write the control plane rejects raises and leaves the old cell."""
+
+    @pytest.mark.parametrize("bad", ["0", "0x1FFFF", "-1"])
+    def test_waymask_outside_the_ways_rejected(self, bad):
+        _, firmware, _, _, _ = make_firmware()
+        firmware.create_ldom("a", (0,), 1 << 20)
+        path = "/sys/cpa/cpa0/ldoms/ldom1/parameters/waymask"
+        firmware.sh(f"echo 0xFF00 > {path}")
+        with pytest.raises(ValueError):
+            firmware.sh(f"echo {bad} > {path}")
+        assert int(firmware.sh(f"cat {path}")) == 0xFF00
+        firmware.sh(f"echo 0xFFFF > {path}")
+        assert int(firmware.sh(f"cat {path}")) == 0xFFFF
+
+    def test_overlapping_addr_size_rejected(self):
+        _, firmware, _, _, _ = make_firmware()
+        a = firmware.create_ldom("a", (0,), 1 << 20)
+        b = firmware.create_ldom("b", (1,), 1 << 20)
+        assert a.memory.limit <= b.memory.base
+        path = f"/sys/cpa/cpa1/ldoms/ldom{a.ds_id}/parameters/addr_size"
+        with pytest.raises(AddressTranslationError):
+            firmware.sh(f"echo {b.memory.limit - a.memory.base} > {path}")
+        assert int(firmware.sh(f"cat {path}")) == 1 << 20
+
+    def test_overlapping_addr_base_rejected(self):
+        _, firmware, _, _, _ = make_firmware()
+        a = firmware.create_ldom("a", (0,), 1 << 20)
+        b = firmware.create_ldom("b", (1,), 1 << 20)
+        path = f"/sys/cpa/cpa1/ldoms/ldom{b.ds_id}/parameters/addr_base"
+        with pytest.raises(AddressTranslationError):
+            firmware.sh(f"echo {a.memory.base} > {path}")
+        assert int(firmware.sh(f"cat {path}")) == b.memory.base
 
 
 class TestTriggerActionPath:

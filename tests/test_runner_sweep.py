@@ -15,15 +15,15 @@ import re
 
 import pytest
 
-from repro.runner import SweepError, SweepPoint, SweepResult, run_sweep
 from repro.runner.builders import fig8_points
+from repro.runner.sweep import SweepError, SweepPoint, SweepResult, run_sweep
 from repro.sim.stats import LatencyRecorder
 from repro.system.experiments import (
     ColocationSetup,
     run_colocation_point,
     run_fig11,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 
 
 def _square(x, seed=0, telemetry=None):

@@ -23,9 +23,9 @@ def engine(request):
 
 def test_make_engine_kinds():
     # Importing the rest of the package registers no extra kinds.
-    import repro.runner  # noqa: F401
+    import repro.runner.sweep  # noqa: F401
     import repro.system.server  # noqa: F401
-    import repro.telemetry  # noqa: F401
+    import repro.telemetry.hub  # noqa: F401
 
     assert sorted(ENGINE_KINDS) == ["calendar", "heapq"]
     assert isinstance(make_engine("calendar"), Engine)

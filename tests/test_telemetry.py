@@ -2,9 +2,9 @@
 
 Covers the metrics registry (typed instruments, re-binding), histograms
 as views over latency recorders, span lifecycle under deterministic
-sampling, exporter round-trips (JSONL, Chrome trace), the
-disabled-telemetry no-op paths, and the firmware's per-LDom gauges on a
-live machine.
+sampling, exporter round-trips (JSONL, Chrome trace), a hub with
+periodic snapshots off, and the firmware's per-LDom gauges on a live
+machine.
 """
 
 import io
@@ -19,20 +19,16 @@ from repro.prm.sysfs import SysfsError
 from repro.sim.stats import LatencyRecorder
 from repro.system.experiments import _build_colocated_server
 from repro.system.server import PardServer
-from repro.telemetry import (
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Span,
-    SpanRecorder,
-    Telemetry,
+from repro.telemetry.exporters import (
     chrome_trace_events,
-    effective,
     metrics_rows,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.telemetry.hub import Telemetry
+from repro.telemetry.registry import Gauge, Histogram, MetricsRegistry
+from repro.telemetry.spans import Span, SpanRecorder
 from tests.test_golden_digests import TINY
 
 
@@ -319,31 +315,8 @@ class TestExporters:
 
 
 class TestDisabledTelemetry:
-    def test_effective_normalizes_disabled_to_none(self):
-        assert effective(None) is None
-        assert effective(Telemetry(enabled=False)) is None
-        enabled = Telemetry()
-        assert effective(enabled) is enabled
-
-    def test_components_normalize_disabled_hub(self):
-        disabled = Telemetry(enabled=False)
-        server = PardServer(telemetry=disabled)
-        assert server.telemetry is None
-        assert server.llc.telemetry is None
-        assert server.cores[0].telemetry is None
-        assert server.firmware.telemetry is None
-        assert len(disabled.registry) == 0
-
-    def test_disabled_hub_records_nothing_during_a_run(self):
-        disabled = Telemetry(enabled=False)
-        server = PardServer(telemetry=disabled)
-        server.start()
-        server.run_ms(0.05)
-        assert disabled.snapshots == []
-        assert len(disabled.spans) == 0
-
     def test_periodic_snapshots_noop_when_disabled(self):
-        hub = Telemetry(enabled=False)
+        hub = Telemetry(snapshot_period_ms=0)
         server = PardServer()
         hub.start_periodic_snapshots(server.engine)
         assert server.engine.pending_events == 0

@@ -8,7 +8,7 @@ span recorders keep per-point packet-id ranges disjoint.
 
 import pickle
 
-from repro.telemetry import Telemetry
+from repro.telemetry.hub import Telemetry
 from repro.telemetry.spans import SpanRecorder
 
 
