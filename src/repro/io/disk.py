@@ -42,6 +42,24 @@ class IdeControlPlane(ControlPlane):
         self._window_bytes: dict[int, int] = {}
         self._window_ios: dict[int, int] = {}
 
+    def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
+        """Reject a quota outside 0..100 percent, or one that would push
+        the explicit quotas summed over DS-ids above 100."""
+        if not 0 <= value <= 100:
+            raise ValueError(
+                f"{self.name}: bandwidth quota {value} is not a percentage"
+            )
+        others = sum(
+            self.parameters.get(other, "bandwidth")
+            for other in self.parameters.ds_ids
+            if other != ds_id
+        )
+        if others + value > 100:
+            raise ValueError(
+                f"{self.name}: bandwidth quota {value} for DS-id {ds_id} "
+                f"brings the quotas to {others + value}%, over 100%"
+            )
+
     def quota(self, ds_id: int) -> int:
         return self.parameters.get_default(ds_id, "bandwidth", 0)
 

@@ -8,11 +8,15 @@ Components never advance time themselves; they post callbacks and the
 engine invokes them in timestamp order. Ties are broken by posting
 order, which keeps runs fully deterministic.
 
-There is one scheduling path, ``post(delay_ps, callback)`` /
+Work is scheduled with ``post(delay_ps, callback)`` /
 ``post_at(time_ps, callback)``: the bare callback is enqueued, with no
 event record and no handle, and it always runs. Nothing in the machine
-cancels work once posted. Two queue implementations share this API and
-one ordering contract:
+cancels work once posted. ``post_first_at(time_ps, callback)`` is the
+one exception to posting order: it posts through ``post_at`` and then
+moves the callback ahead of everything already queued for that future
+time, so a source that posts its next event from the current one keeps
+the place that posting it up front would have given it. Two queue
+implementations share this API and one ordering contract:
 
 :class:`Engine` (the default)
     A bucketed calendar queue. Callbacks are grouped into per-timestamp
@@ -33,6 +37,7 @@ one ordering contract:
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 PS_PER_NS = 1_000
@@ -127,6 +132,29 @@ class Engine:
         else:
             buckets[time_ps] = [callback]
             heapq.heappush(self._times, time_ps)
+
+    def post_first_at(self, time_ps: int, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at ``time_ps``, ahead of every callback already
+        queued for that time.
+
+        The post goes through the instance's own ``post_at``, so a
+        wrapper installed on the instance sees it like any other post.
+        ``time_ps`` must lie strictly after ``now``: the bucket at
+        ``now`` may be dispatching.
+        """
+        if time_ps.__class__ is not int:
+            raise _not_int(time_ps)
+        if time_ps <= self._now:
+            raise SimulationError(
+                f"cannot front-post at {time_ps} ps, already at {self._now} ps"
+            )
+        buckets = self._buckets
+        queued = time_ps in buckets
+        self.post_at(time_ps, callback)
+        if queued:
+            # Rotate the new last entry to the front.
+            bucket = buckets[time_ps]
+            bucket.insert(0, bucket.pop())
 
     # e2ebench/layertrace.py still wraps this name when it attaches; the
     # next change to the benchmark drops that and this alias with it.
@@ -224,6 +252,7 @@ class HeapqEngine(Engine):
         super().__init__()
         self._queue: list[_HeapEvent] = []
         self._seq = 0
+        self._first_seq = 0  # falls below 0 with each front post
 
     @property
     def pending_events(self) -> int:
@@ -244,6 +273,22 @@ class HeapqEngine(Engine):
             )
         heapq.heappush(self._queue, _HeapEvent(time_ps, self._seq, callback))
         self._seq += 1
+
+    def post_first_at(self, time_ps: int, callback: Callable[[], None]) -> None:
+        if time_ps.__class__ is not int:
+            raise _not_int(time_ps)
+        if time_ps <= self._now:
+            raise SimulationError(
+                f"cannot front-post at {time_ps} ps, already at {self._now} ps"
+            )
+        self.post_at(time_ps, callback)
+        # Renumber the new event below every queued one (post_at gave it
+        # the highest sequence number), then restore the heap.
+        queue = self._queue
+        newest = max(queue, key=attrgetter("seq"))
+        self._first_seq -= 1
+        newest.seq = self._first_seq
+        heapq.heapify(queue)
 
     schedule_at = post_at
 

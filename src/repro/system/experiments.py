@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.cache.control_plane import BASIS_POINTS
@@ -525,9 +525,14 @@ def _drive_controller(
     """Replay one Fig. 11 request stream into a controller configuration.
 
     Request ``i`` reads ``addresses[i]`` at ``arrivals[i]`` ps, DS-id 2
-    (high priority) for odd ``i`` and 1 (low) for even. With
-    ``arrivals=None`` every request is enqueued at t=0, which measures
-    the controller's saturation throughput.
+    (high priority) for odd ``i`` and 1 (low) for even. Arrival times
+    must rise strictly, as :func:`fig11_arrivals` draws them: each
+    arrival front-posts the next one (``Engine.post_first_at``), which
+    puts it first among the events at its time, where posting the whole
+    stream up front would have put it; the queue then holds only the
+    next arrival and the requests in flight. With ``arrivals=None``
+    every request is enqueued at t=0 before the run, which measures the
+    controller's saturation throughput.
     """
     engine = Engine()
     clock = ClockDomain(engine, DRAM_CLOCK_PS)
@@ -543,9 +548,17 @@ def _drive_controller(
     spans = telemetry.spans if telemetry is not None else None
     finish_span = partial(_finish_injected_span, spans)
     handle_request = controller.handle_request
-    for i, (addr, time_ps) in enumerate(zip(addresses, arrivals or repeat(0))):
+    post_first_at = engine.post_first_at
+    timed = arrivals is not None
+    count = len(addresses)
+    i = 0
+
+    def arrive() -> None:
+        # Request i arrives: packet ids and span samples go in i order.
+        nonlocal i
+        time_ps = arrivals[i] if timed else 0
         ds_id = 2 if i % 2 else 1  # half high (2), half low (1)
-        packet = MemoryPacket(ds_id=ds_id, addr=addr, birth_ps=time_ps)
+        packet = MemoryPacket(ds_id=ds_id, addr=addresses[i], birth_ps=time_ps)
         done = _ignore_response
         if spans is not None:
             span = spans.maybe_start(ds_id, packet.packet_id)
@@ -553,10 +566,16 @@ def _drive_controller(
                 span.hop("inject", time_ps)
                 packet.span = span
                 done = finish_span
-        if arrivals is None:
-            handle_request(packet, done)
-        else:
-            engine.post_at(time_ps, partial(handle_request, packet, done))
+        handle_request(packet, done)
+        i += 1
+        if timed and i < count:
+            post_first_at(arrivals[i], arrive)
+
+    if not timed:
+        for _ in range(count):
+            arrive()
+    elif count:
+        engine.post_at(arrivals[0], arrive)
     engine.run()
     return controller
 

@@ -1,9 +1,16 @@
 """Tests for the experiment drivers (scaled-down, fast configurations)."""
 
 import os
+from functools import partial
 
 import pytest
 
+from repro.dram.control_plane import MemoryControlPlane
+from repro.dram.controller import MemoryController
+from repro.dram.timing import DramGeometry
+from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
+from repro.sim.engine import Engine
+from repro.sim.packet import MemoryPacket
 from repro.sim.rng import DeterministicRng
 from repro.system import experiments
 from repro.system.experiments import (
@@ -169,3 +176,54 @@ class TestFig11Replay:
         for span in spans:
             hops = dict(span.hops)
             assert hops["inject"] == hops["memctrl.enqueue"]
+
+
+def _drive_preposted(addresses, arrivals):
+    """The Fig. 11 injector as it first was, kept as the tie-order
+    reference: every arrival is posted before the run, so each one is
+    first among the events at its time. PARD controller, no extra row
+    buffer, no telemetry."""
+    engine = Engine()
+    control = MemoryControlPlane(engine)
+    control.allocate_ldom(1, priority=0)
+    control.allocate_ldom(2, priority=1)
+    controller = MemoryController(
+        engine, ClockDomain(engine, DRAM_CLOCK_PS), control=control, hp_row_buffer=False,
+    )
+    for i, (addr, time_ps) in enumerate(zip(addresses, arrivals)):
+        packet = MemoryPacket(ds_id=2 if i % 2 else 1, addr=addr, birth_ps=time_ps)
+        engine.post_at(time_ps, partial(controller.handle_request, packet, lambda _p: None))
+    engine.run()
+    return controller
+
+
+def _queue_delays(controller) -> list[list[float]]:
+    """Queueing-delay samples per priority, in dispatch order."""
+    return [list(recorder.samples) for recorder in controller.queue_delay]
+
+
+def _bank_address(bank: int, row: int) -> int:
+    geometry = DramGeometry()
+    return (row * geometry.total_banks + bank) * geometry.row_bytes
+
+
+class TestFig11ArrivalOrder:
+    """Each arrival is posted by the one before it, and still runs ahead
+    of a completion at its time, as when the stream was posted up front."""
+
+    def test_arrival_on_a_completion_takes_the_freed_bank(self):
+        first = _bank_address(0, 1)
+        # When request 0, alone, frees bank 0.
+        freed_ps = experiments._drive_controller(True, [first], [1_000], False).engine.now
+        # 0: low, bank 0; 1: high, bank 1; 2: low, bank 0, queued behind
+        # request 0; 3: high, bank 0, arriving as request 0 completes.
+        addresses = [first, _bank_address(1, 1), _bank_address(0, 2), _bank_address(0, 3)]
+        arrivals = [1_000, 1_001, 1_002, freed_ps]
+        reference = _queue_delays(_drive_preposted(addresses, arrivals))
+        # Request 3 runs before request 0's completion and takes bank 0
+        # at once; request 2 waits for it.
+        low, high = reference
+        assert high == [0.0, 0.0]
+        assert low[0] == 0.0 and low[1] > (freed_ps - arrivals[2]) / DRAM_CLOCK_PS
+        driven = experiments._drive_controller(True, addresses, arrivals, False)
+        assert _queue_delays(driven) == reference

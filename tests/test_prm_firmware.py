@@ -214,6 +214,34 @@ class TestRejectedParameterWrites:
             firmware.sh(f"echo {a.memory.base} > {path}")
         assert int(firmware.sh(f"cat {path}")) == b.memory.base
 
+    @pytest.mark.parametrize("bad", ["-1", "101"])
+    def test_bandwidth_outside_a_percentage_rejected(self, bad):
+        _, firmware, _, _, _ = make_firmware()
+        firmware.create_ldom("a", (0,), 1 << 20)
+        path = "/sys/cpa/cpa2/ldoms/ldom1/parameters/bandwidth"
+        firmware.echo("30", path)
+        with pytest.raises(ValueError):
+            firmware.echo(bad, path)
+        assert int(firmware.cat(path)) == 30
+
+    def test_bandwidth_quotas_over_100_rejected(self):
+        _, firmware, _, _, _ = make_firmware()
+        a = firmware.create_ldom("a", (0,), 1 << 20)
+        b = firmware.create_ldom("b", (1,), 1 << 20)
+        path_a = f"/sys/cpa/cpa2/ldoms/ldom{a.ds_id}/parameters/bandwidth"
+        path_b = f"/sys/cpa/cpa2/ldoms/ldom{b.ds_id}/parameters/bandwidth"
+        # Fig. 10's sequence stays legal: 80 for one LDom, then 20 for
+        # the other.
+        firmware.echo("80", path_a)
+        firmware.echo("20", path_b)
+        with pytest.raises(ValueError):
+            firmware.echo("21", path_b)
+        assert int(firmware.cat(path_b)) == 20
+        # Rewriting a DS-id's own quota counts only the others'.
+        firmware.echo("70", path_a)
+        firmware.echo("80", path_a)
+        assert int(firmware.cat(path_a)) == 80
+
 
 class TestTriggerActionPath:
     def test_end_to_end_trigger_reaction(self):

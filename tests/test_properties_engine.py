@@ -27,8 +27,9 @@ class _Scenario:
     the same order.
     """
 
-    def __init__(self, engine, seed: int, max_events: int = 400):
+    def __init__(self, engine, seed: int, max_events: int = 400, front_posts: bool = False):
         self.engine = engine
+        self.front_posts = front_posts
         self.rng = DeterministicRng(seed, name="engine-prop")
         self.trace = []
         self.spawned = 0
@@ -51,10 +52,15 @@ class _Scenario:
             delay = self.rng.randint(1, 40) * 250
         else:
             delay = self.rng.randint(1, 5000)
-        if self.rng.random() < 0.5:
-            self.engine.post(delay, lambda: self._fire(label))
+        def fire():
+            self._fire(label)
+
+        if self.front_posts and delay and self.rng.random() < 0.3:
+            self.engine.post_first_at(self.engine.now + delay, fire)
+        elif self.rng.random() < 0.5:
+            self.engine.post(delay, fire)
         else:
-            self.engine.post_at(self.engine.now + delay, lambda: self._fire(label))
+            self.engine.post_at(self.engine.now + delay, fire)
 
     def _fire(self, label: int) -> None:
         self.trace.append((self.engine.now, label))
@@ -62,9 +68,9 @@ class _Scenario:
             self._spawn()
 
 
-def run_scenario(kind: str, seed: int, bounded: bool):
+def run_scenario(kind: str, seed: int, bounded: bool, front_posts: bool = False):
     engine = make_engine(kind)
-    scenario = _Scenario(engine, seed)
+    scenario = _Scenario(engine, seed, front_posts=front_posts)
     scenario.seed_events()
     boundaries = []
     if bounded:
@@ -97,6 +103,18 @@ def test_calendar_matches_heapq_bounded_runs(seed):
     for kind in sorted(ENGINE_KINDS):
         traces[kind] = run_scenario(kind, seed, bounded=True)
     assert traces["calendar"] == traces["heapq"]
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_calendar_matches_heapq_with_front_posts(seed, bounded):
+    """Schedules that mix ``post_first_at`` into the posts: each front
+    post jumps ahead of what is queued at its time, on both engines."""
+    traces = {}
+    for kind in sorted(ENGINE_KINDS):
+        traces[kind] = run_scenario(kind, seed, bounded=bounded, front_posts=True)
+    assert traces["calendar"] == traces["heapq"]
+    assert len(traces["calendar"][0]) > 50
 
 
 @pytest.mark.parametrize("seed", SEEDS)

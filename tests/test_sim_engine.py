@@ -266,3 +266,73 @@ def test_negative_delay_and_past_time_rejected_mid_run(engine):
     assert engine.run() == 1
     assert len(errors) == 2
     assert engine.pending_events == 0
+
+
+def test_post_first_at_runs_ahead_of_earlier_posts(engine):
+    order = []
+    engine.post_at(50, lambda: order.append("a"))
+    engine.post_at(50, lambda: order.append("b"))
+    engine.post_first_at(50, lambda: order.append("first"))
+    engine.post_at(50, lambda: order.append("c"))
+    # A later front post goes ahead of the earlier one.
+    engine.post_first_at(50, lambda: order.append("firster"))
+    engine.post_first_at(60, lambda: order.append("alone"))
+    assert engine.pending_events == 6
+    assert engine.run() == 6
+    assert order == ["firster", "first", "a", "b", "c", "alone"]
+
+
+def test_post_first_at_from_a_callback(engine):
+    order = []
+
+    def source():
+        order.append("source")
+        engine.post_first_at(engine.now + 10, lambda: order.append("next"))
+        assert engine.pending_events == 2
+
+    engine.post(10, source)
+    engine.post(20, lambda: order.append("queued"))
+    engine.run()
+    assert order == ["source", "next", "queued"]
+
+
+def test_post_first_at_rejects_now_past_and_non_int(engine):
+    errors = []
+
+    def probe():
+        for time_ps in (engine.now, engine.now - 1, engine.now + 1.0):
+            try:
+                engine.post_first_at(time_ps, _raise_boom)
+            except SimulationError as exc:
+                errors.append(exc)
+
+    with pytest.raises(SimulationError):
+        engine.post_first_at(0, _raise_boom)  # now, before any run
+    engine.post(100, probe)
+    engine.post(100, lambda: None)  # the bucket at now is still dispatching
+    assert engine.run() == 2
+    assert len(errors) == 3
+    assert engine.pending_events == 0
+
+
+def test_post_first_at_goes_through_an_instance_post_at_wrapper(engine):
+    """A wrapper installed on the instance, as e2ebench/layertrace.py
+    installs one, sees and wraps a front post like any other post."""
+    seen, order = [], []
+    raw_post_at = engine.post_at
+
+    def post_at(time_ps, callback):
+        seen.append(time_ps)
+
+        def wrapped():
+            order.append("wrapped")
+            callback()
+
+        raw_post_at(time_ps, wrapped)
+
+    engine.post_at = post_at
+    engine.post_at(30, lambda: order.append("queued"))
+    engine.post_first_at(30, lambda: order.append("first"))
+    assert seen == [30, 30]
+    engine.run()
+    assert order == ["wrapped", "first", "wrapped", "queued"]
