@@ -15,6 +15,12 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
+# The figure claims are plain asserts in the figure records; rewrite them
+# so a failing claim reports the values it compared.
+pytest.register_assert_rewrite("repro.system.figures")
+
 
 def full_resolution() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"

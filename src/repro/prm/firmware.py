@@ -163,10 +163,17 @@ class Firmware:
         Mirrors the operator flow of Fig. 3: pick a DS-id, allocate table
         rows, program the address mapping / priority / quotas, set the
         cores' tag registers and the LDom's interrupt routes.
+
+        All or nothing: if a plane rejects a value (or the interrupt
+        route cannot be set), the rows, sysfs subtrees, route and memory
+        window built so far are undone before the error propagates, no
+        core's tag changes, and the DS-id is not used up -- the next
+        create takes it.
         """
         if name in self.ldoms:
             raise FirmwareError(f"LDom {name!r} already exists")
         for core_id in core_ids:
+            self._core(core_id)
             owner = self._core_owner(core_id)
             if owner is not None:
                 raise FirmwareError(f"core {core_id} already belongs to {owner.name}")
@@ -175,7 +182,6 @@ class Firmware:
         except OutOfMemoryError as error:
             raise FirmwareError(f"out of memory: {error}")
         ds_id = self._next_ds_id
-        self._next_ds_id += 1
         mapping = AddressMapping(base, memory_bytes)
         ldom = LDom(
             ds_id=ds_id,
@@ -185,16 +191,25 @@ class Firmware:
             priority=priority,
             disk_share=disk_share,
         )
-        for adaptor in self.io_space:
-            adaptor.control_plane.allocate_ldom(ds_id)
-            self._build_ldom_subtree(adaptor, ds_id)
-            self._program_defaults(adaptor, ldom)
+        apic = self.inventory.apic
+        try:
+            for adaptor in self.io_space:
+                adaptor.control_plane.allocate_ldom(ds_id)
+                self._build_ldom_subtree(adaptor, ds_id)
+                self._program_defaults(adaptor, ldom)
+            if apic is not None and core_ids:
+                apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, core_ids[0])
+        except Exception:
+            self._release_rows(ds_id)
+            if apic is not None:
+                apic.clear_routes(ds_id)
+            self.memory_allocator.free(base)
+            raise
+        self._next_ds_id += 1
         if self.telemetry is not None:
             self._register_ldom_metrics(ds_id)
         for core_id in core_ids:
             self._core(core_id).tag.write(ds_id)
-        if self.inventory.apic is not None and core_ids:
-            self.inventory.apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, core_ids[0])
         self.ldoms[name] = ldom
         return ldom
 
@@ -257,11 +272,7 @@ class Firmware:
         for cache in self.inventory.caches:
             cache.flush_dsid(ldom.ds_id)
         self.memory_allocator.free(ldom.memory.base)
-        for adaptor in self.io_space:
-            adaptor.control_plane.free_ldom(ldom.ds_id)
-            base = f"/sys/cpa/{adaptor.name}/ldoms/ldom{ldom.ds_id}"
-            if self.sysfs.exists(base):
-                self.sysfs.remove(base)
+        self._release_rows(ldom.ds_id)
         for core_id in ldom.core_ids:
             self._core(core_id).tag.write(0)
         if self.inventory.apic is not None:
@@ -270,6 +281,15 @@ class Firmware:
             for metric in self._ldom_metrics.pop(ldom.ds_id, []):
                 self.telemetry.registry.remove(metric)
         del self.ldoms[name]
+
+    def _release_rows(self, ds_id: int) -> None:
+        """Free ``ds_id``'s rows in every plane and its sysfs subtrees."""
+        for adaptor in self.io_space:
+            if adaptor.control_plane.parameters.has(ds_id):
+                adaptor.control_plane.free_ldom(ds_id)
+            base = f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}"
+            if self.sysfs.exists(base):
+                self.sysfs.remove(base)
 
     def _ldom(self, name: str) -> LDom:
         try:

@@ -13,22 +13,17 @@ from typing import Optional
 
 from repro.runner.sweep import SweepPoint
 from repro.system.experiments import (
-    FIG8_DEFAULT_LOADS,
     ColocationSetup,
     run_colocation_point,
-    run_fig7,
-    run_fig9,
-    run_fig10,
-    run_fig11,
     run_fig11_controller_point,
 )
 
 
 def fig8_points(
-    loads_rps: Optional[list[float]] = None,
+    loads_rps: list[float],
     modes: tuple[str, ...] = ("solo", "shared", "trigger"),
     setup: Optional[ColocationSetup] = None,
-    measure_ms: float = 2.5,
+    measure_ms: float = 2.0,
 ) -> list[SweepPoint]:
     """The Fig. 8 mode x load grid, one point per (mode, load)."""
     setup = setup or ColocationSetup()
@@ -40,7 +35,7 @@ def fig8_points(
             label=f"{mode}@{rps:g}rps",
         )
         for mode in modes
-        for rps in loads_rps or FIG8_DEFAULT_LOADS
+        for rps in loads_rps
     ]
 
 
@@ -65,19 +60,8 @@ def fig11_points(
 
 
 def all_points() -> list[SweepPoint]:
-    """The ``repro all`` grid: fig7, the Fig. 8 grid, fig9, fig10, fig11.
+    """The ``repro all`` grid: every figure record's ``default`` grid, in
+    record order (Table 2 and Fig. 12 run in-process and add no point)."""
+    from repro.system.figures import FIGURES  # late: it imports this module
 
-    Fig. 11 is one point that runs its controller pair serially inside
-    the worker.
-    """
-    return [
-        SweepPoint(run_fig7, {"phase_ms": 1.0}, label="fig7"),
-        *fig8_points(measure_ms=2.0),
-        SweepPoint(run_fig9, {"rps": 300_000, "total_ms": 5.0}, label="fig9"),
-        SweepPoint(run_fig10, {"phase_ms": 160.0}, label="fig10"),
-        SweepPoint(
-            run_fig11,
-            {"inject_rate": 0.75, "num_requests": 6000, "seed": 7, "jobs": 1},
-            label="fig11",
-        ),
-    ]
+    return [point for figure in FIGURES.values() for point in figure.points()]

@@ -1,7 +1,8 @@
 """Experiment drivers for the paper's evaluation scenarios (Figs. 7-11).
 
 Each driver builds a PARD server, runs one scenario, and returns a
-result object the benchmarks print. Everything is parameterized by
+result object; :mod:`repro.system.figures` holds the grids each runs
+with, and how its result prints. Everything is parameterized by
 :class:`ColocationSetup`, whose defaults are the calibrated operating
 point of this reproduction (see EXPERIMENTS.md for the calibration and
 for the scale mapping to the paper's axes):
@@ -50,8 +51,6 @@ from repro.workloads.stream import Stream
 # this reproduction's solo saturation knee of ~500 KRPS (scaled server,
 # scaled requests). One paper-KRPS is PAPER_KRPS_SCALE of our RPS.
 PAPER_KRPS_SCALE = 500_000 / 22_500
-
-FIG8_DEFAULT_LOADS = [222_000, 333_000, 444_000, 500_000]
 
 
 @dataclass
@@ -205,17 +204,18 @@ def run_colocation_point(
 
 
 def run_fig8(
-    loads_rps: Optional[list[float]] = None,
+    loads_rps: list[float],
     modes: tuple[str, ...] = ("solo", "shared", "trigger"),
     setup: Optional[ColocationSetup] = None,
-    measure_ms: float = 2.5,
+    measure_ms: float = 2.0,
     telemetry=None,
     jobs: int = 1,
 ) -> list[ColocationResult]:
     """Fig. 8: tail response time vs offered load, for all three modes.
 
-    The default loads correspond to the paper's 10 / 15 / 20 / 22.5 KRPS
-    x-axis points under the :data:`PAPER_KRPS_SCALE` mapping. The grid
+    The ``fig8`` record's default loads (:mod:`repro.system.figures`)
+    are the paper's 10 / 15 / 20 / 22.5 KRPS x-axis points under the
+    :data:`PAPER_KRPS_SCALE` mapping. The grid
     runs through the sweep runner: ``jobs=1`` executes the points
     serially in this process, ``jobs=N`` fans them out over N worker
     processes -- the returned list (and any merged telemetry) is
@@ -381,7 +381,7 @@ class DiskIsolationTimeline:
 
 def run_fig10(
     setup: Optional[ColocationSetup] = None,
-    phase_ms: float = 200.0,
+    phase_ms: float = 160.0,
     sample_ms: float = 20.0,
     block_bytes: int = 4 << 20,
     telemetry=None,

@@ -206,7 +206,7 @@ def test_repo_is_lint_clean_strict(repo_reports):
     # Every unsuppressed finding fails, warnings included.
     findings, (text, _) = repo_reports
     assert not [f for f in findings if not f.suppressed], "\n" + text
-    assert sum(f.suppressed for f in findings) == 3, "\n" + text
+    assert sum(f.suppressed for f in findings) == 2, "\n" + text
 
 
 def test_linter_own_source_is_clean_under_sim_profile():

@@ -218,6 +218,41 @@ class TestRuntimeInvariants:
         with pytest.raises(RuntimeError, match="free mask"):
             check_invariants(server)
 
+    def test_corrupted_set_index_raises(self):
+        server = self.drained_server()
+        cache_set = next(s for s in server.llc._sets.values() if s.index)
+        cache_set.index.popitem()
+        with pytest.raises(RuntimeError, match="index disagrees"):
+            check_invariants(server)
+
+    def test_mshr_over_occupancy_raises(self):
+        server = self.drained_server()
+        mshrs = server.l1s[0].mshrs
+        for key in range(mshrs.num_entries + 1):
+            mshrs.entries[(-1, key)] = None
+        with pytest.raises(RuntimeError, match="more MSHR entries"):
+            check_invariants(server)
+
+    def test_llc_occupancy_off_the_tag_array_raises(self):
+        server = self.drained_server()
+        ds_id = server.firmware.ldoms["a"].ds_id
+        stats = server.llc_control.statistics
+        stats.set(ds_id, "capacity", stats.get(ds_id, "capacity") + 64)
+        with pytest.raises(RuntimeError, match="occupancy disagrees"):
+            check_invariants(server)
+
+    def test_mshr_left_at_drain_raises(self):
+        server = self.drained_server()
+        server.llc.mshrs.entries[(0, 0)] = None
+        with pytest.raises(RuntimeError, match="MSHR entries left after drain"):
+            check_invariants(server)
+
+    def test_dram_in_flight_at_drain_raises(self):
+        server = self.drained_server()
+        server.memory_controller._inflight = 1
+        with pytest.raises(RuntimeError, match="in flight after drain"):
+            check_invariants(server)
+
     def test_published_sums_match_totals(self):
         server = self.published_server()
         ds_id = server.firmware.ldoms["a"].ds_id

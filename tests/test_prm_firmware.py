@@ -11,6 +11,7 @@ from repro.cpu.core import CpuCore
 from repro.dram.control_plane import MemoryControlPlane
 from repro.io.apic import Apic
 from repro.io.disk import IdeControlPlane
+from repro.io.dma import DISK_INTERRUPT_VECTOR
 from repro.prm.firmware import Firmware, FirmwareError, HardwareInventory
 from repro.prm.rules import (
     chain_actions,
@@ -89,6 +90,11 @@ class TestLDomLifecycle:
         _, firmware, _, _, apic = make_firmware()
         ldom = firmware.create_ldom("a", (2,), 1 << 20)
         assert apic.route_of(ldom.ds_id, 14) == 2
+
+    def test_disk_interrupt_routes_to_the_first_core(self):
+        _, firmware, _, _, apic = make_firmware()
+        ldom = firmware.create_ldom("a", (2, 3), 1 << 20, disk_share=50)
+        assert apic.route_of(ldom.ds_id, DISK_INTERRUPT_VECTOR) == 2
 
     def test_out_of_memory(self):
         _, firmware, _, _, _ = make_firmware()
@@ -178,6 +184,44 @@ class TestShell:
         firmware.create_ldom("a", (0,), 1 << 20)
         with pytest.raises(FirmwareError):
             firmware.sh("echo banana > /sys/cpa/cpa0/ldoms/ldom1/parameters/waymask")
+
+
+def machine_state(firmware, planes, cores, apic):
+    """Everything a create programs: windows, sysfs, rows, tags, routes."""
+    return (
+        firmware.memory_allocator.free_bytes,
+        [firmware.ls(f"/sys/cpa/cpa{i}/ldoms") for i in range(len(planes))],
+        [
+            (
+                {d: dict(row) for d, row in cp.parameters.row_view.items()},
+                {d: dict(row) for d, row in cp.statistics.row_view.items()},
+            )
+            for cp in planes
+        ],
+        [core.tag.ds_id for core in cores],
+        [apic.route_of(d, DISK_INTERRUPT_VECTOR) for d in range(4)],
+    )
+
+
+class TestFailedCreateLeavesNothing:
+    """A create a control plane rejects is undone before it raises."""
+
+    def test_rejected_disk_share_undoes_the_create(self):
+        _, firmware, planes, cores, apic = make_firmware()
+        firmware.create_ldom("a", (0,), 1 << 20, disk_share=80)
+        after_a = machine_state(firmware, planes, cores, apic)
+        with pytest.raises(ValueError):
+            firmware.create_ldom("b", (1,), 1 << 20, disk_share=30)
+        assert machine_state(firmware, planes, cores, apic) == after_a
+        assert firmware.memory_allocator.free_bytes == (1 << 30) - (1 << 20)
+        assert list(firmware.ldoms) == ["a"]
+
+    def test_failed_create_does_not_use_up_its_ds_id(self):
+        _, firmware, _, _, _ = make_firmware()
+        firmware.create_ldom("a", (0,), 1 << 20, disk_share=80)
+        with pytest.raises(ValueError):
+            firmware.create_ldom("b", (1,), 1 << 20, disk_share=30)
+        assert firmware.create_ldom("b", (1,), 1 << 20, disk_share=20).ds_id == 2
 
 
 class TestRejectedParameterWrites:
