@@ -49,7 +49,9 @@ def _add_telemetry_args(subparser: argparse.ArgumentParser) -> None:
     group.add_argument("--span-sample", type=int, default=100, metavar="N",
                        help="record every Nth eligible packet (default 100)")
     group.add_argument("--metrics-every-ms", type=float, default=1.0,
-                       help="snapshot period in sim ms (default 1.0)")
+                       help="snapshot period in sim ms, counted from machine "
+                            "start; a snapshot at t follows every event at t "
+                            "(default 1.0; 0 = none)")
 
 
 def _add_jobs_arg(subparser: argparse.ArgumentParser) -> None:

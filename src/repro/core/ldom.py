@@ -21,14 +21,12 @@ from repro.core.address import AddressMapping
 class LDomState(Enum):
     CREATED = "created"
     RUNNING = "running"
-    STOPPED = "stopped"
     DESTROYED = "destroyed"
 
 
 _VALID_TRANSITIONS = {
     LDomState.CREATED: {LDomState.RUNNING, LDomState.DESTROYED},
-    LDomState.RUNNING: {LDomState.STOPPED, LDomState.DESTROYED},
-    LDomState.STOPPED: {LDomState.RUNNING, LDomState.DESTROYED},
+    LDomState.RUNNING: {LDomState.DESTROYED},
     LDomState.DESTROYED: set(),
 }
 
@@ -41,17 +39,14 @@ class LDomLifecycleError(RuntimeError):
 class LDom:
     """A logical domain: DS-id + resource assignment.
 
-    ``priority`` is the memory scheduling priority (0 = low, 1 = high in
-    the two-level design of §4.2); ``disk_share`` is the IDE bandwidth
-    quota in percent.
+    Its policy (memory priority, LLC way mask, disk quota) lives only in
+    the control planes' parameter tables, where ``echo`` changes it.
     """
 
     ds_id: int
     name: str
     core_ids: tuple[int, ...]
     memory: AddressMapping
-    priority: int = 0
-    disk_share: int = 0
     state: LDomState = field(default=LDomState.CREATED)
 
     def __post_init__(self) -> None:
@@ -59,8 +54,6 @@ class LDom:
             raise ValueError("DS-id must be non-negative")
         if not self.core_ids:
             raise ValueError(f"LDom {self.name} needs at least one core")
-        if not 0 <= self.disk_share <= 100:
-            raise ValueError(f"disk share must be a percentage, got {self.disk_share}")
 
     def _transition(self, new_state: LDomState) -> None:
         if new_state not in _VALID_TRANSITIONS[self.state]:
@@ -72,12 +65,5 @@ class LDom:
     def launch(self) -> None:
         self._transition(LDomState.RUNNING)
 
-    def stop(self) -> None:
-        self._transition(LDomState.STOPPED)
-
     def destroy(self) -> None:
         self._transition(LDomState.DESTROYED)
-
-    @property
-    def is_running(self) -> bool:
-        return self.state is LDomState.RUNNING

@@ -182,21 +182,24 @@ class Firmware:
         except OutOfMemoryError as error:
             raise FirmwareError(f"out of memory: {error}")
         ds_id = self._next_ds_id
-        mapping = AddressMapping(base, memory_bytes)
-        ldom = LDom(
-            ds_id=ds_id,
-            name=name,
-            core_ids=tuple(core_ids),
-            memory=mapping,
-            priority=priority,
-            disk_share=disk_share,
-        )
         apic = self.inventory.apic
         try:
+            ldom = LDom(
+                ds_id=ds_id,
+                name=name,
+                core_ids=tuple(core_ids),
+                memory=AddressMapping(base, memory_bytes),
+            )
+            defaults = {
+                "addr_base": base,
+                "addr_size": memory_bytes,
+                "priority": priority,
+                "bandwidth": disk_share,
+            }
             for adaptor in self.io_space:
                 adaptor.control_plane.allocate_ldom(ds_id)
                 self._build_ldom_subtree(adaptor, ds_id)
-                self._program_defaults(adaptor, ldom)
+                self._program_defaults(adaptor, ds_id, defaults)
             if apic is not None and core_ids:
                 apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, core_ids[0])
         except Exception:
@@ -213,19 +216,15 @@ class Firmware:
         self.ldoms[name] = ldom
         return ldom
 
-    def _program_defaults(self, adaptor: ControlPlaneAdaptor, ldom: LDom) -> None:
-        """Write the LDom's policy into one control plane, by column name."""
+    def _program_defaults(
+        self, adaptor: ControlPlaneAdaptor, ds_id: int, defaults: dict[str, int]
+    ) -> None:
+        """Write an LDom's policy into one control plane, by column name."""
         columns = adaptor.control_plane.parameters.schema
-        values = {
-            "addr_base": ldom.memory.base,
-            "addr_size": ldom.memory.size,
-            "priority": ldom.priority,
-            "bandwidth": ldom.disk_share,
-        }
-        for column, value in values.items():
+        for column, value in defaults.items():
             if column in columns:
                 adaptor.register_file.write_cell(
-                    ldom.ds_id, columns.offset_of(column), TABLE_PARAMETER, value
+                    ds_id, columns.offset_of(column), TABLE_PARAMETER, value
                 )
 
     def _register_ldom_metrics(self, ds_id: int) -> None:
@@ -258,6 +257,8 @@ class Firmware:
         for core_id in workloads:
             if core_id not in ldom.core_ids:
                 raise FirmwareError(f"core {core_id} is not part of {name}")
+            if self._core(core_id).is_busy:
+                raise FirmwareError(f"core {core_id} is still running a workload")
         ldom.launch()
         for core_id, workload in workloads.items():
             self._core(core_id).assign(workload)

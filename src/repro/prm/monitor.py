@@ -8,11 +8,12 @@ read) and accumulates per-probe time series that experiments and
 operators can inspect or export. The figure drivers read every plotted
 statistic through it.
 
-:meth:`StatisticsMonitor.run` advances the machine itself, one period
-at a time, and samples between engine runs rather than from a posted
-event: a sample at time ``t`` then sees every event stamped ``t``,
-including a control-plane window that closes at ``t``, whatever order
-the two were posted in.
+:meth:`StatisticsMonitor.run` advances the machine through
+:func:`repro.sim.engine.run_sampled`, the loop that also takes the
+telemetry hub's snapshots, so it samples between engine runs rather
+than from a posted event: a sample at time ``t`` sees every event
+stamped ``t``, including a control-plane window that closes at ``t``,
+whatever order the two were posted in.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.prm.sysfs import SysfsError
-from repro.sim.engine import PS_PER_MS
+from repro.sim.engine import PS_PER_MS, run_sampled
 
 
 @dataclass
@@ -37,9 +38,6 @@ class ProbeSeries:
     times_ps: list[int] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
 
-    def latest(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
 
 class StatisticsMonitor:
     """Periodically samples sysfs statistic files into time series."""
@@ -52,6 +50,7 @@ class StatisticsMonitor:
         self.period_ps = period_ps
         self.probes: dict[str, ProbeSeries] = {}
         self.read_errors = 0
+        self.next_sample_ps: Optional[int] = None  # set by run()
 
     def add_probe(self, name: str, path: str) -> ProbeSeries:
         """Watch one statistics file (must exist and be readable)."""
@@ -65,18 +64,18 @@ class StatisticsMonitor:
     def run(self, duration_ps: int) -> None:
         """Advance the machine by ``duration_ps``, sampling every period.
 
-        Runs the engine one period at a time and samples after each
-        full period; a remainder shorter than a period runs unsampled.
+        Samples after each full period from now; a remainder shorter
+        than a period runs unsampled. The firmware's telemetry hub, if
+        any, takes its own periodic snapshots on the way.
         """
-        end_ps = self.engine.now + int(duration_ps)
-        while self.engine.now + self.period_ps <= end_ps:
-            self.engine.run_for(self.period_ps)
-            self.sample_now()
-        self.engine.run(until_ps=end_ps)
-
-    def sample_now(self) -> None:
-        """Take one immediate sample of every probe."""
         now = self.engine.now
+        self.next_sample_ps = now + self.period_ps
+        hub = self.firmware.telemetry
+        samplers = (self,) if hub is None else (hub, self)
+        run_sampled(self.engine, now + int(duration_ps), samplers)
+
+    def sample(self, t_ps: int) -> None:
+        """Take one sample of every probe at ``t_ps`` (the engine's now)."""
         for series in self.probes.values():
             try:
                 value = _parse_number(self.firmware.cat(series.path))
@@ -85,39 +84,9 @@ class StatisticsMonitor:
                 # real tool would see ENOENT the same way.
                 self.read_errors += 1
                 continue
-            series.times_ps.append(now)
+            series.times_ps.append(t_ps)
             series.values.append(value)
-
-    def report(self) -> str:
-        """A plain-text summary of the latest value of every probe."""
-        lines = []
-        for name, series in sorted(self.probes.items()):
-            latest = series.latest()
-            rendered = "-" if latest is None else str(latest)
-            lines.append(f"{name}: {rendered}  ({len(series.values)} samples)")
-        return "\n".join(lines)
-
-    def export_jsonl(self, dest) -> int:
-        """Write every probe's samples as JSONL rows (one per sample).
-
-        Shares the telemetry exporter helpers, so the PRM's probe series
-        and the registry's metric snapshots load with the same tooling.
-        Returns the number of rows written.
-        """
-        from repro.telemetry.exporters import write_jsonl
-
-        def rows():
-            for name, series in sorted(self.probes.items()):
-                for t_ps, value in zip(series.times_ps, series.values):
-                    yield {
-                        "probe": name,
-                        "path": series.path,
-                        "t_ps": t_ps,
-                        "t_ms": t_ps / PS_PER_MS,
-                        "value": value,
-                    }
-
-        return write_jsonl(rows(), dest)
+        self.next_sample_ps = t_ps + self.period_ps
 
 
 def _parse_number(text: str) -> float:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 PS_PER_NS = 1_000
 PS_PER_US = 1_000_000
@@ -210,16 +210,6 @@ class Engine:
             self._now = until_ps
         return executed
 
-    def run_for(self, duration_ps: int) -> int:
-        """Run for a fixed duration from the current time."""
-        return self.run(until_ps=self._now + int(duration_ps))
-
-    def drain(self, callbacks: Iterable[Callable[[], None]] = ()) -> int:
-        """Post ``callbacks`` immediately, then run the queue dry."""
-        for callback in callbacks:
-            self.post(0, callback)
-        return self.run()
-
 
 class _HeapEvent:
     """A queued callback of the reference engine, ordered by
@@ -313,6 +303,35 @@ class HeapqEngine(Engine):
         if until_ps is not None and self._now < until_ps:
             self._now = until_ps
         return executed
+
+
+def run_sampled(engine: Engine, until_ps: int, samplers: Sequence = ()) -> int:
+    """Advance ``engine`` to ``until_ps``, taking each sampler's readings
+    between engine runs; returns the number of callbacks invoked.
+
+    A sampler has ``next_sample_ps`` (``None`` when nothing is due) and
+    ``sample(t_ps)``, which takes the reading and sets the next time.
+    The engine runs to the earliest due time, then every sampler due at
+    that time samples, in the order given. A reading at ``t`` therefore
+    sees every event stamped ``t`` and none after it, and a sampler posts
+    nothing, so it cannot change what the machine does. Without a due
+    sampler this is one ``engine.run(until_ps=until_ps)`` call.
+    """
+    executed = 0
+    while True:
+        due = [s.next_sample_ps for s in samplers if s.next_sample_ps is not None]
+        t_ps = min(due, default=until_ps + 1)
+        if t_ps > until_ps:
+            return executed + engine.run(until_ps=until_ps)
+        if t_ps < engine.now:
+            raise SimulationError(
+                f"a sample was due at {t_ps} ps, but the engine is already "
+                f"at {engine.now} ps: it was advanced outside run_sampled()"
+            )
+        executed += engine.run(until_ps=t_ps)
+        for sampler in samplers:
+            if sampler.next_sample_ps == t_ps:
+                sampler.sample(t_ps)
 
 
 ENGINE_KINDS = {

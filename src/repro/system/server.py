@@ -24,7 +24,7 @@ from repro.io.bridge import IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
 from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, run_sampled
 from repro.system.config import ServerConfig, TABLE2
 
 
@@ -146,11 +146,14 @@ class PardServer:
         for plane in self.control_planes:
             plane.start_windows()
         if self.telemetry is not None:
-            self.telemetry.start_periodic_snapshots(self.engine)
+            self.telemetry.start_snapshots(self.engine.now)
 
     def run_ms(self, milliseconds: float) -> int:
-        """Advance the machine; returns the number of events executed."""
-        return self.engine.run_for(int(milliseconds * 1_000_000_000))
+        """Advance the machine, taking the hub's periodic snapshots on the
+        way; returns the number of events executed."""
+        until_ps = self.engine.now + int(milliseconds * 1_000_000_000)
+        samplers = () if self.telemetry is None else (self.telemetry,)
+        return run_sampled(self.engine, until_ps, samplers)
 
     # -- measurement -----------------------------------------------------------
 

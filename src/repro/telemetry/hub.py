@@ -8,12 +8,17 @@ no periodic snapshots. The hub owns:
 
 * ``registry`` -- the :class:`MetricsRegistry` all components share,
 * ``spans`` -- the :class:`SpanRecorder` (deterministic 1-in-N sampling),
-* periodic metric snapshots (scheduled on the sim engine, labelled with
-  the current run so multi-point sweeps like fig8 stay distinguishable),
+* periodic metric snapshots, labelled with the current run so
+  multi-point sweeps like fig8 stay distinguishable. The hub is a
+  sampler of :func:`repro.sim.engine.run_sampled`: it posts nothing to
+  the engine, and a snapshot at ``t`` is taken between engine runs,
+  after every event stamped ``t``,
 * export helpers for the CLI (``--metrics-out`` / ``--trace-out``).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .exporters import metrics_rows, write_chrome_trace, write_jsonl
 from .registry import MetricsRegistry
@@ -36,6 +41,8 @@ class Telemetry:
         self.spans = SpanRecorder(sample_every=span_sample, capacity=span_capacity)
         self.snapshot_period_ms = snapshot_period_ms
         self.snapshots: list[dict] = []
+        # The next periodic snapshot time, set when the machine starts.
+        self.next_sample_ps: Optional[int] = None
         self.run_label = ""
         self._span_id_base = 0  # next free packet id for merged worker spans
 
@@ -58,22 +65,20 @@ class Telemetry:
         self.snapshots.append(snap)
         return snap
 
-    def start_periodic_snapshots(self, engine) -> None:
-        """Schedule recurring snapshots on ``engine`` until it stops running.
+    def start_snapshots(self, t0_ps: int) -> None:
+        """Snapshot every period from ``t0_ps`` on (never if the period
+        is <= 0), whenever :func:`~repro.sim.engine.run_sampled` passes
+        the hub its samplers."""
+        period_ps = self._period_ps()
+        self.next_sample_ps = t0_ps + period_ps if period_ps > 0 else None
 
-        Uses the allocation-free ``post`` path; the chain ends naturally
-        when the bounded run finishes (a trailing event past ``until_ps``
-        stays queued and is simply never dispatched in this process).
-        """
-        if self.snapshot_period_ms <= 0:
-            return
-        period_ps = int(self.snapshot_period_ms * 1e9)
+    def sample(self, t_ps: int) -> None:
+        """Take the periodic snapshot due at ``t_ps`` and set the next."""
+        self.snapshot(t_ps)
+        self.next_sample_ps = t_ps + self._period_ps()
 
-        def tick() -> None:
-            self.snapshot(engine.now)
-            engine.post(period_ps, tick)
-
-        engine.post(period_ps, tick)
+    def _period_ps(self) -> int:
+        return int(self.snapshot_period_ms * 1e9)
 
     # -- sweep worker transport ---------------------------------------------
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.sim.rng import DeterministicRng
-
 LINE = 64
 
 
@@ -21,8 +19,7 @@ class Workload:
 
     name = "workload"
 
-    def __init__(self, rng: DeterministicRng | None = None):
-        self.rng = rng or DeterministicRng(1, name=self.name)
+    def __init__(self):
         self.core = None
 
     def bind(self, core) -> None:

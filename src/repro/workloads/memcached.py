@@ -47,7 +47,8 @@ class MemcachedServer(Workload):
         telemetry=None,
         ds_id: int = 0,
     ):
-        super().__init__(rng=rng or DeterministicRng(23, name="memcached"))
+        super().__init__()
+        self.rng = rng or DeterministicRng(23, name="memcached")
         if rps <= 0:
             raise ValueError("rps must be positive")
         if working_set_bytes < LINE * object_lines:

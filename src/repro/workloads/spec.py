@@ -39,7 +39,8 @@ class SyntheticSpec(Workload):
         write_fraction: float = 0.2,
         rng: DeterministicRng | None = None,
     ):
-        super().__init__(rng=rng or DeterministicRng(17, name=benchmark))
+        super().__init__()
+        self.rng = rng or DeterministicRng(17, name=benchmark)
         if working_set_bytes < LINE * mlp:
             raise ValueError("working set too small")
         if not 0.0 <= locality <= 1.0 or not 0.0 < hot_fraction <= 1.0:

@@ -104,14 +104,14 @@ class TestLDom:
     def test_initial_state(self):
         assert make_ldom().state is LDomState.CREATED
 
-    def test_launch_stop_relaunch(self):
+    def test_launch_then_destroy(self):
         ldom = make_ldom()
         ldom.launch()
-        assert ldom.is_running
-        ldom.stop()
-        assert ldom.state is LDomState.STOPPED
-        ldom.launch()
-        assert ldom.is_running
+        assert ldom.state is LDomState.RUNNING
+        with pytest.raises(LDomLifecycleError):
+            ldom.launch()
+        ldom.destroy()
+        assert ldom.state is LDomState.DESTROYED
 
     def test_destroy_is_terminal(self):
         ldom = make_ldom()
@@ -119,17 +119,9 @@ class TestLDom:
         with pytest.raises(LDomLifecycleError):
             ldom.launch()
 
-    def test_cannot_stop_before_launch(self):
-        with pytest.raises(LDomLifecycleError):
-            make_ldom().stop()
-
     def test_needs_cores(self):
         with pytest.raises(ValueError):
             make_ldom(core_ids=())
-
-    def test_disk_share_is_percentage(self):
-        with pytest.raises(ValueError):
-            make_ldom(disk_share=101)
 
     def test_negative_dsid_rejected(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,42 @@ class TestLDomLifecycle:
         assert not firmware.sysfs.exists("/sys/cpa/cpa0/ldoms/ldom1")
         assert "a" not in firmware.ldoms
 
+    def test_disk_share_is_a_percentage(self):
+        _, firmware, _, _, _ = make_firmware()
+        for bad in (-1, 101):
+            with pytest.raises(ValueError):
+                firmware.create_ldom("a", (0,), 1 << 20, disk_share=bad)
+        assert firmware.ldoms == {}
+        assert firmware.memory_allocator.free_bytes == 1 << 30
+
+    def test_empty_core_list_frees_the_memory_window(self):
+        _, firmware, _, _, _ = make_firmware()
+        with pytest.raises(ValueError):
+            firmware.create_ldom("a", (), 1 << 20)
+        assert firmware.memory_allocator.free_bytes == 1 << 30
+
+    def test_launch_on_a_busy_core_changes_nothing(self):
+        """A core that still runs a destroyed LDom's workload refuses the
+        next LDom's launch before the LDom or any core changes state."""
+        engine, firmware, _, cores, _ = make_firmware()
+
+        class Forever:
+            def ops(self):
+                while True:
+                    yield ("compute", 1000)
+
+        old = Forever()
+        firmware.create_ldom("a", (0,), 1 << 20)
+        firmware.launch_ldom("a", {0: old})
+        engine.run(until_ps=PS_PER_MS // 1000)
+        firmware.destroy_ldom("a")
+        b = firmware.create_ldom("b", (0, 1), 1 << 20)
+        with pytest.raises(FirmwareError):
+            firmware.launch_ldom("b", {1: Forever(), 0: Forever()})
+        assert b.state is LDomState.CREATED
+        assert cores[0]._workload is old
+        assert not cores[1].is_busy
+
 
 class TestShell:
     def test_echo_waymask_like_fig7(self):

@@ -52,8 +52,8 @@ class TestStatisticsMonitor:
             "capacity", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
         )
         monitor.run(int(3.5 * PS_PER_MS))
-        assert series.latest() > 0
-        assert series.latest() == server.llc_control.occupancy_bytes(ldom.ds_id)
+        assert series.values[-1] > 0
+        assert series.values[-1] == server.llc_control.occupancy_bytes(ldom.ds_id)
 
     def test_destroyed_ldom_counts_read_errors(self):
         server, fw, ldom, monitor = make_monitored_server()
@@ -61,7 +61,6 @@ class TestStatisticsMonitor:
             "missrate", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/miss_rate"
         )
         monitor.run(int(1.5 * PS_PER_MS))
-        ldom.stop()
         fw.destroy_ldom("a")
         monitor.run(int(2.0 * PS_PER_MS))
         assert monitor.read_errors >= 1
@@ -72,16 +71,6 @@ class TestStatisticsMonitor:
         monitor.add_probe("x", path)
         with pytest.raises(ValueError):
             monitor.add_probe("x", path)
-
-    def test_report_and_rows(self):
-        server, fw, ldom, monitor = make_monitored_server()
-        series = monitor.add_probe(
-            "capacity", f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
-        )
-        monitor.run(int(2.5 * PS_PER_MS))
-        report = monitor.report()
-        assert "capacity" in report and "2 samples" in report
-        assert series.times_ps[0] == PS_PER_MS
 
     def test_invalid_period(self):
         _, fw, _, _ = make_monitored_server()
@@ -94,19 +83,3 @@ class TestStatisticsMonitor:
         series = monitor.add_probe("frac", "/log/frac")
         monitor.run(int(1.5 * PS_PER_MS))
         assert series.values == [2.75]
-        assert series.latest() == 2.75
-
-    def test_export_jsonl_round_trips(self, tmp_path):
-        from repro.telemetry.exporters import read_jsonl
-
-        server, fw, ldom, monitor = make_monitored_server()
-        path = f"/sys/cpa/cpa0/ldoms/ldom{ldom.ds_id}/statistics/capacity"
-        series = monitor.add_probe("capacity", path)
-        monitor.run(int(2.5 * PS_PER_MS))
-        out = str(tmp_path / "probes.jsonl")
-        assert monitor.export_jsonl(out) == len(series.values) == 2
-        rows = read_jsonl(out)
-        assert rows[0]["probe"] == "capacity"
-        assert rows[0]["path"] == path
-        assert rows[0]["t_ms"] == pytest.approx(1.0)
-        assert [r["value"] for r in rows] == series.values

@@ -78,7 +78,8 @@ def run_scenario(kind: str, seed: int, bounded: bool, front_posts: bool = False)
         # the until_ps boundary (events exactly at the bound execute).
         slice_rng = DeterministicRng(seed, name="slices")
         while engine.pending_events:
-            executed = engine.run_for(slice_rng.randint(1, 200_000))
+            end_ps = engine.now + slice_rng.randint(1, 200_000)
+            executed = engine.run(until_ps=end_ps)
             boundaries.append((engine.now, executed))
     else:
         engine.run()

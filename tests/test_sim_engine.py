@@ -13,6 +13,7 @@ from repro.sim.engine import (
     HeapqEngine,
     SimulationError,
     make_engine,
+    run_sampled,
 )
 
 
@@ -103,10 +104,10 @@ def test_run_until_advances_time_even_if_queue_drains(engine):
     assert engine.now == 500
 
 
-def test_run_for_is_relative(engine):
+def test_bounded_run_from_now_is_relative(engine):
     engine.post(100, lambda: None)
     engine.run(until_ps=100)
-    engine.run_for(50)
+    engine.run(until_ps=engine.now + 50)
     assert engine.now == 150
 
 
@@ -165,7 +166,9 @@ def test_returns_executed_count(engine):
 
 def test_drain_runs_immediate_callbacks(engine):
     fired = []
-    engine.drain([lambda: fired.append("a"), lambda: fired.append("b")])
+    engine.post(0, lambda: fired.append("a"))
+    engine.post(0, lambda: fired.append("b"))
+    assert engine.run() == 2
     assert fired == ["a", "b"]
 
 
@@ -336,3 +339,58 @@ def test_post_first_at_goes_through_an_instance_post_at_wrapper(engine):
     assert seen == [30, 30]
     engine.run()
     assert order == ["wrapped", "first", "wrapped", "queued"]
+
+
+class _Sampler:
+    """A run_sampled sampler that records when it sampled, and what had
+    fired by then."""
+
+    def __init__(self, first_ps, period_ps, fired, log):
+        self.next_sample_ps = first_ps
+        self.period_ps = period_ps
+        self.fired = fired
+        self.log = log
+
+    def sample(self, t_ps):
+        self.log.append((t_ps, self, list(self.fired)))
+        self.next_sample_ps = t_ps + self.period_ps
+
+
+def test_run_sampled_samples_after_every_event_at_its_time(engine):
+    fired, log = [], []
+    for t in (10, 20, 20, 30):
+        engine.post_at(t, lambda t=t: fired.append(t))
+    every_10 = _Sampler(10, 10, fired, log)
+    every_20 = _Sampler(20, 20, fired, log)
+    assert run_sampled(engine, 35, (every_10, every_20)) == 4
+    assert engine.now == 35
+    assert log == [
+        (10, every_10, [10]),
+        (20, every_10, [10, 20, 20]),  # in the order given
+        (20, every_20, [10, 20, 20]),
+        (30, every_10, [10, 20, 20, 30]),
+    ]
+    # The next run picks each schedule up where it left off.
+    run_sampled(engine, 40, (every_10, every_20))
+    assert [(t, s) for t, s, _ in log[4:]] == [(40, every_10), (40, every_20)]
+    assert engine.executed_total == 4  # samplers post nothing
+
+
+def test_run_sampled_without_due_samplers_is_one_bounded_run(engine):
+    runs = []
+    raw_run = engine.run
+    engine.run = lambda until_ps=None: runs.append(until_ps) or raw_run(until_ps)
+    engine.post(10, lambda: None)
+    idle = _Sampler(None, 10, [], [])
+    later = _Sampler(500, 10, [], [])
+    assert run_sampled(engine, 100, (idle, later)) == 1
+    assert run_sampled(engine, 200) == 0
+    assert runs == [100, 200]
+    assert engine.now == 200
+
+
+def test_run_sampled_refuses_a_sample_already_passed(engine):
+    sampler = _Sampler(10, 10, [], [])
+    engine.run(until_ps=25)
+    with pytest.raises(SimulationError):
+        run_sampled(engine, 50, (sampler,))

@@ -15,8 +15,11 @@ from itertools import accumulate
 
 import pytest
 
+from repro.prm.monitor import StatisticsMonitor
 from repro.prm.sysfs import SysfsError
 from repro.sim.stats import LatencyRecorder
+from repro.system import experiments
+from repro.system.config import TABLE2
 from repro.system.experiments import _build_colocated_server
 from repro.system.server import PardServer
 from repro.telemetry.exporters import (
@@ -317,9 +320,70 @@ class TestExporters:
 class TestDisabledTelemetry:
     def test_periodic_snapshots_noop_when_disabled(self):
         hub = Telemetry(snapshot_period_ms=0)
-        server = PardServer()
-        hub.start_periodic_snapshots(server.engine)
-        assert server.engine.pending_events == 0
+        queues = []
+        for telemetry in (None, hub):
+            server = PardServer(TABLE2.scaled(32), telemetry=telemetry)
+            server.start()
+            server.run_ms(2.0)
+            queues.append(
+                (server.engine.executed_total, server.engine.pending_events)
+            )
+        assert hub.next_sample_ps is None
+        assert hub.snapshots == []
+        assert queues[0] == queues[1]
+
+
+class TestOneSamplingLoop:
+    """Hub snapshots are taken between engine runs by the same loop as
+    the firmware monitor's samples, so the two readings agree and a hub
+    leaves the machine alone."""
+
+    def test_snapshots_agree_with_the_monitor_on_fig10(self, monkeypatch):
+        monitors = []
+
+        class Recorded(StatisticsMonitor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                monitors.append(self)
+
+        monkeypatch.setattr(experiments, "StatisticsMonitor", Recorded)
+        hub = Telemetry(snapshot_period_ms=20)
+        experiments.run_fig10(phase_ms=40, sample_ms=20, telemetry=hub)
+        (monitor,) = monitors
+        snapshots = {snap["t_ps"]: snap["metrics"] for snap in hub.snapshots}
+        compared = 0
+        for series in monitor.probes.values():
+            ds_id = series.path.split("/ldom")[-1].split("/")[0]
+            for t_ps, value in zip(series.times_ps, series.values):
+                assert snapshots[t_ps][f"ide.ds{ds_id}.bytes_total"] == value
+                compared += 1
+        assert compared == 8
+
+    def test_hub_leaves_the_event_count_alone(self):
+        executed = []
+        for hub in (None, Telemetry(snapshot_period_ms=0.05)):
+            server, _memcached, _ds_id = _build_colocated_server(
+                TINY, "trigger", 150_000, telemetry=hub
+            )
+            server.run_ms(0.3)
+            executed.append(server.engine.executed_total)
+        assert len(hub.snapshots) == 6
+        assert executed[0] == executed[1]
+        # Read between runs, the gauge is the count so far, not 0.
+        assert hub.snapshots[-1]["metrics"]["engine.executed_total"] == executed[1]
+
+    def test_snapshot_times_stay_on_the_period_grid(self):
+        hub = Telemetry(snapshot_period_ms=0.25)
+        server = PardServer(TABLE2.scaled(32), telemetry=hub)
+        server.run_ms(0.1)  # before start(): no snapshots
+        server.start()
+        for _ in range(3):
+            server.run_ms(0.3)
+        t0 = int(0.1 * 1e9)
+        step = int(0.25 * 1e9)
+        assert [snap["t_ps"] for snap in hub.snapshots] == [
+            t0 + step, t0 + 2 * step, t0 + 3 * step
+        ]
 
 
 class TestHub:
