@@ -30,9 +30,12 @@ timing anything: it counts the Python calls (function and builtin calls,
 as ``sys.setprofile`` reports them) per dispatched event on a tiny Fig. 8
 trigger-mode point and on a small Fig. 11 controller run, and fails
 above :data:`CALLS_PER_EVENT_BUDGET` or :data:`FIG11_CALLS_PER_EVENT_BUDGET`.
+It also counts the calls from the Fig. 8 point's driver call to its
+first engine run -- the server build, LDom creation and the firmware's
+device-file tree -- and fails above :data:`SETUP_CALLS_BUDGET`.
 The counts are deterministic for a given CPython minor version, so the
-guard runs only on CPython 3.11, the version the budgets were measured
-on. ``--calls-per-event`` prints both counts (and, with ``--check``,
+guards run only on CPython 3.11, the version the budgets were measured
+on. ``--calls-per-event`` prints all three counts (and, with ``--check``,
 enforces the budgets)::
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --calls-per-event --check
@@ -202,16 +205,28 @@ FIG11_CALLS_POINT = dict(inject_rate=0.75, num_requests=600, seed=1, jobs=1)
 # posted up front). The budget is 12.03 plus 10%, rounded up; the
 # arrival's own frame and the front post fit under it.
 FIG11_CALLS_PER_EVENT_BUDGET = 13.3
+# Python calls from CALLS_POINT's driver call to its first engine run,
+# measured on CPython 3.11.7 (1,977; 5,221 before an LDom's sysfs subtree
+# was built in one tree walk per directory instead of two per file),
+# plus 10%, rounded up.
+SETUP_CALLS_BUDGET = 2175
 CALLS_PYTHON = (3, 11)
 
 
+class _FirstRun(Exception):
+    """Ends a set-up-only count at the first engine run."""
+
+
 @contextmanager
-def _engines_run():
-    """Collect every engine whose ``run`` is called inside the block."""
+def _engines_run(stop: bool = False):
+    """Collect every engine whose ``run`` is called inside the block;
+    with ``stop``, the first ``run`` raises :class:`_FirstRun` instead."""
     engines: dict[int, Engine] = {}
     original = Engine.__dict__["run"]
 
     def run(engine, until_ps=None):
+        if stop:
+            raise _FirstRun
         engines[id(engine)] = engine
         return original(engine, until_ps)
 
@@ -222,47 +237,53 @@ def _engines_run():
         Engine.run = original
 
 
-def _count_calls(run_point) -> tuple[int, int, object]:
+def _count_calls(run_point, setup_only: bool = False) -> tuple[int, int, object]:
     """Run ``run_point()`` under ``sys.setprofile``.
 
     Returns ``(calls, events, result)``: every ``call`` and ``c_call``
     profile event of the whole run, set-up included, and the events its
-    engines executed. The point runs once unprofiled first, so imports
-    and first-use caches stay out of the count.
+    engines executed. With ``setup_only`` the count ends at the first
+    engine run, and no event or result is returned. The point runs once
+    unprofiled first, so imports and first-use caches stay out of the
+    count.
     """
     run_point()
     calls = 0
+    result = None
 
     def profile(_frame, event, _arg):
         nonlocal calls
         if event == "call" or event == "c_call":
             calls += 1
 
-    with _engines_run() as engines:
+    with _engines_run(stop=setup_only) as engines:
         sys.setprofile(profile)
         try:
             result = run_point()
+        except _FirstRun:
+            pass
         finally:
             sys.setprofile(None)
     events = sum(engine.executed_total for engine in engines.values())
     return calls, events, result
 
 
-def calls_per_event(point: dict = CALLS_POINT) -> dict:
-    """Python calls per dispatched event on the Fig. 8 ``point``."""
+def _fig8_point(point: dict):
+    """The driver call of the Fig. 8 ``point``, as a thunk."""
     from repro.system.experiments import ColocationSetup, run_colocation_point
 
     setup = ColocationSetup(
         warmup_ms=point["span_ms"], control_window_ms=point["span_ms"]
     )
+    return lambda: run_colocation_point(
+        point["mode"], point["rps"], setup=setup,
+        measure_ms=point["span_ms"], seed=point["seed"],
+    )
 
-    def run_point():
-        return run_colocation_point(
-            point["mode"], point["rps"], setup=setup,
-            measure_ms=point["span_ms"], seed=point["seed"],
-        )
 
-    calls, events, result = _count_calls(run_point)
+def calls_per_event(point: dict = CALLS_POINT) -> dict:
+    """Python calls per dispatched event on the Fig. 8 ``point``."""
+    calls, events, result = _count_calls(_fig8_point(point))
     return {
         "benchmark": "calls_per_event",
         "point": point,
@@ -272,6 +293,20 @@ def calls_per_event(point: dict = CALLS_POINT) -> dict:
         "calls_per_event": round(calls / events, 2),
         "budget": CALLS_PER_EVENT_BUDGET,
         "trigger_fired": result.trigger_fired,
+    }
+
+
+def setup_calls(point: dict = CALLS_POINT) -> dict:
+    """Python calls from the Fig. 8 ``point``'s driver call to its first
+    engine run: the server build, LDom creation and control-plane
+    programming, with every LDom's sysfs subtree."""
+    calls, _events, _result = _count_calls(_fig8_point(point), setup_only=True)
+    return {
+        "benchmark": "setup_calls",
+        "point": point,
+        "python": platform.python_version(),
+        "calls": calls,
+        "budget": SETUP_CALLS_BUDGET,
     }
 
 
@@ -325,6 +360,18 @@ def test_calls_per_event_within_budget():
     )
 
 
+def test_setup_calls_within_budget():
+    if not _on_budget_python():
+        pytest.skip("the call budget was measured on CPython 3.11")
+    record = setup_calls()
+    print()
+    print(json.dumps(record, indent=2))
+    assert record["calls"] <= SETUP_CALLS_BUDGET, (
+        f"{record['calls']} Python calls to set up the Fig. 8 point, budget "
+        f"{SETUP_CALLS_BUDGET}: a server-build or firmware change added calls"
+    )
+
+
 def test_fig11_calls_per_event_within_budget():
     if not _on_budget_python():
         pytest.skip("the call budget was measured on CPython 3.11")
@@ -353,16 +400,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--calls-per-event", action="store_true",
         help="count Python calls per dispatched event on a tiny fig8 point "
-        "and a small fig11 run",
+        "and a small fig11 run, and the fig8 point's set-up calls",
     )
     args = parser.parse_args(argv)
     if args.calls_per_event:
         failed = False
-        for record in (calls_per_event(), fig11_calls_per_event()):
+        for record in (calls_per_event(), fig11_calls_per_event(), setup_calls()):
             print(json.dumps(record, indent=2))
-            failed |= record["calls_per_event"] > record["budget"]
+            failed |= record.get("calls_per_event", record["calls"]) > record["budget"]
         if args.check and failed:
-            print("FAIL: Python calls per event above the budget", file=sys.stderr)
+            print("FAIL: Python calls above the budget", file=sys.stderr)
             return 1
         return 0
     record = run_benchmark(args.events, args.chains)

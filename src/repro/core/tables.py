@@ -40,10 +40,7 @@ class TableSchema:
             raise ValueError(f"duplicate column names in schema: {names}")
         self._columns = list(columns)
         self._index = {name: i for i, (name, _) in enumerate(columns)}
-
-    @property
-    def column_names(self) -> list[str]:
-        return [name for name, _ in self._columns]
+        self.column_names: tuple[str, ...] = tuple(names)
 
     @property
     def defaults(self) -> dict[str, int]:

@@ -36,7 +36,7 @@ from repro.core.triggers import TriggerOp, TriggerRule
 from repro.io.dma import DISK_INTERRUPT_VECTOR
 from repro.prm.allocator import OutOfMemoryError, WindowAllocator
 from repro.prm.cpa import ControlPlaneAdaptor, PrmIoSpace
-from repro.prm.sysfs import SysfsTree
+from repro.prm.sysfs import SysfsError, SysfsTree
 from repro.sim.engine import Engine, PS_PER_US
 
 # Columns whose sysfs/pardtrigger values are expressed in percent but
@@ -116,37 +116,40 @@ class Firmware:
     def _attach(self, control_plane: ControlPlane) -> ControlPlaneAdaptor:
         adaptor = self.io_space.attach(control_plane)
         control_plane.attach_interrupt(self._on_trigger_interrupt)
-        base = f"/sys/cpa/{adaptor.name}"
-        self.sysfs.mkdir(base)
         rf = adaptor.register_file
-        self.sysfs.add_file(f"{base}/ident", read_handler=lambda rf=rf: rf.ident)
-        self.sysfs.add_file(
-            f"{base}/type",
-            read_handler=lambda rf=rf: f"{ord(rf.type_code):#x} '{rf.type_code}'",
+        self.sysfs.add_tree(
+            f"/sys/cpa/{adaptor.name}",
+            {
+                "ident": (lambda: rf.ident, None),
+                "type": (lambda: f"{ord(rf.type_code):#x} '{rf.type_code}'", None),
+                "ldoms": {},
+            },
         )
-        self.sysfs.mkdir(f"{base}/ldoms")
         return adaptor
 
     def _build_ldom_subtree(self, adaptor: ControlPlaneAdaptor, ds_id: int) -> None:
         cp = adaptor.control_plane
         rf = adaptor.register_file
-        base = f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}"
-        self.sysfs.mkdir(f"{base}/parameters")
-        self.sysfs.mkdir(f"{base}/statistics")
-        self.sysfs.mkdir(f"{base}/triggers")
-        for offset, column in enumerate(cp.parameters.schema.column_names):
-            self.sysfs.add_file(
-                f"{base}/parameters/{column}",
-                read_handler=lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_PARAMETER)),
-                write_handler=lambda text, o=offset: rf.write_cell(
+        parameters = {
+            column: (
+                lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_PARAMETER)),
+                lambda text, o=offset: rf.write_cell(
                     ds_id, o, TABLE_PARAMETER, _parse_int(text)
                 ),
             )
-        for offset, column in enumerate(cp.statistics.schema.column_names):
-            self.sysfs.add_file(
-                f"{base}/statistics/{column}",
-                read_handler=lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_STATISTICS)),
+            for offset, column in enumerate(cp.parameters.schema.column_names)
+        }
+        statistics = {
+            column: (
+                lambda o=offset: str(rf.read_cell(ds_id, o, TABLE_STATISTICS)),
+                None,
             )
+            for offset, column in enumerate(cp.statistics.schema.column_names)
+        }
+        self.sysfs.add_tree(
+            f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}",
+            {"parameters": parameters, "statistics": statistics, "triggers": {}},
+        )
 
     # -- LDom lifecycle --------------------------------------------------------
 
@@ -288,9 +291,10 @@ class Firmware:
         for adaptor in self.io_space:
             if adaptor.control_plane.parameters.has(ds_id):
                 adaptor.control_plane.free_ldom(ds_id)
-            base = f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}"
-            if self.sysfs.exists(base):
-                self.sysfs.remove(base)
+            try:
+                self.sysfs.remove(f"/sys/cpa/{adaptor.name}/ldoms/ldom{ds_id}")
+            except SysfsError:
+                pass  # a failed create stopped before this plane's subtree
 
     def _ldom(self, name: str) -> LDom:
         try:
@@ -328,10 +332,14 @@ class Firmware:
         ``.../triggers/<action_id>`` for the script binding.
 
         ``condition`` is ``"<op>,<value>"`` (e.g. ``"gt,30"``); values for
-        percent-scaled statistics (miss_rate) are given in percent.
+        percent-scaled statistics (miss_rate) are given in percent. The
+        plane must hold a row for ``ds_id``: a rule for a DS-id no LDom
+        holds would be inherited, armed, by the LDom that takes it next.
         """
         adaptor = self.io_space.by_name(cpa_name)
         cp = adaptor.control_plane
+        if not cp.parameters.has(ds_id):
+            raise FirmwareError(f"{cpa_name} holds no LDom with DS-id {ds_id}")
         op_text, _, value_text = condition.partition(",")
         if not value_text:
             raise FirmwareError(f"malformed condition {condition!r}")

@@ -80,6 +80,38 @@ class TestIdeController:
         expected_ps = (8 << 20) * PS_PER_S / (100 * 1024 * 1024)
         assert done[0] == pytest.approx(expected_ps, rel=0.05)
 
+    def test_idle_queue_drops_its_credit(self):
+        """A DS-id whose queue drains keeps no deficit: however much
+        credit its earlier transfers left, it re-enters at its quota."""
+
+        def order_of_a_refill(earlier_transfers):
+            engine, ide, plane = make_ide()
+            plane.allocate_ldom(1, bandwidth=70)
+            plane.allocate_ldom(2, bandwidth=30)
+            served = []
+            record_io = plane.record_io
+
+            def record(ds_id, nbytes):
+                served.append((ds_id, nbytes))
+                record_io(ds_id, nbytes)
+
+            plane.record_io = record
+            chunk = ide.chunk_bytes
+            write_blocks(engine, ide, 2, 64 * chunk, count=2)  # stays busy
+            # Each sub-chunk write leaves most of DS-id 1's quantum unused.
+            write_blocks(engine, ide, 1, 512, count=earlier_transfers)
+            refill = IoPacket(ds_id=1, device="ide0", op=IoOp.PIO_WRITE, value=8 * chunk)
+            chunk_ps = chunk * PS_PER_S // ide.total_bandwidth_bytes_per_s
+            engine.post(40 * chunk_ps, lambda: ide.handle_request(refill, lambda p: None))
+            engine.run(until_ps=80 * chunk_ps)
+            full = [i for i, entry in enumerate(served) if entry == (1, chunk)]
+            assert len(full) == 8
+            return [ds_id for ds_id, _ in served[full[0]:full[-1] + 1]]
+
+        order = order_of_a_refill(1)
+        assert 2 in order  # the busy DS-id keeps its share during the refill
+        assert order_of_a_refill(5) == order
+
     def test_dma_memory_traffic_tagged(self):
         engine = Engine()
         memory = FakeMemory(engine, latency_ps=100)

@@ -210,6 +210,21 @@ class TestShell:
         assert rule.op is TriggerOp.GT
         assert rule.threshold == 3000  # 30% in basis points
 
+    def test_pardtrigger_for_a_ds_id_no_ldom_holds_changes_nothing(self):
+        _, firmware, (cache, _, _), _, _ = make_firmware()
+        with pytest.raises(FirmwareError):
+            firmware.sh(
+                "pardtrigger /dev/cpa0 -ldom=2 -action=0 -stats=miss_rate -cond=gt,30"
+            )
+        assert cache.triggers.rules() == []
+        assert firmware.ls("/sys/cpa/cpa0/ldoms") == []
+        firmware.create_ldom("a", (0,), 1 << 20)
+        b = firmware.create_ldom("b", (1,), 1 << 20)
+        # b takes DS-id 2 without inheriting an armed rule or its file.
+        assert b.ds_id == 2
+        assert cache.triggers.rule_at(2, 0) is None
+        assert firmware.ls("/sys/cpa/cpa0/ldoms/ldom2/triggers") == []
+
     def test_unknown_command(self):
         _, firmware, _, _, _ = make_firmware()
         with pytest.raises(FirmwareError):
