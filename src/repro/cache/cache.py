@@ -31,6 +31,7 @@ from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
 
 _READ = MemOp.READ
+_WRITEBACK = MemOp.WRITEBACK
 
 
 @dataclass(frozen=True)
@@ -334,15 +335,10 @@ class Cache(Component):
             # The request reads exactly the line: it is its own fill.
             fill = packet
         else:
+            # The fill inherits the missing request's span, so the
+            # trail continues downstream (LLC, DRAM).
             fill = MemoryPacket(
-                ds_id=ds_id,
-                addr=line_addr,
-                size=self._line_size,
-                op=_READ,
-                birth_ps=now,
-                # The fill inherits the missing request's span, so the
-                # trail continues downstream (LLC, DRAM).
-                span=packet.span,
+                ds_id, line_addr, now, _READ, self._line_size, packet.span
             )
         fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
         if self._sync_downstream:
@@ -357,11 +353,8 @@ class Cache(Component):
         # memory controller queue is the real contention point.
         line_addr = (victim.tag << self._tag_shift | set_index) * self._line_size
         packet = MemoryPacket(
-            ds_id=victim.ds_id,
-            addr=line_addr,
-            size=self._line_size,
-            op=MemOp.WRITEBACK,
-            birth_ps=self.engine._now,
+            victim.ds_id, line_addr, self.engine._now, _WRITEBACK,
+            self._line_size,
         )
         self.downstream.handle_request(packet, _drop_response)
 

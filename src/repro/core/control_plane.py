@@ -71,6 +71,17 @@ class TriggerBank:
         rule = self._rules.get((ds_id, slot))
         return rule if rule is not None and rule.enabled else None
 
+    def check_room(self, ds_id: int, slot: int) -> None:
+        """Raise :class:`TableError` if arming ``slot`` of ``ds_id`` would
+        take the table past ``max_triggers`` (an armed slot has room)."""
+        if self.rule_at(ds_id, slot) is None:
+            armed = sum(r.enabled for r in self._rules.values())
+            if armed >= self.max_triggers:
+                raise TableError(
+                    f"trigger table full ({self.max_triggers} entries), "
+                    f"cannot arm slot {slot} for DS-id {ds_id}"
+                )
+
     # -- register-protocol cell access ------------------------------------
 
     def write_cell(self, ds_id: int, offset: int, value: int) -> None:
@@ -84,12 +95,8 @@ class TriggerBank:
             rule = TriggerRule(ds_id, column, TriggerOp.GT, 0, enabled=False)
             self._rules[(ds_id, slot)] = rule
         if field == "enabled":
-            armed = sum(r.enabled for r in self._rules.values())
-            if value and not rule.enabled and armed >= self.max_triggers:
-                raise TableError(
-                    f"trigger table full ({self.max_triggers} entries), "
-                    f"cannot arm slot {slot} for DS-id {ds_id}"
-                )
+            if value:
+                self.check_room(ds_id, slot)
             rule.enabled = bool(value)
             if not value:
                 rule.fire_count = 0

@@ -194,7 +194,7 @@ class CpuCore(Component):
         ds_id = self._ds_id
         now = self.engine._now
         for addr in addrs:
-            packet = MemoryPacket(ds_id=ds_id, birth_ps=now, addr=addr, op=mem_op)
+            packet = MemoryPacket(ds_id, addr, now, mem_op)
             if self.telemetry is not None:
                 self._start_span(packet)
             self.memory_accesses += 1

@@ -12,15 +12,29 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dram.timing import DramTiming
-
 
 class BankState:
-    """One bank's row-buffer and timing state."""
+    """One bank's row-buffer and timing state.
 
-    def __init__(self, index: int, hp_row_buffer: bool = False):
+    ``timing_ps`` is the controller's :class:`~repro.dram.timing.DramTiming`
+    at its cycle time: ``(row hit latency, row closed latency, row
+    conflict latency, burst, tRAS)``, in picoseconds. The controller
+    works it out once and hands the same tuple to every bank, so
+    :meth:`issue` does no unit conversion.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        timing_ps: tuple[int, int, int, int, int],
+        hp_row_buffer: bool = False,
+    ):
         self.index = index
         self.hp_row_buffer = hp_row_buffer
+        (
+            self.hit_ps, self.closed_ps, self.conflict_ps,
+            self.burst_ps, self.tras_ps,
+        ) = timing_ps
         self.open_row: Optional[int] = None
         self.hp_open_row: Optional[int] = None
         self.ready_at_ps = 0      # earliest time a new access may issue
@@ -41,8 +55,6 @@ class BankState:
         row: int,
         issue_ps: int,
         bus_free_ps: int,
-        timing: DramTiming,
-        cycle_ps: int,
         high_priority: bool,
     ) -> int:
         """Issue an access to ``row`` at ``issue_ps`` and update the row
@@ -61,13 +73,13 @@ class BankState:
         # row_state(), inlined: this runs once per issued request.
         hit = row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row)
         if hit:
-            latency_cycles = timing.row_hit_latency
+            latency_ps = self.hit_ps
         elif self.open_row is None or (high_priority and self.hp_row_buffer):
-            latency_cycles = timing.row_closed_latency
+            latency_ps = self.closed_ps
         else:
-            latency_cycles = timing.row_conflict_latency
-        burst_ps = timing.t_burst * cycle_ps
-        data_start_ps = issue_ps + latency_cycles * cycle_ps - burst_ps
+            latency_ps = self.conflict_ps
+        burst_ps = self.burst_ps
+        data_start_ps = issue_ps + latency_ps - burst_ps
         if data_start_ps < bus_free_ps:
             data_start_ps = bus_free_ps
         data_end_ps = data_start_ps + burst_ps
@@ -79,7 +91,7 @@ class BankState:
                 if self.open_row is not None:  # a row conflict
                     # Respect tRAS: the old row must have been active long
                     # enough before we precharge it.
-                    min_precharge = self.activated_at_ps + timing.t_ras * cycle_ps
+                    min_precharge = self.activated_at_ps + self.tras_ps
                     extension = min_precharge - issue_ps
                     if extension > 0:
                         done_ps += extension

@@ -23,13 +23,18 @@ from typing import Optional
 
 from repro.core.address import AddressMapping, AddressTranslationError
 from repro.core.control_plane import ControlPlane
+from repro.dram.timing import DramGeometry
 from repro.sim.engine import Engine, PS_PER_MS
 
 LATENCY_SCALE = 100  # avg_qlat is stored in hundredths of a memory cycle
 
 
 class MemoryControlPlane(ControlPlane):
-    """Programmable control plane for the DRAM memory controller."""
+    """Programmable control plane for the DRAM memory controller.
+
+    ``capacity_bytes`` is the channel's capacity: no DS-id's window may
+    end beyond it.
+    """
 
     IDENT = "MEMORY_CP"
     TYPE_CODE = "M"
@@ -52,12 +57,14 @@ class MemoryControlPlane(ControlPlane):
         max_entries: int = 256,
         max_triggers: int = 64,
         window_ps: int = PS_PER_MS,
+        capacity_bytes: int = DramGeometry.capacity_bytes,
     ):
         super().__init__(
             engine, name,
             max_entries=max_entries, max_triggers=max_triggers,
             window_ps=window_ps,
         )
+        self.capacity_bytes = capacity_bytes
         self._parameter_rows = self.parameters.row_view
         # DS-id -> [bytes, queueing-delay sum, requests] of the open
         # window, kept by the controller for every DS-id it serves;
@@ -110,13 +117,25 @@ class MemoryControlPlane(ControlPlane):
 
     def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
         """Reject an ``addr_base`` or ``addr_size`` write whose resulting
-        window overlaps another DS-id's."""
+        window ends beyond the channel's capacity or overlaps another
+        DS-id's.
+
+        Values arrive through the CPA's 64-bit data register, so
+        ``echo -1`` reaches here as 2**64 - 1 and is refused as out of
+        range. An out-of-range ``priority`` is left alone: the
+        controller clamps it to its priority levels.
+        """
         if column == "addr_base":
             base, size = value, self.parameters.get(ds_id, "addr_size")
         elif column == "addr_size":
             base, size = self.parameters.get(ds_id, "addr_base"), value
         else:
             return
+        if base + size > self.capacity_bytes:
+            raise AddressTranslationError(
+                f"DS-id {ds_id} window [{base:#x}, {base + size:#x}) ends "
+                f"beyond the DRAM's {self.capacity_bytes:#x} bytes"
+            )
         if size:
             window = AddressMapping(base, size)
             for other in self.parameters.ds_ids:

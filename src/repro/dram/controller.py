@@ -78,13 +78,25 @@ class MemoryController(Component):
         self._top_priority = priority_levels - 1
         # The arbiter's scan order: highest priority first.
         self._queues_by_rank = self.queues[::-1]
-        # decompose_address's geometry and the cycle time, read per request.
-        self._row_bytes = self.geometry.row_bytes
+        # decompose_address's geometry and the cycle time, read per request;
+        # row_bytes is a power of two (DramGeometry checks), so an
+        # address's row number is a shift.
+        self._row_shift = self.geometry.row_bytes.bit_length() - 1
         self._total_banks = self.geometry.total_banks
-        self._cycle_ps = clock.period_ps
+        cycle_ps = self._cycle_ps = clock.period_ps
+        # The bank timing in picoseconds, worked out once and shared by
+        # every bank (the order BankState takes).
+        timing = self.timing
+        timing_ps = (
+            timing.row_hit_latency * cycle_ps,
+            timing.row_closed_latency * cycle_ps,
+            timing.row_conflict_latency * cycle_ps,
+            timing.t_burst * cycle_ps,
+            timing.t_ras * cycle_ps,
+        )
         self.banks = [
-            BankState(i, hp_row_buffer=hp_row_buffer)
-            for i in range(self.geometry.total_banks)
+            BankState(i, timing_ps, hp_row_buffer)
+            for i in range(self._total_banks)
         ]
         self.bus_free_at_ps = 0
         self._inflight = 0
@@ -145,7 +157,7 @@ class MemoryController(Component):
         # repro.dram.timing.decompose_address, inlined.
         if dram_addr < 0:
             raise ValueError(f"negative DRAM address {dram_addr}")
-        row_number = dram_addr // self._row_bytes
+        row_number = dram_addr >> self._row_shift
         total_banks = self._total_banks
         now = self.engine._now
         # The priority is clamped, so the queue exists: append directly.
@@ -230,12 +242,11 @@ class MemoryController(Component):
             if self.hp_row_buffer and priority != 0:
                 rows = self._parameter_rows
                 high_priority = rows is None or ds_id not in rows or rows[ds_id]["rowbuf"] != 0
-            cycle_ps = self._cycle_ps
             # The shared data bus serializes bursts.
             self.bus_free_at_ps = bank.issue(
-                row, now, self.bus_free_at_ps, self.timing, cycle_ps, high_priority,
+                row, now, self.bus_free_at_ps, high_priority
             )
-            delay_cycles = (now - enqueued_at_ps) / cycle_ps
+            delay_cycles = (now - enqueued_at_ps) / self._cycle_ps
             # LatencyRecorder.record, minus its frame: the recorder folds
             # bare appends into its summaries when they are read.
             self._qdelay_samples[priority].append(delay_cycles)

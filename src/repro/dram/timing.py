@@ -3,8 +3,8 @@
 The simulated channel is DDR3-1600 11-11-11 with Micron MT41J512M8-class
 4 Gbit chips: one channel, two ranks, eight banks per rank, 1 KB row
 buffers, burst length 8. All timing constants are expressed in memory
-bus cycles (tCK = 1.25 ns); the controller converts to picoseconds via
-its clock domain.
+bus cycles (tCK = 1.25 ns); each controller converts them to
+picoseconds once, with its clock domain's cycle time.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ class DramTiming:
     """DDR3 timing constraints in memory cycles.
 
     The derived latencies are cached on first read (the dataclass is
-    frozen, so they cannot go stale): the controller reads one per
-    issued request.
+    frozen, so they cannot go stale): each controller built from a
+    configuration reads them once, when it builds its banks.
 
     Table 2 gives nanosecond values at tCK = 1.25 ns:
     tRCD = tCL = tRP = 13.75 ns = 11 cycles, tRAS = 35 ns = 28 cycles,

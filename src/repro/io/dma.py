@@ -89,11 +89,8 @@ class DmaEngine(Component):
             size = min(self.chunk_bytes, remaining)
             if self.memory is not None:
                 packet = MemoryPacket(
-                    ds_id=tag,
-                    addr=offset,
-                    size=size,
-                    op=MemOp.READ if to_device else MemOp.WRITE,
-                    birth_ps=self.now,
+                    tag, offset, self.now,
+                    MemOp.READ if to_device else MemOp.WRITE, size,
                 )
                 pending["chunks"] += 1
                 self.memory.handle_request(packet, chunk_done)

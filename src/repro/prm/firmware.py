@@ -335,6 +335,8 @@ class Firmware:
         percent-scaled statistics (miss_rate) are given in percent. The
         plane must hold a row for ``ds_id``: a rule for a DS-id no LDom
         holds would be inherited, armed, by the LDom that takes it next.
+        Every check runs before the first register write, so a refused
+        install (a full trigger table included) leaves the slot as it was.
         """
         adaptor = self.io_space.by_name(cpa_name)
         cp = adaptor.control_plane
@@ -345,6 +347,7 @@ class Firmware:
             raise FirmwareError(f"malformed condition {condition!r}")
         op = TriggerOp.from_symbol(op_text)
         threshold = _parse_int(value_text) * STAT_SCALES.get(stat_column, 1)
+        cp.triggers.check_room(ds_id, action_id)
         fields = {
             "stat_col": cp.statistics.schema.offset_of(stat_column),
             "op": int(op),

@@ -100,7 +100,12 @@ class MemoryPacket(Packet):
 
     The constructor is written out rather than generated: it is the
     generated one with :meth:`Packet.__post_init__` folded in, which
-    saves a call on every memory access.
+    saves a call on every memory access. Its parameters come in the
+    order the per-access sites fill them, ``(ds_id, addr, birth_ps, op,
+    size, span, packet_id)``, so those sites pass them positionally: a
+    keyword call makes ``type.__call__`` build a kwargs dict for
+    ``__init__`` on every packet. The dataclass field order (and so
+    ``repr`` and equality) is unchanged.
     """
 
     addr: int = 0
@@ -110,12 +115,12 @@ class MemoryPacket(Packet):
     def __init__(
         self,
         ds_id: int = DEFAULT_DSID,
-        birth_ps: int = 0,
-        packet_id: Optional[int] = None,
-        span: Optional[object] = None,
         addr: int = 0,
-        size: int = 64,
+        birth_ps: int = 0,
         op: MemOp = MemOp.READ,
+        size: int = 64,
+        span: Optional[object] = None,
+        packet_id: Optional[int] = None,
     ) -> None:
         self.ds_id = ds_id
         self.birth_ps = birth_ps

@@ -558,7 +558,7 @@ def _drive_controller(
         nonlocal i
         time_ps = arrivals[i] if timed else 0
         ds_id = 2 if i % 2 else 1  # half high (2), half low (1)
-        packet = MemoryPacket(ds_id=ds_id, addr=addresses[i], birth_ps=time_ps)
+        packet = MemoryPacket(ds_id, addresses[i], time_ps)
         done = _ignore_response
         if spans is not None:
             span = spans.maybe_start(ds_id, packet.packet_id)

@@ -61,7 +61,10 @@ class PardServer:
         self.llc_control = LlcControlPlane(
             engine, num_ways=config.llc_ways, **plane_kwargs
         )
-        self.memory_control = MemoryControlPlane(engine, **plane_kwargs)
+        self.memory_control = MemoryControlPlane(
+            engine, capacity_bytes=config.dram_geometry.capacity_bytes,
+            **plane_kwargs,
+        )
         self.ide_control = IdeControlPlane(engine, **plane_kwargs)
         self.bridge_control = IoBridgeControlPlane(engine, **plane_kwargs)
 

@@ -5,10 +5,13 @@ import pytest
 from tests.helpers import FakeMemory
 from repro.cache.control_plane import LlcControlPlane
 from repro.core.address import AddressTranslationError
+from repro.core.programming import TABLE_TRIGGER
+from repro.core.tables import TableError
 from repro.core.ldom import LDomState
 from repro.core.triggers import TriggerOp
 from repro.cpu.core import CpuCore
 from repro.dram.control_plane import MemoryControlPlane
+from repro.dram.timing import DramGeometry
 from repro.io.apic import Apic
 from repro.io.disk import IdeControlPlane
 from repro.io.dma import DISK_INTERRUPT_VECTOR
@@ -22,6 +25,8 @@ from repro.prm.rules import (
 )
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine, PS_PER_MS
+from repro.system.config import TABLE2
+from repro.system.server import PardServer
 
 
 def make_firmware(num_cores=4, with_apic=True):
@@ -225,6 +230,37 @@ class TestShell:
         assert cache.triggers.rule_at(2, 0) is None
         assert firmware.ls("/sys/cpa/cpa0/ldoms/ldom2/triggers") == []
 
+    def test_refused_pardtrigger_on_a_full_table_writes_nothing(self):
+        _, firmware, (cache, _, _), _, _ = make_firmware()
+        cache.triggers.max_triggers = 1
+        firmware.create_ldom("a", (0,), 1 << 20)
+        firmware.sh(
+            "pardtrigger /dev/cpa0 -ldom=1 -action=0 -stats=miss_rate -cond=gt,30"
+        )
+        with pytest.raises(TableError):
+            firmware.sh(
+                "pardtrigger /dev/cpa0 -ldom=1 -action=1 -stats=hit_cnt -cond=lt,7"
+            )
+        # Slot 1 reads as never written through the CPA register protocol:
+        # enabled and fire_count 0, every other field an empty-slot error.
+        registers = firmware.io_space.by_name("cpa0").register_file
+        triggers = cache.triggers
+
+        def read(field):
+            offset = triggers.offset_of(field, slot=1)
+            return registers.read_cell(1, offset, TABLE_TRIGGER)
+
+        assert read("enabled") == 0 and read("fire_count") == 0
+        for field in ("stat_col", "op", "threshold", "action_id"):
+            with pytest.raises(TableError):
+                read(field)
+        assert firmware.ls("/sys/cpa/cpa0/ldoms/ldom1/triggers") == ["0"]
+        # The armed rule still holds its slot, and re-programming it fits.
+        firmware.sh(
+            "pardtrigger /dev/cpa0 -ldom=1 -action=0 -stats=miss_rate -cond=gt,40"
+        )
+        assert triggers.rule_at(1, 0).threshold == 4000
+
     def test_unknown_command(self):
         _, firmware, _, _, _ = make_firmware()
         with pytest.raises(FirmwareError):
@@ -308,6 +344,33 @@ class TestRejectedParameterWrites:
         with pytest.raises(AddressTranslationError):
             firmware.sh(f"echo {a.memory.base} > {path}")
         assert int(firmware.sh(f"cat {path}")) == b.memory.base
+
+    @pytest.mark.parametrize("column", ["addr_base", "addr_size"])
+    def test_window_beyond_the_dram_rejected(self, column):
+        # -1 reaches the plane as 2**64 - 1 through the 64-bit data
+        # register; a window ending one byte past the channel is refused
+        # too, one ending exactly at its end lands.
+        _, firmware, (_, mem, _), _, _ = make_firmware()
+        a = firmware.create_ldom("a", (0,), 1 << 20)
+        capacity = mem.capacity_bytes
+        assert capacity == DramGeometry().capacity_bytes
+        path = f"/sys/cpa/cpa1/ldoms/ldom{a.ds_id}/parameters/{column}"
+        before = int(firmware.sh(f"cat {path}"))
+        last_fit = capacity - (1 << 20) if column == "addr_base" else capacity
+        for bad in ("-1", str(last_fit + 1)):
+            with pytest.raises(AddressTranslationError):
+                firmware.sh(f"echo {bad} > {path}")
+            assert int(firmware.sh(f"cat {path}")) == before
+            assert mem.translate(a.ds_id, 0) == a.memory.base
+        firmware.sh(f"echo {last_fit} > {path}")
+        assert int(firmware.sh(f"cat {path}")) == last_fit
+
+    def test_server_plane_knows_the_dram_capacity(self):
+        config = TABLE2.scaled(32)
+        server = PardServer(config)
+        assert server.memory_control.capacity_bytes == (
+            config.dram_geometry.capacity_bytes
+        )
 
     @pytest.mark.parametrize("bad", ["-1", "101"])
     def test_bandwidth_outside_a_percentage_rejected(self, bad):

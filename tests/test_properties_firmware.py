@@ -202,6 +202,8 @@ class FirmwareModel(RuleBasedStateMachine):
 
     def _window_error(self, ds_id, base, size):
         """What the memory plane raises for DS-id's window (base, size)."""
+        if base + size > self.planes[1].capacity_bytes:
+            return AddressTranslationError
         if size == 0:
             return None
         for other, row in self.params[1].items():

@@ -41,6 +41,20 @@ def test_memory_packet_defaults():
     assert pkt.size == 64
 
 
+def test_memory_packet_positional_order():
+    # The per-access sites build packets positionally in this order.
+    span = object()
+    pkt = MemoryPacket(3, 0x40, 1250, MemOp.WRITEBACK, 32, span, 7)
+    assert (pkt.ds_id, pkt.addr, pkt.birth_ps, pkt.op, pkt.size) == (
+        3, 0x40, 1250, MemOp.WRITEBACK, 32
+    )
+    assert pkt.span is span and pkt.packet_id == 7
+    assert pkt == MemoryPacket(
+        ds_id=3, addr=0x40, birth_ps=1250, op=MemOp.WRITEBACK, size=32,
+        span=span, packet_id=7,
+    )
+
+
 def test_write_and_writeback_are_writes():
     # Both ops dirty the resident line they hit: a store, and an upper
     # level's writeback of its dirty copy.
