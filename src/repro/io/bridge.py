@@ -18,6 +18,8 @@ from repro.sim.engine import Engine
 from repro.sim.packet import IoPacket
 
 ALL_DEVICES_MASK = (1 << 62) - 1
+# Time the bridge takes to forward a PIO packet to its device.
+FORWARD_LATENCY_PS = 1_000
 
 
 class IoAccessError(PermissionError):
@@ -57,13 +59,11 @@ class IoBridge(Component):
         self,
         engine: Engine,
         control: Optional[IoBridgeControlPlane] = None,
-        forward_latency_ps: int = 1_000,
         name: str = "iobridge",
         telemetry=None,
     ):
         super().__init__(engine, name)
         self.control = control
-        self.forward_latency_ps = forward_latency_ps
         self._devices: dict[str, tuple[int, Component]] = {}
         self.forwarded_pio = 0
         self.telemetry = telemetry
@@ -94,5 +94,5 @@ class IoBridge(Component):
                 )
         self.forwarded_pio += 1
         self.post(
-            self.forward_latency_ps, lambda: device.handle_request(packet, on_response)
+            FORWARD_LATENCY_PS, lambda: device.handle_request(packet, on_response)
         )

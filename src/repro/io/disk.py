@@ -10,10 +10,11 @@ CPA protocol takes effect at the next chunk boundary, which is what
 Fig. 10's mid-run ``echo 80 > .../bandwidth`` exercises.
 
 Disk writes are "dd"-style synchronous block writes: the guest issues a
-PIO command carrying the byte count; the controller's DMA engine streams
-the data out of memory (tagged with the requester's DS-id), and the
-response -- plus a tagged completion interrupt -- arrives when the last
-chunk is on the platter.
+PIO command carrying the byte count; for each service chunk the
+controller writes a DMA descriptor carrying the requester's DS-id and
+the DMA engine issues one memory request of the chunk's size, tagged
+with it. The response -- plus a tagged completion interrupt -- arrives
+when the last chunk is on the platter.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from repro.io.dma import DmaEngine
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine, PS_PER_S
 from repro.sim.packet import IoOp, IoPacket
+
+# Time from the guest's PIO command to the transfer joining its queue.
+PIO_LATENCY_PS = 2_000
 
 
 class IdeControlPlane(ControlPlane):
@@ -114,7 +118,6 @@ class IdeController(Component):
         apic=None,
         total_bandwidth_bytes_per_s: int = 100 * 1024 * 1024,
         chunk_bytes: int = 64 * 1024,
-        pio_latency_ps: int = 2_000,
         name: str = "ide0",
         telemetry=None,
     ):
@@ -129,8 +132,7 @@ class IdeController(Component):
         self.control = control
         self.total_bandwidth_bytes_per_s = total_bandwidth_bytes_per_s
         self.chunk_bytes = chunk_bytes
-        self.pio_latency_ps = pio_latency_ps
-        self.dma = DmaEngine(engine, f"{name}.dma", memory, apic=apic, chunk_bytes=chunk_bytes)
+        self.dma = DmaEngine(engine, f"{name}.dma", memory, apic=apic)
         self._queues: dict[int, deque[_Transfer]] = {}
         self._deficit: dict[int, float] = {}
         self._rotation: list[int] = []
@@ -148,8 +150,6 @@ class IdeController(Component):
         """
         if packet.value <= 0:
             raise ValueError(f"{self.name}: transfer size must be positive")
-        # The descriptor write latches the requester's DS-id (§4.1 step 1).
-        self.dma.program(packet.ds_id)
         transfer = _Transfer(
             ds_id=packet.ds_id,
             total_bytes=packet.value,
@@ -159,7 +159,7 @@ class IdeController(Component):
             packet=packet,
             started_at_ps=self.now,
         )
-        self.post(self.pio_latency_ps, lambda: self._enqueue(transfer))
+        self.post(PIO_LATENCY_PS, lambda: self._enqueue(transfer))
 
     def _enqueue(self, transfer: _Transfer) -> None:
         queue = self._queues.get(transfer.ds_id)
@@ -225,14 +225,11 @@ class IdeController(Component):
     def _chunk_done(self, transfer: _Transfer, chunk: int) -> None:
         transfer.remaining_bytes -= chunk
         finished = transfer.remaining_bytes <= 0
-        # Stream the chunk through memory, tagged with the owner's DS-id;
-        # only the final chunk raises the completion interrupt.
-        self.dma.transfer(
-            chunk,
-            to_device=transfer.to_device,
-            raise_interrupt=finished,
-            ds_id=transfer.ds_id,
-        )
+        # Each chunk is one descriptor write, latching its owner's DS-id
+        # (§4.1 step 1), and one tagged memory request; only the final
+        # chunk raises the completion interrupt.
+        self.dma.program(transfer.ds_id)
+        self.dma.transfer(chunk, to_device=transfer.to_device, raise_interrupt=finished)
         if self.control is not None:
             self.control.record_io(transfer.ds_id, chunk)
         if finished:

@@ -11,15 +11,15 @@ PARD §4.1 tags DMA in three steps, all reproduced here:
 3. *Tag interrupt signals*: the completion interrupt carries the DS-id,
    letting the APIC route it through the owning LDom's route table.
 
-Memory traffic is issued in ``chunk_bytes`` units (4 KB by default)
-rather than per cache line, which preserves bandwidth accounting and
-memory-controller contention at 1/64th of the event cost; the chunk size
-is a visible parameter for experiments that care.
+A transfer is one memory request of its full size, not one per cache
+line: the device chunks its own work (the IDE writes one descriptor per
+``disk_chunk_bytes`` chunk), which keeps bandwidth accounting and
+memory-controller contention at a fraction of the event cost.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.tagging import TagRegister
 from repro.sim.component import Component
@@ -40,12 +40,10 @@ class DmaEngine(Component):
         name: str,
         memory: Optional[Component],
         apic=None,
-        chunk_bytes: int = 4096,
     ):
         super().__init__(engine, name)
         self.memory = memory
         self.apic = apic
-        self.chunk_bytes = chunk_bytes
         self.tag = TagRegister(f"{name}.dma")
         self.transfers_completed = 0
         self.bytes_transferred = 0
@@ -58,55 +56,28 @@ class DmaEngine(Component):
 
     # -- steps 2 and 3: tagged transfer + tagged completion interrupt ---------
 
-    def transfer(
-        self,
-        nbytes: int,
-        to_device: bool,
-        on_complete: Optional[Callable[[], None]] = None,
-        raise_interrupt: bool = True,
-        ds_id: Optional[int] = None,
-    ) -> None:
-        """Move ``nbytes`` between memory and the device.
+    def transfer(self, nbytes: int, to_device: bool, raise_interrupt: bool = True) -> None:
+        """Move ``nbytes`` between memory and the device as one memory
+        request tagged with the latched DS-id.
 
         ``to_device`` reads from memory (e.g. a disk write); the reverse
-        writes to memory (e.g. a disk read). ``ds_id`` overrides the
-        latched tag, as the IDE does with each queued transfer's owner;
-        otherwise the latched register is used.
+        writes to memory (e.g. a disk read). The transfer completes when
+        memory responds, or at once when the engine has no memory.
         """
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
-        tag = self.tag.ds_id if ds_id is None else ds_id
-        remaining = nbytes
-        offset = 0
-        pending = {"chunks": 0, "started_all": False}
+        tag = self.tag.ds_id
+        if self.memory is None:
+            self._complete(nbytes, tag, raise_interrupt)
+            return
+        packet = MemoryPacket(
+            tag, 0, self.now, MemOp.READ if to_device else MemOp.WRITE, nbytes
+        )
+        self.memory.handle_request(
+            packet, lambda _resp: self._complete(nbytes, tag, raise_interrupt)
+        )
 
-        def chunk_done(_resp=None) -> None:
-            pending["chunks"] -= 1
-            if pending["chunks"] == 0 and pending["started_all"]:
-                self._complete(nbytes, tag, on_complete, raise_interrupt)
-
-        while remaining > 0:
-            size = min(self.chunk_bytes, remaining)
-            if self.memory is not None:
-                packet = MemoryPacket(
-                    tag, offset, self.now,
-                    MemOp.READ if to_device else MemOp.WRITE, size,
-                )
-                pending["chunks"] += 1
-                self.memory.handle_request(packet, chunk_done)
-            remaining -= size
-            offset += size
-        pending["started_all"] = True
-        if self.memory is None or pending["chunks"] == 0:
-            self._complete(nbytes, tag, on_complete, raise_interrupt)
-
-    def _complete(
-        self,
-        nbytes: int,
-        tag: int,
-        on_complete: Optional[Callable[[], None]],
-        raise_interrupt: bool,
-    ) -> None:
+    def _complete(self, nbytes: int, tag: int, raise_interrupt: bool) -> None:
         self.transfers_completed += 1
         self.bytes_transferred += nbytes
         if raise_interrupt and self.apic is not None:
@@ -118,5 +89,3 @@ class DmaEngine(Component):
                     birth_ps=self.now,
                 )
             )
-        if on_complete is not None:
-            on_complete()

@@ -34,12 +34,6 @@ class Component:
         """Run ``callback`` ``delay_ps`` picoseconds from now."""
         self.engine.post(delay_ps, callback)
 
-    def post_cycles(self, cycles: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``cycles`` edges after the next edge of this domain."""
-        if self.clock is None:
-            raise RuntimeError(f"component {self.name} has no clock domain")
-        self.clock.post_cycles(cycles, callback)
-
     def handle_request(self, packet: Packet, on_response: ResponseCallback) -> None:
         """Accept a request; call ``on_response`` when the reply is ready."""
         raise NotImplementedError

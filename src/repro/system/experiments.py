@@ -30,7 +30,6 @@ from typing import Iterator, Optional
 from repro.cache.control_plane import BASIS_POINTS
 from repro.dram.controller import MemoryController
 from repro.dram.control_plane import MemoryControlPlane
-from repro.dram.timing import DramGeometry
 from repro.prm.monitor import StatisticsMonitor
 from repro.prm.rules import partition_llc_action
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
@@ -476,6 +475,10 @@ def _finish_injected_span(spans, packet) -> None:
     spans.finish(packet.span)
 
 
+# The share of Fig. 11's injected requests that go to their bank's hot row.
+FIG11_ROW_HIT_FRACTION = 0.5
+
+
 def fig11_addresses(rng: DeterministicRng, row_hit_fraction: float) -> Iterator[int]:
     """The Fig. 11 injector's request addresses, an endless stream.
 
@@ -485,7 +488,7 @@ def fig11_addresses(rng: DeterministicRng, row_hit_fraction: float) -> Iterator[
     ``n.bit_length()`` bits while ``>= n``); ``TestFig11Stream`` pins
     them to the ``randint`` loop, value for value.
     """
-    geometry = DramGeometry()
+    geometry = TABLE2.dram_geometry
     banks, rows, row_bytes = geometry.total_banks, 4096, geometry.row_bytes
     hot_rows = [rng.randint(0, 255) for _ in range(banks)]
     getrandbits, random = rng.getrandbits, rng.random
@@ -542,8 +545,9 @@ def _drive_controller(
         control.allocate_ldom(1, priority=0)
         control.allocate_ldom(2, priority=1)
     controller = MemoryController(
-        engine, clock, control=control, hp_row_buffer=hp_row_buffer,
-        telemetry=telemetry,
+        engine, clock,
+        timing=TABLE2.dram_timing, geometry=TABLE2.dram_geometry,
+        control=control, hp_row_buffer=hp_row_buffer, telemetry=telemetry,
     )
     spans = telemetry.spans if telemetry is not None else None
     finish_span = partial(_finish_injected_span, spans)
@@ -617,11 +621,11 @@ def _saturation_rate(addresses: list[int]) -> float:
     return len(addresses) / (controller.engine.now / DRAM_CLOCK_PS)
 
 
-def measure_saturation_rate(
-    num_requests: int = 4000, seed: int = 7, row_hit_fraction: float = 0.5
-) -> float:
+def measure_saturation_rate(num_requests: int = 4000, seed: int = 7) -> float:
     """The baseline controller's saturation throughput (requests/cycle)."""
-    draw = fig11_addresses(DeterministicRng(seed, "fig11").child("addr"), row_hit_fraction)
+    draw = fig11_addresses(
+        DeterministicRng(seed, "fig11").child("addr"), FIG11_ROW_HIT_FRACTION
+    )
     return _saturation_rate(list(islice(draw, num_requests)))
 
 
@@ -629,7 +633,6 @@ def run_fig11(
     inject_rate: float = 0.75,
     num_requests: int = 6000,
     seed: int = 7,
-    row_hit_fraction: float = 0.5,
     hp_row_buffer: bool = False,
     telemetry=None,
     jobs: int = 1,
@@ -656,7 +659,7 @@ def run_fig11(
     # One stream for all three runs: saturation is measured on its
     # prefix, and the baseline and PARD controllers replay all of it.
     rng = DeterministicRng(seed, "fig11")
-    draw = fig11_addresses(rng.child("addr"), row_hit_fraction)
+    draw = fig11_addresses(rng.child("addr"), FIG11_ROW_HIT_FRACTION)
     addresses = list(islice(draw, min(num_requests, 4000)))
     saturation = _saturation_rate(addresses)
     addresses.extend(islice(draw, num_requests - len(addresses)))

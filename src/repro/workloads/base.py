@@ -64,37 +64,33 @@ class Boot(Workload):
     """
 
     name = "boot"
+    # Each line costs this much compute; every STORE_EVERY-th line is a
+    # store, and the loads between stores go out in batches of MLP.
+    COMPUTE_CYCLES_PER_LINE = 40
+    MLP = 4
+    STORE_EVERY = 4
 
-    def __init__(
-        self,
-        footprint_bytes: int = 1 << 20,
-        compute_cycles_per_line: int = 40,
-        mlp: int = 4,
-        store_every: int = 4,
-    ):
+    def __init__(self, footprint_bytes: int = 1 << 20):
         super().__init__()
         if footprint_bytes < LINE:
             raise ValueError("boot footprint smaller than one cache line")
         self.footprint_bytes = footprint_bytes
-        self.compute_cycles_per_line = compute_cycles_per_line
-        self.mlp = mlp
-        self.store_every = store_every
 
     def ops(self) -> Iterator[tuple]:
         lines = self.footprint_bytes // LINE
         batch: list[int] = []
         for i in range(lines):
             addr = i * LINE
-            if self.store_every and i % self.store_every == 0:
+            if i % self.STORE_EVERY == 0:
                 if batch:
                     yield ("loads", batch)
                     batch = []
                 yield ("store", addr)
             else:
                 batch.append(addr)
-                if len(batch) >= self.mlp:
+                if len(batch) >= self.MLP:
                     yield ("loads", batch)
                     batch = []
-            yield ("compute", self.compute_cycles_per_line)
+            yield ("compute", self.COMPUTE_CYCLES_PER_LINE)
         if batch:
             yield ("loads", batch)

@@ -27,7 +27,6 @@ class DiskCopy(Workload):
         count: int = 16,
         device: str = "ide0",
         compute_cycles_between: int = 2_000,
-        read: bool = False,
     ):
         super().__init__()
         if block_bytes <= 0:
@@ -38,14 +37,14 @@ class DiskCopy(Workload):
         self.count = count
         self.device = device
         self.compute_cycles_between = compute_cycles_between
-        self.read = read
         self.blocks_written = 0
 
     def ops(self) -> Iterator[tuple]:
-        op = IoOp.PIO_READ if self.read else IoOp.PIO_WRITE
         written = 0
         while self.count == 0 or written < self.count:
-            packet = IoPacket(device=self.device, op=op, value=self.block_bytes)
+            packet = IoPacket(
+                device=self.device, op=IoOp.PIO_WRITE, value=self.block_bytes
+            )
             yield ("io", packet)
             written += 1
             self.blocks_written = written

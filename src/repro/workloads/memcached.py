@@ -17,12 +17,15 @@ paper's causal chain.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import LatencyRecorder
 from repro.workloads.base import LINE, Workload
+
+# Arrivals beyond this many queued requests are dropped.
+MAX_QUEUE = 4096
 
 
 class MemcachedServer(Workload):
@@ -41,8 +44,6 @@ class MemcachedServer(Workload):
         compute_cycles_per_batch: int = 24,
         zipf_alpha: float = 0.9,
         warmup_ps: int = PS_PER_MS,
-        arrivals_until_ps: Optional[int] = None,
-        max_queue: int = 4096,
         rng: DeterministicRng | None = None,
         telemetry=None,
         ds_id: int = 0,
@@ -62,8 +63,6 @@ class MemcachedServer(Workload):
         self.compute_cycles_per_batch = compute_cycles_per_batch
         self.zipf_alpha = zipf_alpha
         self.warmup_ps = warmup_ps
-        self.arrivals_until_ps = arrivals_until_ps
-        self.max_queue = max_queue
         self.latencies = LatencyRecorder("memcached.response_ms")
         self.queue: deque[int] = deque()
         self.requests_arrived = 0
@@ -98,10 +97,8 @@ class MemcachedServer(Workload):
 
     def _arrive(self) -> None:
         now = self.engine.now
-        if self.arrivals_until_ps is not None and now >= self.arrivals_until_ps:
-            return
         self.requests_arrived += 1
-        if len(self.queue) >= self.max_queue:
+        if len(self.queue) >= MAX_QUEUE:
             self.requests_dropped += 1
         else:
             self.queue.append(now)

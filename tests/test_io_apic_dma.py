@@ -60,13 +60,13 @@ class TestApic:
 
 
 class TestDmaEngine:
-    def make_dma(self, chunk=4096):
+    def make_dma(self):
         engine = Engine()
         memory = FakeMemory(engine, latency_ps=1000)
         apic = Apic(engine)
         delivered = []
         apic.register_core(0, delivered.append)
-        dma = DmaEngine(engine, "disk.dma", memory, apic=apic, chunk_bytes=chunk)
+        dma = DmaEngine(engine, "disk.dma", memory, apic=apic)
         return engine, memory, apic, dma, delivered
 
     def test_descriptor_write_latches_dsid(self):
@@ -79,9 +79,10 @@ class TestDmaEngine:
         dma.program(5)
         dma.transfer(8192, to_device=True, raise_interrupt=False)
         engine.run()
-        assert len(memory.requests) == 2  # two 4KB chunks
-        assert all(p.ds_id == 5 for p in memory.requests)
-        assert all(p.op is MemOp.READ for p in memory.requests)
+        assert len(memory.requests) == 1
+        assert memory.requests[0].ds_id == 5
+        assert memory.requests[0].size == 8192
+        assert memory.requests[0].op is MemOp.READ
 
     def test_from_device_issues_memory_writes(self):
         engine, memory, _, dma, _ = self.make_dma()
@@ -89,6 +90,15 @@ class TestDmaEngine:
         dma.transfer(4096, to_device=False, raise_interrupt=False)
         engine.run()
         assert memory.requests[0].op is MemOp.WRITE
+
+    def test_each_transfer_carries_the_latest_latch(self):
+        engine, memory, _, dma, _ = self.make_dma()
+        dma.program(1)
+        dma.transfer(4096, to_device=True, raise_interrupt=False)
+        dma.program(7)
+        dma.transfer(4096, to_device=True, raise_interrupt=False)
+        engine.run()
+        assert [p.ds_id for p in memory.requests] == [1, 7]
 
     def test_completion_interrupt_tagged(self):
         engine, memory, apic, dma, delivered = self.make_dma()
@@ -99,31 +109,20 @@ class TestDmaEngine:
         assert len(delivered) == 1
         assert delivered[0].ds_id == 4
 
-    def test_completion_after_all_chunks(self):
-        engine, memory, _, dma, _ = self.make_dma(chunk=1024)
-        done_at = []
-        dma.transfer(4096, to_device=True, raise_interrupt=False,
-                     on_complete=lambda: done_at.append(engine.now))
+    def test_completion_waits_for_memory(self):
+        engine, memory, apic, dma, delivered = self.make_dma()
+        apic.set_route(0, DISK_INTERRUPT_VECTOR, 0)
+        dma.transfer(4096, to_device=True)
+        assert dma.transfers_completed == 0
         engine.run()
-        assert len(memory.requests) == 4
-        assert done_at and done_at[0] >= 1000  # after memory responses
-
-    def test_dsid_override_for_vnics(self):
-        """An explicit ``ds_id`` replaces the latched tag, as the IDE's
-        per-transfer owner does."""
-        engine, memory, _, dma, _ = self.make_dma()
-        dma.program(1)
-        dma.transfer(4096, to_device=False, raise_interrupt=False, ds_id=7)
-        engine.run()
-        assert memory.requests[0].ds_id == 7
+        assert dma.transfers_completed == 1
+        assert delivered and delivered[0].birth_ps == 1000  # memory latency
 
     def test_transfer_without_memory_still_completes(self):
         engine = Engine()
         dma = DmaEngine(engine, "x.dma", memory=None)
-        done = []
-        dma.transfer(4096, to_device=True, raise_interrupt=False,
-                     on_complete=lambda: done.append(True))
-        assert done == [True]
+        dma.transfer(4096, to_device=True, raise_interrupt=False)
+        assert dma.transfers_completed == 1
 
     def test_invalid_size(self):
         _, _, _, dma, _ = self.make_dma()

@@ -3,10 +3,15 @@
 import pytest
 
 from tests.helpers import FakeMemory
+from repro.cpu.core import CpuCore
+from repro.io.apic import Apic
 from repro.io.bridge import ALL_DEVICES_MASK, IoAccessError, IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
+from repro.io.dma import DISK_INTERRUPT_VECTOR
+from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine, PS_PER_S
-from repro.sim.packet import IoOp, IoPacket
+from repro.sim.packet import IoOp, IoPacket, MemOp
+from repro.workloads.diskio import DiskCopy
 
 
 def make_ide(engine=None, control=True, bw=100 * 1024 * 1024, chunk=64 * 1024):
@@ -122,6 +127,60 @@ class TestIdeController:
         engine.run()
         assert memory.requests
         assert all(p.ds_id == 3 for p in memory.requests)
+
+    def test_interleaved_owners_tag_each_chunk(self):
+        """Two LDoms' DiskCopy loops share the disk under DRR: every DMA
+        memory request is one IDE chunk, tagged with its transfer's
+        owner, and each owner's completion interrupts carry its DS-id."""
+        engine = Engine()
+        memory = FakeMemory(engine, latency_ps=100)
+        apic = Apic(engine)
+        interrupts = []
+        apic.register_core(0, interrupts.append)
+        plane = IdeControlPlane(engine)
+        chunk = 4096
+        ide = IdeController(
+            engine, control=plane, memory=memory, apic=apic, chunk_bytes=chunk
+        )
+        served = []
+        record_io = plane.record_io
+
+        def record(ds_id, nbytes):
+            served.append((ds_id, nbytes))
+            record_io(ds_id, nbytes)
+
+        plane.record_io = record
+        clock = ClockDomain(engine, CPU_CLOCK_PS)
+        for core_id, ds_id in enumerate((1, 2)):
+            plane.allocate_ldom(ds_id)
+            apic.set_route(ds_id, DISK_INTERRUPT_VECTOR, 0)
+            core = CpuCore(engine, clock, core_id, FakeMemory(engine), io_port=ide)
+            core.tag.write(ds_id)
+            core.assign(DiskCopy(block_bytes=3 * chunk + 1000, count=2))
+        engine.run()
+
+        assert [(p.ds_id, p.size) for p in memory.requests] == served
+        assert all(p.op is MemOp.READ for p in memory.requests)
+        assert sorted(set(served)) == [(1, 1000), (1, chunk), (2, 1000), (2, chunk)]
+        owners = [ds_id for ds_id, _ in served]
+        switches = sum(a != b for a, b in zip(owners, owners[1:]))
+        assert switches > 2  # the owners interleave chunk by chunk
+        assert sorted(i.ds_id for i in interrupts) == [1, 1, 2, 2]
+
+    def test_pio_read_writes_memory(self):
+        engine = Engine()
+        memory = FakeMemory(engine, latency_ps=100)
+        ide = IdeController(
+            engine, control=IdeControlPlane(engine), memory=memory, chunk_bytes=64 * 1024
+        )
+        done = []
+        pkt = IoPacket(ds_id=4, device="ide0", op=IoOp.PIO_READ, value=100 * 1024)
+        ide.handle_request(pkt, done.append)
+        engine.run()
+        assert done == [pkt]
+        assert [(p.ds_id, p.op, p.size) for p in memory.requests] == [
+            (4, MemOp.WRITE, 64 * 1024), (4, MemOp.WRITE, 36 * 1024)
+        ]
 
     def test_invalid_transfer_size(self):
         engine, ide, _ = make_ide()

@@ -17,11 +17,6 @@ class TestDiskCopy:
         assert all(op[1].value == 1 << 20 for op in io_ops)
         assert all(op[1].op is IoOp.PIO_WRITE for op in io_ops)
 
-    def test_read_mode(self):
-        dd = DiskCopy(count=1, read=True)
-        packet = next(op[1] for op in dd.ops() if op[0] == "io")
-        assert packet.op is IoOp.PIO_READ
-
     def test_compute_between_blocks(self):
         dd = DiskCopy(count=2, compute_cycles_between=500)
         kinds = [op[0] for op in dd.ops()]
