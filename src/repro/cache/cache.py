@@ -19,6 +19,7 @@ DS-id, not the requester's.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -110,9 +111,15 @@ class Cache(Component):
     """A write-allocate, writeback, set-associative cache.
 
     The per-access methods read ``engine._now`` and the geometry
-    precomputed here instead of going through properties, and pass
-    ``functools.partial`` callbacks instead of a closure per request;
-    see DESIGN.md "Memory-hierarchy hot path". They apply PLRU touches
+    precomputed here instead of going through properties, and build no
+    callback object per event; see DESIGN.md "Memory-hierarchy hot
+    path". A lookup one hit latency after arrival is a ``(packet,
+    on_response)`` pair on the ``_lookups`` FIFO and one post of the
+    cached bound ``_lookup``: the cache posts every such lookup at the
+    next clock edge plus the same hit latency, so their times never
+    decrease and they run in the order they were queued. Only an
+    MSHR-full retry, which lands at another offset, posts a
+    ``functools.partial`` carrying its request. They apply PLRU touches
     with the shared ``keep``/``point`` tables (``plru_tables``) rather
     than :meth:`WayMaskedPlru.touch`, and a full-mask victim of a tree
     of at most 8 ways from its ``victims`` table rather than
@@ -123,7 +130,8 @@ class Cache(Component):
     are used in place, with no call per access.
 
     A miss is one frame from lookup to downstream fill; the MSHR entry
-    carries the reserved way to :meth:`_on_fill`. A line-aligned,
+    holds the reserved way, and its bound ``fill`` is the fill's
+    response callback, which retires the entry. A line-aligned,
     line-sized READ that misses is its own fill: the same packet goes
     downstream. A store, an unaligned access or a writeback that misses
     sends a fresh READ of the whole line.
@@ -155,6 +163,10 @@ class Cache(Component):
         )
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
+        # Requests waiting out their hit latency, in arrival order, and the
+        # one callback each of their lookups posts.
+        self._lookups: deque[tuple[MemoryPacket, ResponseCallback]] = deque()
+        self._queued_lookup = self._lookup
         # Component-wide hit and miss counters (per DS-id, they are the
         # control plane's window counts below).
         self.total_hits = 0
@@ -186,9 +198,8 @@ class Cache(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """Accept a tagged cache access; respond after the modeled latency."""
-        self.clock.post_cycles(
-            self.config.hit_latency_cycles, partial(self._lookup, packet, on_response)
-        )
+        self._lookups.append((packet, on_response))
+        self.clock.post_cycles(self.config.hit_latency_cycles, self._queued_lookup)
 
     def access(self, packet: MemoryPacket, on_response: ResponseCallback) -> Optional[int]:
         """Fast-path entry: a hit completes synchronously.
@@ -210,10 +221,11 @@ class Cache(Component):
         if key not in cache_set.index:
             # handle_request and ClockDomain.post_cycles, inlined: look up
             # one hit latency after the next clock edge.
+            self._lookups.append((packet, on_response))
             now = self.engine._now
             self.engine.post_at(
                 now + -now % self._period_ps + self._hit_latency_ps,
-                partial(self._lookup, packet, on_response),
+                self._queued_lookup,
             )
             return None
         way = cache_set.index[key]
@@ -234,8 +246,16 @@ class Cache(Component):
             packet.span.hop(f"{self.name}.hit", self.engine._now + latency_ps)
         return latency_ps
 
-    def _lookup(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        """The event-driven access, one hit latency after it arrived."""
+    def _lookup(
+        self,
+        packet: Optional[MemoryPacket] = None,
+        on_response: Optional[ResponseCallback] = None,
+    ) -> None:
+        """The event-driven access, one hit latency after it arrived: the
+        oldest request on the ``_lookups`` FIFO, or the request an
+        MSHR-full retry carries."""
+        if packet is None:
+            packet, on_response = self._lookups.popleft()
         block = packet.addr // self._line_size
         set_index = block & self._set_mask
         tag = block >> self._tag_shift
@@ -283,7 +303,7 @@ class Cache(Component):
             mshrs.secondary_misses += 1
             if packet.op is not _READ:
                 entry.is_write = True
-            entry.waiters.append(partial(on_response, packet))
+            entry.waiters.append((on_response, packet))
             return
         if len(entries) >= mshrs.num_entries:
             # Structural stall: retry the lookup after a short back-off.
@@ -293,8 +313,12 @@ class Cache(Component):
             )
             return
         entry = MshrEntry()
+        entry.cache = self
+        entry.key = mshr_key
+        entry.set_index = set_index
+        entry.tag = tag
         entry.is_write = packet.op is not _READ
-        entry.waiters = [partial(on_response, packet)]
+        entry.waiters = [(on_response, packet)]
         entries[mshr_key] = entry
         mshrs.primary_misses += 1
         # The victim under the requester's way mask: its lowest free way,
@@ -340,7 +364,7 @@ class Cache(Component):
             fill = MemoryPacket(
                 ds_id, line_addr, now, _READ, self._line_size, packet.span
             )
-        fill_done = partial(self._on_fill, set_index, tag, line_addr, ds_id)
+        fill_done = entry.fill
         if self._sync_downstream:
             sync_latency = self.downstream.access(fill, fill_done)
             if sync_latency is not None:
@@ -357,48 +381,6 @@ class Cache(Component):
             self._line_size,
         )
         self.downstream.handle_request(packet, _drop_response)
-
-    def _on_fill(
-        self, set_index: int, tag: int, line_addr: int, ds_id: int, _response=None
-    ) -> None:
-        """Retire the MSHR entry and wake its waiters, then install the
-        line in the entry's way. A waiter that touches the line again
-        misses in :meth:`access` and looks it up one hit latency later.
-        """
-        entries = self.mshrs.entries
-        mshr_key = (line_addr, ds_id)
-        if mshr_key not in entries:
-            # Unreachable: this callback is built only in _lookup, right
-            # after it allocated this key's entry, and no second fill of
-            # the key exists until this one has retired the entry here.
-            raise RuntimeError(
-                f"{self.name}: fill of line {line_addr:#x} for DS-id {ds_id} "
-                "has no reserved way"
-            )
-        entry = entries[mshr_key]
-        del entries[mshr_key]
-        for waiter in entry.waiters:
-            waiter()
-        way = entry.way
-        cache_set = self._sets[set_index]
-        line = cache_set.lines[way]
-        if line.valid:
-            # A concurrent fill landed in our reserved way (possible when a
-            # narrow way mask forces PLRU onto a reserved slot); evict it.
-            self._evict(cache_set, set_index, line)
-        line.tag = tag
-        line.ds_id = ds_id
-        line.valid = True
-        line.dirty = entry.is_write
-        cache_set.index[tag << 16 | ds_id] = way
-        # A flush_dsid while the fill was in flight may have marked the
-        # reserved way free again.
-        cache_set.free &= ~(1 << way)
-        plru = cache_set.plru
-        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
-        rows = self._capacity_rows
-        if rows is not None and ds_id in rows:
-            rows[ds_id]["capacity"] += self._line_size
 
     def _evict(self, cache_set: _Set, set_index: int, line: _Line) -> None:
         """Drop a valid line from the set's index, take it off its owner's

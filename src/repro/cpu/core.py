@@ -96,6 +96,8 @@ class CpuCore(Component):
         self._outstanding = 0
         self._wake_pending = False
         self._started_at_ps = 0
+        # Bound once: every memory access hands it down as its callback.
+        self._respond = self._on_response
 
     def _retag(self, _old: int, new: int) -> None:
         self._ds_id = new
@@ -199,7 +201,7 @@ class CpuCore(Component):
             if self.telemetry is not None:
                 self._start_span(packet)
             self.memory_accesses += 1
-            latency = self.memory.access(packet, self._on_response)
+            latency = self.memory.access(packet, self._respond)
             if latency is None:
                 pending += 1
             else:

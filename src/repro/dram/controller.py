@@ -43,9 +43,9 @@ class MemoryController(Component):
 
     The per-request methods follow the same rules as the caches (see
     DESIGN.md "Memory-hierarchy hot path"): ``engine._now`` instead of
-    the ``now`` property, geometry and cycle time precomputed here,
-    ``functools.partial`` callbacks, and calls into the engine through
-    instance attributes. The control plane's tables are used in place:
+    the ``now`` property, geometry and cycle time precomputed here, no
+    callback object built per request, and calls into the engine
+    through instance attributes. The control plane's tables are used in place:
     the request path reads a DS-id's address window, priority and
     ``rowbuf`` from its parameter row and adds each served request to
     the plane's service window.
@@ -100,6 +100,11 @@ class MemoryController(Component):
         ]
         self.bus_free_at_ps = 0
         self._inflight = 0
+        # Per bank, its dispatched requests as ``(request, delay_cycles)``
+        # in dispatch order, and the one completion callback its
+        # dispatches post (see _pump).
+        self._in_service: list[deque[tuple]] = [deque() for _ in self.banks]
+        self._completions = [partial(self._pump, fifo) for fifo in self._in_service]
         # Queueing delay per priority level, in memory cycles (Fig. 11).
         self.queue_delay = [
             LatencyRecorder(f"{name}.qdelay.p{p}") for p in range(priority_levels)
@@ -174,15 +179,21 @@ class MemoryController(Component):
 
     # -- arbitration / issue / completion ------------------------------------
 
-    def _pump(self, finished: Optional[tuple] = None, delay_cycles: float = 0.0) -> None:
-        """Retire ``finished`` (if given), then dispatch queued requests to
-        the bank state machines (Fig. 5).
+    def _pump(self, finished: Optional[deque] = None) -> None:
+        """Retire the oldest request of the bank FIFO ``finished`` (if
+        given), then dispatch queued requests to the bank state machines
+        (Fig. 5).
 
-        A request's completion event is ``partial(self._pump, request,
-        delay_cycles)``: its accounting and ``on_response`` run first, then
-        the dispatch scan, so one frame both retires a request and refills
-        the freed bank. A queued request is the tuple ``(packet,
-        bank_index, row, priority, enqueued_at_ps, on_response, ds_id)``.
+        A request's completion event is its bank's entry in
+        ``_completions``, ``partial(self._pump, fifo)``, built once: its
+        accounting and ``on_response`` run first, then the dispatch scan,
+        so one frame both retires a request and refills the freed bank. A
+        bank completes in dispatch order: it dispatches only at or after
+        its last access's done time, and each access ends after it
+        issues, so its completions are posted at increasing times and the
+        head of its FIFO is the one that is done. A queued request is the
+        tuple ``(packet, bank_index, row, priority, enqueued_at_ps,
+        on_response, ds_id)``.
 
         Each priority class is a strict FIFO: only the head of a queue
         can dispatch, and it dispatches when its bank's state machine is
@@ -202,7 +213,8 @@ class MemoryController(Component):
         """
         now = self.engine._now
         if finished is not None:
-            packet, _bank, _row, _priority, _enqueued, on_response, ds_id = finished
+            request, delay_cycles = finished.popleft()
+            packet, _bank, _row, _priority, _enqueued, on_response, ds_id = request
             self._inflight -= 1
             self.served_requests += 1
             self.served_bytes += packet.size
@@ -235,7 +247,7 @@ class MemoryController(Component):
                 # access, whose completion runs _pump then.
                 return
             queue.popleft()
-            packet, _bank, row, priority, enqueued_at_ps, _on_response, ds_id = head
+            packet, bank_index, row, priority, enqueued_at_ps, _on_response, ds_id = head
             # High priority may use the extra row buffer, if its DS-id's
             # rowbuf parameter allows (untracked DS-ids may).
             high_priority = False
@@ -253,9 +265,8 @@ class MemoryController(Component):
             if packet.span is not None:
                 packet.span.hop(f"{self.name}.issue", now)
             self._inflight += 1
-            self.engine.post_at(
-                bank.ready_at_ps, partial(self._pump, head, delay_cycles)
-            )
+            self._in_service[bank_index].append((head, delay_cycles))
+            self.engine.post_at(bank.ready_at_ps, self._completions[bank_index])
 
     # -- introspection ------------------------------------------------------------
 

@@ -189,6 +189,10 @@ class IdeController(Component):
     def _select_dsid(self) -> Optional[int]:
         """Deficit round robin: each turn adds a weight-proportional
         quantum; a DS-id keeps the disk while its deficit covers chunks.
+
+        The turns go on until a waiting queue's deficit covers its head
+        chunk, however small its share: each turn of an active queue
+        adds at least one byte, so the loop ends.
         """
         active = [d for d in self._rotation if self._queues.get(d)]
         if not active:
@@ -199,7 +203,7 @@ class IdeController(Component):
             if queue and self._deficit[self._current] >= self._head_chunk(self._current):
                 return self._current
             self._current = None
-        for _ in range(len(self._rotation) * 64):
+        while True:
             ds_id = self._rotation[0]
             self._rotation.append(self._rotation.pop(0))
             if not self._queues.get(ds_id):
@@ -210,7 +214,6 @@ class IdeController(Component):
             if self._deficit[ds_id] >= self._head_chunk(ds_id):
                 self._current = ds_id
                 return ds_id
-        return None
 
     def _head_chunk(self, ds_id: int) -> int:
         """Size of the next chunk the head transfer will need."""

@@ -27,6 +27,12 @@ implementations share this API and one ordering contract:
     bucket callbacks run in posting order, which is exactly the
     ``(time, sequence)`` order of the heap reference -- the two engines
     produce byte-identical event orderings for the same schedule.
+    Most timestamps hold one callback, so a timestamp's first callback
+    is stored bare, as the dict value itself, and a list is made only
+    when a second callback arrives for that time: a lone event costs no
+    list and no iterator. ``run()`` unqueues a bare entry and then calls
+    it, so a callback it posts at the current time forms a new entry
+    that runs next.
 
 :class:`HeapqEngine`
     The reference implementation: one binary heap of ``(time, sequence)``
@@ -72,10 +78,13 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        self._buckets: dict[int, list] = {}  # time_ps -> FIFO of callbacks
+        # time_ps -> its one callback, bare, or the FIFO list of two or more
+        self._buckets: dict[int, object] = {}
         self._times: list[int] = []  # heap of the distinct bucket times
-        # Iterator over the bucket being dispatched; its length hint says
-        # how many of that bucket's callbacks have not started yet.
+        # The list bucket dispatched last and the iterator over it; the
+        # iterator's length hint says how many of its callbacks have not
+        # started yet.
+        self._dispatching_bucket: list = []
         self._dispatching = iter(())
         self._running = False
         self.executed_total = 0
@@ -92,10 +101,14 @@ class Engine:
         """Callbacks queued and not yet started. Read from inside a
         callback, the running callback and those before it in its bucket
         no longer count; those posted after it at the same time do."""
-        pending = sum(map(len, self._buckets.values()))
-        if self._running:
-            # Minus the dispatching bucket's started callbacks.
-            bucket = self._buckets[self._now]
+        pending = 0
+        for bucket in self._buckets.values():
+            pending += len(bucket) if bucket.__class__ is list else 1
+        if self._running and self._buckets.get(self._now) is self._dispatching_bucket:
+            # Minus the dispatching list's started callbacks. A running
+            # bare callback was unqueued before it was called, and what
+            # it posts at the current time has not started.
+            bucket = self._dispatching_bucket
             pending -= len(bucket) - self._dispatching.__length_hint__()
         return pending
 
@@ -113,9 +126,13 @@ class Engine:
             raise _not_int(time_ps)
         buckets = self._buckets
         if time_ps in buckets:
-            buckets[time_ps].append(callback)
+            bucket = buckets[time_ps]
+            if bucket.__class__ is list:
+                bucket.append(callback)
+            else:
+                buckets[time_ps] = [bucket, callback]
         else:
-            buckets[time_ps] = [callback]
+            buckets[time_ps] = callback
             heapq.heappush(self._times, time_ps)
 
     def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
@@ -128,9 +145,13 @@ class Engine:
             )
         buckets = self._buckets
         if time_ps in buckets:
-            buckets[time_ps].append(callback)
+            bucket = buckets[time_ps]
+            if bucket.__class__ is list:
+                bucket.append(callback)
+            else:
+                buckets[time_ps] = [bucket, callback]
         else:
-            buckets[time_ps] = [callback]
+            buckets[time_ps] = callback
             heapq.heappush(self._times, time_ps)
 
     def post_first_at(self, time_ps: int, callback: Callable[[], None]) -> None:
@@ -152,7 +173,8 @@ class Engine:
         queued = time_ps in buckets
         self.post_at(time_ps, callback)
         if queued:
-            # Rotate the new last entry to the front.
+            # The bucket is a list now; rotate its new last entry to the
+            # front.
             bucket = buckets[time_ps]
             bucket.insert(0, bucket.pop())
 
@@ -185,10 +207,19 @@ class Engine:
                     break
                 self._now = time_ps
                 bucket = buckets[time_ps]
+                if bucket.__class__ is not list:
+                    # A lone callback: unqueue it, then call it. If it
+                    # raises, it has already left the queue.
+                    del buckets[time_ps]
+                    heapq.heappop(times)
+                    bucket()
+                    executed += 1
+                    continue
                 # The list iterator re-checks the length every step, so
                 # callbacks that post more work at the current timestamp
                 # extend this bucket and the new entries run in this same
                 # pass, in append order.
+                self._dispatching_bucket = bucket
                 self._dispatching = dispatching = iter(bucket)
                 try:
                     for callback in dispatching:

@@ -30,14 +30,31 @@ def check_invariants(server) -> None:
         if control.occupancy_bytes(ds_id) != llc.occupancy_blocks(ds_id) * llc.config.line_size:
             raise RuntimeError(f"llc: DS-id {ds_id} occupancy disagrees with the tag array")
     _check_per_dsid_sums(server)
+    # Every dispatched DRAM request waits on its bank's FIFO until its
+    # completion retires it. At drain both counts must be zero, which
+    # the checks below name separately.
+    controller = server.memory_controller
+    in_service = sum(map(len, controller._in_service))
     if server.engine.pending_events:
+        if in_service != controller._inflight:
+            raise RuntimeError(
+                f"{controller.name}: bank FIFOs hold {in_service} requests, "
+                f"{controller._inflight} in flight"
+            )
         return
     for cache in caches:
         if cache.mshrs.occupancy:
             raise RuntimeError(f"{cache.name}: MSHR entries left after drain")
-    controller = server.memory_controller
+        if cache._lookups:
+            raise RuntimeError(
+                f"{cache.name}: {len(cache._lookups)} lookups queued after drain"
+            )
     if controller._inflight:
         raise RuntimeError(f"{controller.name}: DRAM requests in flight after drain")
+    if in_service:
+        raise RuntimeError(
+            f"{controller.name}: {in_service} requests left in bank FIFOs after drain"
+        )
     for core in server.cores:
         if core.state is CoreState.WAITING_MEM:
             raise RuntimeError(

@@ -116,13 +116,14 @@ class MemcachedServer(Workload):
         # randint(0, object_lines - 1), inlined as its _randbelow loop.
         getrandbits = self.rng.getrandbits
         line_bits = object_lines.bit_length()
+        compute = ("compute", self.compute_cycles_per_batch)
         while True:
             if not self.queue:
                 yield ("block",)
                 continue
             arrived_at = self.queue.popleft()
             for _batch in range(batches):
-                yield ("compute", self.compute_cycles_per_batch)
+                yield compute
                 base_line = zipf() * object_lines
                 # A plain loop, not a comprehension: no extra frame.
                 batch = [0] * self.mlp

@@ -43,6 +43,7 @@ class Stream(Workload):
         lines = self.array_bytes // LINE
         write_period = int(1 / self.write_fraction) if self.write_fraction else 0
         index = 0
+        compute = ("compute", self.compute_cycles_per_batch)
         while True:  # runs until the simulation window closes
             batch = []
             for _ in range(self.mlp):
@@ -51,7 +52,7 @@ class Stream(Workload):
             yield ("loads", batch)
             if write_period and (index // self.mlp) % write_period == 0:
                 yield ("store", ((index - 1) % lines) * LINE)
-            yield ("compute", self.compute_cycles_per_batch)
+            yield compute
             if index >= lines:
                 index = 0
                 self.sweeps_completed += 1

@@ -268,15 +268,24 @@ class TestMshrBehaviour:
         """Every fill callback follows a reservation of its MSHR key; a
         fill that finds none is a model bug, not a case to paper over."""
         engine, cache, memory = make_cache()
+        cache.handle_request(MemoryPacket(ds_id=1, addr=0x40), lambda p: None)
+        engine.run(until_ps=10_000)
+        fill = cache.mshrs.entries[(0x40, 1)].fill
+        engine.run()
+        assert cache.mshrs.entries == {}
         with pytest.raises(RuntimeError, match="no reserved way"):
-            cache._on_fill(0, 0, 0x40, 1)
+            fill()
         # An entry for another DS-id of the same line does not count.
         cache.handle_request(MemoryPacket(ds_id=2, addr=0x40), lambda p: None)
-        engine.run(until_ps=10_000)
+        engine.run(until_ps=engine.now + 10_000)
         assert list(cache.mshrs.entries) == [(0x40, 2)]
         with pytest.raises(RuntimeError, match="no reserved way"):
-            cache._on_fill(1, 0, 0x40, 1)
+            fill(memory.requests[0])
         assert list(cache.mshrs.entries) == [(0x40, 2)]
+        assert cache.occupancy_blocks(1) == 1
+        engine.run()
+        assert cache.mshrs.entries == {}
+        assert cache.occupancy_blocks(2) == 1
 
 
 class TestOccupancyAccounting:

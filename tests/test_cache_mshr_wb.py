@@ -127,12 +127,31 @@ class TestMshrFile:
         # nothing to complete; it must not install the line again.
         engine, cache, _memory = make_cache()
         issue(cache, 0x100)
+        engine.run(until_ps=MID_MISS_PS)
+        fill = cache.mshrs.entries[(0x100, 1)].fill
         engine.run()
         assert cache.mshrs.occupancy == 0
-        set_index = (0x100 // cache.config.line_size) % cache.config.num_sets
-        tag = (0x100 // cache.config.line_size) // cache.config.num_sets
         with pytest.raises(RuntimeError, match="no reserved way"):
-            cache._on_fill(set_index, tag, 0x100, 1)
+            fill()
+        assert cache.mshrs.occupancy == 0
+        assert cache.occupancy_blocks(1) == 1
+
+    def test_retired_fill_leaves_a_new_entry_of_its_key(self):
+        # A fill of a retired entry must not retire a later entry of the
+        # same line and DS-id.
+        engine, cache, _memory = make_cache()
+        issue(cache, 0x100)
+        engine.run(until_ps=MID_MISS_PS)
+        stale = cache.mshrs.entries[(0x100, 1)].fill
+        engine.run()
+        cache.flush_dsid(1)
+        issue(cache, 0x100)
+        engine.run(until_ps=engine.now + MID_MISS_PS)
+        entry = cache.mshrs.entries[(0x100, 1)]
+        with pytest.raises(RuntimeError, match="no reserved way"):
+            stale()
+        assert cache.mshrs.entries == {(0x100, 1): entry}
+        engine.run()
         assert cache.mshrs.occupancy == 0
         assert cache.occupancy_blocks(1) == 1
 

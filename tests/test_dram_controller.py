@@ -68,6 +68,29 @@ class TestBasicService:
         read(engine, controller, 0x0)
         assert controller.queue_delay[0].samples == [0.0]
 
+    def test_bank_retires_in_dispatch_order(self):
+        """A request that reaches a bank at its done time, ahead of the
+        bank's completion event, dispatches at once. The completion
+        still retires the earlier access, and the later one ends later."""
+        engine, controller = make_controller()
+        done = []
+        first = MemoryPacket(ds_id=0, addr=0x0)
+        second = MemoryPacket(ds_id=0, addr=0x40)  # same bank and row
+        controller.handle_request(first, lambda p: done.append((p, engine.now)))
+        done_at = max(bank.ready_at_ps for bank in controller.banks)
+        in_service = []
+
+        def arrive():
+            controller.handle_request(second, lambda p: done.append((p, engine.now)))
+            in_service.extend(len(fifo) for fifo in controller._in_service if fifo)
+
+        engine.post_first_at(done_at, arrive)
+        engine.run()
+        assert in_service == [2]
+        assert controller.queue_delay[0].samples == [0.0, 0.0]
+        assert done[0] == (first, done_at)
+        assert done[1][0] is second and done[1][1] > done_at
+
     def test_queue_delay_grows_under_load(self):
         engine, controller = make_controller()
         done = []

@@ -9,6 +9,7 @@ back through the device file tree, and triggers repartition the cache.
 import pytest
 
 from repro.sim.engine import PS_PER_MS
+from repro.sim.packet import MemoryPacket
 from repro.cpu.core import CoreState
 from repro.prm.rules import partition_llc_action
 from repro.system.config import TABLE2
@@ -144,6 +145,20 @@ class TestDiskPathEndToEnd:
         assert server.memory_control.statistics.get(ldom.ds_id, "serv_cnt") > 0
         check_invariants(server)
 
+    def test_one_percent_disk_share_is_served(self):
+        """A 1% share earns 1% of a chunk per DRR turn; alone on the disk
+        its 1 MiB blocks still complete, at the full disk bandwidth."""
+        server = small_server()
+        fw = server.firmware
+        fw.create_ldom("slow", (0,), 1 << 20, disk_share=1)
+        server.start()
+        dd = DiskCopy(block_bytes=1 << 20, count=2, compute_cycles_between=100)
+        fw.launch_ldom("slow", {0: dd})
+        server.run_ms(40)
+        assert dd.blocks_written == 2
+        assert server.ide.completed_transfers == 2
+        check_invariants(server)
+
     def test_disk_quota_shifts_throughput(self):
         server = small_server()
         fw = server.firmware
@@ -251,6 +266,42 @@ class TestRuntimeInvariants:
         server = self.drained_server()
         server.memory_controller._inflight = 1
         with pytest.raises(RuntimeError, match="in flight after drain"):
+            check_invariants(server)
+
+    def running_server(self):
+        """The drained server's run, stopped with DRAM requests in
+        service; invariants hold at every stop on the way."""
+        server = small_server()
+        server.firmware.create_ldom("a", (0,), 1 << 20)
+        server.firmware.launch_ldom(
+            "a", {0: CacheFlush(flush_bytes=64 << 10, passes=1)}
+        )
+        controller = server.memory_controller
+        while not controller._inflight:
+            server.engine.run(until_ps=server.engine.now + 10_000)
+            assert server.engine.pending_events
+            check_invariants(server)
+        return server
+
+    def test_bank_fifos_off_inflight_raises(self):
+        server = self.running_server()
+        fifo = next(f for f in server.memory_controller._in_service if f)
+        fifo.pop()
+        with pytest.raises(RuntimeError, match="bank FIFOs hold"):
+            check_invariants(server)
+
+    def test_lookup_left_at_drain_raises(self):
+        server = self.drained_server()
+        packet = MemoryPacket(1, 0x40)
+        server.l1s[0]._lookups.append((packet, lambda p: None))
+        with pytest.raises(RuntimeError, match="lookups queued after drain"):
+            check_invariants(server)
+
+    def test_bank_fifo_left_at_drain_raises(self):
+        server = self.drained_server()
+        fifo = server.memory_controller._in_service[0]
+        fifo.append(((MemoryPacket(1, 0x40), 0, 0, 0, 0, None, 1), 0.0))
+        with pytest.raises(RuntimeError, match="left in bank FIFOs after drain"):
             check_invariants(server)
 
     def test_published_sums_match_totals(self):

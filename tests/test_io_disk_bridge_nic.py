@@ -117,6 +117,17 @@ class TestIdeController:
         assert 2 in order  # the busy DS-id keeps its share during the refill
         assert order_of_a_refill(5) == order
 
+    @pytest.mark.parametrize("nbytes", [42_000, 65_536])
+    def test_planeless_controller_serves_any_chunk(self, nbytes):
+        """Without a plane every DS-id weighs 1%: a chunk above 64 turns'
+        quanta (64% of ``chunk_bytes``) must still be served."""
+        engine = Engine()
+        ide = IdeController(engine)
+        done = write_blocks(engine, ide, ds_id=1, nbytes=nbytes)
+        engine.run()
+        assert len(done) == 1
+        assert ide.completed_transfers == 1
+
     def test_dma_memory_traffic_tagged(self):
         engine = Engine()
         memory = FakeMemory(engine, latency_ps=100)

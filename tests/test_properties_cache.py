@@ -146,7 +146,7 @@ INDEX_OP = st.one_of(
 )
 # Narrow masks (one way, or one way shared by two DS-ids) make PLRU pick
 # a way that an in-flight fill already reserved: the overwrite branch of
-# Cache._on_fill.
+# MshrEntry.fill.
 WAYMASK = st.sampled_from([0b0001, 0b0010, 0b1000, 0b0011, 0b0110, 0b1100, 0b1111])
 
 
@@ -223,7 +223,7 @@ def test_set_index_agrees_with_linear_scan(ops, masks):
 def test_fill_into_reserved_way_evicts_the_earlier_fill():
     """Two overlapping misses of one DS-id confined to a single way: the
     second reserves the way the first is filling, and its fill evicts
-    the first's line (the overwrite branch of ``Cache._on_fill``)."""
+    the first's line (the overwrite branch of ``MshrEntry.fill``)."""
     engine = Engine()
     control = LlcControlPlane(engine, num_ways=4)
     control.allocate_ldom(1, waymask=0b0001)

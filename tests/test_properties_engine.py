@@ -27,9 +27,13 @@ class _Scenario:
     the same order.
     """
 
-    def __init__(self, engine, seed: int, max_events: int = 400, front_posts: bool = False):
+    def __init__(
+        self, engine, seed: int, max_events: int = 400, front_posts: bool = False,
+        read_pending: bool = False,
+    ):
         self.engine = engine
         self.front_posts = front_posts
+        self.read_pending = read_pending
         self.rng = DeterministicRng(seed, name="engine-prop")
         self.trace = []
         self.spawned = 0
@@ -63,14 +67,20 @@ class _Scenario:
             self.engine.post_at(self.engine.now + delay, fire)
 
     def _fire(self, label: int) -> None:
-        self.trace.append((self.engine.now, label))
+        if self.read_pending:
+            self.trace.append((self.engine.now, label, self.engine.pending_events))
+        else:
+            self.trace.append((self.engine.now, label))
         for _ in range(self.rng.randint(0, 2)):
             self._spawn()
 
 
-def run_scenario(kind: str, seed: int, bounded: bool, front_posts: bool = False):
+def run_scenario(
+    kind: str, seed: int, bounded: bool, front_posts: bool = False,
+    read_pending: bool = False,
+):
     engine = make_engine(kind)
-    scenario = _Scenario(engine, seed, front_posts=front_posts)
+    scenario = _Scenario(engine, seed, front_posts=front_posts, read_pending=read_pending)
     scenario.seed_events()
     boundaries = []
     if bounded:
@@ -116,6 +126,99 @@ def test_calendar_matches_heapq_with_front_posts(seed, bounded):
         traces[kind] = run_scenario(kind, seed, bounded=bounded, front_posts=True)
     assert traces["calendar"] == traces["heapq"]
     assert len(traces["calendar"][0]) > 50
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pending_events_agree_inside_every_callback(seed, bounded):
+    """Each callback reads ``pending_events``: lone callbacks (stored
+    bare by the calendar queue) and list buckets alike, front posts
+    included, must see the heap reference's count of unstarted events."""
+    traces = {}
+    for kind in sorted(ENGINE_KINDS):
+        traces[kind] = run_scenario(
+            kind, seed, bounded=bounded, front_posts=True, read_pending=True
+        )
+    assert traces["calendar"] == traces["heapq"]
+    engine = make_engine("calendar")
+    scenario = _Scenario(engine, seed, read_pending=True)
+    scenario.seed_events()
+    engine.run()
+    # The schedule has both kinds of timestamp.
+    times = [t for t, _, _ in scenario.trace]
+    assert any(times.count(t) == 1 for t in times)
+    assert any(times.count(t) > 1 for t in times)
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_pending_events_inside_a_lone_callback(kind):
+    engine = make_engine(kind)
+    seen = []
+
+    def lone():
+        seen.append(engine.pending_events)  # only the t=20 event
+        engine.post(0, lambda: seen.append(engine.pending_events))
+        seen.append(engine.pending_events)  # and the one just posted
+
+    engine.post_at(10, lone)
+    engine.post_at(20, lambda: seen.append(engine.pending_events))
+    engine.run()
+    assert seen == [1, 2, 1, 0]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_pending_events_inside_a_list_bucket(kind):
+    engine = make_engine(kind)
+    seen = []
+
+    def first():
+        seen.append(engine.pending_events)  # the second and the t=20 event
+        engine.post(0, lambda: seen.append(engine.pending_events))
+
+    engine.post_at(10, first)
+    engine.post_at(10, lambda: seen.append(engine.pending_events))
+    engine.post_at(20, lambda: seen.append(engine.pending_events))
+    engine.run()
+    assert seen == [2, 2, 1, 0]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_front_post_onto_a_lone_entry(kind):
+    """A front post onto a time that holds one callback runs first,
+    whether it is made before the run or from a callback."""
+    engine = make_engine(kind)
+    fired = []
+    engine.post_at(100, lambda: fired.append("queued@100"))
+    engine.post_first_at(100, lambda: fired.append("front@100"))
+    engine.post_at(200, lambda: fired.append("queued@200"))
+    engine.post_at(
+        150, lambda: engine.post_first_at(200, lambda: fired.append("front@200"))
+    )
+    engine.run()
+    assert fired == ["front@100", "queued@100", "front@200", "queued@200"]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_raise_from_a_lone_callback_then_resume(kind):
+    engine = make_engine(kind)
+    fired = []
+
+    def boom():
+        fired.append("boom")
+        engine.post(0, lambda: fired.append("posted by boom"))
+        raise ValueError("boom")
+
+    engine.post_at(10, boom)
+    engine.post_at(20, lambda: fired.append("next"))
+    with pytest.raises(ValueError):
+        engine.run()
+    assert engine.now == 10
+    assert engine.pending_events == 2
+    assert engine.executed_total == 0
+    assert engine.run() == 2
+    assert fired == ["boom", "posted by boom", "next"]
+    assert engine.pending_events == 0
+    assert engine.executed_total == 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)
