@@ -119,15 +119,15 @@ class Cache(Component):
     next clock edge plus the same hit latency, so their times never
     decrease and they run in the order they were queued. Only an
     MSHR-full retry, which lands at another offset, posts a
-    ``functools.partial`` carrying its request. They apply PLRU touches
-    with the shared ``keep``/``point`` tables (``plru_tables``) rather
-    than :meth:`WayMaskedPlru.touch`, and a full-mask victim of a tree
-    of at most 8 ways from its ``victims`` table rather than
-    :meth:`WayMaskedPlru.victim`: every way they touch comes from the
-    set's own index, free mask or a victim pick, so it is in range by
-    construction. Calls into other layers (``downstream``, ``engine``)
-    stay attribute lookups on the instance; the control plane's tables
-    are used in place, with no call per access.
+    ``functools.partial`` carrying its request. The per-access methods
+    apply PLRU touches with the shared ``keep``/``point`` tables
+    (``plru_tables``) rather than :meth:`WayMaskedPlru.touch`, and a
+    full-mask victim of a tree of at most 8 ways from its ``victims``
+    table rather than :meth:`WayMaskedPlru.victim`: every way they touch
+    comes from the set's own index, free mask or a victim pick, so it is
+    in range by construction. Calls into other layers (``downstream``,
+    ``engine``) stay attribute lookups on the instance; the control
+    plane's tables are used in place, with no call per access.
 
     A miss is one frame from lookup to downstream fill; the MSHR entry
     holds the reserved way, and its bound ``fill`` is the fill's

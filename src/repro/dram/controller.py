@@ -45,10 +45,10 @@ class MemoryController(Component):
     DESIGN.md "Memory-hierarchy hot path"): ``engine._now`` instead of
     the ``now`` property, geometry and cycle time precomputed here, no
     callback object built per request, and calls into the engine
-    through instance attributes. The control plane's tables are used in place:
-    the request path reads a DS-id's address window, priority and
-    ``rowbuf`` from its parameter row and adds each served request to
-    the plane's service window.
+    through instance attributes. The control plane's tables are used in
+    place: the request path reads a DS-id's address window, priority
+    and ``rowbuf`` from its parameter row and adds each served request
+    to the plane's service window.
     """
 
     def __init__(
