@@ -22,9 +22,9 @@ from repro.system.experiments import (
     ColocationSetup,
     fig11_addresses,
     fig11_arrivals,
-    measure_saturation_rate,
     run_fig9,
     run_fig11_controller_point,
+    saturation_rate,
 )
 
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
@@ -56,10 +56,11 @@ def ablate_partition_share():
 
 def ablate_hp_row_buffer():
     """Fig. 11's mechanism with and without the extra row buffer."""
-    saturation = measure_saturation_rate(num_requests=2000)
-    # Both points replay one stream: 4000 requests at 0.75 of saturation.
+    # Both points replay one stream: 4000 requests at 0.75 of the
+    # saturation its first 2000 reach.
     rng = DeterministicRng(7, "fig11")
     addresses = list(islice(fig11_addresses(rng.child("addr"), 0.5), 4000))
+    saturation = saturation_rate(addresses[:2000])
     arrivals = fig11_arrivals(rng.child("arrival"), 0.75 * saturation, 4000)
     flags = (False, True)
     points = [

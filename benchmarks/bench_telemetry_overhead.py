@@ -82,7 +82,7 @@ def drive(config: str, sim_ms: float, rps: float = RPS) -> dict:
     if telemetry is not None:
         row["spans_recorded"] = len(telemetry.spans.finished)
         row["snapshots"] = len(telemetry.snapshots)
-        row["instruments"] = len(telemetry.registry)
+        row["instruments"] = len(telemetry.registry.snapshot())
     return row
 
 

@@ -13,7 +13,6 @@ Run:  python examples/memcached_colocation.py
 """
 
 from repro.analysis.tables import format_table
-from repro.sim.engine import PS_PER_MS
 from repro.system.experiments import ColocationSetup, run_colocation_point
 
 

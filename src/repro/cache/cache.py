@@ -177,9 +177,9 @@ class Cache(Component):
         self._waymask_rows = self._capacity_rows = None
         self._window_hits = self._window_misses = None
         # A downstream with a synchronous fast path (the LLC below an L1)
-        # takes fills through access(); any other through handle_request,
-        # which Component.access would only forward to.
-        self._sync_downstream = type(downstream).access is not Component.access
+        # takes fills through access(); any other through handle_request.
+        # (A type test, where hasattr would add a call per cache built.)
+        self._sync_downstream = type(downstream) is Cache
         if self.telemetry is not None:
             # Callback gauges over the plain counters: zero hot-path cost,
             # read only at snapshot time.

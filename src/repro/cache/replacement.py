@@ -17,11 +17,6 @@ class ReplacementError(RuntimeError):
     """Raised when no way is eligible for replacement (empty mask)."""
 
 
-def mask_ways(mask: int, num_ways: int) -> list[int]:
-    """The way indices enabled by ``mask`` (bit i = way i)."""
-    return [w for w in range(num_ways) if mask & (1 << w)]
-
-
 # Trees up to this many ways get a full-mask victim table (2**8 entries).
 VICTIM_TABLE_MAX_WAYS = 8
 
@@ -85,7 +80,7 @@ class WayMaskedPlru:
     from it.
     """
 
-    __slots__ = ("num_ways", "full_mask", "state", "_keep", "_point", "_leaves")
+    __slots__ = ("num_ways", "full_mask", "state", "_leaves")
 
     def __init__(self, num_ways: int):
         if num_ways < 1 or num_ways & (num_ways - 1):
@@ -93,18 +88,7 @@ class WayMaskedPlru:
         self.num_ways = num_ways
         self.full_mask = (1 << num_ways) - 1
         self.state = 0
-        self._keep, self._point, self._leaves, _victims = plru_tables(num_ways)
-
-    @property
-    def bits(self) -> list[int]:
-        """Per-node bits, indexed by node (index 0 unused), for inspection."""
-        return [0] + [(self.state >> node) & 1 for node in range(1, self.num_ways)]
-
-    def touch(self, way: int) -> None:
-        """Record an access to ``way``, making it most recently used."""
-        if not 0 <= way < self.num_ways:
-            raise ValueError(f"way {way} out of range for {self.num_ways} ways")
-        self.state = self.state & self._keep[way] | self._point[way]
+        self._leaves = plru_tables(num_ways)[2]
 
     def victim(self, mask: int | None = None) -> int:
         """Choose the victim way, restricted to ``mask`` (default: all)."""

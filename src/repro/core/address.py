@@ -40,14 +40,5 @@ class AddressMapping:
             )
         return self.base + ldom_addr
 
-    def reverse(self, dram_addr: int) -> int:
-        """DRAM address -> LDom-physical, bounds-checked."""
-        if not self.base <= dram_addr < self.limit:
-            raise AddressTranslationError(
-                f"DRAM address {dram_addr:#x} outside window "
-                f"[{self.base:#x}, {self.limit:#x})"
-            )
-        return dram_addr - self.base
-
     def overlaps(self, other: "AddressMapping") -> bool:
         return self.base < other.limit and other.base < self.limit

@@ -185,10 +185,6 @@ class ControlPlane:
         self.statistics.free(ds_id)
         self.triggers.remove_ldom(ds_id)
 
-    @property
-    def ds_ids(self) -> list[int]:
-        return self.parameters.ds_ids
-
     # -- statistics windows --------------------------------------------------
 
     def start_windows(self) -> None:
@@ -219,9 +215,6 @@ class ControlPlane:
             self._interrupt_callback(self, ds_id, rule)
 
     # -- subclass hooks --------------------------------------------------------
-
-    def on_window(self) -> None:
-        """Publish derived statistics for the closing window (subclass hook)."""
 
     def on_parameter_write(self, ds_id: int, column: str, value: int) -> None:
         """Check a firmware parameter write before it lands (subclass hook).
@@ -254,4 +247,4 @@ class ControlPlane:
             raise ProtocolError(f"invalid table selector {table}")
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name} ldoms={self.ds_ids}>"
+        return f"<{type(self).__name__} {self.name} ldoms={self.parameters.ds_ids}>"

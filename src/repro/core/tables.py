@@ -59,9 +59,6 @@ class TableSchema:
             )
         return self._columns[offset][0]
 
-    def __len__(self) -> int:
-        return len(self._columns)
-
     def __contains__(self, column: str) -> bool:
         return column in self._index
 

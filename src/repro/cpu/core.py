@@ -125,6 +125,28 @@ class CpuCore(Component):
         else:
             self._wake_pending = True
 
+    def halt(self) -> None:
+        """Stop the workload for good (its LDom is destroyed).
+
+        The workload is unbound, so it wakes the core no more, and its
+        op stream is swapped for an empty one. What it left in flight
+        still arrives -- the step a running core had posted, the I/O
+        completion or the last memory response of a waiting one -- and
+        finds no op, so the core turns DONE then, as if the workload had
+        ended: busy until its in-flight work drains, free after.
+        """
+        if self.state is CoreState.IDLE or self.state is CoreState.DONE:
+            return
+        bind = getattr(self._workload, "bind", None)
+        if bind is not None:
+            bind(None)
+        self._workload = None
+        self._ops = iter(())
+        self._carry_ps = 0
+        self._wake_pending = False
+        if self.state is CoreState.BLOCKED:
+            self.state = CoreState.DONE  # nothing is in flight
+
     @property
     def is_busy(self) -> bool:
         return self.state not in (CoreState.IDLE, CoreState.DONE)
@@ -143,8 +165,9 @@ class CpuCore(Component):
                 self.busy_ps += acc_ps
                 if acc_ps > 0:
                     # Materialize the remaining accumulated time so DONE is
-                    # observed at the correct simulated instant.
-                    self.engine.post(acc_ps, self._finish)
+                    # observed at the correct simulated instant: the
+                    # exhausted stream stops again there, with no time.
+                    self.engine.post(acc_ps, self._step)
                 else:
                     self.state = CoreState.DONE
                 return
@@ -229,9 +252,6 @@ class CpuCore(Component):
         span.hop(f"{self.name}.response", at_ps)
         packet.span = None
         self.telemetry.spans.finish(span)
-
-    def _finish(self) -> None:
-        self.state = CoreState.DONE
 
     def _on_response(self, _packet=None) -> None:
         if _packet is not None and _packet.span is not None:

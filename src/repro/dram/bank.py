@@ -40,16 +40,6 @@ class BankState:
         self.ready_at_ps = 0      # earliest time a new access may issue
         self.activated_at_ps = 0  # when the regular row was opened (for tRAS)
 
-    def row_state(self, row: int) -> str:
-        """'hit', 'closed', or 'conflict' for an access to ``row``."""
-        if row == self.open_row:
-            return "hit"
-        if self.hp_row_buffer and row == self.hp_open_row:
-            return "hit"
-        if self.open_row is None:
-            return "closed"
-        return "conflict"
-
     def issue(
         self,
         row: int,
@@ -70,7 +60,6 @@ class BankState:
         the access's completion: the end of its burst, extended on a
         conflict until the old row has been active for tRAS.
         """
-        # row_state(), inlined: this runs once per issued request.
         hit = row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row)
         if hit:
             latency_ps = self.hit_ps

@@ -78,7 +78,7 @@ class MemoryController(Component):
         self._top_priority = priority_levels - 1
         # The arbiter's scan order: highest priority first.
         self._queues_by_rank = self.queues[::-1]
-        # decompose_address's geometry and the cycle time, read per request;
+        # The address mapping's geometry and the cycle time, read per request;
         # row_bytes is a power of two (DramGeometry checks), so an
         # address's row number is a shift.
         self._row_shift = self.geometry.row_bytes.bit_length() - 1
@@ -159,7 +159,7 @@ class MemoryController(Component):
                 priority = 0
             elif priority > top:
                 priority = top
-        # repro.dram.timing.decompose_address, inlined.
+        # Row-interleaved mapping: consecutive rows go to consecutive banks.
         if dram_addr < 0:
             raise ValueError(f"negative DRAM address {dram_addr}")
         row_number = dram_addr >> self._row_shift

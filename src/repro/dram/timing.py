@@ -76,19 +76,3 @@ class DramGeometry:
     @cached_property
     def total_banks(self) -> int:
         return self.ranks * self.banks_per_rank
-
-
-def decompose_address(addr: int, geometry: DramGeometry) -> tuple[int, int, int]:
-    """DRAM physical address -> ``(bank_index, row, column)``.
-
-    Consecutive rows interleave across banks so streaming workloads
-    spread over the whole channel (standard row-interleaved mapping).
-    ``bank_index`` is flat across ranks (0 .. total_banks-1).
-    """
-    if addr < 0:
-        raise ValueError(f"negative DRAM address {addr}")
-    column = addr % geometry.row_bytes
-    row_number = addr // geometry.row_bytes
-    bank_index = row_number % geometry.total_banks
-    row = row_number // geometry.total_banks
-    return bank_index, row, column

@@ -10,8 +10,6 @@ access. It also keeps per-DS-id PIO statistics.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.control_plane import ControlPlane
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
@@ -58,7 +56,7 @@ class IoBridge(Component):
     def __init__(
         self,
         engine: Engine,
-        control: Optional[IoBridgeControlPlane] = None,
+        control: IoBridgeControlPlane,
         name: str = "iobridge",
         telemetry=None,
     ):
@@ -85,13 +83,12 @@ class IoBridge(Component):
         if entry is None:
             raise KeyError(f"{self.name}: no device {packet.device!r}")
         index, device = entry
-        if self.control is not None:
-            allowed = bool(self.control.devmask(packet.ds_id) & (1 << index))
-            self.control.record_pio(packet.ds_id, denied=not allowed)
-            if not allowed:
-                raise IoAccessError(
-                    f"DS-id {packet.ds_id} denied access to {packet.device}"
-                )
+        allowed = bool(self.control.devmask(packet.ds_id) & (1 << index))
+        self.control.record_pio(packet.ds_id, denied=not allowed)
+        if not allowed:
+            raise IoAccessError(
+                f"DS-id {packet.ds_id} denied access to {packet.device}"
+            )
         self.forwarded_pio += 1
         self.post(
             FORWARD_LATENCY_PS, lambda: device.handle_request(packet, on_response)

@@ -113,8 +113,8 @@ class IdeController(Component):
     def __init__(
         self,
         engine: Engine,
-        control: Optional[IdeControlPlane] = None,
-        memory: Optional[Component] = None,
+        control: IdeControlPlane,
+        memory: Component,
         apic=None,
         total_bandwidth_bytes_per_s: int = 100 * 1024 * 1024,
         chunk_bytes: int = 64 * 1024,
@@ -209,7 +209,7 @@ class IdeController(Component):
             if not self._queues.get(ds_id):
                 self._deficit[ds_id] = 0.0  # idle queues carry no credit
                 continue
-            quantum = self._weight(ds_id) / 100.0 * self.chunk_bytes * len(active)
+            quantum = self.control.weight(ds_id) / 100.0 * self.chunk_bytes * len(active)
             self._deficit[ds_id] += max(quantum, 1.0)
             if self._deficit[ds_id] >= self._head_chunk(ds_id):
                 self._current = ds_id
@@ -220,11 +220,6 @@ class IdeController(Component):
         transfer = self._queues[ds_id][0]
         return min(self.chunk_bytes, transfer.remaining_bytes)
 
-    def _weight(self, ds_id: int) -> float:
-        if self.control is None:
-            return 1.0
-        return self.control.weight(ds_id)
-
     def _chunk_done(self, transfer: _Transfer, chunk: int) -> None:
         transfer.remaining_bytes -= chunk
         finished = transfer.remaining_bytes <= 0
@@ -233,8 +228,7 @@ class IdeController(Component):
         # chunk raises the completion interrupt.
         self.dma.program(transfer.ds_id)
         self.dma.transfer(chunk, to_device=transfer.to_device, raise_interrupt=finished)
-        if self.control is not None:
-            self.control.record_io(transfer.ds_id, chunk)
+        self.control.record_io(transfer.ds_id, chunk)
         if finished:
             queue = self._queues[transfer.ds_id]
             queue.popleft()

@@ -19,8 +19,6 @@ memory-controller contention at a fraction of the event cost.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.tagging import TagRegister
 from repro.sim.component import Component
 from repro.sim.engine import Engine
@@ -38,7 +36,7 @@ class DmaEngine(Component):
         self,
         engine: Engine,
         name: str,
-        memory: Optional[Component],
+        memory: Component,
         apic=None,
     ):
         super().__init__(engine, name)
@@ -62,14 +60,11 @@ class DmaEngine(Component):
 
         ``to_device`` reads from memory (e.g. a disk write); the reverse
         writes to memory (e.g. a disk read). The transfer completes when
-        memory responds, or at once when the engine has no memory.
+        memory responds.
         """
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
         tag = self.tag.ds_id
-        if self.memory is None:
-            self._complete(nbytes, tag, raise_interrupt)
-            return
         packet = MemoryPacket(
             tag, 0, self.now, MemOp.READ if to_device else MemOp.WRITE, nbytes
         )

@@ -40,7 +40,7 @@ class ControlPlaneAdaptor:
 
 
 class PrmIoSpace:
-    """The PRM's CPA window: allocation plus raw address decoding."""
+    """The PRM's CPA window: one adaptor per control plane, in attach order."""
 
     def __init__(self, size_bytes: int = CPA_SPACE_BYTES):
         self.size_bytes = size_bytes
@@ -60,9 +60,6 @@ class PrmIoSpace:
     def __iter__(self) -> Iterator[ControlPlaneAdaptor]:
         return iter(self._adaptors)
 
-    def __len__(self) -> int:
-        return len(self._adaptors)
-
     def by_name(self, name: str) -> ControlPlaneAdaptor:
         for adaptor in self._adaptors:
             if adaptor.name == name:
@@ -74,21 +71,3 @@ class PrmIoSpace:
             if adaptor.control_plane is control_plane:
                 return adaptor
         return None
-
-    # -- raw bus access (address-decoded MMIO) -----------------------------------
-
-    def mmio_read(self, addr: int) -> int:
-        adaptor, reg = self._decode(addr)
-        return adaptor.register_file.mmio_read(reg)
-
-    def mmio_write(self, addr: int, value: int) -> None:
-        adaptor, reg = self._decode(addr)
-        adaptor.register_file.mmio_write(reg, value)
-
-    def _decode(self, addr: int) -> tuple[ControlPlaneAdaptor, int]:
-        if not 0 <= addr < self.size_bytes:
-            raise CpaSpaceError(f"address {addr:#x} outside the CPA window")
-        index, reg = divmod(addr, CPA_SIZE_BYTES)
-        if index >= len(self._adaptors):
-            raise CpaSpaceError(f"no CPA mapped at {addr:#x}")
-        return self._adaptors[index], reg

@@ -268,6 +268,12 @@ class Firmware:
         return ldom
 
     def destroy_ldom(self, name: str) -> None:
+        """Take an LDom's resources back: halt its cores, flush its cache
+        footprint, free its window, rows, interrupt route and metrics.
+
+        A halted core stays busy until its in-flight accesses drain;
+        then a new LDom can launch on it.
+        """
         ldom = self._ldom(name)
         ldom.destroy()
         # Flush the LDom's cache footprint before recycling its DRAM
@@ -278,7 +284,9 @@ class Firmware:
         self.memory_allocator.free(ldom.memory.base)
         self._release_rows(ldom.ds_id)
         for core_id in ldom.core_ids:
-            self._core(core_id).tag.write(0)
+            core = self._core(core_id)
+            core.halt()
+            core.tag.write(0)
         if self.inventory.apic is not None:
             self.inventory.apic.clear_routes(ldom.ds_id)
         if self.telemetry is not None:

@@ -12,44 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 
-def update_mask(cur_mask: int, miss_rate_bp: int, num_ways: int, max_share: float) -> int:
-    """The paper's ``update_mask`` policy function.
-
-    Grows the way allocation when the miss rate is high: allocate enough
-    extra contiguous ways to (roughly) halve the miss pressure, capped at
-    ``max_share`` of the cache. The mask grows from the high end
-    (``0xFF00``-style masks as in Fig. 7).
-    """
-    if not 0 < max_share <= 1.0:
-        raise ValueError("max_share must be in (0, 1]")
-    current_ways = bin(cur_mask).count("1")
-    max_ways = max(1, int(num_ways * max_share))
-    if current_ways >= max_ways:
-        return cur_mask
-    # Escalate: double the allocation (at least +1 way) up to the cap.
-    target_ways = min(max_ways, max(current_ways + 1, current_ways * 2))
-    # Build a contiguous mask anchored at the top way.
-    mask = 0
-    for way in range(num_ways - target_ways, num_ways):
-        mask |= 1 << way
-    return mask
-
-
-def increase_waymask_action(num_ways: int = 16, max_share: float = 0.5) -> Callable:
-    """Example 2 of Fig. 6: on an LLC miss-rate trigger, read the current
-    mask and miss rate, compute a bigger mask, write it back."""
-
-    def script(firmware, context: dict) -> None:
-        ldom_path = context["ldom_path"]
-        cur_mask = int(firmware.cat(f"{ldom_path}/parameters/waymask"))
-        miss_rate = int(firmware.cat(f"{ldom_path}/statistics/miss_rate"))
-        new_mask = update_mask(cur_mask, miss_rate, num_ways, max_share)
-        if new_mask != cur_mask:
-            firmware.echo(hex(new_mask), f"{ldom_path}/parameters/waymask")
-
-    return script
-
-
 def partition_llc_action(num_ways: int = 16, share: float = 0.5) -> Callable:
     """The §7.1.2 reaction: dedicate ``share`` of the LLC to this LDom.
 

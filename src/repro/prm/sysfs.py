@@ -85,9 +85,6 @@ class SysfsTree:
         except SysfsError:
             return False
 
-    def is_dir(self, path: str) -> bool:
-        return type(self._lookup(self._parts(path))) is dict
-
     def listdir(self, path: str) -> list[str]:
         node = self._lookup(self._parts(path))
         if type(node) is not dict:

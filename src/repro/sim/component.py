@@ -5,6 +5,11 @@ Request/response plumbing is deliberately simple: a downstream component
 exposes ``handle_request(packet, on_response)`` and invokes the callback
 when the (possibly much later) response is ready. This models the ICN's
 request/reply packet flows without a heavyweight port abstraction.
+
+A core's memory port (a cache) also exposes ``access(packet,
+on_response)``: it returns a hit's latency in picoseconds and never
+calls back, or returns None and calls back later, which keeps hits off
+the event queue.
 """
 
 from __future__ import annotations
@@ -33,22 +38,6 @@ class Component:
     def post(self, delay_ps: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay_ps`` picoseconds from now."""
         self.engine.post(delay_ps, callback)
-
-    def handle_request(self, packet: Packet, on_response: ResponseCallback) -> None:
-        """Accept a request; call ``on_response`` when the reply is ready."""
-        raise NotImplementedError
-
-    def access(self, packet: Packet, on_response: ResponseCallback) -> Optional[int]:
-        """Fast-path request entry.
-
-        Components that can complete a request without waiting (e.g. a
-        cache hit) may return its latency in picoseconds and skip the
-        callback entirely, which keeps hits off the event queue. The
-        default defers to :meth:`handle_request` and returns None, meaning
-        ``on_response`` will be called later.
-        """
-        self.handle_request(packet, on_response)
-        return None
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

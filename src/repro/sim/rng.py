@@ -20,8 +20,8 @@ class DeterministicRng:
     Child streams derived by name are stable across runs:
 
     >>> root = DeterministicRng(7)
-    >>> a1 = root.child("arrivals").uniform()
-    >>> a2 = DeterministicRng(7).child("arrivals").uniform()
+    >>> a1 = root.child("arrivals").random()
+    >>> a2 = DeterministicRng(7).child("arrivals").random()
     >>> a1 == a2
     True
     """
@@ -40,9 +40,6 @@ class DeterministicRng:
         child_seed = int.from_bytes(digest[:8], "big")
         return DeterministicRng(child_seed, name=f"{self.name}/{name}")
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return self._random.uniform(low, high)
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive.
 
@@ -60,9 +57,6 @@ class DeterministicRng:
         while r >= n:
             r = getrandbits(k)
         return low + r
-
-    def choice(self, items):
-        return self._random.choice(items)
 
     def exponential(self, mean: float) -> float:
         """Exponential variate; used for Poisson inter-arrival times."""
@@ -104,9 +98,3 @@ class DeterministicRng:
             return last if index > last else index
 
         return draw
-
-    def zipf_index(self, n: int, alpha: float = 0.99) -> int:
-        return self.zipf_sampler(n, alpha)()
-
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)

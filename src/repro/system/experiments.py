@@ -36,7 +36,6 @@ from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.packet import MemoryPacket
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import LatencyRecorder
 from repro.system.config import ServerConfig, TABLE2
 from repro.system.server import PardServer
 from repro.workloads.base import Boot, Sequence
@@ -615,18 +614,11 @@ def run_fig11_controller_point(
     }
 
 
-def _saturation_rate(addresses: list[int]) -> float:
-    """Requests/cycle of the baseline controller given all at t=0."""
+def saturation_rate(addresses: list[int]) -> float:
+    """The baseline controller's saturation throughput (requests/cycle):
+    ``addresses`` all given at t=0."""
     controller = _drive_controller(False, addresses, None, hp_row_buffer=False)
     return len(addresses) / (controller.engine.now / DRAM_CLOCK_PS)
-
-
-def measure_saturation_rate(num_requests: int = 4000, seed: int = 7) -> float:
-    """The baseline controller's saturation throughput (requests/cycle)."""
-    draw = fig11_addresses(
-        DeterministicRng(seed, "fig11").child("addr"), FIG11_ROW_HIT_FRACTION
-    )
-    return _saturation_rate(list(islice(draw, num_requests)))
 
 
 def run_fig11(
@@ -661,7 +653,7 @@ def run_fig11(
     rng = DeterministicRng(seed, "fig11")
     draw = fig11_addresses(rng.child("addr"), FIG11_ROW_HIT_FRACTION)
     addresses = list(islice(draw, min(num_requests, 4000)))
-    saturation = _saturation_rate(addresses)
+    saturation = saturation_rate(addresses)
     addresses.extend(islice(draw, num_requests - len(addresses)))
     arrivals = fig11_arrivals(rng.child("arrival"), inject_rate * saturation, num_requests)
     points = fig11_points(addresses, arrivals, hp_row_buffer)

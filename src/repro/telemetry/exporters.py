@@ -2,8 +2,8 @@
 
 Two machine-readable views of the same telemetry:
 
-* :func:`write_jsonl` / :func:`read_jsonl` -- generic newline-delimited
-  JSON helpers, shared by metric snapshots and PRM probe-series export.
+* :func:`write_jsonl` -- generic newline-delimited JSON, shared by
+  metric snapshots and PRM probe-series export.
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` -- finished
   spans as Chrome trace-event "complete" (``ph: "X"``) records that load
   in Perfetto / ``chrome://tracing``. One process row per DS-id, one
@@ -33,13 +33,6 @@ def write_jsonl(rows: Iterable[dict], dest: PathOrFile) -> int:
         dest.write("\n")
         n += 1
     return n
-
-
-def read_jsonl(source: PathOrFile) -> list[dict]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_jsonl(fh)
-    return [json.loads(line) for line in source if line.strip()]
 
 
 def metrics_rows(snapshots: Iterable[dict]) -> Iterable[dict]:

@@ -45,15 +45,8 @@ class Instrument:
     def __init__(self, name: str):
         self.name = _check_name(name)
 
-    def value(self):
-        raise NotImplementedError
-
-    def render(self) -> str:
-        """Single-line text form (used by ``repr``)."""
-        return str(self.value())
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name}={self.render()})"
+        return f"{type(self).__name__}({self.name}={self.value()})"
 
 
 class Gauge(Instrument):
@@ -126,34 +119,12 @@ class Histogram(Instrument):
         return sum(recorder.total for recorder in self.recorders)
 
     @property
-    def mean(self) -> float:
-        count = self.count
-        return self.total / count if count else 0.0
-
-    @property
     def min(self) -> Optional[float]:
         return min((r.min for r in self.recorders if r.count), default=None)
 
     @property
     def max(self) -> Optional[float]:
         return max((r.max for r in self.recorders if r.count), default=None)
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the bucket counts (upper-bound based)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        count = self.count
-        if count == 0:
-            return 0.0
-        rank = q * count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                break
-        return self.max
 
     def buckets(self) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, Prometheus-style."""
@@ -173,12 +144,6 @@ class Histogram(Instrument):
             "max": self.max,
             "buckets": [[b, c] for b, c in self.buckets() if b != math.inf],
         }
-
-    def render(self) -> str:
-        return (
-            f"count={self.count} sum={self.total:.6g} "
-            f"mean={self.mean:.6g} p95={self.quantile(0.95):.6g}"
-        )
 
 
 class MetricsRegistry:
@@ -219,30 +184,6 @@ class MetricsRegistry:
         """Remove an instrument (e.g. when its LDom is destroyed)."""
         return self._instruments.pop(name, None) is not None
 
-    # -- queries ------------------------------------------------------------
-
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
-
-    def find(self, prefix: str) -> list[Instrument]:
-        """Instruments under a hierarchical prefix (``llc`` matches
-        ``llc.ds1.misses`` but not ``llcx.foo``)."""
-        dotted = prefix + "."
-        return [
-            inst for name, inst in sorted(self._instruments.items())
-            if name == prefix or name.startswith(dotted)
-        ]
-
     def snapshot(self) -> dict[str, object]:
         """Current value of every instrument, by name."""
         return {name: inst.value() for name, inst in sorted(self._instruments.items())}
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __iter__(self) -> Iterable[Instrument]:
-        return iter([self._instruments[k] for k in sorted(self._instruments)])
-

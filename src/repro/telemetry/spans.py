@@ -34,14 +34,6 @@ class Span:
         self.hops.append((name, t_ps))
 
     @property
-    def start_ps(self) -> Optional[int]:
-        return self.hops[0][1] if self.hops else None
-
-    @property
-    def end_ps(self) -> Optional[int]:
-        return self.hops[-1][1] if self.hops else None
-
-    @property
     def duration_ps(self) -> int:
         if len(self.hops) < 2:
             return 0
@@ -146,17 +138,6 @@ class SpanRecorder:
         return top
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def seen(self) -> int:
-        return self._seen
-
-    @property
-    def started(self) -> int:
-        return self._started
-
-    def for_dsid(self, ds_id: int) -> list[Span]:
-        return [s for s in self.finished if s.ds_id == ds_id]
 
     def hop_stats(self, ds_id: Optional[int] = None) -> dict[str, dict[str, float]]:
         """Aggregate per-segment durations across finished spans.

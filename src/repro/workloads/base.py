@@ -23,15 +23,13 @@ class Workload:
         self.core = None
 
     def bind(self, core) -> None:
-        """Called by the core when the workload is assigned."""
+        """Called by the core when the workload is assigned, and with
+        ``None`` when the core halts."""
         self.core = core
         self.on_bind()
 
     def on_bind(self) -> None:
-        """Subclass hook run at assignment time."""
-
-    def ops(self) -> Iterator[tuple]:
-        raise NotImplementedError
+        """Subclass hook run by every :meth:`bind`."""
 
 
 class Sequence(Workload):

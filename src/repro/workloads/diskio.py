@@ -50,7 +50,3 @@ class DiskCopy(Workload):
             self.blocks_written = written
             if self.compute_cycles_between:
                 yield ("compute", self.compute_cycles_between)
-
-    @property
-    def bytes_written(self) -> int:
-        return self.blocks_written * self.block_bytes

@@ -96,14 +96,16 @@ class MemcachedServer(Workload):
         self.engine.post(max(1, int(gap)), self._arrive)
 
     def _arrive(self) -> None:
+        core = self.core
+        if core is None:
+            return  # the core halted: the client stops with it
         now = self.engine.now
         self.requests_arrived += 1
         if len(self.queue) >= MAX_QUEUE:
             self.requests_dropped += 1
         else:
             self.queue.append(now)
-            if self.core is not None:
-                self.core.wake()
+            core.wake()
         self._schedule_next_arrival()
 
     # -- server loop --------------------------------------------------------------

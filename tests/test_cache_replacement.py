@@ -3,7 +3,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import ReplacementError, WayMaskedPlru, mask_ways
+from repro.cache.replacement import ReplacementError, WayMaskedPlru, plru_tables
+
+
+def mask_ways(mask, num_ways):
+    """The way indices enabled by ``mask`` (bit i = way i)."""
+    return [w for w in range(num_ways) if mask & (1 << w)]
+
+
+def touch(plru, way):
+    """Make ``way`` the most recently used: the update ``Cache`` applies
+    per access from ``plru_tables``."""
+    if not 0 <= way < plru.num_ways:
+        raise ValueError(f"way {way} out of range for {plru.num_ways} ways")
+    keep, point, _leaves, _victims = plru_tables(plru.num_ways)
+    plru.state = plru.state & keep[way] | point[way]
+
+
+def bits(plru):
+    """The tree's per-node bits, indexed by node (index 0 unused)."""
+    return [0] + [(plru.state >> node) & 1 for node in range(1, plru.num_ways)]
 
 
 class TestMaskWays:
@@ -28,14 +47,14 @@ class TestWayMaskedPlru:
     def test_single_way(self):
         plru = WayMaskedPlru(1)
         assert plru.victim() == 0
-        plru.touch(0)
+        touch(plru, 0)
         assert plru.victim() == 0
 
     def test_victim_avoids_recently_touched(self):
         plru = WayMaskedPlru(4)
-        plru.touch(0)
+        touch(plru, 0)
         assert plru.victim() != 0
-        plru.touch(plru.victim())
+        touch(plru, plru.victim())
         # After touching two ways, the victim is one of the untouched ones.
         assert plru.victim() in (1, 2, 3)
 
@@ -45,7 +64,7 @@ class TestWayMaskedPlru:
         for _ in range(4):
             way = plru.victim()
             victims.append(way)
-            plru.touch(way)
+            touch(plru, way)
         # Touching every victim must cycle through all distinct ways.
         assert sorted(victims) == [0, 1, 2, 3]
 
@@ -54,13 +73,13 @@ class TestWayMaskedPlru:
         for _ in range(50):
             way = plru.victim(0x00FF)
             assert way < 8
-            plru.touch(way)
+            touch(plru, way)
 
     def test_mask_with_single_way(self):
         plru = WayMaskedPlru(8)
         for _ in range(5):
             assert plru.victim(0b100) == 2
-            plru.touch(2)
+            touch(plru, 2)
 
     def test_empty_mask_raises(self):
         with pytest.raises(ReplacementError):
@@ -72,7 +91,7 @@ class TestWayMaskedPlru:
 
     def test_touch_out_of_range(self):
         with pytest.raises(ValueError):
-            WayMaskedPlru(4).touch(4)
+            touch(WayMaskedPlru(4), 4)
 
     @given(
         st.integers(min_value=1, max_value=0xFFFF),
@@ -82,7 +101,7 @@ class TestWayMaskedPlru:
         """Whatever the access history, the victim is always an allowed way."""
         plru = WayMaskedPlru(16)
         for way in touches:
-            plru.touch(way)
+            touch(plru, way)
         assert mask & (1 << plru.victim(mask))
 
     @given(st.integers(min_value=1, max_value=0xF))
@@ -99,5 +118,5 @@ class TestWayMaskedPlru:
         for _ in range(4 * len(allowed)):
             way = plru.victim(mask)
             victims.add(way)
-            plru.touch(way)
+            touch(plru, way)
         assert victims == set(allowed)

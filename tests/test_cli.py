@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from tests.helpers import read_jsonl
 from repro.cli import build_parser, main
-from repro.telemetry.exporters import read_jsonl
 
 
 class TestParser:

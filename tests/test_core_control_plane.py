@@ -52,13 +52,13 @@ class TestLDomLifecycle:
         plane.allocate_ldom(1, waymask=0x00FF)
         assert plane.parameters.get(1, "waymask") == 0x00FF
         assert plane.statistics.get(1, "miss_rate") == 0
-        assert plane.ds_ids == [1]
+        assert plane.parameters.ds_ids == [1]
 
     def test_free_removes_rows_and_triggers(self, plane):
         plane.allocate_ldom(1)
         arm(plane.triggers, 1, "miss_rate", TriggerOp.GT, 3000)
         plane.free_ldom(1)
-        assert plane.ds_ids == []
+        assert plane.parameters.ds_ids == []
         assert plane.triggers.rules() == []
 
 

@@ -7,6 +7,7 @@ from repro.cpu.core import CoreState, CpuCore
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp
+from repro.workloads.memcached import MemcachedServer
 
 
 class ListWorkload:
@@ -191,3 +192,80 @@ class TestAssignmentRules:
         core.assign(ListWorkload([("io", object())]))
         with pytest.raises(RuntimeError):
             engine.run()
+
+
+class TestHalt:
+    """``halt`` stops a workload for good; what it left in flight drains
+    without resuming it or reaching the next workload."""
+
+    def test_halt_while_waiting_for_memory(self):
+        engine, core, memory = make_core(mem_latency=50_000)
+        old = ListWorkload([("loads", [0, 64]), ("compute", 10), ("loads", [128])])
+        core.assign(old)
+        engine.run(until_ps=10_000)
+        assert core.state is CoreState.WAITING_MEM
+        core.halt()
+        assert old.core is None
+        assert core.is_busy  # two responses still in flight
+        with pytest.raises(RuntimeError):
+            core.assign(ListWorkload([]))
+        engine.run()
+        assert core.state is CoreState.DONE
+        assert [p.addr for p in memory.requests] == [0, 64]  # nothing after
+
+    def test_halt_while_running_drops_the_posted_step(self):
+        engine, core, memory = make_core()
+        core.assign(ListWorkload([("compute", 1000), ("loads", [0])]))
+        engine.run(until_ps=CPU_CLOCK_PS)
+        assert core.state is CoreState.RUNNING
+        core.halt()
+        assert core.is_busy
+        engine.run()
+        assert core.state is CoreState.DONE
+        assert memory.requests == []
+        assert core.busy_ps == 1000 * CPU_CLOCK_PS
+
+    def test_halt_while_blocked_frees_the_core_at_once(self):
+        engine, core, memory = make_core()
+        core.assign(ListWorkload([("block",), ("loads", [0])]))
+        engine.run()
+        assert core.state is CoreState.BLOCKED
+        core.halt()
+        assert core.state is CoreState.DONE
+        core.wake()
+        engine.run()
+        assert memory.requests == []
+
+    def test_next_workload_runs_alone_after_the_drain(self):
+        engine, core, memory = make_core(mem_latency=50_000)
+        core.assign(ListWorkload([("loads", [0, 64, 128])]))
+        engine.run(until_ps=10_000)
+        core.halt()
+        core.halt()  # a second halt while draining changes nothing
+        engine.run()
+        new = ListWorkload([("compute", 10), ("loads", [4096]), ("store", 8192)])
+        core.assign(new)
+        engine.run()
+        assert core.state is CoreState.DONE
+        assert [p.addr for p in memory.requests] == [0, 64, 128, 4096, 8192]
+
+    def test_halt_of_an_idle_or_finished_core_is_a_no_op(self):
+        engine, core, _ = make_core()
+        core.halt()
+        assert core.state is CoreState.IDLE
+        core.assign(ListWorkload([("compute", 10)]))
+        engine.run()
+        core.halt()
+        assert core.state is CoreState.DONE
+
+    def test_halt_stops_an_open_loop_client(self):
+        engine, core, _ = make_core(mem_latency=1_000)
+        server = MemcachedServer(engine, rps=1_000_000, warmup_ps=0)
+        core.assign(server)
+        engine.run(until_ps=20_000_000)
+        arrived = server.requests_arrived
+        assert arrived > 0
+        core.halt()
+        engine.run()  # the arrival chain ends, so the engine drains
+        assert server.requests_arrived == arrived
+        assert core.state is CoreState.DONE

@@ -2,10 +2,10 @@
 
 import pytest
 
+from tests.helpers import decompose_address
 from repro.core.address import AddressTranslationError
 from repro.dram.control_plane import LATENCY_SCALE, MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tests.helpers import decompose_address
 from repro.dram.bank import BankState
 from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, DramTiming, decompose_address
+from repro.dram.timing import DramGeometry, DramTiming
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 
@@ -90,6 +91,18 @@ def timing_ps(timing, cycle_ps):
 TIMING_PS = timing_ps(DramTiming(), CYCLE_PS)
 
 
+def row_state(bank, row):
+    """'hit', 'closed' or 'conflict' for an access to ``row``: the
+    classification ``BankState.issue`` inlines."""
+    if row == bank.open_row:
+        return "hit"
+    if bank.hp_row_buffer and row == bank.hp_open_row:
+        return "hit"
+    if bank.open_row is None:
+        return "closed"
+    return "conflict"
+
+
 class TestBankState:
     def latency_cycles(self, bank, row, issue_ps, high_priority=False):
         """Issue ``row`` on a free data bus; its burst then ends the
@@ -99,13 +112,13 @@ class TestBankState:
 
     def test_initially_closed(self):
         bank = BankState(0, TIMING_PS)
-        assert bank.row_state(5) == "closed"
+        assert row_state(bank, 5) == "closed"
 
     def test_hit_after_access(self):
         bank = BankState(0, TIMING_PS)
         bank.issue(5, 0, 0, high_priority=False)
-        assert bank.row_state(5) == "hit"
-        assert bank.row_state(6) == "conflict"
+        assert row_state(bank, 5) == "hit"
+        assert row_state(bank, 6) == "conflict"
 
     def test_access_latency_by_state(self):
         bank = BankState(0, TIMING_PS)
@@ -141,8 +154,8 @@ class TestBankState:
         bank.issue(5, 0, 0, high_priority=False)
         assert self.latency_cycles(bank, 6, 2000, True) == timing.row_closed_latency
         # Both rows are now hot.
-        assert bank.row_state(5) == "hit"
-        assert bank.row_state(6) == "hit"
+        assert row_state(bank, 5) == "hit"
+        assert row_state(bank, 6) == "hit"
 
     def test_without_hp_buffer_high_priority_conflicts(self):
         bank = BankState(0, TIMING_PS, hp_row_buffer=False)

@@ -2,6 +2,7 @@
 
 import os
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -16,11 +17,12 @@ from repro.system import experiments
 from repro.system.experiments import (
     ColocationSetup,
     PAPER_KRPS_SCALE,
-    measure_saturation_rate,
+    fig11_addresses,
     run_colocation_point,
     run_fig9,
     run_fig10,
     run_fig11,
+    saturation_rate,
 )
 from repro.telemetry.hub import Telemetry
 
@@ -104,7 +106,8 @@ class TestFig10Disk:
 
 class TestFig11Queueing:
     def test_saturation_probe_positive(self):
-        rate = measure_saturation_rate(num_requests=1500)
+        draw = fig11_addresses(DeterministicRng(7, "fig11").child("addr"), 0.5)
+        rate = saturation_rate(list(islice(draw, 1500)))
         assert 0.01 < rate < 0.25  # below the theoretical bus peak
 
     def test_priority_redistributes_waiting(self):

@@ -8,7 +8,6 @@ back through the device file tree, and triggers repartition the cache.
 
 import pytest
 
-from repro.sim.engine import PS_PER_MS
 from repro.sim.packet import MemoryPacket
 from repro.cpu.core import CoreState
 from repro.prm.rules import partition_llc_action

@@ -118,12 +118,6 @@ class TestDmaEngine:
         assert dma.transfers_completed == 1
         assert delivered and delivered[0].birth_ps == 1000  # memory latency
 
-    def test_transfer_without_memory_still_completes(self):
-        engine = Engine()
-        dma = DmaEngine(engine, "x.dma", memory=None)
-        dma.transfer(4096, to_device=True, raise_interrupt=False)
-        assert dma.transfers_completed == 1
-
     def test_invalid_size(self):
         _, _, _, dma, _ = self.make_dma()
         with pytest.raises(ValueError):

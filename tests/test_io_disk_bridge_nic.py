@@ -14,11 +14,12 @@ from repro.sim.packet import IoOp, IoPacket, MemOp
 from repro.workloads.diskio import DiskCopy
 
 
-def make_ide(engine=None, control=True, bw=100 * 1024 * 1024, chunk=64 * 1024):
+def make_ide(engine=None, bw=100 * 1024 * 1024, chunk=64 * 1024):
     engine = engine or Engine()
-    plane = IdeControlPlane(engine) if control else None
+    plane = IdeControlPlane(engine)
     ide = IdeController(
-        engine, control=plane, total_bandwidth_bytes_per_s=bw, chunk_bytes=chunk
+        engine, control=plane, memory=FakeMemory(engine, latency_ps=100),
+        total_bandwidth_bytes_per_s=bw, chunk_bytes=chunk,
     )
     return engine, ide, plane
 
@@ -118,15 +119,18 @@ class TestIdeController:
         assert order_of_a_refill(5) == order
 
     @pytest.mark.parametrize("nbytes", [42_000, 65_536])
-    def test_planeless_controller_serves_any_chunk(self, nbytes):
-        """Without a plane every DS-id weighs 1%: a chunk above 64 turns'
-        quanta (64% of ``chunk_bytes``) must still be served."""
-        engine = Engine()
-        ide = IdeController(engine)
-        done = write_blocks(engine, ide, ds_id=1, nbytes=nbytes)
+    def test_one_percent_quota_serves_any_chunk(self, nbytes):
+        """A 1% DS-id beside a 99% one gains 1% of a chunk per turn: a
+        chunk above 64 turns' quanta (64% of ``chunk_bytes``) must still
+        be served."""
+        engine, ide, plane = make_ide()
+        plane.allocate_ldom(1, bandwidth=1)
+        plane.allocate_ldom(2, bandwidth=99)
+        small = write_blocks(engine, ide, ds_id=1, nbytes=nbytes)
+        large = write_blocks(engine, ide, ds_id=2, nbytes=4 * ide.chunk_bytes)
         engine.run()
-        assert len(done) == 1
-        assert ide.completed_transfers == 1
+        assert len(small) == len(large) == 1
+        assert ide.completed_transfers == 2
 
     def test_dma_memory_traffic_tagged(self):
         engine = Engine()
@@ -199,8 +203,12 @@ class TestIdeController:
             ide.handle_request(IoPacket(device="ide0", value=0), lambda p: None)
 
     def test_validation(self):
+        engine = Engine()
         with pytest.raises(ValueError):
-            IdeController(Engine(), total_bandwidth_bytes_per_s=0)
+            IdeController(
+                engine, IdeControlPlane(engine), FakeMemory(engine),
+                total_bandwidth_bytes_per_s=0,
+            )
 
 
 class TestIoBridge:

@@ -98,3 +98,24 @@ class TestLDomRecycling:
             fw.create_ldom("too-big", (1,), capacity)
         fw.destroy_ldom("big")
         fw.create_ldom("big2", (1,), capacity // 2)
+
+    def test_destroyed_ldom_stops_its_cores(self):
+        """A destroyed LDom's cores halt: no further access under any
+        DS-id, and once the in-flight work drains the core takes the
+        next LDom."""
+        server = PardServer(TABLE2.scaled(32))
+        fw = server.firmware
+        core = server.cores[0]
+        fw.create_ldom("a", (0,), 4 << 20)
+        server.start()
+        fw.launch_ldom("a", {0: Stream()})
+        server.run_ms(0.5)
+        fw.destroy_ldom("a")
+        accesses = core.memory_accesses
+        server.run_ms(0.5)
+        assert core.memory_accesses == accesses
+        assert not core.is_busy
+        fw.create_ldom("b", (0,), 4 << 20)
+        fw.launch_ldom("b", {0: Stream()})
+        server.run_ms(0.05)
+        assert core.memory_accesses > accesses

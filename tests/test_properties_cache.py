@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tests.helpers import FakeMemory
+from tests.test_cache_replacement import bits, touch
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
 from repro.cache.replacement import WayMaskedPlru, plru_tables
@@ -285,7 +286,7 @@ def tree_pair(num_ways: int, state: int):
     plru = WayMaskedPlru(num_ways)
     plru.state = state
     oracle = LoopPlru(num_ways)
-    oracle.bits = plru.bits
+    oracle.bits = bits(plru)
     return plru, oracle
 
 
@@ -298,9 +299,9 @@ def test_plru_tables_match_loop_exhaustively(num_ways):
             assert plru.victim(mask) == oracle.victim(mask), (state, mask)
         for way in range(num_ways):
             plru, oracle = tree_pair(num_ways, state)
-            plru.touch(way)
+            touch(plru, way)
             oracle.touch(way)
-            assert plru.bits == oracle.bits, (state, way)
+            assert bits(plru) == oracle.bits, (state, way)
 
 
 @pytest.mark.parametrize("num_ways", [1, 2, 4, 8])
@@ -337,6 +338,6 @@ def test_plru_tables_match_loop_on_random_histories(case):
     plru, oracle = WayMaskedPlru(num_ways), LoopPlru(num_ways)
     for way, mask in steps:
         assert plru.victim(mask) == oracle.victim(mask)
-        plru.touch(way)
+        touch(plru, way)
         oracle.touch(way)
-        assert plru.bits == oracle.bits
+        assert bits(plru) == oracle.bits

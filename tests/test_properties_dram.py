@@ -4,9 +4,10 @@ from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
+from tests.helpers import decompose_address
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, decompose_address
+from repro.dram.timing import DramGeometry
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket

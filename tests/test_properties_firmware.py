@@ -1,5 +1,7 @@
 """Property-based invariants of firmware LDom management."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
@@ -11,9 +13,9 @@ from hypothesis.stateful import (
 )
 
 from tests.helpers import FakeMemory
-from tests.test_prm_firmware import make_firmware as make_full_firmware
 from repro.cache.control_plane import LlcControlPlane
 from repro.core.address import AddressTranslationError
+from repro.core.ldom import LDomLifecycleError
 from repro.core.tables import TableError
 from repro.core.triggers import TriggerOp
 from repro.cpu.core import CpuCore
@@ -22,7 +24,11 @@ from repro.io.dma import DISK_INTERRUPT_VECTOR
 from repro.prm.firmware import Firmware, FirmwareError, HardwareInventory
 from repro.prm.sysfs import SysfsError
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, PS_PER_US
+from repro.system.config import TABLE2
+from repro.system.invariants import check_invariants
+from repro.system.server import PardServer
+from repro.workloads.stream import Stream
 
 # An action sequence: create (core set, size index) or destroy (index of
 # live LDom modulo the live count).
@@ -138,6 +144,25 @@ ECHO_VALUES = [
 # Cells pass through the CPA's 64-bit data register: -1 lands as 2**64 - 1.
 DATA_MASK = (1 << 64) - 1
 
+# The timed rig: Table 2 scaled 1/32 (2 KiB L1s, a 128 KiB LLC) with a
+# 1 GiB DRAM, so that 400 MiB windows run it out of memory.
+_SCALED = TABLE2.scaled(32)
+RIG = replace(
+    _SCALED, dram_geometry=replace(_SCALED.dram_geometry, capacity_bytes=1 << 30)
+)
+# A launched LDom runs this Stream on each of its cores: it misses the
+# L1 all the time, so accesses are in flight at any instant. A window
+# smaller than its array would fault its accesses, so the model leaves
+# the window of a launched LDom alone and launches none into a smaller one.
+STREAM_BYTES = 16 << 10
+WINDOW_COLUMNS = ("addr_base", "addr_size")
+# A destroyed LDom's cores finish their in-flight accesses within this.
+DRAIN_BOUND_PS = 20 * PS_PER_US
+
+
+def make_stream():
+    return Stream(array_bytes=STREAM_BYTES, mlp=4, compute_cycles_per_batch=20)
+
 
 def _parse(text):
     try:
@@ -151,18 +176,28 @@ def _overlaps(base, size, other_base, other_size):
 
 
 class FirmwareModel(RuleBasedStateMachine):
-    """``make_firmware()`` driven through create, destroy, echo, cat and
-    pardtrigger, against a plain-dict model.
+    """A scaled PARD server's firmware driven through create, launch,
+    destroy, echo, cat and pardtrigger, with the machine running in
+    between, against a plain-dict model.
 
     After every step the plane rows, armed triggers, the sysfs tree,
     the allocator's windows, the core tags and the APIC routes must
     match the model; a command that raised must change nothing that
-    ``cat`` can read.
+    ``cat`` can read. The server's runtime invariants hold, no core of
+    a destroyed LDom issues another access, and it drains within
+    ``DRAIN_BOUND_PS``.
     """
 
     def __init__(self):
         super().__init__()
-        _, self.firmware, self.planes, self.cores, self.apic = make_full_firmware()
+        self.server = PardServer(RIG)
+        self.engine = self.server.engine
+        self.firmware = self.server.firmware
+        # cpa0 LLC, cpa1 memory, cpa2 IDE; the model leaves cpa3, the
+        # I/O bridge, alone.
+        self.planes = self.server.control_planes[:3]
+        self.cores = self.server.cores
+        self.apic = self.server.apic
         for plane in self.planes:
             plane.triggers.max_triggers = MAX_TRIGGERS
         self.capacity = self.firmware.memory_allocator.free_bytes
@@ -174,6 +209,11 @@ class FirmwareModel(RuleBasedStateMachine):
         # (plane, ds_id, slot) -> (stat column, op, threshold)
         self.triggers: dict[tuple, tuple] = {}
         self.next_ds_id = 1
+        # Names of live LDoms that were launched.
+        self.launched: set[str] = set()
+        # core id -> (its memory accesses, the time) when its LDom was
+        # destroyed; it leaves when a new LDom launches on the core.
+        self.halted: dict[int, tuple[int, int]] = {}
 
     # -- the model's predictions -------------------------------------------------
 
@@ -242,11 +282,13 @@ class FirmwareModel(RuleBasedStateMachine):
             path = pending.pop()
             for name in sysfs.listdir(path):
                 child = f"{path.rstrip('/')}/{name}"
-                if sysfs.is_dir(child):
+                try:
+                    sysfs.listdir(child)
+                except SysfsError:  # a file
+                    seen[child] = sysfs.read(child)
+                else:
                     seen[child] = None
                     pending.append(child)
-                else:
-                    seen[child] = sysfs.read(child)
         return seen
 
     def _run(self, error, command):
@@ -314,7 +356,12 @@ class FirmwareModel(RuleBasedStateMachine):
         error = None if name in self.ldoms else FirmwareError
         self._run(error, lambda: self.firmware.destroy_ldom(name))
         if error is None:
-            ds_id = self.ldoms.pop(name)[0]
+            ds_id, core_ids, _, _ = self.ldoms.pop(name)
+            self.launched.discard(name)
+            for core_id in core_ids:
+                self.halted[core_id] = (
+                    self.cores[core_id].memory_accesses, self.engine.now
+                )
             for rows in self.params:
                 del rows[ds_id]
             for key in [k for k in self.triggers if k[1] == ds_id]:
@@ -328,6 +375,8 @@ class FirmwareModel(RuleBasedStateMachine):
     def echo(self, file, pick, text):
         plane, table, column = file
         ds_id = self._pick_ds_id(pick)
+        if column in WINDOW_COLUMNS and self._live().get(ds_id) in self.launched:
+            return  # would fault the running Stream (see STREAM_BYTES)
         value = _parse(text)
         if ds_id not in self._live() or table != "parameters" or file == MISSING_FILE:
             error = SysfsError
@@ -351,7 +400,10 @@ class FirmwareModel(RuleBasedStateMachine):
         if ds_id not in self._live() or file == MISSING_FILE:
             self._run(SysfsError, lambda: self.firmware.sh(f"cat {path}"))
             return
-        expected = self.params[plane][ds_id][column] if table == "parameters" else 0
+        if table == "parameters":
+            expected = self.params[plane][ds_id][column]
+        else:
+            expected = self._statistics(plane, ds_id)[column]
         assert self.firmware.sh(f"cat {path}") == str(expected)
 
     @rule(
@@ -386,7 +438,53 @@ class FirmwareModel(RuleBasedStateMachine):
             scale = 100 if stat == "miss_rate" else 1
             self.triggers[key] = (stat, TriggerOp.from_symbol(op), value * scale)
 
+    @rule(pick=PICK)
+    def launch(self, pick):
+        name = self._pick_name(pick)
+        ds_id, core_ids, _, _ = self.ldoms.get(name, (None, (0,), None, None))
+        if name not in self.ldoms:
+            error = FirmwareError
+        elif 0 < self.params[1][ds_id]["addr_size"] < STREAM_BYTES:
+            return  # the Stream would fault (see STREAM_BYTES)
+        elif any(self.cores[c].is_busy for c in core_ids):
+            error = FirmwareError  # running, or a destroyed LDom drains
+        elif name in self.launched:
+            error = LDomLifecycleError
+        else:
+            error = None
+        self._run(error, lambda: self.firmware.launch_ldom(
+            name, {c: make_stream() for c in core_ids}
+        ))
+        if error is None:
+            self.launched.add(name)
+            for core_id in core_ids:
+                self.halted.pop(core_id, None)
+
+    @rule(span_us=st.integers(min_value=1, max_value=40))
+    def run(self, span_us):
+        self.engine.run(until_ps=self.engine.now + span_us * PS_PER_US)
+
     # -- the comparison ------------------------------------------------------------
+
+    def _statistics(self, plane, ds_id):
+        """A live DS-id's statistics row: zero, because the planes'
+        windows never start, but for the LLC's ``capacity``, which
+        ``check_invariants`` holds to the tag array."""
+        row = dict.fromkeys(STATS_COLUMNS[plane], 0)
+        if plane == 0:
+            row["capacity"] = self.planes[0].statistics.get(ds_id, "capacity")
+        return row
+
+    @invariant()
+    def machine_runs_safely(self):
+        check_invariants(self.server)
+        for core_id, (accesses, halted_at) in self.halted.items():
+            core = self.cores[core_id]
+            assert core.memory_accesses == accesses, f"core {core_id} runs on"
+            if self.engine.now - halted_at >= DRAIN_BOUND_PS:
+                assert not core.is_busy, f"core {core_id} never drains"
+        for name in self.launched:
+            assert all(self.cores[c].is_busy for c in self.ldoms[name][1])
 
     @invariant()
     def machine_matches_model(self):
@@ -403,7 +501,7 @@ class FirmwareModel(RuleBasedStateMachine):
                 self.params[plane]
             )
             assert {d: dict(r) for d, r in cp.statistics.row_view.items()} == {
-                d: dict.fromkeys(STATS_COLUMNS[plane], 0) for d in live
+                d: self._statistics(plane, d) for d in live
             }
             assert [
                 ((plane, d, s), (r.stat_column, r.op, r.threshold), r.action_id)

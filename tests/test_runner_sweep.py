@@ -155,7 +155,7 @@ def test_telemetry_merge_identical_serial_and_parallel():
         hub = Telemetry(span_sample=1)
         sweep = run_sweep(square_points(6), jobs=jobs, telemetry=hub)
         assert sweep.ok
-        assert len(hub.registry) == 0
+        assert hub.registry.snapshot() == {}
         return hub.spans.dump(), hub.snapshots
 
     serial_spans, serial_snaps = merged(1)
@@ -198,7 +198,7 @@ def _llc_misses_alone(mode):
         mode, 150_000, setup=TINY, measure_ms=0.3, telemetry=hub,
         seed=TINY.seed,
     )
-    return hub.registry.get("cache.llc.misses").value()
+    return hub.registry.snapshot()["cache.llc.misses"]
 
 
 def test_sweep_snapshots_keep_each_points_own_values():
@@ -218,7 +218,7 @@ def test_sweep_snapshots_keep_each_points_own_values():
     for jobs in (1, 2):
         hub = Telemetry(span_sample=1, snapshot_period_ms=0.25)
         run_sweep(points, jobs=jobs, telemetry=hub).raise_on_failure()
-        assert len(hub.registry) == 0
+        assert hub.registry.snapshot() == {}
         last = {snap["run"]: snap["metrics"] for snap in hub.snapshots}
         assert {
             run: metrics["cache.llc.misses"] for run, metrics in last.items()

@@ -15,8 +15,8 @@ from repro.system import experiments
 from repro.system.experiments import (
     fig11_addresses,
     fig11_arrivals,
-    measure_saturation_rate,
     run_fig11,
+    saturation_rate,
 )
 from repro.workloads.base import LINE
 from repro.workloads.memcached import MemcachedServer
@@ -26,23 +26,23 @@ class TestDeterministicRng:
     def test_same_seed_same_stream(self):
         a = DeterministicRng(1)
         b = DeterministicRng(1)
-        assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+        assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
 
     def test_different_seeds_differ(self):
         a = DeterministicRng(1)
         b = DeterministicRng(2)
-        assert [a.uniform() for _ in range(10)] != [b.uniform() for _ in range(10)]
+        assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
 
     def test_child_streams_are_stable(self):
-        x = DeterministicRng(9).child("mem").uniform()
-        y = DeterministicRng(9).child("mem").uniform()
+        x = DeterministicRng(9).child("mem").random()
+        y = DeterministicRng(9).child("mem").random()
         assert x == y
 
     def test_child_streams_are_independent(self):
         root = DeterministicRng(9)
         a = root.child("a")
         b = root.child("b")
-        assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
+        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
     def test_exponential_positive_and_mean(self):
         rng = DeterministicRng(3)
@@ -58,26 +58,26 @@ class TestDeterministicRng:
     def test_zipf_in_range(self):
         rng = DeterministicRng(5)
         for _ in range(1000):
-            assert 0 <= rng.zipf_index(100) < 100
+            assert 0 <= rng.zipf_sampler(100)() < 100
 
     def test_zipf_skews_to_low_indices(self):
         rng = DeterministicRng(5)
-        samples = [rng.zipf_index(1000, alpha=0.99) for _ in range(5000)]
+        samples = [rng.zipf_sampler(1000, alpha=0.99)() for _ in range(5000)]
         head = sum(1 for s in samples if s < 100)
         assert head > len(samples) * 0.5  # head of the distribution dominates
 
     def test_zipf_single_element(self):
-        assert DeterministicRng().zipf_index(1) == 0
+        assert DeterministicRng().zipf_sampler(1)() == 0
 
     def test_zipf_rejects_empty_domain(self):
         with pytest.raises(ValueError):
-            DeterministicRng().zipf_index(0)
+            DeterministicRng().zipf_sampler(0)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=500))
     def test_zipf_always_in_bounds(self, seed, n):
         rng = DeterministicRng(seed)
         for _ in range(20):
-            assert 0 <= rng.zipf_index(n) < n
+            assert 0 <= rng.zipf_sampler(n)() < n
 
     def test_randint_inclusive(self):
         rng = DeterministicRng(1)
@@ -261,7 +261,8 @@ class TestFig11Stream:
         run_fig11(num_requests=num_requests, seed=3)
         (saturation, no_arrivals), baseline, pard = runs
         prefix = min(num_requests, 4000)
-        rate = 0.75 * measure_saturation_rate(prefix, seed=3)
+        draw = fig11_addresses(DeterministicRng(3, "fig11").child("addr"), 0.5)
+        rate = 0.75 * saturation_rate(list(islice(draw, prefix)))
         expected = _fig11_stream_unhoisted(3, 0.5, num_requests, rate)[:2]
         assert no_arrivals is None
         assert saturation == expected[0][:prefix]

@@ -30,7 +30,8 @@ def test_span_absorb_rebases_packet_ids():
     assert offset == 5
     ids = [span.packet_id for span in merged.finished]
     assert ids == [0, 1, 2, 3, 4]
-    assert merged.seen == 5 and merged.started == 5 and merged.dropped == 0
+    dump = merged.dump()
+    assert (dump["seen"], dump["started"], dump["dropped"]) == (5, 5, 0)
 
 
 def test_span_absorb_accumulates_sampling_counters():
@@ -43,8 +44,8 @@ def test_span_absorb_accumulates_sampling_counters():
             recorder_finish(span)
     merged = SpanRecorder(sample_every=1)
     merged.absorb(source.dump())
-    assert merged.seen == 5       # all eligible packets counted
-    assert merged.started == 3    # 1-in-2 sampling started 3 of them
+    assert merged.dump()["seen"] == 5     # all eligible packets counted
+    assert merged.dump()["started"] == 3  # 1-in-2 sampling started 3 of them
     assert len(merged) == 3
 
 
@@ -65,7 +66,7 @@ def test_merge_payload_disjoint_ids_and_snapshot_order():
     hub.merge_payload(_point_payload("p0", [0, 1], points=2))
     hub.merge_payload(_point_payload("p1", [0, 1, 2], points=3))
     # No merged registry: each run's own snapshot carries its count.
-    assert len(hub.registry) == 0
+    assert hub.registry.snapshot() == {}
     assert [snap["metrics"]["pts"] for snap in hub.snapshots] == [2, 3]
     ids = [span.packet_id for span in hub.spans.finished]
     assert ids == [0, 1, 2, 3, 4]  # second point rebased past the first
@@ -80,5 +81,5 @@ def test_fresh_hub_keeps_settings_and_pickles():
     clone = pickle.loads(pickle.dumps(hub.fresh()))
     assert (clone.spans.sample_every, clone.spans.capacity) == (7, 50)
     assert clone.snapshot_period_ms == 0.25
-    assert len(clone.registry) == 0 and clone.snapshots == []
+    assert clone.registry.snapshot() == {} and clone.snapshots == []
     assert clone.run_label == "" and len(clone.spans) == 0

