@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from repro.cache.mshr import MshrEntry, MshrFile
-from repro.cache.replacement import WayMaskedPlru, plru_tables
+from repro.cache.mshr import WAY_FREE, WAY_RESERVED, MshrEntry, MshrFile
+from repro.cache.replacement import masked_victim, plru_tables
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
@@ -66,39 +66,28 @@ class CacheConfig:
         return self.size_bytes // (self.ways * self.line_size)
 
 
-class _Line:
-    __slots__ = ("tag", "ds_id", "valid", "dirty")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.ds_id = 0
-        self.valid = False
-        self.dirty = False
-
-
 class _Set:
-    """One set: its lines, its PLRU tree and two summaries of the lines.
+    """One set of PARD Fig. 4's tag array, as plain ints.
 
-    ``index`` maps ``(tag, owner DS-id)`` -- packed into the int
-    ``tag << 16 | ds_id`` (DS-ids are 16-bit tags) -- to the way of every
-    *valid* line, so a lookup is one dict probe instead of a scan of
-    ``lines``. The cache updates it wherever a line becomes valid or
-    invalid: on fill (including the overwrite of a reserved way), on
-    eviction and in :meth:`Cache.flush_dsid`. A key is never valid in two
+    ``keys[w]`` is way ``w``'s line as ``tag << 16 | ds_id`` (DS-ids are
+    16-bit tags) while it is valid, else :data:`WAY_RESERVED` (an
+    in-flight fill holds it) or :data:`WAY_FREE` (unused since the set
+    was built or flushed). Bit ``w`` of ``dirty`` is way ``w``'s dirty
+    bit, set only on a valid way; ``plru`` is the PLRU tree's state.
+
+    Two summaries of ``keys`` spare the per-access path a scan: ``index``
+    maps each valid key to its way, and bit ``w`` of ``free`` is set
+    while ``keys[w]`` is :data:`WAY_FREE`. A key is never valid in two
     ways at once: a fill starts only in :meth:`Cache._lookup`, an event
-    of its own, so it cannot run while another fill of the same key is
-    being installed.
-
-    ``free`` has bit ``w`` set while way ``w`` is unused since the cache
-    was built or last flushed (invalid with tag 0), so victim selection
-    takes the lowest free way of the requester's mask without a scan.
+    of its own, so it cannot run while another fill of the key installs.
     """
 
-    __slots__ = ("lines", "plru", "index", "free")
+    __slots__ = ("keys", "dirty", "plru", "index", "free")
 
     def __init__(self, ways: int):
-        self.lines = [_Line() for _ in range(ways)]
-        self.plru = WayMaskedPlru(ways)
+        self.keys = [WAY_FREE] * ways
+        self.dirty = 0
+        self.plru = 0
         self.index: dict[int, int] = {}
         self.free = (1 << ways) - 1
 
@@ -110,31 +99,24 @@ def _drop_response(_packet) -> None:
 class Cache(Component):
     """A write-allocate, writeback, set-associative cache.
 
-    The per-access methods read ``engine._now`` and the geometry
-    precomputed here instead of going through properties, and build no
-    callback object per event; see DESIGN.md "Memory-hierarchy hot
-    path". A lookup one hit latency after arrival is a ``(packet,
-    on_response)`` pair on the ``_lookups`` FIFO and one post of the
-    cached bound ``_lookup``: the cache posts every such lookup at the
-    next clock edge plus the same hit latency, so their times never
-    decrease and they run in the order they were queued. Only an
-    MSHR-full retry, which lands at another offset, posts a
-    ``functools.partial`` carrying its request. The per-access methods
-    apply PLRU touches with the shared ``keep``/``point`` tables
-    (``plru_tables``) rather than :meth:`WayMaskedPlru.touch`, and a
-    full-mask victim of a tree of at most 8 ways from its ``victims``
-    table rather than :meth:`WayMaskedPlru.victim`: every way they touch
-    comes from the set's own index, free mask or a victim pick, so it is
-    in range by construction. Calls into other layers (``downstream``,
-    ``engine``) stay attribute lookups on the instance; the control
-    plane's tables are used in place, with no call per access.
+    The per-access methods read ``engine._now`` and precomputed geometry,
+    and build no callback object per event (DESIGN.md "Memory-hierarchy
+    hot path"). A request is decoded once, on arrival: a lookup one hit
+    latency later is a ``(packet, on_response, cache_set, block, key)``
+    tuple on the ``_lookups`` FIFO and one post of the cached bound
+    ``_lookup``. Every such post lands at the next clock edge plus the
+    same hit latency, so the lookups run in the order they were queued;
+    only an MSHR-full retry, which lands at another offset, posts a
+    ``functools.partial`` carrying its request. PLRU touches and
+    full-mask victims of trees of at most 8 ways come from the shared
+    ``plru_tables``, other victims from :func:`masked_victim`.
 
     A miss is one frame from lookup to downstream fill; the MSHR entry
-    holds the reserved way, and its bound ``fill`` is the fill's
-    response callback, which retires the entry. A line-aligned,
-    line-sized READ that misses is its own fill: the same packet goes
-    downstream. A store, an unaligned access or a writeback that misses
-    sends a fresh READ of the whole line.
+    holds the set, the line's key and the reserved way, and its bound
+    ``fill`` is the fill's response callback. A line-aligned, line-sized
+    READ that misses is its own fill: the same packet goes downstream.
+    A store, an unaligned access or a writeback that misses sends a
+    fresh READ of the whole line.
     """
 
     def __init__(
@@ -158,15 +140,16 @@ class Cache(Component):
         self._full_mask = (1 << config.ways) - 1
         self._period_ps = clock.period_ps
         self._hit_latency_ps = config.hit_latency_cycles * clock.period_ps
-        self._plru_keep, self._plru_point, _leaves, self._plru_victims = plru_tables(
-            config.ways
-        )
+        (self._plru_keep, self._plru_point, self._plru_leaves,
+         self._plru_victims) = plru_tables(config.ways)
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         # Requests waiting out their hit latency, in arrival order, and the
         # one callback each of their lookups posts.
-        self._lookups: deque[tuple[MemoryPacket, ResponseCallback]] = deque()
+        self._lookups: deque[tuple] = deque()
         self._queued_lookup = self._lookup
+        # DS-ids of destroyed LDoms: a fill of one installs nothing.
+        self._retired: set[int] = set()
         # Component-wide hit and miss counters (per DS-id, they are the
         # control plane's window counts below).
         self.total_hits = 0
@@ -198,7 +181,15 @@ class Cache(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """Accept a tagged cache access; respond after the modeled latency."""
-        self._lookups.append((packet, on_response))
+        block = packet.addr // self._line_size
+        set_index = block & self._set_mask
+        sets = self._sets
+        if set_index in sets:
+            cache_set = sets[set_index]
+        else:
+            cache_set = sets[set_index] = _Set(self.config.ways)
+        key = (block >> self._tag_shift) << 16 | packet.ds_id
+        self._lookups.append((packet, on_response, cache_set, block, key))
         self.clock.post_cycles(self.config.hit_latency_cycles, self._queued_lookup)
 
     def access(self, packet: MemoryPacket, on_response: ResponseCallback) -> Optional[int]:
@@ -218,21 +209,21 @@ class Cache(Component):
         else:
             cache_set = sets[set_index] = _Set(self.config.ways)
         key = (block >> self._tag_shift) << 16 | packet.ds_id
-        if key not in cache_set.index:
+        index = cache_set.index
+        if key not in index:
             # handle_request and ClockDomain.post_cycles, inlined: look up
             # one hit latency after the next clock edge.
-            self._lookups.append((packet, on_response))
+            self._lookups.append((packet, on_response, cache_set, block, key))
             now = self.engine._now
             self.engine.post_at(
                 now + -now % self._period_ps + self._hit_latency_ps,
                 self._queued_lookup,
             )
             return None
-        way = cache_set.index[key]
-        plru = cache_set.plru
-        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
+        way = index[key]
+        cache_set.plru = cache_set.plru & self._plru_keep[way] | self._plru_point[way]
         if packet.op is not _READ:
-            cache_set.lines[way].dirty = True
+            cache_set.dirty |= 1 << way
         self.total_hits += 1
         window = self._window_hits
         if window is not None:
@@ -246,32 +237,20 @@ class Cache(Component):
             packet.span.hop(f"{self.name}.hit", self.engine._now + latency_ps)
         return latency_ps
 
-    def _lookup(
-        self,
-        packet: Optional[MemoryPacket] = None,
-        on_response: Optional[ResponseCallback] = None,
-    ) -> None:
+    def _lookup(self, request: Optional[tuple] = None) -> None:
         """The event-driven access, one hit latency after it arrived: the
         oldest request on the ``_lookups`` FIFO, or the request an
         MSHR-full retry carries."""
-        if packet is None:
-            packet, on_response = self._lookups.popleft()
-        block = packet.addr // self._line_size
-        set_index = block & self._set_mask
-        tag = block >> self._tag_shift
-        sets = self._sets
-        if set_index in sets:
-            cache_set = sets[set_index]
-        else:
-            cache_set = sets[set_index] = _Set(self.config.ways)
+        if request is None:
+            request = self._lookups.popleft()
+        packet, on_response, cache_set, block, key = request
+        index = cache_set.index
         ds_id = packet.ds_id
-        key = tag << 16 | ds_id
-        if key in cache_set.index:
-            way = cache_set.index[key]
-            plru = cache_set.plru
-            plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
+        if key in index:
+            way = index[key]
+            cache_set.plru = cache_set.plru & self._plru_keep[way] | self._plru_point[way]
             if packet.op is not _READ:
-                cache_set.lines[way].dirty = True
+                cache_set.dirty |= 1 << way
             self.total_hits += 1
             window = self._window_hits
             if window is not None:
@@ -293,8 +272,7 @@ class Cache(Component):
         now = self.engine._now
         if packet.span is not None:
             packet.span.hop(f"{self.name}.miss", now)
-        line_addr = block * self._line_size
-        mshr_key = (line_addr, ds_id)
+        mshr_key = block << 16 | ds_id
         mshrs = self.mshrs
         entries = mshrs.entries
         if mshr_key in entries:
@@ -308,22 +286,20 @@ class Cache(Component):
         if len(entries) >= mshrs.num_entries:
             # Structural stall: retry the lookup after a short back-off.
             # Nothing was reserved, so the retry starts from scratch.
-            self.clock.post_cycles(
-                self.config.retry_cycles, partial(self._lookup, packet, on_response)
-            )
+            self.clock.post_cycles(self.config.retry_cycles, partial(self._lookup, request))
             return
         entry = MshrEntry()
         entry.cache = self
         entry.key = mshr_key
-        entry.set_index = set_index
-        entry.tag = tag
+        entry.cache_set = cache_set
+        entry.line_key = key
         entry.is_write = packet.op is not _READ
         entry.waiters = [(on_response, packet)]
         entries[mshr_key] = entry
         mshrs.primary_misses += 1
         # The victim under the requester's way mask: its lowest free way,
-        # else the PLRU victim. Reserving it (tag -1, and in the entry)
-        # makes concurrent misses to the set pick different ways.
+        # else the PLRU victim. Reserving it (WAY_RESERVED, and in the
+        # entry) makes concurrent misses to the set pick different ways.
         mask = self._full_mask
         rows = self._waymask_rows
         # Untracked DS-ids share all ways.
@@ -333,28 +309,29 @@ class Cache(Component):
         if free:
             way = (free & -free).bit_length() - 1  # the lowest free way
         elif mask == self._full_mask and self._plru_victims is not None:
-            # victim() under the full mask, as one table lookup (the L1s).
-            way = self._plru_victims[cache_set.plru.state]
+            # masked_victim() under the full mask, as one table lookup (the L1s).
+            way = self._plru_victims[cache_set.plru]
         else:
-            way = cache_set.plru.victim(mask)
+            way = masked_victim(cache_set.plru, mask, self._plru_leaves, self.config.ways)
         cache_set.free &= ~(1 << way)
-        victim = cache_set.lines[way]
-        if victim.valid:
+        keys = cache_set.keys
+        victim = keys[way]
+        if victim >= 0:
             # _evict, inlined.
-            owner = victim.ds_id
-            del cache_set.index[victim.tag << 16 | owner]
+            del index[victim]
+            owner = victim & 0xFFFF
             rows = self._capacity_rows
             if rows is not None and owner in rows:
                 row = rows[owner]
                 if row["capacity"] > 0:
                     row["capacity"] -= self._line_size
-            if victim.dirty:
-                self._write_back(set_index, victim)
-            victim.valid = False
-        victim.tag = -1
-        plru = cache_set.plru
-        plru.state = plru.state & self._plru_keep[way] | self._plru_point[way]
+            if cache_set.dirty >> way & 1:
+                cache_set.dirty ^= 1 << way
+                self._write_back(block & self._set_mask, victim)
+        keys[way] = WAY_RESERVED
+        cache_set.plru = cache_set.plru & self._plru_keep[way] | self._plru_point[way]
         entry.way = way
+        line_addr = block * self._line_size
         if packet.op is _READ and packet.addr == line_addr and packet.size == self._line_size:
             # The request reads exactly the line: it is its own fill.
             fill = packet
@@ -372,63 +349,65 @@ class Cache(Component):
         else:
             self.downstream.handle_request(fill, fill_done)
 
-    def _write_back(self, set_index: int, victim: _Line) -> None:
+    def _write_back(self, set_index: int, key: int) -> None:
         # Posted straight downstream, tagged with the owner DS-id; the
         # memory controller queue is the real contention point.
-        line_addr = (victim.tag << self._tag_shift | set_index) * self._line_size
+        line_addr = ((key >> 16) << self._tag_shift | set_index) * self._line_size
         packet = MemoryPacket(
-            victim.ds_id, line_addr, self.engine._now, _WRITEBACK,
+            key & 0xFFFF, line_addr, self.engine._now, _WRITEBACK,
             self._line_size,
         )
         self.downstream.handle_request(packet, _drop_response)
 
-    def _evict(self, cache_set: _Set, set_index: int, line: _Line) -> None:
-        """Drop a valid line from the set's index, take it off its owner's
-        ``capacity`` and write it back if dirty. The caller invalidates
-        or overwrites the line itself."""
-        owner = line.ds_id
-        del cache_set.index[line.tag << 16 | owner]
+    def _evict(self, cache_set: _Set, set_index: int, way: int) -> None:
+        """Drop ``way``'s valid line from the index and its owner's
+        ``capacity``, writing it back if dirty; the caller sets the key."""
+        key = cache_set.keys[way]
+        del cache_set.index[key]
+        owner = key & 0xFFFF
         rows = self._capacity_rows
         if rows is not None and owner in rows:
             row = rows[owner]
             if row["capacity"] > 0:
                 row["capacity"] -= self._line_size
-        if line.dirty:
-            self._write_back(set_index, line)
+        if cache_set.dirty >> way & 1:
+            cache_set.dirty ^= 1 << way
+            self._write_back(set_index, key)
 
     # -- management operations ---------------------------------------------
 
     def flush_dsid(self, ds_id: int) -> int:
         """Invalidate every block owned by ``ds_id``, writing back dirty
-        ones. Returns the number of blocks flushed.
-
-        The firmware runs this when an LDom is destroyed so that its
-        DRAM window can be recycled without leaking data into (or
-        serving stale data to) a later tenant.
-        """
+        ones. Returns the number of blocks flushed."""
         flushed = 0
         for set_index, cache_set in self._sets.items():
-            for way, line in enumerate(cache_set.lines):
-                if line.valid and line.ds_id == ds_id:
-                    self._evict(cache_set, set_index, line)
+            keys = cache_set.keys
+            for way, key in enumerate(keys):
+                if key >= 0 and key & 0xFFFF == ds_id:
+                    self._evict(cache_set, set_index, way)
+                    keys[way] = WAY_FREE
                     cache_set.free |= 1 << way
-                    line.valid = False
-                    line.tag = 0
-                    line.dirty = False
                     flushed += 1
         return flushed
+
+    def retire_dsid(self, ds_id: int) -> int:
+        """Flush ``ds_id`` for good (its LDom is destroyed): a fill of it
+        that lands later -- a halted core's last miss, an upper level's
+        flushed writeback -- installs nothing. Returns the number of
+        blocks flushed."""
+        self._retired.add(ds_id)
+        return self.flush_dsid(ds_id)
 
     # -- introspection ---------------------------------------------------------
 
     def occupancy_blocks(self, ds_id: int) -> int:
         """Blocks currently owned by ``ds_id`` (counted from the tag array,
         like the paper's per-DS-id capacity statistic)."""
-        count = 0
-        for cache_set in self._sets.values():
-            for line in cache_set.lines:
-                if line.valid and line.ds_id == ds_id:
-                    count += 1
-        return count
+        return sum(
+            key >= 0 and key & 0xFFFF == ds_id
+            for cache_set in self._sets.values()
+            for key in cache_set.keys
+        )
 
     @property
     def miss_rate(self) -> float:

@@ -25,9 +25,9 @@ VICTIM_TABLE_MAX_WAYS = 8
 def plru_tables(
     num_ways: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
-    """Per-way-count lookup tables, built once and shared by every tree
-    (and by :class:`~repro.cache.cache.Cache`, which applies touches and
-    picks full-mask victims itself on its per-access path).
+    """Per-way-count lookup tables, built once and shared by every
+    :class:`~repro.cache.cache.Cache` of that many ways, which applies
+    touches and picks full-mask victims with them on its per-access path.
 
     ``keep[way]`` and ``point[way]`` turn a touch into one expression,
     ``state & keep[way] | point[way]``: ``keep`` clears the bits of the
@@ -69,40 +69,21 @@ def plru_tables(
     return tuple(keep), tuple(point), tuple(leaves), victims
 
 
-class WayMaskedPlru:
-    """A binary tree PLRU over a power-of-two number of ways.
+def masked_victim(state: int, mask: int, leaves: tuple[int, ...], ways: int) -> int:
+    """The victim way of a tree PLRU in ``state``, restricted to ``mask``
+    (within the ``ways`` low bits); ``leaves`` is ``plru_tables(ways)[2]``.
 
-    Tree nodes are numbered heap-style: node 1 is the root, node ``n``
-    has children ``2n`` and ``2n+1``; nodes ``num_ways .. 2*num_ways-1``
-    are the leaves (ways). Bit ``n`` of :attr:`state` belongs to internal
-    node ``n``: 0 means the left subtree is colder (next victim
-    direction); touching a way flips the bits on its path to point away
-    from it.
+    Node 1 is the root, node ``n`` has children ``2n`` and ``2n+1``, and
+    nodes ``ways .. 2*ways-1`` are the ways. Bit ``n`` of ``state`` is 0
+    when node ``n``'s left subtree is colder (the next victim direction).
     """
-
-    __slots__ = ("num_ways", "full_mask", "state", "_leaves")
-
-    def __init__(self, num_ways: int):
-        if num_ways < 1 or num_ways & (num_ways - 1):
-            raise ValueError(f"num_ways must be a power of two, got {num_ways}")
-        self.num_ways = num_ways
-        self.full_mask = (1 << num_ways) - 1
-        self.state = 0
-        self._leaves = plru_tables(num_ways)[2]
-
-    def victim(self, mask: int | None = None) -> int:
-        """Choose the victim way, restricted to ``mask`` (default: all)."""
-        if mask is None:
-            mask = self.full_mask
-        mask &= self.full_mask
-        if mask == 0:
-            raise ReplacementError("way mask selects no ways")
-        state, leaves, num_ways = self.state, self._leaves, self.num_ways
-        node = 1
-        while node < num_ways:
-            # Follow the node's bit unless that subtree has no allowed way.
-            child = 2 * node + (state >> node & 1)
-            if not leaves[child] & mask:
-                child ^= 1
-            node = child
-        return node - num_ways
+    if not mask:
+        raise ReplacementError("way mask selects no ways")
+    node = 1
+    while node < ways:
+        # Follow the node's bit unless that subtree has no allowed way.
+        child = 2 * node + (state >> node & 1)
+        if not leaves[child] & mask:
+            child ^= 1
+        node = child
+    return node - ways

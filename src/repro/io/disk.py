@@ -138,6 +138,8 @@ class IdeController(Component):
         self._rotation: list[int] = []
         self._current: Optional[int] = None
         self._busy = False
+        # DS-ids of destroyed LDoms: the disk serves them no more.
+        self._dropped: set[int] = set()
         self.completed_transfers = 0
 
     # -- PIO entry (the guest's "dd" command) -------------------------------
@@ -161,7 +163,22 @@ class IdeController(Component):
         )
         self.post(PIO_LATENCY_PS, lambda: self._enqueue(transfer))
 
+    def drop_dsid(self, ds_id: int) -> None:
+        """Serve ``ds_id`` no more (its LDom is destroyed). Its queued
+        transfers, and any it sends later, are answered with no chunk
+        served and no completion interrupt, so a core waiting on one
+        drains; a chunk already in service still finishes and issues
+        its DMA."""
+        self._dropped.add(ds_id)
+        for transfer in self._queues.pop(ds_id, ()):
+            self.post(0, lambda t=transfer: t.on_response(t.packet))
+        if ds_id in self._rotation:
+            self._rotation.remove(ds_id)
+
     def _enqueue(self, transfer: _Transfer) -> None:
+        if transfer.ds_id in self._dropped:
+            transfer.on_response(transfer.packet)
+            return
         queue = self._queues.get(transfer.ds_id)
         if queue is None:
             queue = deque()
@@ -222,16 +239,17 @@ class IdeController(Component):
 
     def _chunk_done(self, transfer: _Transfer, chunk: int) -> None:
         transfer.remaining_bytes -= chunk
-        finished = transfer.remaining_bytes <= 0
+        live = transfer.ds_id not in self._dropped  # else answered at the drop
+        finished = live and transfer.remaining_bytes <= 0
         # Each chunk is one descriptor write, latching its owner's DS-id
         # (§4.1 step 1), and one tagged memory request; only the final
         # chunk raises the completion interrupt.
         self.dma.program(transfer.ds_id)
         self.dma.transfer(chunk, to_device=transfer.to_device, raise_interrupt=finished)
-        self.control.record_io(transfer.ds_id, chunk)
+        if live:
+            self.control.record_io(transfer.ds_id, chunk)
         if finished:
-            queue = self._queues[transfer.ds_id]
-            queue.popleft()
+            self._queues[transfer.ds_id].popleft()
             self.completed_transfers += 1
             transfer.on_response(transfer.packet)
         self._busy = False

@@ -70,6 +70,7 @@ class HardwareInventory:
     cores: list = field(default_factory=list)
     apic: Optional[object] = None
     caches: list = field(default_factory=list)  # flushable on LDom destroy
+    disks: list = field(default_factory=list)  # drop an LDom's queue on destroy
     memory_capacity_bytes: int = 8 << 30
 
 
@@ -269,10 +270,13 @@ class Firmware:
 
     def destroy_ldom(self, name: str) -> None:
         """Take an LDom's resources back: halt its cores, flush its cache
-        footprint, free its window, rows, interrupt route and metrics.
+        footprint, drop its disk transfers, free its window, rows,
+        interrupt route and metrics.
 
         A halted core stays busy until its in-flight accesses drain;
-        then a new LDom can launch on it.
+        then a new LDom can launch on it. Fills still in flight for the
+        LDom install nothing, and no chunk of its transfers is served
+        after the one in service.
         """
         ldom = self._ldom(name)
         ldom.destroy()
@@ -280,13 +284,15 @@ class Firmware:
         # window: dirty lines write back under its DS-id, stale lines
         # cannot leak to the window's next tenant.
         for cache in self.inventory.caches:
-            cache.flush_dsid(ldom.ds_id)
+            cache.retire_dsid(ldom.ds_id)
         self.memory_allocator.free(ldom.memory.base)
         self._release_rows(ldom.ds_id)
         for core_id in ldom.core_ids:
             core = self._core(core_id)
             core.halt()
             core.tag.write(0)
+        for disk in self.inventory.disks:
+            disk.drop_dsid(ldom.ds_id)
         if self.inventory.apic is not None:
             self.inventory.apic.clear_routes(ldom.ds_id)
         if self.telemetry is not None:

@@ -3,6 +3,7 @@ events, and at drain (no event pending) that nothing is left in flight."""
 
 from __future__ import annotations
 
+from repro.cache.mshr import WAY_FREE
 from repro.cpu.core import CoreState
 
 
@@ -11,18 +12,20 @@ def check_invariants(server) -> None:
     caches = [server.llc] + server.l1s
     for cache in caches:
         for set_index, cache_set in cache._sets.items():
-            index, free = {}, 0
-            for way, line in enumerate(cache_set.lines):
-                if line.valid:
-                    index.setdefault(line.tag << 16 | line.ds_id, way)
-                elif line.tag == 0:
+            index, free, valid = {}, 0, 0
+            for way, key in enumerate(cache_set.keys):
+                if key >= 0:
+                    index.setdefault(key, way)
+                    valid |= 1 << way
+                elif key == WAY_FREE:
                     free |= 1 << way
-            valid = sum(line.valid for line in cache_set.lines)
             where = f"{cache.name} set {set_index}"
-            if cache_set.index != index or len(index) != valid:
-                raise RuntimeError(f"{where}: index disagrees with lines")
+            if cache_set.index != index or len(index) != valid.bit_count():
+                raise RuntimeError(f"{where}: index disagrees with the tag array")
             if cache_set.free != free:
-                raise RuntimeError(f"{where}: free mask {cache_set.free:#x}, lines say {free:#x}")
+                raise RuntimeError(f"{where}: free mask {cache_set.free:#x}, keys say {free:#x}")
+            if cache_set.dirty & ~valid:
+                raise RuntimeError(f"{where}: dirty bits {cache_set.dirty:#x} on empty ways")
         if cache.mshrs.occupancy > cache.mshrs.num_entries:
             raise RuntimeError(f"{cache.name}: more MSHR entries than the file holds")
     control, llc = server.llc_control, server.llc

@@ -134,6 +134,7 @@ class PardServer:
             cores=self.cores,
             apic=self.apic,
             caches=[self.llc] + self.l1s,
+            disks=[self.ide],
             memory_capacity_bytes=config.dram_geometry.capacity_bytes,
         )
         self.firmware = Firmware(

@@ -5,6 +5,7 @@ import pytest
 from tests.helpers import FakeMemory
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
+from repro.cache.mshr import WAY_RESERVED
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -127,12 +128,17 @@ def make_hierarchy(engine=None):
     return engine, l1, llc, memory
 
 
-def line_at(cache, addr, ds_id=0):
-    """The valid line holding ``addr`` for ``ds_id``."""
+def is_dirty(cache, addr, ds_id=0):
+    """The dirty bit of the valid line holding ``addr`` for ``ds_id``."""
     block = addr // cache.config.line_size
     cache_set = cache._sets[block % cache.config.num_sets]
     way = cache_set.index[(block // cache.config.num_sets) << 16 | ds_id]
-    return cache_set.lines[way]
+    return bool(cache_set.dirty >> way & 1)
+
+
+def mshr_key(line_addr, ds_id, line_size=64):
+    """The MSHR file's key of ``ds_id``'s fill of the line at ``line_addr``."""
+    return (line_addr // line_size) << 16 | ds_id
 
 
 class TestMissForwarding:
@@ -159,8 +165,8 @@ class TestMissForwarding:
         assert (fill.op, fill.addr, fill.size) == (MemOp.READ, 0x1000, 64)
         # The store dirties the line in the L1 only: the LLC holds a
         # clean copy until the L1 writes it back.
-        assert line_at(l1, 0x1000).dirty
-        assert not line_at(llc, 0x1000).dirty
+        assert is_dirty(l1, 0x1000)
+        assert not is_dirty(llc, 0x1000)
 
     def test_unaligned_read_gets_a_fresh_fill_at_the_line_address(self):
         engine, cache, memory = make_cache()
@@ -180,7 +186,7 @@ class TestStoreHitDirtiesTheLine:
     def test_store_hit_dirties_a_clean_line(self, path):
         engine, cache, memory = make_cache()
         access(engine, cache, 0x1000)  # a read miss fills a clean line
-        assert not line_at(cache, 0x1000).dirty
+        assert not is_dirty(cache, 0x1000)
         store = MemoryPacket(addr=0x1000, op=MemOp.WRITE)
         if path == "access":
             assert cache.access(store, None) == cache._hit_latency_ps
@@ -190,7 +196,7 @@ class TestStoreHitDirtiesTheLine:
             engine.run()
             assert done == [store]
         assert (cache.total_hits, cache.total_misses) == (1, 1)
-        assert line_at(cache, 0x1000).dirty
+        assert is_dirty(cache, 0x1000)
         # Evicting the line writes it back, once.
         stride = cache.config.num_sets * cache.config.line_size
         for i in range(1, cache.config.ways + 1):
@@ -235,7 +241,7 @@ class TestMshrBehaviour:
         engine.run(until_ps=10_000)
         # A full file stalls the other two misses: they retry and hold
         # no MSHR entry until the first fill retires its entry.
-        assert list(cache.mshrs.entries) == [(0x1000, 1)]
+        assert list(cache.mshrs.entries) == [mshr_key(0x1000, 1)]
         assert cache.mshrs.primary_misses == 1
         engine.run()
         assert len(done) == 3
@@ -255,9 +261,9 @@ class TestMshrBehaviour:
             cache.handle_request(pkt, lambda p: done.append(p.addr))
         engine.run(until_ps=20_000)  # both looked up; the second retries
         assert cache.mshrs.occupancy == 1
-        assert list(cache.mshrs.entries) == [(0, 1)]
-        reserved = [w for w, line in enumerate(cache._sets[0].lines) if line.tag == -1]
-        assert reserved == [cache.mshrs.entries[(0, 1)].way]
+        assert list(cache.mshrs.entries) == [mshr_key(0, 1)]
+        reserved = [w for w, key in enumerate(cache._sets[0].keys) if key == WAY_RESERVED]
+        assert reserved == [cache.mshrs.entries[mshr_key(0, 1)].way]
         assert len(memory.requests) == 1
         engine.run()
         assert sorted(done) == [0, set_stride]
@@ -270,7 +276,7 @@ class TestMshrBehaviour:
         engine, cache, memory = make_cache()
         cache.handle_request(MemoryPacket(ds_id=1, addr=0x40), lambda p: None)
         engine.run(until_ps=10_000)
-        fill = cache.mshrs.entries[(0x40, 1)].fill
+        fill = cache.mshrs.entries[mshr_key(0x40, 1)].fill
         engine.run()
         assert cache.mshrs.entries == {}
         with pytest.raises(RuntimeError, match="no reserved way"):
@@ -278,10 +284,10 @@ class TestMshrBehaviour:
         # An entry for another DS-id of the same line does not count.
         cache.handle_request(MemoryPacket(ds_id=2, addr=0x40), lambda p: None)
         engine.run(until_ps=engine.now + 10_000)
-        assert list(cache.mshrs.entries) == [(0x40, 2)]
+        assert list(cache.mshrs.entries) == [mshr_key(0x40, 2)]
         with pytest.raises(RuntimeError, match="no reserved way"):
             fill(memory.requests[0])
-        assert list(cache.mshrs.entries) == [(0x40, 2)]
+        assert list(cache.mshrs.entries) == [mshr_key(0x40, 2)]
         assert cache.occupancy_blocks(1) == 1
         engine.run()
         assert cache.mshrs.entries == {}

@@ -11,6 +11,7 @@ from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
 from tests.helpers import FakeMemory
+from tests.test_cache_model import mshr_key
 
 
 def make_cache(mshr_entries=4):
@@ -36,7 +37,7 @@ class TestMshrFile:
         issue(cache, 0x100)
         engine.run(until_ps=MID_MISS_PS)
         mshrs = cache.mshrs
-        assert list(mshrs.entries) == [(0x100, 1)]
+        assert list(mshrs.entries) == [mshr_key(0x100, 1)]
         assert mshrs.occupancy == 1
         assert mshrs.primary_misses == 1
         assert mshrs.secondary_misses == 0
@@ -62,7 +63,7 @@ class TestMshrFile:
         issue(cache, 0x100, ds_id=1)
         issue(cache, 0x100, ds_id=2)
         engine.run(until_ps=MID_MISS_PS)
-        assert sorted(cache.mshrs.entries) == [(0x100, 1), (0x100, 2)]
+        assert sorted(cache.mshrs.entries) == [mshr_key(0x100, 1), mshr_key(0x100, 2)]
         assert cache.mshrs.primary_misses == 2
         engine.run()
         assert [(p.addr, p.ds_id) for p in memory.requests] == [(0x100, 1), (0x100, 2)]
@@ -76,7 +77,7 @@ class TestMshrFile:
         issue(cache, 0x100, on_response=done.append)
         issue(cache, 0x200, ds_id=2, on_response=done.append)
         engine.run(until_ps=MID_MISS_PS)
-        assert list(cache.mshrs.entries) == [(0x100, 1)]
+        assert list(cache.mshrs.entries) == [mshr_key(0x100, 1)]
         assert cache.mshrs.primary_misses == 1
         assert [(p.addr, p.ds_id) for p in memory.requests] == [(0x100, 1)]
         assert done == []
@@ -128,7 +129,7 @@ class TestMshrFile:
         engine, cache, _memory = make_cache()
         issue(cache, 0x100)
         engine.run(until_ps=MID_MISS_PS)
-        fill = cache.mshrs.entries[(0x100, 1)].fill
+        fill = cache.mshrs.entries[mshr_key(0x100, 1)].fill
         engine.run()
         assert cache.mshrs.occupancy == 0
         with pytest.raises(RuntimeError, match="no reserved way"):
@@ -142,15 +143,15 @@ class TestMshrFile:
         engine, cache, _memory = make_cache()
         issue(cache, 0x100)
         engine.run(until_ps=MID_MISS_PS)
-        stale = cache.mshrs.entries[(0x100, 1)].fill
+        stale = cache.mshrs.entries[mshr_key(0x100, 1)].fill
         engine.run()
         cache.flush_dsid(1)
         issue(cache, 0x100)
         engine.run(until_ps=engine.now + MID_MISS_PS)
-        entry = cache.mshrs.entries[(0x100, 1)]
+        entry = cache.mshrs.entries[mshr_key(0x100, 1)]
         with pytest.raises(RuntimeError, match="no reserved way"):
             stale()
-        assert cache.mshrs.entries == {(0x100, 1): entry}
+        assert cache.mshrs.entries == {mshr_key(0x100, 1): entry}
         engine.run()
         assert cache.mshrs.occupancy == 0
         assert cache.occupancy_blocks(1) == 1

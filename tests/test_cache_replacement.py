@@ -1,28 +1,17 @@
-"""Unit and property tests for way-masked pseudo-LRU replacement."""
+"""Unit and property tests for way-masked pseudo-LRU replacement: the
+tree oracle ``WayMaskedPlru`` (tests/test_properties_cache.py) and
+``masked_victim``, the walk ``Cache`` runs on a set's plain-int state."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import ReplacementError, WayMaskedPlru, plru_tables
+from repro.cache.replacement import ReplacementError, masked_victim, plru_tables
+from tests.test_properties_cache import WayMaskedPlru, cache_victim, touch
 
 
 def mask_ways(mask, num_ways):
     """The way indices enabled by ``mask`` (bit i = way i)."""
     return [w for w in range(num_ways) if mask & (1 << w)]
-
-
-def touch(plru, way):
-    """Make ``way`` the most recently used: the update ``Cache`` applies
-    per access from ``plru_tables``."""
-    if not 0 <= way < plru.num_ways:
-        raise ValueError(f"way {way} out of range for {plru.num_ways} ways")
-    keep, point, _leaves, _victims = plru_tables(plru.num_ways)
-    plru.state = plru.state & keep[way] | point[way]
-
-
-def bits(plru):
-    """The tree's per-node bits, indexed by node (index 0 unused)."""
-    return [0] + [(plru.state >> node) & 1 for node in range(1, plru.num_ways)]
 
 
 class TestMaskWays:
@@ -84,6 +73,8 @@ class TestWayMaskedPlru:
     def test_empty_mask_raises(self):
         with pytest.raises(ReplacementError):
             WayMaskedPlru(4).victim(0)
+        with pytest.raises(ReplacementError):
+            masked_victim(0, 0, plru_tables(4)[2], 4)
 
     def test_mask_wider_than_ways_is_truncated(self):
         plru = WayMaskedPlru(4)
@@ -103,6 +94,7 @@ class TestWayMaskedPlru:
         for way in touches:
             touch(plru, way)
         assert mask & (1 << plru.victim(mask))
+        assert cache_victim(plru, mask) == plru.victim(mask)
 
     @given(st.integers(min_value=1, max_value=0xF))
     def test_property_masked_victims_eventually_cover_mask(self, mask):

@@ -232,6 +232,16 @@ class TestRuntimeInvariants:
         with pytest.raises(RuntimeError, match="free mask"):
             check_invariants(server)
 
+    def test_dirty_bit_on_a_way_without_a_line_raises(self):
+        server = self.drained_server()
+        cache_set, way = next(
+            (s, way) for s in server.llc._sets.values()
+            for way, key in enumerate(s.keys) if key < 0
+        )
+        cache_set.dirty |= 1 << way
+        with pytest.raises(RuntimeError, match="dirty bits"):
+            check_invariants(server)
+
     def test_corrupted_set_index_raises(self):
         server = self.drained_server()
         cache_set = next(s for s in server.llc._sets.values() if s.index)
@@ -243,7 +253,7 @@ class TestRuntimeInvariants:
         server = self.drained_server()
         mshrs = server.l1s[0].mshrs
         for key in range(mshrs.num_entries + 1):
-            mshrs.entries[(-1, key)] = None
+            mshrs.entries[key] = None
         with pytest.raises(RuntimeError, match="more MSHR entries"):
             check_invariants(server)
 
@@ -257,7 +267,7 @@ class TestRuntimeInvariants:
 
     def test_mshr_left_at_drain_raises(self):
         server = self.drained_server()
-        server.llc.mshrs.entries[(0, 0)] = None
+        server.llc.mshrs.entries[0] = None
         with pytest.raises(RuntimeError, match="MSHR entries left after drain"):
             check_invariants(server)
 
@@ -292,7 +302,8 @@ class TestRuntimeInvariants:
     def test_lookup_left_at_drain_raises(self):
         server = self.drained_server()
         packet = MemoryPacket(1, 0x40)
-        server.l1s[0]._lookups.append((packet, lambda p: None))
+        cache_set = next(iter(server.l1s[0]._sets.values()))
+        server.l1s[0]._lookups.append((packet, lambda p: None, cache_set, 1, 1))
         with pytest.raises(RuntimeError, match="lookups queued after drain"):
             check_invariants(server)
 

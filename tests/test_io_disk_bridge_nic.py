@@ -69,6 +69,24 @@ class TestIdeController:
         bw2 = plane.statistics.get(2, "bandwidth")
         assert bw1 / bw2 == pytest.approx(4.0, rel=0.25)
 
+    def test_dropped_dsid_gets_no_chunk_after_the_one_in_service(self):
+        engine, ide, plane = make_ide()
+        plane.allocate_ldom(1)
+        plane.allocate_ldom(2)
+        dropped = write_blocks(engine, ide, 1, 256 << 10, count=2)
+        kept = write_blocks(engine, ide, 2, 256 << 10)
+        chunk_ps = (64 << 10) * PS_PER_S // (100 << 20)
+        engine.run(until_ps=chunk_ps // 2)  # DS-id 1's first chunk in service
+        ide.drop_dsid(1)
+        engine.run()
+        # DS-id 1's chunk in service finishes; DS-id 2 gets the disk after.
+        assert [p.ds_id for p in ide.dma.memory.requests] == [1, 2, 2, 2, 2]
+        # Both of DS-id 1's blocks are answered: the queued one at the
+        # drop, the next on arrival. Only DS-id 2's transfer completes.
+        assert len(dropped) == 2 and dropped[0] == chunk_ps // 2
+        assert len(kept) == 1
+        assert ide.completed_transfers == 1
+
     def test_explicit_quota_vs_default_share(self):
         engine, ide, plane = make_ide()
         plane.allocate_ldom(1, bandwidth=80)

@@ -66,6 +66,28 @@ class TestCacheFlushDsid:
         self.fill(engine, cache, 1, 4)
         assert cache.total_misses == misses_before + 4
 
+    def test_retired_dsid_installs_no_fill_in_flight(self):
+        """A fill that lands after ``retire_dsid`` (a halted core's last
+        miss) wakes its waiter but installs nothing, and frees its way."""
+        engine, cache, control, memory = self.make_cache()
+        done = []
+        cache.handle_request(MemoryPacket(ds_id=1, addr=0, op=MemOp.WRITE), done.append)
+        engine.run(until_ps=1_500)  # looked up; the fill is in flight
+        assert cache.mshrs.occupancy == 1
+        assert cache.retire_dsid(1) == 0
+        engine.run()
+        assert len(done) == 1
+        assert cache.occupancy_blocks(1) == 0
+        assert control.occupancy_bytes(1) == 0
+        assert cache._sets[0].free == 0b1111
+        # Later requests of the DS-id are served but never installed;
+        # other DS-ids fill as before.
+        self.fill(engine, cache, 1, 2)
+        self.fill(engine, cache, 2, 2)
+        assert cache.occupancy_blocks(1) == 0
+        assert cache.occupancy_blocks(2) == 2
+        assert memory.requests_of(op=MemOp.WRITEBACK) == []
+
 
 class TestLDomRecycling:
     def test_destroy_then_create_reuses_memory_window(self):

@@ -5,18 +5,19 @@ check global invariants the design must maintain regardless of input:
 occupancy accounting consistency, capacity bounds, way-mask confinement
 and request conservation. They also check the cache's lookup structures
 against the plain ones they replace: each set's index and free-way mask
-against a linear scan of its lines, and the table-driven PLRU against
-the original loop implementation.
+against a linear scan of its way keys, and the table-driven PLRU and
+``masked_victim`` against the tree and loop implementations they
+replaced.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tests.helpers import FakeMemory
-from tests.test_cache_replacement import bits, touch
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
-from repro.cache.replacement import WayMaskedPlru, plru_tables
+from repro.cache.mshr import WAY_FREE
+from repro.cache.replacement import ReplacementError, masked_victim, plru_tables
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -86,9 +87,9 @@ def test_disjoint_masks_confine_occupancy(accesses):
     allowed = {d: bin(m).count("1") for d, m in masks.items()}
     for set_index, cache_set in cache._sets.items():
         per_dsid = {}
-        for line in cache_set.lines:
-            if line.valid:
-                per_dsid[line.ds_id] = per_dsid.get(line.ds_id, 0) + 1
+        for key in cache_set.keys:
+            if key >= 0:
+                per_dsid[key & 0xFFFF] = per_dsid.get(key & 0xFFFF, 0) + 1
         for ds_id, count in per_dsid.items():
             assert count <= allowed[ds_id], (
                 f"set {set_index}: DS-id {ds_id} holds {count} ways, "
@@ -152,24 +153,23 @@ WAYMASK = st.sampled_from([0b0001, 0b0010, 0b1000, 0b0011, 0b0110, 0b1100, 0b111
 
 
 def scanned_index(cache_set):
-    """The set index rebuilt by a linear scan of ``lines`` (first match wins)."""
+    """The set index rebuilt by a linear scan of ``keys`` (first match wins)."""
     index = {}
-    for way, line in enumerate(cache_set.lines):
-        if line.valid:
-            index.setdefault(line.tag << 16 | line.ds_id, way)
+    for way, key in enumerate(cache_set.keys):
+        if key >= 0:
+            index.setdefault(key, way)
     return index
 
 
 def scanned_free(cache_set):
     return sum(
-        1 << way for way, line in enumerate(cache_set.lines)
-        if not line.valid and line.tag == 0
+        1 << way for way, key in enumerate(cache_set.keys) if key == WAY_FREE
     )
 
 
 def assert_index_matches_scan(cache):
     for set_index, cache_set in cache._sets.items():
-        valid = sum(line.valid for line in cache_set.lines)
+        valid = sum(key >= 0 for key in cache_set.keys)
         assert len(cache_set.index) == valid, f"set {set_index}: duplicate key"
         assert cache_set.index == scanned_index(cache_set), f"set {set_index}"
         assert cache_set.free == scanned_free(cache_set), f"set {set_index}"
@@ -244,12 +244,79 @@ def test_fill_into_reserved_way_evicts_the_earlier_fill():
     assert [p.addr for p in memory.requests_of(op=MemOp.WRITEBACK)] == [0]
 
 
-# -- table-driven PLRU against the loop implementation ------------------------
+# -- table-driven PLRU against the tree and loop implementations ---------------
+
+
+class WayMaskedPlru:
+    """A binary tree PLRU over a power-of-two number of ways, as an
+    object: the oracle for :func:`repro.cache.replacement.masked_victim`,
+    which ``Cache`` calls on a set's plain-int state.
+
+    Tree nodes are numbered heap-style: node 1 is the root, node ``n``
+    has children ``2n`` and ``2n+1``; nodes ``num_ways .. 2*num_ways-1``
+    are the leaves (ways). Bit ``n`` of :attr:`state` belongs to internal
+    node ``n``: 0 means the left subtree is colder (next victim
+    direction); touching a way flips the bits on its path to point away
+    from it.
+    """
+
+    def __init__(self, num_ways: int):
+        if num_ways < 1 or num_ways & (num_ways - 1):
+            raise ValueError(f"num_ways must be a power of two, got {num_ways}")
+        self.num_ways = num_ways
+        self.full_mask = (1 << num_ways) - 1
+        self.state = 0
+
+    def victim(self, mask: int | None = None) -> int:
+        """Choose the victim way, restricted to ``mask`` (default: all)."""
+        if mask is None:
+            mask = self.full_mask
+        mask &= self.full_mask
+        if mask == 0:
+            raise ReplacementError("way mask selects no ways")
+        node = 1
+        while node < self.num_ways:
+            # Follow the node's bit unless that subtree has no allowed way.
+            child = 2 * node + (self.state >> node & 1)
+            if not any(
+                mask >> way & 1 for way in range(self.num_ways)
+                if _under(child, self.num_ways + way)
+            ):
+                child ^= 1
+            node = child
+        return node - self.num_ways
+
+
+def _under(node: int, leaf: int) -> bool:
+    """Whether tree node ``leaf`` lies in the subtree of ``node``."""
+    while leaf > node:
+        leaf >>= 1
+    return leaf == node
+
+
+def touch(plru, way):
+    """Make ``way`` the most recently used: the update ``Cache`` applies
+    per access from ``plru_tables``."""
+    if not 0 <= way < plru.num_ways:
+        raise ValueError(f"way {way} out of range for {plru.num_ways} ways")
+    keep, point, _leaves, _victims = plru_tables(plru.num_ways)
+    plru.state = plru.state & keep[way] | point[way]
+
+
+def bits(plru):
+    """The tree's per-node bits, indexed by node (index 0 unused)."""
+    return [0] + [(plru.state >> node) & 1 for node in range(1, plru.num_ways)]
+
+
+def cache_victim(plru, mask):
+    """``masked_victim`` on the tree's state, as ``Cache._lookup`` calls it."""
+    leaves = plru_tables(plru.num_ways)[2]
+    return masked_victim(plru.state, mask & plru.full_mask, leaves, plru.num_ways)
 
 
 class LoopPlru:
     """The original loop implementation of the way-masked tree PLRU,
-    kept as the oracle for :class:`repro.cache.replacement.WayMaskedPlru`."""
+    kept as the oracle for the table-driven touch and victim tables."""
 
     def __init__(self, num_ways: int):
         self.num_ways = num_ways
@@ -292,11 +359,13 @@ def tree_pair(num_ways: int, state: int):
 
 @pytest.mark.parametrize("num_ways", [1, 2, 4, 8])
 def test_plru_tables_match_loop_exhaustively(num_ways):
-    """Every tree state x every mask (victim) and every way (touch)."""
+    """Every tree state x every mask (victim, and ``masked_victim``) and
+    every way (touch)."""
     for state in range(0, 1 << num_ways, 2):  # bit 0 is not a node
         for mask in range(1, 1 << num_ways):
             plru, oracle = tree_pair(num_ways, state)
             assert plru.victim(mask) == oracle.victim(mask), (state, mask)
+            assert cache_victim(plru, mask) == plru.victim(mask), (state, mask)
         for way in range(num_ways):
             plru, oracle = tree_pair(num_ways, state)
             touch(plru, way)
@@ -315,6 +384,7 @@ def test_victim_table_matches_victim_exhaustively(num_ways):
         plru.state = state
         assert victims[state] == plru.victim(), state
         assert victims[state] == plru.victim(plru.full_mask), state
+        assert victims[state] == cache_victim(plru, plru.full_mask), state
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,11 +403,12 @@ def test_victim_table_matches_victim_exhaustively(num_ways):
     )
 )
 def test_plru_tables_match_loop_on_random_histories(case):
-    """Interleaved touches and masked victim picks, 16 ways included."""
+    """Interleaved touches and masked victim picks, 16 ways included:
+    ``masked_victim`` against both oracles under random masks."""
     num_ways, steps = case
     plru, oracle = WayMaskedPlru(num_ways), LoopPlru(num_ways)
     for way, mask in steps:
-        assert plru.victim(mask) == oracle.victim(mask)
+        assert cache_victim(plru, mask) == plru.victim(mask) == oracle.victim(mask)
         touch(plru, way)
         oracle.touch(way)
         assert bits(plru) == oracle.bits

@@ -24,10 +24,11 @@ from repro.io.dma import DISK_INTERRUPT_VECTOR
 from repro.prm.firmware import Firmware, FirmwareError, HardwareInventory
 from repro.prm.sysfs import SysfsError
 from repro.sim.clock import ClockDomain, CPU_CLOCK_PS
-from repro.sim.engine import Engine, PS_PER_US
+from repro.sim.engine import Engine, PS_PER_S, PS_PER_US
 from repro.system.config import TABLE2
 from repro.system.invariants import check_invariants
 from repro.system.server import PardServer
+from repro.workloads.diskio import DiskCopy
 from repro.workloads.stream import Stream
 
 # An action sequence: create (core set, size index) or destroy (index of
@@ -145,11 +146,18 @@ ECHO_VALUES = [
 DATA_MASK = (1 << 64) - 1
 
 # The timed rig: Table 2 scaled 1/32 (2 KiB L1s, a 128 KiB LLC) with a
-# 1 GiB DRAM, so that 400 MiB windows run it out of memory.
+# 1 GiB DRAM, so that 400 MiB windows run it out of memory, and a disk
+# that serves a 512-byte chunk in 0.12 us, so that runs of a few tens of
+# microseconds see its round robin turn many times.
 _SCALED = TABLE2.scaled(32)
+DISK_CHUNK_BYTES = 512
 RIG = replace(
-    _SCALED, dram_geometry=replace(_SCALED.dram_geometry, capacity_bytes=1 << 30)
+    _SCALED,
+    dram_geometry=replace(_SCALED.dram_geometry, capacity_bytes=1 << 30),
+    disk_bandwidth_bytes_per_s=4000 * 1024 * 1024,
+    disk_chunk_bytes=DISK_CHUNK_BYTES,
 )
+CHUNK_PS = DISK_CHUNK_BYTES * PS_PER_S // RIG.disk_bandwidth_bytes_per_s
 # A launched LDom runs this Stream on each of its cores: it misses the
 # L1 all the time, so accesses are in flight at any instant. A window
 # smaller than its array would fault its accesses, so the model leaves
@@ -158,10 +166,36 @@ STREAM_BYTES = 16 << 10
 WINDOW_COLUMNS = ("addr_base", "addr_size")
 # A destroyed LDom's cores finish their in-flight accesses within this.
 DRAIN_BOUND_PS = 20 * PS_PER_US
+# A waiting disk queue completes a chunk within this. Under deficit round
+# robin a queue of the least weight (1 of 100) waits about 100 chunks:
+# each of its turns adds a hundredth of what a turn of all the queues
+# adds, and the others serve about one chunk per turn each.
+DISK_WAIT_BOUND_PS = 160 * CHUNK_PS
 
 
 def make_stream():
     return Stream(array_bytes=STREAM_BYTES, mlp=4, compute_cycles_per_batch=20)
+
+
+def make_disk_copy():
+    # count=0 writes forever: two chunks per block, a microsecond between.
+    return DiskCopy(
+        block_bytes=2 * DISK_CHUNK_BYTES, count=0, compute_cycles_between=2_000
+    )
+
+
+class DmaLog:
+    """Stands between the IDE's DMA engine and memory, and keeps the
+    time and DS-id of every request the engine issues."""
+
+    def __init__(self, engine, memory):
+        self.engine = engine
+        self.memory = memory
+        self.requests: list[tuple[int, int]] = []
+
+    def handle_request(self, packet, on_response):
+        self.requests.append((self.engine.now, packet.ds_id))
+        self.memory.handle_request(packet, on_response)
 
 
 def _parse(text):
@@ -185,7 +219,10 @@ class FirmwareModel(RuleBasedStateMachine):
     match the model; a command that raised must change nothing that
     ``cat`` can read. The server's runtime invariants hold, no core of
     a destroyed LDom issues another access, and it drains within
-    ``DRAIN_BOUND_PS``.
+    ``DRAIN_BOUND_PS``; once its cores have drained, no cache holds a
+    block of its DS-id. The disk issues no DMA request of a destroyed
+    DS-id after the chunk it had in service, and a waiting disk queue
+    completes a chunk within ``DISK_WAIT_BOUND_PS``.
     """
 
     def __init__(self):
@@ -214,6 +251,10 @@ class FirmwareModel(RuleBasedStateMachine):
         # core id -> (its memory accesses, the time) when its LDom was
         # destroyed; it leaves when a new LDom launches on the core.
         self.halted: dict[int, tuple[int, int]] = {}
+        # ds_id -> (its cores, the time) of every destroyed LDom.
+        self.destroyed: dict[int, tuple[tuple[int, ...], int]] = {}
+        self.dma = self.server.ide.dma
+        self.dma.memory = DmaLog(self.engine, self.dma.memory)
 
     # -- the model's predictions -------------------------------------------------
 
@@ -307,7 +348,7 @@ class FirmwareModel(RuleBasedStateMachine):
 
     @initialize(
         core_ids=st.sampled_from(CORE_SETS[:4]),
-        disk_share=st.sampled_from([0, 50, 80]),
+        disk_share=st.sampled_from([0, 1, 50, 80]),
     )
     def first_ldom(self, core_ids, disk_share):
         self.create(NAMES[0], core_ids, 1, 0, disk_share)
@@ -317,7 +358,7 @@ class FirmwareModel(RuleBasedStateMachine):
         core_ids=st.sampled_from(CORE_SETS),
         size_mb=st.sampled_from([1, 2, 3, 400]),
         priority=st.integers(min_value=0, max_value=2),
-        disk_share=st.sampled_from([0, 20, 30, 50, 80, 101, -1]),
+        disk_share=st.sampled_from([0, 1, 20, 30, 50, 80, 101, -1]),
     )
     def create(self, name, core_ids, size_mb, priority, disk_share):
         size = size_mb * MIB
@@ -362,6 +403,7 @@ class FirmwareModel(RuleBasedStateMachine):
                 self.halted[core_id] = (
                     self.cores[core_id].memory_accesses, self.engine.now
                 )
+            self.destroyed[ds_id] = (core_ids, self.engine.now)
             for rows in self.params:
                 del rows[ds_id]
             for key in [k for k in self.triggers if k[1] == ds_id]:
@@ -440,11 +482,22 @@ class FirmwareModel(RuleBasedStateMachine):
 
     @rule(pick=PICK)
     def launch(self, pick):
+        self._launch(pick, make_stream)
+
+    @rule(pick=PICK)
+    def launch_disk(self, pick):
+        # Its DMA requests address the window's first bytes, which any
+        # window holds.
+        self._launch(pick, make_disk_copy)
+
+    def _launch(self, pick, make_workload):
         name = self._pick_name(pick)
         ds_id, core_ids, _, _ = self.ldoms.get(name, (None, (0,), None, None))
         if name not in self.ldoms:
             error = FirmwareError
-        elif 0 < self.params[1][ds_id]["addr_size"] < STREAM_BYTES:
+        elif make_workload is make_stream and (
+            0 < self.params[1][ds_id]["addr_size"] < STREAM_BYTES
+        ):
             return  # the Stream would fault (see STREAM_BYTES)
         elif any(self.cores[c].is_busy for c in core_ids):
             error = FirmwareError  # running, or a destroyed LDom drains
@@ -453,7 +506,7 @@ class FirmwareModel(RuleBasedStateMachine):
         else:
             error = None
         self._run(error, lambda: self.firmware.launch_ldom(
-            name, {c: make_stream() for c in core_ids}
+            name, {c: make_workload() for c in core_ids}
         ))
         if error is None:
             self.launched.add(name)
@@ -485,6 +538,34 @@ class FirmwareModel(RuleBasedStateMachine):
                 assert not core.is_busy, f"core {core_id} never drains"
         for name in self.launched:
             assert all(self.cores[c].is_busy for c in self.ldoms[name][1])
+        caches = [self.server.llc] + self.server.l1s
+        for ds_id, (core_ids, _) in self.destroyed.items():
+            if not any(c in self.halted and self.cores[c].is_busy for c in core_ids):
+                assert [cache.occupancy_blocks(ds_id) for cache in caches] == [
+                    0 for _ in caches
+                ], f"DS-id {ds_id} owns blocks after its cores drained"
+
+    @invariant()
+    def disk_serves_live_queues_only(self):
+        now = self.engine.now
+        last_chunk = {}
+        late = {}
+        for at, ds_id in self.dma.memory.requests:
+            last_chunk[ds_id] = at
+            if ds_id in self.destroyed and at >= self.destroyed[ds_id][1]:
+                late.setdefault(ds_id, []).append(at)
+        for ds_id, times in late.items():
+            # Only the chunk in service at the destroy may still finish.
+            destroyed_at = self.destroyed[ds_id][1]
+            assert len(times) == 1 and times[0] <= destroyed_at + CHUNK_PS, (
+                f"DS-id {ds_id}: DMA at {times} after its destroy at {destroyed_at}"
+            )
+        for ds_id, queue in self.server.ide._queues.items():
+            if queue:
+                waiting_since = max(queue[0].started_at_ps, last_chunk.get(ds_id, 0))
+                assert now - waiting_since <= DISK_WAIT_BOUND_PS, (
+                    f"DS-id {ds_id} has waited {now - waiting_since} ps for a chunk"
+                )
 
     @invariant()
     def machine_matches_model(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.test_cache_model import line_at, make_cache
+from tests.test_cache_model import is_dirty, make_cache
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
@@ -63,7 +63,7 @@ def test_write_and_writeback_are_writes():
         _run(engine, cache.handle_request, MemoryPacket(addr=0x1000))
         _run(engine, cache.handle_request, MemoryPacket(addr=0x1000, op=op))
         assert cache.total_hits == 1
-        assert line_at(cache, 0x1000).dirty
+        assert is_dirty(cache, 0x1000)
 
 
 def _charged_dsids(packet: MemoryPacket) -> list[int]:
